@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all checks satisfied, 1 at least one reliable check failed,
-2 usage error, 3 numerical failure (SPD or quadrature).
+2 usage error (also a checking command that ran no checks), 3 numerical
+failure (SPD or quadrature).
 """
 
 from __future__ import annotations

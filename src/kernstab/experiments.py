@@ -28,6 +28,8 @@ from .spectral import below_precision_floor, sym_eigen, whiten
 from .svgplot import Series, heatmap_svg, loglog_plot_svg
 
 COMMANDS = ("eigen-scaling", "heatmap", "equivalence", "identity", "sin2", "thm41", "fit")
+#: commands whose verdict is their checks; a run of one with no checks is an error
+CHECKING = ("equivalence", "identity", "sin2", "thm41", "fit")
 
 _CHECK_COLUMNS = ["trial", "name", "lhs", "rhs", "slack", "satisfied", "reliable"]
 
@@ -62,6 +64,8 @@ class ExperimentConfig:
             object.__setattr__(self, "kernel", Family(self.kernel))
         if self.layout not in ("equispaced", "halton"):
             raise ValueError(f"layout must be equispaced or halton, got {self.layout!r}")
+        if self.trials < 0:
+            raise ValueError(f"trials must be nonnegative, got {self.trials}")
 
     def quad_config(self) -> QuadratureConfig:
         return QuadratureConfig(
@@ -168,6 +172,12 @@ def _diagonal_shift(dim: int, magnitude: float) -> np.ndarray:
 
 
 def _random_interval_set(rng: SplitMix64, n: int, min_separation: float = 1e-3) -> PointSet:
+    # n points in [0, 1] with every gap above 2 * min_separation exist only
+    # while the n - 1 gaps fit; otherwise the rejection loop never ends
+    if (n - 1) * 2.0 * min_separation >= 1.0:
+        raise ValueError(
+            f"{n} random points in [0, 1] cannot keep separation above {min_separation:g}"
+        )
     while True:
         pts = np.sort(rng.uniforms(n))
         if n < 2 or 0.5 * np.min(np.diff(pts)) > min_separation:
@@ -449,4 +459,7 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
-    return _RUNNERS[cfg.command](cfg)
+    report = _RUNNERS[cfg.command](cfg)
+    if cfg.command in CHECKING and not report.checks:
+        raise ValueError(f"{cfg.command} ran no checks, so it has no verdict")
+    return report

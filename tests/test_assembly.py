@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from kernstab import (
     symmetric_part,
     write_matrix_csv,
 )
+from kernstab.assembly import _conv_data
 from kernstab.geometry import PointSet
 
 BASIC = KernelSpec(Family.MATERN_BASIC, dim=1)
@@ -141,6 +143,44 @@ def test_conv_gram_matches_conv_value():
     for i in range(6):
         for j in range(i, 6):
             assert K[i, j] == pytest.approx(conv_value(LINEAR, x[i], x[j], (0, 1)), abs=1e-13)
+
+
+@pytest.mark.parametrize("family", ["matern-basic", "matern-linear", "matern-quadratic"])
+@pytest.mark.parametrize("length_scale", [1.0, 0.3])
+@pytest.mark.parametrize(
+    "points",
+    [equispaced(10, 0, 1), equispaced(37, 0, 2.5), halton(20, 1)],
+    ids=["equispaced-10", "equispaced-37-wide", "halton-20"],
+)
+def test_conv_gram_closed_form_matches_quadrature(family, length_scale, points):
+    spec = KernelSpec(Family(family), dim=1, length_scale=length_scale)
+    K = conv_gram(spec, points).data
+    (a, b), = points.domain
+    reference = _conv_data(spec, points.points[:, 0], a, b, QuadratureConfig(), refine=2)
+    assert np.max(np.abs(K - reference)) <= 1e-13 * np.max(np.abs(K))
+
+
+def test_conv_gram_gaussian_uses_quadrature():
+    spec = KernelSpec(Family.GAUSSIAN, dim=1, length_scale=0.3)
+    X = halton(12, 1)
+    K = conv_gram(spec, X).data
+    x = X.points[:, 0]
+    np.testing.assert_array_equal(K, _conv_data(spec, x, 0.0, 1.0, QuadratureConfig(), refine=2))
+    for i in range(len(x)):
+        for j in range(i, len(x)):
+            assert K[i, j] == pytest.approx(conv_value(spec, x[i], x[j], (0, 1)), abs=1e-13)
+
+
+def test_conv_gram_memory_is_quadratic():
+    # no n x O(n)-node quadrature temporaries: the peak stays a few n x n arrays
+    X = equispaced(400, 0, 1)
+    tracemalloc.start()
+    try:
+        conv_gram(LINEAR, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * len(X) ** 2 * 8
 
 
 def test_conv_gram_reference_eigenvalues():

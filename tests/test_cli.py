@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "kernstab", *args],
         cwd=cwd,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -158,6 +159,16 @@ def test_usage_errors_exit_2(tmp_path):
     assert "usage error" in result.stderr
     assert run_cli(["eigen-scaling", "--n-min", "5", "--n-max", "2"], tmp_path).returncode == 2
     assert run_cli([], tmp_path).returncode == 2
+    # negative counts, and checking runs left with zero checks, have no verdict
+    for command in ("identity", "sin2", "thm41"):
+        assert run_cli([command, "--trials", "-3"], tmp_path).returncode == 2
+    result = run_cli(["identity", "--trials", "0"], tmp_path)
+    assert result.returncode == 2
+    assert "no checks" in result.stderr
+    # 501 points cannot keep every gap above 2e-3 in [0, 1]: fail fast, no hang
+    result = run_cli(["identity", "--n", "501"], tmp_path, timeout=60)
+    assert result.returncode == 2
+    assert "usage error" in result.stderr
 
 
 def test_numerical_failure_exits_3(tmp_path):
