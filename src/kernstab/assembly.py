@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import QuadratureError, SingularMatrixError
-from .geometry import PointSet
+from .geometry import PointSet, _squared_distance_blocks
 from .kernels import Family, KernelSpec, phi
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, conv_value, gauss_legendre
 
@@ -41,8 +41,10 @@ def _as_matrix(A) -> np.ndarray:
 
 
 def _distance_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    diff = P[:, None, :] - Q[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    out = np.empty((P.shape[0], Q.shape[0]))
+    for start, d2 in _squared_distance_blocks(P, Q):
+        np.sqrt(d2, out=out[start : start + d2.shape[0]])
+    return out
 
 
 def gram(spec: KernelSpec, X: PointSet) -> GramMatrix:

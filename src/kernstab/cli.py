@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from ._version import __version__
 from .errors import QuadratureError, SingularMatrixError
@@ -96,6 +97,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    start = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
@@ -122,7 +124,8 @@ def main(argv=None) -> int:
             print(f"  {check.name}: lhs={check.lhs:.6e} rhs={check.rhs:.6e} {status}")
         failed = report.failed_reliable_checks
         print(f"checks: {len(report.checks)} total, {len(failed)} failed (reliable)")
-    print(f"wall clock: {report.wall_clock:.3f} s")
+    # the whole command, CSV and SVG writes included
+    print(f"wall clock: {time.perf_counter() - start:.3f} s")
     return 1 if report.failed_reliable_checks else 0
 
 

@@ -3,15 +3,14 @@ heatmaps, and the randomized verifier suites.
 
 Each driver consumes an ExperimentConfig and returns an ExperimentReport whose
 CSV serialization is a pure function of config and seed: identical invocations
-produce byte-identical files.  Wall-clock time is reported on the side and
-never written into an artifact.
+produce byte-identical files.  The CLI reports the wall-clock time of a
+whole command on stdout; no timing is written into an artifact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -99,7 +98,6 @@ class ExperimentReport:
     checks: list = field(default_factory=list)
     svg: Optional[str] = None
     sidecars: list = field(default_factory=list)  # (path suffix, columns, rows)
-    wall_clock: float = 0.0
 
     @property
     def failed_reliable_checks(self) -> list:
@@ -123,7 +121,7 @@ def _with_suffix(path, suffix: str) -> str:
     return f"{stem}.{suffix}.{ext}" if dot else f"{path}.{suffix}"
 
 
-def _fmt(value) -> str:
+def _fmt_fallback(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -133,7 +131,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# exact types only: a subclass such as bool must take the isinstance chain
+_FMT_BY_TYPE = {
+    float: "%.17g".__mod__,
+    np.float64: "%.17g".__mod__,
+    int: str,
+    str: str,
+}
+
+
+def _fmt(value) -> str:
+    return _FMT_BY_TYPE.get(type(value), _fmt_fallback)(value)
+
+
 def _write_rows(path, config_hash, columns, rows) -> None:
+    """One CSV line per row, prefixed by the config hash and the version.
+
+    Values of the common exact types (``float``, ``np.float64``, ``int``,
+    ``str``) are formatted through a type table, everything else (``bool``,
+    other numpy scalars) through the ``isinstance`` chain of
+    ``_fmt_fallback``; both give the same text, ``%.17g`` for floats.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(["config", "version", *columns]) + "\n")
         for row in rows:
@@ -202,7 +220,6 @@ def _intercept_fit(samples, exponent: float) -> Optional[float]:
 def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     """Smallest eigenvalues of the plain and convolved Gram matrices over a
     geometric grid of sample sizes, with the fitted lower-bound curves."""
-    start = time.perf_counter()
     tau = _require_finite_smoothness(cfg)
     if cfg.dim != 1:
         raise ValueError("eigenvalue scaling runs are one-dimensional")
@@ -265,13 +282,11 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
         ],
         rows=rows,
         svg=svg,
-        wall_clock=time.perf_counter() - start,
     )
 
 
 def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
     """Entrywise magnitudes and spectrum of the whitened shifted matrix."""
-    start = time.perf_counter()
     if cfg.dim not in (2, 3):
         raise ValueError("heatmap runs use dim 2 or 3")
     if cfg.layout != "halton":
@@ -282,7 +297,7 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
     M = whiten(gram(spec, X), shifted_gram(spec, X, b))
     grid = np.abs(M)
     spectrum = np.linalg.eigvalsh(M)
-    rows = [[i, *grid[i]] for i in range(len(X))]
+    rows = [[i, *values] for i, values in enumerate(grid.tolist())]
     return ExperimentReport(
         command=cfg.command,
         config_hash=cfg.config_hash(),
@@ -292,12 +307,10 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
         sidecars=[
             ("spectrum", ["index", "eigenvalue"], [[i, v] for i, v in enumerate(spectrum)])
         ],
-        wall_clock=time.perf_counter() - start,
     )
 
 
 def run_equivalence(cfg: ExperimentConfig) -> ExperimentReport:
-    start = time.perf_counter()
     spec = KernelSpec(cfg.kernel, dim=cfg.dim)
     X = _make_points(cfg, cfg.n)
     b = _diagonal_shift(cfg.dim, cfg.shift_factor * X.separation)
@@ -316,13 +329,11 @@ def run_equivalence(cfg: ExperimentConfig) -> ExperimentReport:
                 [[i, v] for i, v in enumerate(result.spectrum)],
             )
         ],
-        wall_clock=time.perf_counter() - start,
     )
 
 
 def run_identity(cfg: ExperimentConfig) -> ExperimentReport:
     """Randomized matrix-side versus Fourier-side identity checks."""
-    start = time.perf_counter()
     if cfg.dim != 1:
         raise ValueError("identity checks are one-dimensional")
     density = spectral_density_1d(KernelSpec(cfg.kernel, dim=1))
@@ -341,13 +352,11 @@ def run_identity(cfg: ExperimentConfig) -> ExperimentReport:
         columns=_CHECK_COLUMNS,
         rows=_check_rows(checks, trials),
         checks=checks,
-        wall_clock=time.perf_counter() - start,
     )
 
 
 def run_sin2(cfg: ExperimentConfig) -> ExperimentReport:
     """Damped-form stability sweep over shift fractions and point sets."""
-    start = time.perf_counter()
     if cfg.dim != 1:
         raise ValueError("damping checks are one-dimensional")
     density = spectral_density_1d(KernelSpec(cfg.kernel, dim=1))
@@ -371,14 +380,12 @@ def run_sin2(cfg: ExperimentConfig) -> ExperimentReport:
         columns=_CHECK_COLUMNS,
         rows=_check_rows(checks, trials),
         checks=checks,
-        wall_clock=time.perf_counter() - start,
     )
 
 
 def run_conv_chain(cfg: ExperimentConfig) -> ExperimentReport:
     """Convolved-kernel chain checks for extreme eigenvectors and random
     directions; below-floor quadratic forms are reported but flagged."""
-    start = time.perf_counter()
     _require_finite_smoothness(cfg)
     if cfg.dim != 1:
         raise ValueError("convolution chain checks are one-dimensional")
@@ -402,13 +409,11 @@ def run_conv_chain(cfg: ExperimentConfig) -> ExperimentReport:
         columns=_CHECK_COLUMNS,
         rows=_check_rows(checks, trials),
         checks=checks,
-        wall_clock=time.perf_counter() - start,
     )
 
 
 def run_fit(cfg: ExperimentConfig) -> ExperimentReport:
     """Power-law fits of the eigenvalue scaling data against the decay targets."""
-    start = time.perf_counter()
     tau = _require_finite_smoothness(cfg)
     scaling = run_eigen_scaling(cfg)
     sym_samples = [(r[1], r[2]) for r in scaling.rows if r[6]]
@@ -443,7 +448,6 @@ def run_fit(cfg: ExperimentConfig) -> ExperimentReport:
         ],
         rows=rows,
         checks=checks,
-        wall_clock=time.perf_counter() - start,
     )
 
 

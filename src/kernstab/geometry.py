@@ -7,11 +7,36 @@ import numpy as np
 _HALTON_BASES = (2, 3, 5)
 
 
+# entries of one block's difference array (8 MB of float64)
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _squared_distance_blocks(P: np.ndarray, Q: np.ndarray):
+    """Yield ``(start, d2)`` over row blocks of P, ``d2[i, j] = |P[start + i] - Q[j]|^2``.
+
+    Each entry is the sum of squared coordinate differences, never the
+    ``|p|^2 + |q|^2 - 2 p.q`` expansion, which cancels at small distances.
+    A block's difference array holds at most ``_BLOCK_ENTRIES`` entries, so
+    no ``n x m x d`` temporary is built; the entries are bitwise those of the
+    unblocked computation.
+    """
+    rows = max(1, _BLOCK_ENTRIES // (Q.shape[0] * Q.shape[1]))
+    for start in range(0, P.shape[0], rows):
+        diff = P[start : start + rows, None, :] - Q[None, :, :]
+        yield start, np.einsum("ijk,ijk->ij", diff, diff)
+
+
 def _pairwise_min_distance(points: np.ndarray) -> float:
-    diff = points[:, None, :] - points[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(d2, np.inf)
-    return float(np.sqrt(d2.min()))
+    if points.shape[1] == 1:
+        # rounding is monotone, so the closest pair is adjacent once sorted
+        gaps = np.diff(np.sort(points[:, 0]))
+        return float(np.sqrt((gaps * gaps).min()))
+    best = np.inf
+    for start, d2 in _squared_distance_blocks(points, points):
+        rows = np.arange(d2.shape[0])
+        d2[rows, start + rows] = np.inf
+        best = min(best, d2.min())
+    return float(np.sqrt(best))
 
 
 class PointSet:
@@ -73,12 +98,21 @@ class PointSet:
         return f"PointSet(n={len(self)}, dim={self.dim})"
 
 
-def _radical_inverse(index: int, base: int) -> float:
-    f, inv = 0.0, 1.0
-    while index > 0:
+def _radical_inverses(indices: np.ndarray, base: int) -> np.ndarray:
+    """Van der Corput radical inverses of nonnegative integer ``indices``.
+
+    Runs the scalar digit recurrence ``inv /= base; f += inv * digit`` on the
+    whole index vector at once, in the same operation order, so every value
+    is bitwise the scalar loop's.  An index that has run out of digits adds
+    ``inv * 0 = 0.0``, which leaves it unchanged.
+    """
+    indices = indices.copy()
+    f = np.zeros(indices.shape)
+    inv = 1.0
+    while indices.any():
         inv /= base
-        f += inv * (index % base)
-        index //= base
+        f += inv * (indices % base)
+        indices //= base
     return f
 
 
@@ -86,7 +120,8 @@ def halton(n: int, dim: int, skip: int = 0) -> PointSet:
     """Halton points in (0, 1)^dim, indices skip+1 .. skip+n (index 0 excluded).
 
     Bases are 2, 3, 5 for the first three axes; higher dimensions are not
-    configured.
+    configured.  Each axis is computed for all indices at once and is bitwise
+    equal to the per-point scalar digit loop.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -94,10 +129,8 @@ def halton(n: int, dim: int, skip: int = 0) -> PointSet:
         raise ValueError(f"halton dim must be in 1..{len(_HALTON_BASES)}")
     if skip < 0:
         raise ValueError("skip must be nonnegative")
-    bases = _HALTON_BASES[:dim]
-    pts = np.array(
-        [[_radical_inverse(i, b) for b in bases] for i in range(skip + 1, skip + n + 1)]
-    )
+    indices = np.arange(skip + 1, skip + n + 1)
+    pts = np.column_stack([_radical_inverses(indices, b) for b in _HALTON_BASES[:dim]])
     domain = np.array([[0.0, 1.0]] * dim)
     return PointSet(pts, domain)
 

@@ -140,31 +140,53 @@ def loglog_plot_svg(series: Sequence[Series], xlabel: str = "", ylabel: str = ""
     return "\n".join(parts) + "\n"
 
 
+def _color_index(value: float, floor_log10: float, span: float, tiny: float, top: int) -> int:
+    """Ramp index of one cell: the scalar ``math.log10`` reference."""
+    level = math.log10(max(value, tiny))
+    t = min(max((level - floor_log10) / span, 0.0), 1.0)
+    return round(t * top)
+
+
 def heatmap_svg(values, floor_log10: float = -5.0, ceil_log10: float = 0.0) -> str:
-    """Heatmap of |values| on a log color scale clipped to the given decade range."""
+    """Heatmap of |values| on a log color scale clipped to the given decade range.
+
+    Color indices are computed for the whole grid at once and each cell's
+    ``<rect>`` is joined from precomputed pieces.  The output is byte for byte
+    the one of the per-cell ``math.log10`` loop: ``np.log10`` may differ from
+    ``math.log10`` in the last bit, which moves a color only when the scaled
+    level lies next to a half-integer, so every cell within 1e-9 of one is
+    recomputed with the scalar expression (``_color_index``).  ``np.rint`` and
+    ``round`` both round half to even.  A NaN cell raises ``ValueError``.
+    """
     grid = np.abs(np.asarray(values, dtype=float))
     n_rows, n_cols = grid.shape
     ramp = color_ramp()
+    top = len(ramp) - 1
     cell = max(4, 480 // max(n_rows, n_cols))
     margin = 20
     width = n_cols * cell + 2 * margin
     height = n_rows * cell + 2 * margin
+    span = ceil_log10 - floor_log10
+    tiny = 10.0 ** (floor_log10 - 1)
+
+    scaled = np.clip((np.log10(np.maximum(grid, tiny)) - floor_log10) / span, 0.0, 1.0) * top
+    if np.isnan(scaled).any():
+        raise ValueError("cannot convert float NaN to a color index")
+    index = np.rint(scaled).astype(np.intp)
+    for i, j in zip(*np.nonzero(np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-9)):
+        index[i, j] = _color_index(grid[i, j], floor_log10, span, tiny, top)
+
+    heads = [f'<rect x="{margin + j * cell}" y="' for j in range(n_cols)]
+    tails = [f'" width="{cell}" height="{cell}" fill="{color}"/>' for color in ramp]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
-    span = ceil_log10 - floor_log10
-    tiny = 10.0 ** (floor_log10 - 1)
-    for i in range(n_rows):
-        for j in range(n_cols):
-            level = math.log10(max(grid[i, j], tiny))
-            t = min(max((level - floor_log10) / span, 0.0), 1.0)
-            color = ramp[round(t * (len(ramp) - 1))]
-            parts.append(
-                f'<rect x="{margin + j * cell}" y="{margin + i * cell}" '
-                f'width="{cell}" height="{cell}" fill="{color}"/>'
-            )
+    # a grid without columns has no cells, hence no (empty) row lines either
+    for i, row in enumerate(index.tolist() if n_cols else []):
+        y = str(margin + i * cell)
+        parts.append("\n".join([head + y + tails[k] for head, k in zip(heads, row)]))
     parts.append(
         f'<rect x="{margin}" y="{margin}" width="{n_cols * cell}" height="{n_rows * cell}" '
         f'fill="none" stroke="black" stroke-width="1"/>'

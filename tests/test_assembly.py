@@ -24,7 +24,7 @@ from kernstab import (
     symmetric_part,
     write_matrix_csv,
 )
-from kernstab.assembly import _conv_data
+from kernstab.assembly import _conv_data, _distance_matrix
 from kernstab.geometry import PointSet
 
 BASIC = KernelSpec(Family.MATERN_BASIC, dim=1)
@@ -79,6 +79,22 @@ def test_shifted_gram_values():
     B = shifted_gram(BASIC, X, [0.1]).data
     expected = np.exp(-np.array([[0.1, 0.9], [1.1, 0.1]]))
     np.testing.assert_allclose(B, expected, rtol=1e-15)
+
+
+@pytest.mark.parametrize("n, m, dim", [(300, 200, 1), (1200, 900, 2), (1200, 1000, 3)])
+def test_distance_matrix_bitwise_equals_einsum_reference(n, m, dim):
+    # row-blocked assembly keeps the per-entry formula of the unblocked one
+    rng = np.random.default_rng(dim)
+    P = rng.uniform(size=(n, dim))
+    Q = rng.uniform(size=(m, dim))
+    diff = P[:, None, :] - Q[None, :, :]
+    expected = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    assert _distance_matrix(P, Q).tobytes() == expected.tobytes()
+    X = halton(n, dim)
+    b = np.full(dim, 0.1 * X.separation)
+    diff = (X.points + b)[:, None, :] - X.points[None, :, :]
+    expected = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    assert _distance_matrix(X.points + b, X.points).tobytes() == expected.tobytes()
 
 
 def test_shifted_gram_dimension_mismatch():

@@ -1,8 +1,14 @@
+import hashlib
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+
+from kernstab import cli
+from kernstab.experiments import ExperimentReport
 
 
 def run_cli(args, cwd, timeout=None):
@@ -141,6 +147,52 @@ def test_heatmap_command(tmp_path):
     values = np.array([float(line.split(",")[3]) for line in spectrum_lines[1:]])
     assert values.min() >= 0.75 and values.max() < 1.0
     assert (tmp_path / "heatmap.svg").read_text().count("<rect") > 2500
+
+
+# SHA-256 of every artifact at --seed 0, recorded before the heatmap, CSV and
+# Halton loops were vectorized (numpy 2.4 with OpenBLAS, x86-64): a change
+# that moves one output byte of these commands fails here
+GOLDEN_DIGESTS = {
+    ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "60"): {
+        "heatmap.csv": "8d57e47a9a734f167fb024ee3cd8c2ef23f4f63c308eb25a6260d7e36428f317",
+        "heatmap.spectrum.csv": "51ecd79814305bf5d1f67df5879b551a470c60c86c7659bbe41a34c91a6f226e",
+        "heatmap.svg": "1319704d45fb582b3c136a322286bcba31bbbc5cbcce6c21d50f89674249c951",
+    },
+    ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "200"): {
+        "equivalence.csv": "7cd7fd5d6789dea297d43f2e49fda91edd18a338e33398e636f2067632a69a76",
+        "equivalence.spectrum.csv": "086d15f2f16c42dca76b8e74201f98b3440564e601dee8ad7669b3947afe306a",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_DIGESTS), ids=lambda args: args[0])
+def test_artifacts_match_golden_digests(args, tmp_path):
+    result = run_cli([*args, "--seed", "0"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.iterdir()
+        if path.suffix in (".csv", ".svg")
+    }
+    assert digests == GOLDEN_DIGESTS[args]
+
+
+def test_wall_clock_covers_artifact_writes(tmp_path, monkeypatch, capsys):
+    write_csv = ExperimentReport.write_csv
+
+    def slow_write_csv(self, path):
+        time.sleep(0.3)
+        write_csv(self, path)
+
+    monkeypatch.setattr(ExperimentReport, "write_csv", slow_write_csv)
+    out = tmp_path / "identity.csv"
+    code = cli.main(["identity", "--n", "3", "--trials", "1", "--out-csv", str(out)])
+    assert code == 0
+    printed = capsys.readouterr().out
+    match = re.search(r"^wall clock: (\d+\.\d{3}) s$", printed, re.M)
+    assert match is not None, printed
+    assert float(match.group(1)) >= 0.3
+    assert "wall clock" not in out.read_text()
 
 
 def test_constant_overrides_enable_quadratic_family(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,56 @@ def test_halton_first_points():
 def test_halton_skip_offsets_index():
     tail = halton(2, 1, skip=1).points[:, 0]
     np.testing.assert_array_equal(tail, [0.25, 0.75])
+
+
+def _radical_inverse_loop(index, base):
+    # the scalar digit loop the vectorized Halton generator must reproduce
+    f, inv = 0.0, 1.0
+    while index > 0:
+        inv /= base
+        f += inv * (index % base)
+        index //= base
+    return f
+
+
+@pytest.mark.parametrize("n, dim, skip", [(2000, 3, 0), (1000, 2, 0), (50, 2, 0), (17, 3, 5), (1, 1, 0)])
+def test_halton_bitwise_equals_scalar_loop(n, dim, skip):
+    expected = np.array(
+        [
+            [_radical_inverse_loop(i, b) for b in (2, 3, 5)[:dim]]
+            for i in range(skip + 1, skip + n + 1)
+        ]
+    )
+    assert halton(n, dim, skip=skip).points.tobytes() == expected.tobytes()
+
+
+def _einsum_min_distance(points):
+    # the unblocked n x n x d reference
+    diff = points[:, None, :] - points[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    np.fill_diagonal(d2, np.inf)
+    return float(np.sqrt(d2.min()))
+
+
+@pytest.mark.parametrize("n, dim", [(2000, 1), (40, 1), (2, 1), (1500, 2), (900, 3)])
+def test_separation_bitwise_equals_einsum_reference(n, dim):
+    rng = np.random.default_rng(n + dim)
+    points = rng.uniform(size=(n, dim))
+    X = PointSet(points, np.array([[0.0, 1.0]] * dim))
+    assert X.separation == 0.5 * _einsum_min_distance(points)
+    H = halton(min(n, 2000), dim)
+    assert H.separation == 0.5 * _einsum_min_distance(H.points)
+
+
+def test_halton_point_set_memory_is_linear_in_blocks():
+    # the separation distance needs no n x n x d difference array (216 MB here)
+    tracemalloc.start()
+    try:
+        halton(3000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
 
 
 def test_halton_deterministic_and_distinct():
