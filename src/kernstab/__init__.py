@@ -20,18 +20,13 @@ from .analysis import (
     verify_equivalence,
     verify_sharp_equivalence,
     verify_shift_identity,
-    write_checks_csv,
 )
 from .assembly import (
-    GramMatrix,
-    MatrixKind,
     antisymmetric_part,
     conv_gram,
     gram,
-    interpolate,
     shifted_gram,
     symmetric_part,
-    write_matrix_csv,
 )
 from .errors import QuadratureError, SingularMatrixError, UnsupportedKernelError
 from .experiments import ExperimentConfig, ExperimentReport, run, sample_grid
@@ -40,17 +35,12 @@ from .geometry import (
     boundary_distance,
     equispaced,
     halton,
-    read_points_csv,
-    separation_distance,
-    shift,
-    write_points_csv,
 )
 from .kernels import (
     Family,
     KernelSpec,
     SpectralDensity,
     has_finite_smoothness,
-    kernel_value,
     phi,
     smoothness,
     spectral_density_1d,

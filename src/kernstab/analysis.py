@@ -48,8 +48,11 @@ class BoundCheck:
 def _check(name, lhs, rhs, tol=0.0, strict=False, reliable=True) -> BoundCheck:
     lhs, rhs = float(lhs), float(rhs)
     ok = lhs < rhs if strict else lhs <= rhs + tol
+    # bool(): a flag from a numpy comparison is an np.bool_, which CSV
+    # formatting would write as True/False
     return BoundCheck(
-        name=name, lhs=lhs, rhs=rhs, satisfied=bool(ok), slack=rhs - lhs, reliable=reliable
+        name=name, lhs=lhs, rhs=rhs, satisfied=bool(ok), slack=rhs - lhs,
+        reliable=bool(reliable),
     )
 
 
@@ -214,7 +217,7 @@ def verify_damping_bound(
     A = gram(spec, X)
     form = fourier_quadratic_form(density, X, alpha, b, cfg)
     lhs = form.damped_integral / _SQRT_2PI
-    quad_form = float(alpha @ (A.data @ alpha))
+    quad_form = float(alpha @ (A @ alpha))
     checks = [_check("damping-basic", lhs, 2.0 * eps * quad_form)]
     if density.tau > 1:
         if c_min is None:
@@ -268,12 +271,12 @@ def verify_conv_chain(
     A = gram(spec, X)
     B = shifted_gram(spec, X, [b])
     norm2 = float(alpha @ alpha)
-    quad_conv = float(alpha @ (K.data @ alpha))
-    reliable = quad_conv >= precision_floor(np.linalg.eigvalsh(K.data)) * norm2
+    quad_conv = float(alpha @ (K @ alpha))
+    reliable = quad_conv >= precision_floor(np.linalg.eigvalsh(K)) * norm2
     ball_measure = 2.0 * q  # radius-q ball in one dimension
     pointwise = _check(
         "conv-chain-pointwise",
-        0.5 * ball_measure * float(np.sum((B.data @ alpha) ** 2)),
+        0.5 * ball_measure * float(np.sum((B @ alpha) ** 2)),
         quad_conv,
         reliable=reliable,
     )
@@ -322,15 +325,3 @@ def fit_power_law(samples: Sequence[tuple[float, float]]) -> FittedLaw:
         r_squared=r_squared,
         support=tuple(kept),
     )
-
-
-def write_checks_csv(checks: Sequence[BoundCheck], path) -> None:
-    """name, lhs, rhs, slack, satisfied, reliability rows at full precision."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("name,lhs,rhs,slack,satisfied,reliable\n")
-        for c in checks:
-            fh.write(
-                "%s,%.17g,%.17g,%.17g,%s,%s\n"
-                % (c.name, c.lhs, c.rhs, c.slack,
-                   str(c.satisfied).lower(), str(c.reliable).lower())
-            )

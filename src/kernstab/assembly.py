@@ -3,41 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations_with_replacement
-from typing import Optional
 
 import numpy as np
 
-from .errors import QuadratureError, SingularMatrixError
+from .errors import QuadratureError
 from .geometry import PointSet, _squared_distance_blocks
 from .kernels import Family, KernelSpec, phi
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, conv_value, gauss_legendre
-
-
-class MatrixKind(Enum):
-    SYMMETRIC = "symmetric"
-    SHIFTED = "shifted"
-    SYMMETRIC_PART = "symmetric-part"
-    CONV = "conv"
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    data: np.ndarray
-    kind: MatrixKind
-    spec: KernelSpec
-    points: PointSet
-    shift: Optional[np.ndarray] = None
-    quad: Optional[QuadratureConfig] = None
-
-    def __post_init__(self):
-        self.data.setflags(write=False)
-
-
-def _as_matrix(A) -> np.ndarray:
-    return A.data if isinstance(A, GramMatrix) else np.asarray(A, dtype=float)
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _segments, conv_value, panel_grid
 
 
 def _distance_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -47,63 +20,52 @@ def _distance_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return out
 
 
-def gram(spec: KernelSpec, X: PointSet) -> GramMatrix:
+def gram(spec: KernelSpec, X: PointSet) -> np.ndarray:
     """Pairwise kernel matrix on X; exactly symmetric, diagonal phi(0)."""
     if X.dim != spec.dim:
         raise ValueError(f"point set dimension {X.dim} != kernel dimension {spec.dim}")
     vals = phi(spec, _distance_matrix(X.points, X.points))
     # mirror the strict upper triangle so symmetry holds bit for bit
     upper = np.triu(vals, 1)
-    data = upper + upper.T
-    np.fill_diagonal(data, phi(spec, 0.0))
-    return GramMatrix(data=data, kind=MatrixKind.SYMMETRIC, spec=spec, points=X)
+    A = upper + upper.T
+    np.fill_diagonal(A, phi(spec, 0.0))
+    return A
 
 
-def shifted_gram(spec: KernelSpec, X: PointSet, b) -> GramMatrix:
+def shifted_gram(spec: KernelSpec, X: PointSet, b) -> np.ndarray:
     """Kernel matrix between the translated set X + b and X; unsymmetric for b != 0."""
     if X.dim != spec.dim:
         raise ValueError(f"point set dimension {X.dim} != kernel dimension {spec.dim}")
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if b.shape != (X.dim,):
         raise ValueError(f"shift vector must have dimension {X.dim}")
-    data = phi(spec, _distance_matrix(X.points + b, X.points))
-    return GramMatrix(data=data, kind=MatrixKind.SHIFTED, spec=spec, points=X, shift=b)
+    return phi(spec, _distance_matrix(X.points + b, X.points))
 
 
 def symmetric_part(A) -> np.ndarray:
-    A = _as_matrix(A)
+    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
     return 0.5 * (A + A.T)
 
 
 def antisymmetric_part(A) -> np.ndarray:
-    A = _as_matrix(A)
+    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
     return 0.5 * (A - A.T)
 
 
-def _conv_quadrature_grid(x: np.ndarray, a: float, b: float, cfg: QuadratureConfig, refine: int):
+def _conv_data(spec: KernelSpec, x: np.ndarray, a: float, b: float, cfg: QuadratureConfig, refine: int):
     # split at every data point: each integrand phi(|x_i - y|) phi(|y - x_j|)
     # is analytic between consecutive split points
-    cuts = np.unique(np.concatenate([[a, b], x]))
-    rule = gauss_legendre(cfg.order)
     ys, ws = [], []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi <= lo:
-            continue
+    for lo, hi in _segments(a, b, x):
         panels = refine * max(1, math.ceil((hi - lo) * cfg.panels_per_unit))
-        edges = np.linspace(lo, hi, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = edges[:-1] + half
-        ys.append((mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel())
-        ws.append((half[:, None] * rule.weights[None, :]).ravel())
-    return np.concatenate(ys), np.concatenate(ws)
-
-
-def _conv_data(spec: KernelSpec, x: np.ndarray, a: float, b: float, cfg: QuadratureConfig, refine: int):
-    y, w = _conv_quadrature_grid(x, a, b, cfg, refine)
+        y, w = panel_grid(np.linspace(lo, hi, panels + 1), cfg.order)
+        ys.append(y)
+        ws.append(w)
+    y, w = np.concatenate(ys), np.concatenate(ws)
     K = phi(spec, np.abs(x[:, None] - y[None, :]))
     M = (K * w) @ K.T
     return 0.5 * (M + M.T)
@@ -156,7 +118,7 @@ def _spot_check(spec: KernelSpec, x: np.ndarray, domain, K: np.ndarray, cfg: Qua
     return worst / float(np.max(np.abs(K)))
 
 
-def conv_gram(spec: KernelSpec, X: PointSet, cfg: QuadratureConfig = DEFAULT_CONFIG) -> GramMatrix:
+def conv_gram(spec: KernelSpec, X: PointSet, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Gram matrix of the domain-convolved kernel over the 1-D domain box of X.
 
     Entry (i, j) is Int_a^b k(x_i, y) k(y, x_j) dy.  For the Matern families
@@ -175,12 +137,12 @@ def conv_gram(spec: KernelSpec, X: PointSet, cfg: QuadratureConfig = DEFAULT_CON
     a, b = float(X.domain[0, 0]), float(X.domain[0, 1])
     x = X.points[:, 0]
     if spec.family in _CONV_POLYNOMIALS:
-        data = _conv_closed_form(spec, x, a, b)
-        achieved = _spot_check(spec, x, (a, b), data, cfg)
+        K = _conv_closed_form(spec, x, a, b)
+        achieved = _spot_check(spec, x, (a, b), K, cfg)
     else:
         coarse = _conv_data(spec, x, a, b, cfg, refine=1)
-        data = _conv_data(spec, x, a, b, cfg, refine=2)
-        achieved = float(np.max(np.abs(data - coarse)) / np.max(np.abs(data)))
+        K = _conv_data(spec, x, a, b, cfg, refine=2)
+        achieved = float(np.max(np.abs(K - coarse)) / np.max(np.abs(K)))
     if achieved > cfg.target_rel_tol:
         raise QuadratureError(
             f"convolution quadrature reached {achieved:.3e}, "
@@ -188,36 +150,4 @@ def conv_gram(spec: KernelSpec, X: PointSet, cfg: QuadratureConfig = DEFAULT_CON
             achieved=achieved,
             target=cfg.target_rel_tol,
         )
-    return GramMatrix(
-        data=data, kind=MatrixKind.CONV, spec=spec, points=X, quad=cfg
-    )
-
-
-def interpolate(spec: KernelSpec, X: PointSet, f_values) -> np.ndarray:
-    """Coefficients alpha of the kernel interpolant, solving gram(X) alpha = f.
-
-    Solved by Cholesky; a breakdown reports the smallest eigenvalue instead of
-    regularizing silently.
-    """
-    f = np.asarray(f_values, dtype=float)
-    if f.shape != (len(X),):
-        raise ValueError("f_values must have one entry per point")
-    A = gram(spec, X).data
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        lam_min = float(np.linalg.eigvalsh(A)[0])
-        raise SingularMatrixError(
-            f"kernel matrix numerically singular (lambda_min ~ {lam_min:.3e})",
-            lambda_min=lam_min,
-        ) from None
-    y = np.linalg.solve(L, f)
-    return np.linalg.solve(L.T, y)
-
-
-def write_matrix_csv(A, path) -> None:
-    """Row-major CSV at full '%.17g' precision."""
-    A = _as_matrix(A)
-    with open(path, "w", newline="\n") as fh:
-        for row in np.atleast_2d(A):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    return K

@@ -231,8 +231,8 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     for n in grid:
         X = _make_points(cfg, n)
         q = X.separation
-        w_sym = np.linalg.eigvalsh(gram(spec, X).data)
-        w_conv = np.linalg.eigvalsh(conv_gram(spec, X, quad).data)
+        w_sym = np.linalg.eigvalsh(gram(spec, X))
+        w_conv = np.linalg.eigvalsh(conv_gram(spec, X, quad))
         samples.append(
             (
                 n,

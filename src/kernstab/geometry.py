@@ -1,4 +1,4 @@
-"""Point sets in box domains: generation, separation distance, shifts, CSV I/O."""
+"""Point sets in box domains: generation, separation and boundary distances."""
 
 from __future__ import annotations
 
@@ -31,10 +31,16 @@ def _pairwise_min_distance(points: np.ndarray) -> float:
         # rounding is monotone, so the closest pair is adjacent once sorted
         gaps = np.diff(np.sort(points[:, 0]))
         return float(np.sqrt((gaps * gaps).min()))
+    # each row block against the columns from its first row on: every pair
+    # once, with the block's own diagonal masked
+    n, d = points.shape
+    rows = max(1, _BLOCK_ENTRIES // (n * d))
     best = np.inf
-    for start, d2 in _squared_distance_blocks(points, points):
-        rows = np.arange(d2.shape[0])
-        d2[rows, start + rows] = np.inf
+    for start in range(0, n, rows):
+        diff = points[start : start + rows, None, :] - points[None, start:, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        diag = np.arange(d2.shape[0])
+        d2[diag, diag] = np.inf
         best = min(best, d2.min())
     return float(np.sqrt(best))
 
@@ -43,11 +49,10 @@ class PointSet:
     """Immutable list of pairwise-distinct points inside a closed box.
 
     The separation distance (half the minimum pairwise distance) is computed
-    once at construction and carried through translations, so shifted copies
-    report exactly the same value.
+    once at construction.
     """
 
-    def __init__(self, points, domain, _separation=None):
+    def __init__(self, points, domain):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         domain = np.asarray(domain, dtype=float)
         if points.ndim != 2 or points.shape[0] < 1:
@@ -60,18 +65,16 @@ class PointSet:
             raise ValueError("points must be finite")
         if np.any(points < domain[:, 0]) or np.any(points > domain[:, 1]):
             raise ValueError("all points must lie inside the closed domain box")
+        separation = None
         if points.shape[0] >= 2:
-            if _separation is None:
-                _separation = 0.5 * _pairwise_min_distance(points)
-            if _separation <= 0:
+            separation = 0.5 * _pairwise_min_distance(points)
+            if separation <= 0:
                 raise ValueError("points must be pairwise distinct")
-        else:
-            _separation = None
         points.setflags(write=False)
         domain.setflags(write=False)
         self._points = points
         self._domain = domain
-        self._separation = _separation
+        self._separation = separation
 
     @property
     def points(self) -> np.ndarray:
@@ -155,65 +158,8 @@ def equispaced(n: int, a: float, b: float, include_endpoints: bool = True) -> Po
     return PointSet(pts[:, None], np.array([[a, b]]))
 
 
-def separation_distance(X: PointSet) -> float:
-    """Half the minimum pairwise distance."""
-    return X.separation
-
-
 def boundary_distance(X: PointSet) -> float:
     """Smallest distance from any point to the boundary of the domain box."""
     lower = X.points - X.domain[:, 0]
     upper = X.domain[:, 1] - X.points
     return float(np.minimum(lower, upper).min())
-
-
-def shift(X: PointSet, b) -> PointSet:
-    """Translate every point by ``b``; the domain box widens to keep containment.
-
-    Pairwise distances are translation invariant, so the cached separation
-    distance carries over unchanged.
-    """
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if b.shape != (X.dim,):
-        raise ValueError(f"shift vector must have dimension {X.dim}")
-    pts = X.points + b
-    lo = np.minimum(X.domain[:, 0], pts.min(axis=0))
-    hi = np.maximum(X.domain[:, 1], pts.max(axis=0))
-    return PointSet(pts, np.column_stack([lo, hi]), _separation=X._separation)
-
-
-def write_points_csv(X: PointSet, path) -> None:
-    """One point per line, '%.17g' coordinates, '#'-prefixed header."""
-    box = ";".join("%.17g,%.17g" % (lo, hi) for lo, hi in X.domain)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# dim={X.dim}\n")
-        fh.write(f"# domain={box}\n")
-        for p in X.points:
-            fh.write(",".join("%.17g" % c for c in p) + "\n")
-
-
-def read_points_csv(path) -> PointSet:
-    dim = None
-    domain = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("dim="):
-                    dim = int(body[4:])
-                elif body.startswith("domain="):
-                    domain = np.array(
-                        [[float(v) for v in axis.split(",")] for axis in body[7:].split(";")]
-                    )
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if dim is None or domain is None:
-        raise ValueError(f"{path}: missing dim/domain header")
-    pts = np.array(rows)
-    if pts.shape[1] != dim:
-        raise ValueError(f"{path}: row width does not match dim={dim}")
-    return PointSet(pts, domain)

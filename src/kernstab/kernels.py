@@ -80,17 +80,6 @@ def phi(spec: KernelSpec, r):
     return out if out.ndim else float(out)
 
 
-def kernel_value(spec: KernelSpec, x, z) -> float:
-    """k(x, z) = phi(||x - z||); symmetric in its arguments."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if x.shape != (spec.dim,) or z.shape != (spec.dim,):
-        raise ValueError(
-            f"points must have dimension {spec.dim}, got {x.shape} and {z.shape}"
-        )
-    return phi(spec, float(np.linalg.norm(x - z)))
-
-
 def smoothness(spec: KernelSpec) -> float:
     """Decay exponent tau of the kernel's Fourier transform."""
     if spec.family not in FAMILY_SMOOTHNESS:

@@ -23,6 +23,14 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+def _legendre(order: int, x: np.ndarray):
+    """P_order(x) and its derivative by the three-term recurrence (|x| < 1)."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for j in range(2, order + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, order * (x * p - p_prev) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(order: int) -> QuadratureRule:
     """Gauss-Legendre rule of the given order.
@@ -39,20 +47,14 @@ def gauss_legendre(order: int) -> QuadratureRule:
         k = np.arange(1, order + 1)
         x = np.cos(np.pi * (4 * k - 1) / (4 * order + 2))
         for _ in range(100):
-            p_prev, p = np.ones_like(x), x.copy()
-            for j in range(2, order + 1):
-                p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-            dp = order * (x * p - p_prev) / (x * x - 1.0)
+            p, dp = _legendre(order, x)
             dx = p / dp
             x -= dx
             if np.max(np.abs(dx)) < 1e-15:
                 break
         else:  # pragma: no cover - does not happen for order <= 64
             raise AssertionError("Newton iteration for Legendre roots did not converge")
-        p_prev, p = np.ones_like(x), x.copy()
-        for j in range(2, order + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        dp = order * (x * p - p_prev) / (x * x - 1.0)
+        _, dp = _legendre(order, x)
         w = 2.0 / ((1.0 - x * x) * dp * dp)
         idx = np.argsort(x)
         x, w = x[idx], w[idx]
@@ -80,10 +82,9 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def panel_grid(a: float, b: float, panels: int, order: int):
-    """Nodes and weights of ``panels`` equal Gauss-Legendre panels on [a, b]."""
+def panel_grid(edges: np.ndarray, order: int):
+    """Nodes and weights of one Gauss-Legendre panel per pair of adjacent ``edges``."""
     rule = gauss_legendre(order)
-    edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = edges[:-1] + half
     y = mid[:, None] + half[:, None] * rule.nodes[None, :]
@@ -108,7 +109,7 @@ def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, kin
     panel_sums = []
     for lo, hi in _segments(a, b, kinks):
         panels = max(1, math.ceil((hi - lo) * cfg.panels_per_unit))
-        y, w = panel_grid(lo, hi, panels, cfg.order)
+        y, w = panel_grid(np.linspace(lo, hi, panels + 1), cfg.order)
         vals = w * np.asarray(f(y), dtype=float)
         panel_sums.append(vals.reshape(panels, cfg.order).sum(axis=1))
     return float(np.sum(np.concatenate(panel_sums)))
@@ -206,13 +207,8 @@ def fourier_quadratic_form(
     # evaluate in node chunks to bound the (nodes x points) workspace
     chunk = max(1, 65536 // max(len(X), 1))
     edges = np.linspace(-cutoff, cutoff, panels + 1)
-    rule = gauss_legendre(cfg.order)
     for start in range(0, panels, chunk):
-        stop = min(start + chunk, panels)
-        half = 0.5 * (edges[start + 1:stop + 1] - edges[start:stop])
-        mid = edges[start:stop] + half
-        om = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-        w = (half[:, None] * rule.weights[None, :]).ravel()
+        om, w = panel_grid(edges[start : start + chunk + 1], cfg.order)
         phase = np.outer(om, x)
         re = np.cos(phase) @ alpha
         im = np.sin(phase) @ alpha

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _as_matrix, symmetric_part
+from .assembly import symmetric_part
 from .errors import SingularMatrixError
 
 #: relative spread below which whitening output is roundoff noise
@@ -26,7 +26,7 @@ class EigenDecomposition:
 
 
 def _check_symmetric(A: np.ndarray) -> np.ndarray:
-    A = _as_matrix(A)
+    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
     scale = np.max(np.abs(A)) if A.size else 0.0
@@ -98,7 +98,7 @@ def whiten(A, B) -> np.ndarray:
 
 def rayleigh(A, alpha) -> float:
     """Quadratic form quotient <A a, a> / ||a||^2; lies in [lambda_min, lambda_max]."""
-    A = _as_matrix(A)
+    A = np.asarray(A, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     nrm2 = float(alpha @ alpha)
     if nrm2 == 0.0:

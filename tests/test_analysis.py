@@ -25,7 +25,6 @@ from kernstab import (
     verify_equivalence,
     verify_sharp_equivalence,
     verify_shift_identity,
-    write_checks_csv,
 )
 from kernstab.geometry import PointSet
 
@@ -280,17 +279,3 @@ def test_eigenvalue_decay_is_monotone():
     for n in sample_grid(10, 60, 10):
         values.append(lambda_min(gram(BASIC, equispaced(n, 0, 1))))
     assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_checks_csv_layout(tmp_path):
-    X = halton(20, 2)
-    spec = KernelSpec(Family.MATERN_LINEAR, dim=2)
-    b = 0.1 * X.separation * np.ones(2) / math.sqrt(2)
-    result = verify_equivalence(spec, X, b)
-    path = tmp_path / "checks.csv"
-    write_checks_csv(result.checks, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "name,lhs,rhs,slack,satisfied,reliable"
-    assert len(lines) == 3
-    assert lines[1].startswith("equivalence-lower,0.75,")
-    assert lines[1].endswith("true,true")

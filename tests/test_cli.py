@@ -82,7 +82,11 @@ def test_equivalence_command(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "equivalence-lower" in result.stdout
-    assert (tmp_path / "equivalence.csv").exists()
+    lines = (tmp_path / "equivalence.csv").read_text().splitlines()
+    assert lines[0] == "config,version,trial,name,lhs,rhs,slack,satisfied,reliable"
+    assert len(lines) == 3
+    assert lines[1].split(",")[3:5] == ["equivalence-lower", "0.75"]
+    assert lines[1].endswith(",true,true")
     spectrum = (tmp_path / "equivalence.spectrum.csv").read_text().splitlines()
     assert len(spectrum) == 51  # header + 50 eigenvalues
     values = np.array([float(line.split(",")[3]) for line in spectrum[1:]])
@@ -116,6 +120,10 @@ def test_thm41_command(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "conv-chain-end-to-end" in result.stdout
+    rows = (tmp_path / "thm41.csv").read_text().splitlines()
+    assert rows[0].endswith(",satisfied,reliable")
+    for row in rows[1:]:
+        assert all(flag in ("true", "false") for flag in row.split(",")[-2:]), row
 
 
 def test_fit_command(tmp_path):
@@ -149,9 +157,11 @@ def test_heatmap_command(tmp_path):
     assert (tmp_path / "heatmap.svg").read_text().count("<rect") > 2500
 
 
-# SHA-256 of every artifact at --seed 0, recorded before the heatmap, CSV and
-# Halton loops were vectorized (numpy 2.4 with OpenBLAS, x86-64): a change
-# that moves one output byte of these commands fails here
+# SHA-256 of every artifact at --seed 0 (numpy 2.4 with OpenBLAS, x86-64): a
+# change that moves one output byte of these commands fails here.  heatmap and
+# equivalence were recorded before the heatmap, CSV and Halton loops were
+# vectorized; identity, sin2 and eigen-scaling before the Gram matrices became
+# plain arrays and the panel builders were merged into one
 GOLDEN_DIGESTS = {
     ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "60"): {
         "heatmap.csv": "8d57e47a9a734f167fb024ee3cd8c2ef23f4f63c308eb25a6260d7e36428f317",
@@ -161,6 +171,16 @@ GOLDEN_DIGESTS = {
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "200"): {
         "equivalence.csv": "7cd7fd5d6789dea297d43f2e49fda91edd18a338e33398e636f2067632a69a76",
         "equivalence.spectrum.csv": "086d15f2f16c42dca76b8e74201f98b3440564e601dee8ad7669b3947afe306a",
+    },
+    ("identity", "--kernel", "matern-basic", "--n", "6"): {
+        "identity.csv": "ce970025411b4a72f46deec16b7e061c8872228d71fbd0e77b54c66c2e9fe6e3",
+    },
+    ("sin2", "--kernel", "matern-linear", "--n", "10", "--trials", "2"): {
+        "sin2.csv": "ff5ac461bebe5343e271c9c81ebbf7b9de3474c478015bb603945ea3ad04e632",
+    },
+    ("eigen-scaling", "--kernel", "matern-linear", "--n-max", "40", "--n-count", "8"): {
+        "eigen-scaling.csv": "6942fb702f3f4d172ecfecc7b2e4318de04588d28b67c7083cdd27b8393bcf08",
+        "eigen-scaling.svg": "1e8f9bcbafddb6dea791a5cf2b0ad3c7813346bd4b18d9c3608bf0f44ad01614",
     },
 }
 

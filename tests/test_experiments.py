@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,7 @@ def test_write_rows_formats_mixed_rows(tmp_path):
     assert lines[0] == "config,version,a,b"
     for line, row in zip(lines[1:], [VALUES[:12], VALUES[12:]]):
         assert line.split(",")[2:] == [_fmt_chain(v) for v in row]
+        # '%.17g' is full precision: finite floats read back exactly
+        for text, v in zip(line.split(",")[2:], row):
+            if isinstance(v, float) and math.isfinite(v):
+                assert float(text) == v

@@ -2,18 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kernstab import (
     PointSet,
     boundary_distance,
     equispaced,
     halton,
-    read_points_csv,
-    separation_distance,
-    shift,
-    write_points_csv,
 )
 
 
@@ -118,18 +112,18 @@ def test_equispaced_separation_formula():
 
 def test_separation_examples():
     X = PointSet(np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]))
-    assert separation_distance(X) == 0.5
+    assert X.separation == 0.5
     tri = PointSet(
         np.array([[0.0, 0.0], [0.0, 3.0], [4.0, 0.0]]),
         np.array([[0.0, 4.0], [0.0, 3.0]]),
     )
-    assert separation_distance(tri) == 1.5
+    assert tri.separation == 1.5
 
 
 def test_separation_requires_two_points():
     lone = PointSet(np.array([[0.5]]), np.array([[0.0, 1.0]]))
     with pytest.raises(ValueError):
-        separation_distance(lone)
+        lone.separation
 
 
 def test_duplicate_points_rejected():
@@ -147,41 +141,3 @@ def test_boundary_distance_examples():
     assert boundary_distance(PointSet(np.array([[0.5]]), np.array([[0.0, 1.0]]))) == 0.5
     assert boundary_distance(PointSet(np.array([[0.0, 0.0]]), unit)) == 0.0
     assert boundary_distance(PointSet(np.array([[0.2, 0.9]]), unit)) == pytest.approx(0.1)
-
-
-def test_shift_examples():
-    X = PointSet(np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]))
-    same = shift(X, [0.0])
-    np.testing.assert_array_equal(same.points, X.points)
-    moved = shift(X, [0.05])
-    np.testing.assert_allclose(moved.points[:, 0], [0.05, 1.05], rtol=1e-15)
-    assert moved.separation == 0.5
-    assert moved.domain[0, 1] >= 1.05
-
-
-def test_shift_dimension_mismatch():
-    X = halton(5, 2)
-    with pytest.raises(ValueError):
-        shift(X, [0.1])
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.integers(min_value=0, max_value=10_000), min_size=2, max_size=12, unique=True),
-    st.floats(min_value=-5, max_value=5, allow_nan=False),
-)
-def test_shift_preserves_separation_exactly(raw, offset):
-    pts = np.array(raw, dtype=float)[:, None] / 10_000.0
-    X = PointSet(pts, np.array([[0.0, 1.0]]))
-    assert shift(X, [offset]).separation == X.separation
-
-
-def test_points_csv_round_trip(tmp_path):
-    X = halton(17, 3)
-    path = tmp_path / "points.csv"
-    write_points_csv(X, path)
-    back = read_points_csv(path)
-    np.testing.assert_array_equal(back.points, X.points)
-    np.testing.assert_array_equal(back.domain, X.domain)
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("#") and "dim=3" in header

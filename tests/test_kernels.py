@@ -11,7 +11,6 @@ from kernstab import (
     gram,
     has_finite_smoothness,
     integrate,
-    kernel_value,
     lambda_min,
     phi,
     smoothness,
@@ -36,6 +35,10 @@ def test_profile_at_zero():
 
 def test_profile_reference_values():
     assert phi(KernelSpec(Family.MATERN_BASIC), 0.0) == 1.0
+    assert phi(KernelSpec(Family.MATERN_BASIC), 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert phi(KernelSpec(Family.MATERN_LINEAR), 5.0) == pytest.approx(
+        6.0 * math.exp(-5.0), rel=1e-15
+    )
     assert phi(KernelSpec(Family.MATERN_LINEAR), 1.0) == pytest.approx(
         2.0 * math.exp(-1.0), rel=1e-15
     )
@@ -67,32 +70,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(Family.MATERN_BASIC, length_scale=0.0)
     assert KernelSpec("matern-linear").family is Family.MATERN_LINEAR
-
-
-def test_kernel_value_examples():
-    basic1 = KernelSpec(Family.MATERN_BASIC, dim=1)
-    assert kernel_value(basic1, [0.3], [0.3]) == 1.0
-    assert kernel_value(basic1, [0.0], [1.0]) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    linear2 = KernelSpec(Family.MATERN_LINEAR, dim=2)
-    # ||(0,0) - (3,4)|| = 5 by Pythagoras
-    assert kernel_value(linear2, [0.0, 0.0], [3.0, 4.0]) == pytest.approx(
-        6.0 * math.exp(-5.0), rel=1e-15
-    )
-
-
-def test_kernel_value_dimension_mismatch():
-    spec = KernelSpec(Family.MATERN_BASIC, dim=2)
-    with pytest.raises(ValueError):
-        kernel_value(spec, [0.0], [1.0])
-
-
-def test_kernel_symmetry_exact():
-    rng = np.random.default_rng(101)
-    for family in ALL_FAMILIES:
-        spec = KernelSpec(family, dim=3)
-        for _ in range(250):
-            x, z = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3)
-            assert kernel_value(spec, x, z) == kernel_value(spec, z, x)
 
 
 def test_smoothness_values():

@@ -90,7 +90,7 @@ def test_inv_sqrt_diagonal():
 
 def test_inv_sqrt_defining_property():
     X = halton(50, 2)
-    A = gram(KernelSpec(Family.MATERN_LINEAR, dim=2), X).data
+    A = gram(KernelSpec(Family.MATERN_LINEAR, dim=2), X)
     S = inv_sqrt(A)
     np.testing.assert_array_equal(S, S.T)
     assert np.max(np.abs(S @ A @ S - np.eye(50))) <= 1e-9
@@ -105,7 +105,7 @@ def test_inv_sqrt_rejects_near_singular():
 
 def test_whiten_identity_and_zero():
     X = halton(30, 2)
-    A = gram(KernelSpec(Family.MATERN_LINEAR, dim=2), X).data
+    A = gram(KernelSpec(Family.MATERN_LINEAR, dim=2), X)
     M = whiten(A, A)
     assert np.max(np.abs(M - np.eye(30))) <= 1e-9
     np.testing.assert_array_equal(whiten(A, np.zeros((30, 30))), np.zeros((30, 30)))
