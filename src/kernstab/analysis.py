@@ -214,18 +214,18 @@ def verify_damping_bound(
             f"shift {b} violates |b| <= sqrt(eps) * q_X = {math.sqrt(eps) * q:.3e}"
         )
     spec = density.kernel
+    if density.tau > 1 and c_min is None:
+        c_min = default_symmetric_constant(spec.family, X.dim)
+        if c_min is None:
+            raise ValueError(
+                f"no fitted constant for {spec.family.value} in dimension {X.dim}; pass c_min"
+            )
     A = gram(spec, X)
     form = fourier_quadratic_form(density, X, alpha, b, cfg)
     lhs = form.damped_integral / _SQRT_2PI
     quad_form = float(alpha @ (A @ alpha))
     checks = [_check("damping-basic", lhs, 2.0 * eps * quad_form)]
     if density.tau > 1:
-        if c_min is None:
-            c_min = default_symmetric_constant(spec.family, X.dim)
-        if c_min is None:
-            raise ValueError(
-                f"no fitted constant for {spec.family.value} in dimension {X.dim}; pass c_min"
-            )
         norm2 = float(alpha @ alpha)
         r_sym = quad_form / norm2
         rhs = (
@@ -244,7 +244,6 @@ def verify_conv_chain(
     b: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     c: Optional[float] = None,
-    use_boundary: bool = True,
 ) -> list[BoundCheck]:
     """Two links of the convolved-kernel lower-bound chain, for a given shift.
 
@@ -258,7 +257,7 @@ def verify_conv_chain(
     alpha = np.asarray(alpha, dtype=float)
     q_x = X.separation
     q_b = boundary_distance(X)
-    q = min(q_b, q_x) if use_boundary and min(q_b, q_x) > 0 else q_x
+    q = min(q_b, q_x) if min(q_b, q_x) > 0 else q_x
     if abs(b) > q * (1.0 + 1e-12):
         raise ValueError(f"shift {b} violates |b| <= q = {q:.3e}")
     if c is None:

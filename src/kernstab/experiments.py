@@ -21,7 +21,7 @@ from ._version import __version__
 from .assembly import conv_gram, gram, shifted_gram
 from .geometry import PointSet, equispaced, halton
 from .kernels import Family, KernelSpec, has_finite_smoothness, smoothness, spectral_density_1d
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .rng import SplitMix64
 from .spectral import below_precision_floor, sym_eigen, whiten
 from .svgplot import Series, heatmap_svg, loglog_plot_svg
@@ -29,27 +29,42 @@ from .svgplot import Series, heatmap_svg, loglog_plot_svg
 COMMANDS = ("eigen-scaling", "heatmap", "equivalence", "identity", "sin2", "thm41", "fit")
 #: commands whose verdict is their checks; a run of one with no checks is an error
 CHECKING = ("equivalence", "identity", "sin2", "thm41", "fit")
+#: commands that also write an SVG plot
+PLOTTING = ("eigen-scaling", "heatmap")
+LAYOUTS = ("halton", "equispaced")
+_DEFAULT_N = {"identity": 6, "sin2": 20, "thm41": 20}
 
 _CHECK_COLUMNS = ["trial", "name", "lhs", "rhs", "slack", "satisfied", "reliable"]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Every option of an experiment: the one table the CLI flags come from.
+
+    Each field is a flag of the same name (``n_min`` is ``--n-min``) with the
+    same default; ``out_svg`` is a flag of the plotting commands only.
+    ``dim``, ``n`` and ``layout`` default per command: ``dim`` is 2 for
+    ``heatmap`` and 1 otherwise, ``n`` is 6 for ``identity``, 20 for ``sin2``
+    and ``thm41`` and 50 otherwise, and ``layout`` is ``halton`` for
+    ``heatmap`` and for ``dim > 1``, ``equispaced`` otherwise.  The field
+    order is part of ``canonical_string``, hence of every config hash.
+    """
+
     command: str
     kernel: Family = Family.MATERN_BASIC
-    dim: int = 1
-    n: int = 50
+    dim: Optional[int] = None
+    n: Optional[int] = None
     n_min: int = 10
     n_max: int = 1000
     n_count: int = 30
-    layout: str = "equispaced"
+    layout: Optional[str] = None
     endpoints: bool = True
     shift_factor: float = 0.1
     eps: float = 0.25
     trials: int = 10
-    quad_order: int = 20
-    panels_per_unit: float = 4.0
-    fourier_cutoff: float = 1000.0
+    quad_order: int = DEFAULT_CONFIG.order
+    panels_per_unit: float = DEFAULT_CONFIG.panels_per_unit
+    fourier_cutoff: float = DEFAULT_CONFIG.fourier_cutoff
     seed: int = 0
     c_min: Optional[float] = None
     c_conv: Optional[float] = None
@@ -61,8 +76,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if not isinstance(self.kernel, Family):
             object.__setattr__(self, "kernel", Family(self.kernel))
-        if self.layout not in ("equispaced", "halton"):
-            raise ValueError(f"layout must be equispaced or halton, got {self.layout!r}")
+        if self.dim is None:
+            object.__setattr__(self, "dim", 2 if self.command == "heatmap" else 1)
+        if self.n is None:
+            object.__setattr__(self, "n", _DEFAULT_N.get(self.command, 50))
+        if self.layout is None:
+            halton_default = self.command == "heatmap" or self.dim > 1
+            object.__setattr__(self, "layout", "halton" if halton_default else "equispaced")
+        if self.layout not in LAYOUTS:
+            raise ValueError(f"layout must be {' or '.join(LAYOUTS)}, got {self.layout!r}")
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
 
@@ -158,11 +180,22 @@ def _write_rows(path, config_hash, columns, rows) -> None:
             fh.write(",".join([config_hash, __version__, *map(_fmt, row)]) + "\n")
 
 
-def _check_rows(checks, trials) -> list:
-    return [
-        [t, c.name, c.lhs, c.rhs, c.slack, c.satisfied, c.reliable]
-        for t, c in zip(trials, checks)
+def _check_report(cfg: ExperimentConfig, per_trial, sidecars=()) -> ExperimentReport:
+    """The report of a checking command: one verifier row per check, numbered
+    by its trial, the index of the point set or direction in ``per_trial``."""
+    rows = [
+        [trial, c.name, c.lhs, c.rhs, c.slack, c.satisfied, c.reliable]
+        for trial, checks in enumerate(per_trial)
+        for c in checks
     ]
+    return ExperimentReport(
+        command=cfg.command,
+        config_hash=cfg.config_hash(),
+        columns=_CHECK_COLUMNS,
+        rows=rows,
+        checks=[c for checks in per_trial for c in checks],
+        sidecars=list(sidecars),
+    )
 
 
 def sample_grid(n_min: int, n_max: int, count: int) -> list[int]:
@@ -315,21 +348,8 @@ def run_equivalence(cfg: ExperimentConfig) -> ExperimentReport:
     X = _make_points(cfg, cfg.n)
     b = _diagonal_shift(cfg.dim, cfg.shift_factor * X.separation)
     result = analysis.verify_equivalence(spec, X, b)
-    checks = result.checks
-    return ExperimentReport(
-        command=cfg.command,
-        config_hash=cfg.config_hash(),
-        columns=_CHECK_COLUMNS,
-        rows=_check_rows(checks, [0] * len(checks)),
-        checks=checks,
-        sidecars=[
-            (
-                "spectrum",
-                ["index", "eigenvalue"],
-                [[i, v] for i, v in enumerate(result.spectrum)],
-            )
-        ],
-    )
+    spectrum = [[i, v] for i, v in enumerate(result.spectrum)]
+    return _check_report(cfg, [result.checks], [("spectrum", ["index", "eigenvalue"], spectrum)])
 
 
 def run_identity(cfg: ExperimentConfig) -> ExperimentReport:
@@ -339,20 +359,13 @@ def run_identity(cfg: ExperimentConfig) -> ExperimentReport:
     density = spectral_density_1d(KernelSpec(cfg.kernel, dim=1))
     quad = cfg.quad_config()
     rng = SplitMix64(cfg.seed)
-    checks, trials = [], []
-    for trial in range(cfg.trials):
+    per_trial = []
+    for _ in range(cfg.trials):
         X = _random_interval_set(rng, cfg.n)
         alpha = rng.symmetric(cfg.n)
         b = cfg.shift_factor * X.separation
-        checks.append(analysis.verify_shift_identity(density, X, alpha, b, quad))
-        trials.append(trial)
-    return ExperimentReport(
-        command=cfg.command,
-        config_hash=cfg.config_hash(),
-        columns=_CHECK_COLUMNS,
-        rows=_check_rows(checks, trials),
-        checks=checks,
-    )
+        per_trial.append([analysis.verify_shift_identity(density, X, alpha, b, quad)])
+    return _check_report(cfg, per_trial)
 
 
 def run_sin2(cfg: ExperimentConfig) -> ExperimentReport:
@@ -364,23 +377,17 @@ def run_sin2(cfg: ExperimentConfig) -> ExperimentReport:
     rng = SplitMix64(cfg.seed)
     sets = [_make_points(replace(cfg, layout="equispaced"), cfg.n)]
     sets += [_random_interval_set(rng, cfg.n) for _ in range(cfg.trials)]
-    checks, trials = [], []
-    for trial, X in enumerate(sets):
+    per_trial = []
+    for X in sets:
         alpha = rng.symmetric(len(X))
+        checks = []
         for kappa in (0.1, 0.5, 1.0):
             b = math.sqrt(cfg.eps) * X.separation * kappa
-            for c in analysis.verify_damping_bound(
+            checks += analysis.verify_damping_bound(
                 density, X, alpha, b, cfg.eps, quad, c_min=cfg.c_min
-            ):
-                checks.append(c)
-                trials.append(trial)
-    return ExperimentReport(
-        command=cfg.command,
-        config_hash=cfg.config_hash(),
-        columns=_CHECK_COLUMNS,
-        rows=_check_rows(checks, trials),
-        checks=checks,
-    )
+            )
+        per_trial.append(checks)
+    return _check_report(cfg, per_trial)
 
 
 def run_conv_chain(cfg: ExperimentConfig) -> ExperimentReport:
@@ -398,18 +405,10 @@ def run_conv_chain(cfg: ExperimentConfig) -> ExperimentReport:
     dec = sym_eigen(gram(spec, X))
     directions = [dec.eigenvectors[:, 0], dec.eigenvectors[:, -1]]
     directions += [rng.symmetric(len(X)) for _ in range(cfg.trials)]
-    checks, trials = [], []
-    for trial, alpha in enumerate(directions):
-        for c in analysis.verify_conv_chain(spec, X, alpha, b, quad, c=cfg.c_conv):
-            checks.append(c)
-            trials.append(trial)
-    return ExperimentReport(
-        command=cfg.command,
-        config_hash=cfg.config_hash(),
-        columns=_CHECK_COLUMNS,
-        rows=_check_rows(checks, trials),
-        checks=checks,
-    )
+    per_trial = [
+        analysis.verify_conv_chain(spec, X, alpha, b, quad, c=cfg.c_conv) for alpha in directions
+    ]
+    return _check_report(cfg, per_trial)
 
 
 def run_fit(cfg: ExperimentConfig) -> ExperimentReport:
@@ -425,13 +424,7 @@ def run_fit(cfg: ExperimentConfig) -> ExperimentReport:
     rows, checks = [], []
     for name, samples, target, tol in targets:
         law = analysis.fit_power_law(samples)
-        check = analysis.BoundCheck(
-            name=f"fit-{name}",
-            lhs=abs(law.exponent - target),
-            rhs=tol,
-            satisfied=abs(law.exponent - target) <= tol,
-            slack=tol - abs(law.exponent - target),
-        )
+        check = analysis._check(f"fit-{name}", abs(law.exponent - target), tol)
         checks.append(check)
         rows.append(
             [

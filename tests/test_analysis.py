@@ -6,6 +6,7 @@ import pytest
 from kernstab import (
     Family,
     KernelSpec,
+    analysis,
     cond_upper_bound,
     conv_lower_bound,
     conv_lower_bound_from_sym,
@@ -210,6 +211,17 @@ def test_damping_bound_improved_needs_constant():
     checks = verify_damping_bound(density, X, np.ones(8), b, eps=0.25, c_min=0.1)
     assert [c.name for c in checks] == ["damping-basic", "damping-improved"]
     assert all(c.satisfied for c in checks)
+
+
+def test_damping_bound_missing_constant_fails_before_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the Fourier-side form ran before the constant was resolved")
+
+    monkeypatch.setattr(analysis, "fourier_quadratic_form", no_quadrature)
+    density = spectral_density_1d(KernelSpec(Family.MATERN_QUADRATIC, dim=1))
+    X = equispaced(8, 0, 1)
+    with pytest.raises(ValueError, match="no fitted constant"):
+        verify_damping_bound(density, X, np.ones(8), 0.1 * X.separation, eps=0.25)
 
 
 def test_conv_chain_basic_extremes():

@@ -1,14 +1,16 @@
+import argparse
 import hashlib
 import re
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from kernstab import cli
-from kernstab.experiments import ExperimentReport
+from kernstab.experiments import COMMANDS, ExperimentConfig, ExperimentReport
 
 
 def run_cli(args, cwd, timeout=None):
@@ -161,7 +163,8 @@ def test_heatmap_command(tmp_path):
 # change that moves one output byte of these commands fails here.  heatmap and
 # equivalence were recorded before the heatmap, CSV and Halton loops were
 # vectorized; identity, sin2 and eigen-scaling before the Gram matrices became
-# plain arrays and the panel builders were merged into one
+# plain arrays and the panel builders were merged into one; thm41 and fit
+# before the CLI flags were derived from ExperimentConfig
 GOLDEN_DIGESTS = {
     ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "60"): {
         "heatmap.csv": "8d57e47a9a734f167fb024ee3cd8c2ef23f4f63c308eb25a6260d7e36428f317",
@@ -181,6 +184,12 @@ GOLDEN_DIGESTS = {
     ("eigen-scaling", "--kernel", "matern-linear", "--n-max", "40", "--n-count", "8"): {
         "eigen-scaling.csv": "6942fb702f3f4d172ecfecc7b2e4318de04588d28b67c7083cdd27b8393bcf08",
         "eigen-scaling.svg": "1e8f9bcbafddb6dea791a5cf2b0ad3c7813346bd4b18d9c3608bf0f44ad01614",
+    },
+    ("thm41", "--kernel", "matern-basic", "--n", "20", "--shift-factor", "0.5"): {
+        "thm41.csv": "393304d56502cc1229be0212568c4d9adf100668d2f4eef8c2036e135550f3d4",
+    },
+    ("fit", "--kernel", "matern-basic", "--n-max", "40", "--n-count", "8"): {
+        "fit.csv": "02731db3ce2f76ead2483c4fd0ab9dd17bb428cd64a17d04dcec280303fc3f56",
     },
 }
 
@@ -241,6 +250,37 @@ def test_usage_errors_exit_2(tmp_path):
     result = run_cli(["identity", "--n", "501"], tmp_path, timeout=60)
     assert result.returncode == 2
     assert "usage error" in result.stderr
+    # an unwritable output path is a usage error, not a failed check
+    missing = tmp_path / "no-such-dir"
+    for args in (
+        ["identity", "--n", "4", "--trials", "1", "--out-csv", str(missing / "x.csv")],
+        ["heatmap", "--n", "10", "--out-svg", str(missing / "x.svg")],
+    ):
+        result = run_cli(args, tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "usage error" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_alone_parses_to_library_defaults(command):
+    args = cli.build_parser().parse_args([command])
+    assert ExperimentConfig(**vars(args)) == ExperimentConfig(command=command)
+
+
+def test_flags_are_exactly_the_config_fields():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == COMMANDS
+    for command, p in sub.choices.items():
+        flags = {a.option_strings[-1]: a.default for a in p._actions if a.dest != "help"}
+        expected = {
+            "--" + f.name.replace("_", "-"): f.default
+            for f in fields(ExperimentConfig)
+            if f.name != "command"
+            and (f.name != "out_svg" or command in ("eigen-scaling", "heatmap"))
+        }
+        assert flags == expected, command
 
 
 def test_numerical_failure_exits_3(tmp_path):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kernstab.experiments import _fmt, _write_rows
+from kernstab import cli
+from kernstab.experiments import ExperimentConfig, _fmt, _write_rows, run
 
 
 def _fmt_chain(value):
@@ -43,3 +44,17 @@ def test_write_rows_formats_mixed_rows(tmp_path):
         for text, v in zip(line.split(",")[2:], row):
             if isinstance(v, float) and math.isfinite(v):
                 assert float(text) == v
+
+
+def test_library_heatmap_runs_with_its_command_defaults(tmp_path, capsys):
+    # dim 2 and the halton layout come from the config itself, not the CLI
+    report = run(ExperimentConfig(command="heatmap", n=30))
+    assert len(report.rows) == 30
+    report.write_csv(tmp_path / "library.csv")
+    cli_csv = tmp_path / "cli.csv"
+    args = ["heatmap", "--n", "30", "--out-csv", str(cli_csv), "--out-svg", str(tmp_path / "h.svg")]
+    assert cli.main(args) == 0
+    assert cli_csv.read_bytes() == (tmp_path / "library.csv").read_bytes()
+    assert (tmp_path / "cli.spectrum.csv").read_bytes() == (
+        tmp_path / "library.spectrum.csv"
+    ).read_bytes()
