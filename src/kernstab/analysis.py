@@ -195,15 +195,21 @@ def verify_damping_bound(
     alpha,
     b: float,
     eps: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     c_min: Optional[float] = None,
 ) -> list[BoundCheck]:
-    """Damped Fourier form against its shift-stability budget.
+    """Damped spectral form against its shift-stability budget.
 
-    Checks (2 pi)^(-1/2) * damped integral <= 2 eps <A a, a> for shifts with
-    |b| <= sqrt(eps) * q_X, and for tau > 1 additionally the improved budget
-    2 eps c_min^(1/tau) R^(1-1/tau) q^(2-d/tau) ||a||^2 with the fitted
-    constant c_min.
+    The damped form D(a) = (2 pi)^(-1/2) Int rho(w) sin^2(w b / 2) |S(w)|^2 dw,
+    S(w) = sum_j a_j e^{i w x_j}, is computed exactly from the matrices.  By
+    Bochner's theorem k(x - y) = (2 pi)^(-1/2) Int rho(w) e^{i w (x - y)} dw, so
+    <A a, a> = (2 pi)^(-1/2) Int rho |S|^2 dw for A = k(X, X), and for
+    B = k(X + b, X), rho being even, <sym(B) a, a> = <B a, a> =
+    (2 pi)^(-1/2) Int rho |S|^2 cos(w b) dw.  As 1 - cos(w b) = 2 sin^2(w b / 2),
+    D(a) = <(A - sym(B)) a, a> / 2.  Checks D(a) <= 2 eps <A a, a> for
+    |b| <= sqrt(eps) q_X, and for tau > 1 the improved budget
+    2 eps c_min^(1/tau) R^(1-1/tau) q^(2-d/tau) ||a||^2 with the fitted constant
+    c_min.  D(a) is a difference of O(||A|| ||a||^2) terms, so checks with D(a)
+    below precision_floor(eig(A)) ||a||^2 are flagged unreliable.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -221,40 +227,41 @@ def verify_damping_bound(
                 f"no fitted constant for {spec.family.value} in dimension {X.dim}; pass c_min"
             )
     A = gram(spec, X)
-    form = fourier_quadratic_form(density, X, alpha, b, cfg)
-    lhs = form.damped_integral / _SQRT_2PI
+    B_sym = symmetric_part(shifted_gram(spec, X, [b]))
+    lhs = 0.5 * float(alpha @ ((A - B_sym) @ alpha))
     quad_form = float(alpha @ (A @ alpha))
-    checks = [_check("damping-basic", lhs, 2.0 * eps * quad_form)]
+    norm2 = float(alpha @ alpha)
+    reliable = lhs >= precision_floor(np.linalg.eigvalsh(A)) * norm2
+    checks = [_check("damping-basic", lhs, 2.0 * eps * quad_form, reliable=reliable)]
     if density.tau > 1:
-        norm2 = float(alpha @ alpha)
         r_sym = quad_form / norm2
         rhs = (
             2.0 * eps * c_min ** (1.0 / density.tau)
             * r_sym ** (1.0 - 1.0 / density.tau)
             * q ** (2.0 - X.dim / density.tau) * norm2
         )
-        checks.append(_check("damping-improved", lhs, rhs))
+        checks.append(_check("damping-improved", lhs, rhs, reliable=reliable))
     return checks
 
 
 def verify_conv_chain(
     spec: KernelSpec,
     X: PointSet,
-    alpha,
+    directions,
     b: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     c: Optional[float] = None,
-) -> list[BoundCheck]:
-    """Two links of the convolved-kernel lower-bound chain, for a given shift.
+) -> list[list[BoundCheck]]:
+    """Two links of the convolved-kernel lower-bound chain, for a given shift,
+    along each coefficient vector a of ``directions`` (one check list each).
 
     (a) the convolved quadratic form dominates q * ||k(X+b, X) a||^2, a
     single-shift surrogate of the ball-averaging step, and (b) the end-to-end
     statement <k* a, a> / ||a||^2 >= c q^d (<k a, a> / ||a||^2)^2 with the
     fitted constant.  q is min(boundary distance, q_X) when positive and q_X
-    otherwise; checks whose quadratic form sits below the precision floor are
-    flagged unreliable.
+    otherwise; checks whose quadratic form sits below the precision floor of
+    k* are flagged unreliable.  The matrices are built once for all directions.
     """
-    alpha = np.asarray(alpha, dtype=float)
     q_x = X.separation
     q_b = boundary_distance(X)
     q = min(q_b, q_x) if min(q_b, q_x) > 0 else q_x
@@ -269,23 +276,20 @@ def verify_conv_chain(
     K = conv_gram(spec, X, cfg)
     A = gram(spec, X)
     B = shifted_gram(spec, X, [b])
-    norm2 = float(alpha @ alpha)
-    quad_conv = float(alpha @ (K @ alpha))
-    reliable = quad_conv >= precision_floor(np.linalg.eigvalsh(K)) * norm2
-    ball_measure = 2.0 * q  # radius-q ball in one dimension
-    pointwise = _check(
-        "conv-chain-pointwise",
-        0.5 * ball_measure * float(np.sum((B @ alpha) ** 2)),
-        quad_conv,
-        reliable=reliable,
-    )
-    end_to_end = _check(
-        "conv-chain-end-to-end",
-        c * q ** X.dim * rayleigh(A, alpha) ** 2,
-        quad_conv / norm2,
-        reliable=reliable,
-    )
-    return [pointwise, end_to_end]
+    floor = precision_floor(np.linalg.eigvalsh(K))
+    per_direction = []
+    for alpha in directions:
+        alpha = np.asarray(alpha, dtype=float)
+        norm2 = float(alpha @ alpha)
+        quad_conv = float(alpha @ (K @ alpha))
+        reliable = quad_conv >= floor * norm2
+        pointwise = q * float(np.sum((B @ alpha) ** 2))
+        end_to_end = c * q ** X.dim * rayleigh(A, alpha) ** 2
+        per_direction.append([
+            _check("conv-chain-pointwise", pointwise, quad_conv, reliable=reliable),
+            _check("conv-chain-end-to-end", end_to_end, quad_conv / norm2, reliable=reliable),
+        ])
+    return per_direction
 
 
 @dataclass(frozen=True)

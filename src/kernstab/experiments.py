@@ -223,16 +223,17 @@ def _diagonal_shift(dim: int, magnitude: float) -> np.ndarray:
 
 
 def _random_interval_set(rng: SplitMix64, n: int, min_separation: float = 1e-3) -> PointSet:
-    # n points in [0, 1] with every gap above 2 * min_separation exist only
-    # while the n - 1 gaps fit; otherwise the rejection loop never ends
-    if (n - 1) * 2.0 * min_separation >= 1.0:
+    # exact draw of n uniform points in [0, 1] given every gap > delta: the n + 1
+    # spacings scaled by 1 - (n - 1) delta, plus delta on each interior gap (Devroye 1986)
+    delta = 2.0 * min_separation
+    if (n - 1) * delta >= 1.0:
         raise ValueError(
             f"{n} random points in [0, 1] cannot keep separation above {min_separation:g}"
         )
-    while True:
-        pts = np.sort(rng.uniforms(n))
-        if n < 2 or 0.5 * np.min(np.diff(pts)) > min_separation:
-            return PointSet(pts[:, None], np.array([[0.0, 1.0]]))
+    spacings = np.diff(np.sort(rng.uniforms(n)), prepend=0.0, append=1.0)
+    gaps = (1.0 - (n - 1) * delta) * spacings
+    gaps[1:-1] += delta
+    return PointSet(np.cumsum(gaps)[:n, None], np.array([[0.0, 1.0]]))
 
 
 def _require_finite_smoothness(cfg: ExperimentConfig) -> float:
@@ -373,7 +374,6 @@ def run_sin2(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.dim != 1:
         raise ValueError("damping checks are one-dimensional")
     density = spectral_density_1d(KernelSpec(cfg.kernel, dim=1))
-    quad = cfg.quad_config()
     rng = SplitMix64(cfg.seed)
     sets = [_make_points(replace(cfg, layout="equispaced"), cfg.n)]
     sets += [_random_interval_set(rng, cfg.n) for _ in range(cfg.trials)]
@@ -383,9 +383,7 @@ def run_sin2(cfg: ExperimentConfig) -> ExperimentReport:
         checks = []
         for kappa in (0.1, 0.5, 1.0):
             b = math.sqrt(cfg.eps) * X.separation * kappa
-            checks += analysis.verify_damping_bound(
-                density, X, alpha, b, cfg.eps, quad, c_min=cfg.c_min
-            )
+            checks += analysis.verify_damping_bound(density, X, alpha, b, cfg.eps, c_min=cfg.c_min)
         per_trial.append(checks)
     return _check_report(cfg, per_trial)
 
@@ -405,9 +403,7 @@ def run_conv_chain(cfg: ExperimentConfig) -> ExperimentReport:
     dec = sym_eigen(gram(spec, X))
     directions = [dec.eigenvectors[:, 0], dec.eigenvectors[:, -1]]
     directions += [rng.symmetric(len(X)) for _ in range(cfg.trials)]
-    per_trial = [
-        analysis.verify_conv_chain(spec, X, alpha, b, quad, c=cfg.c_conv) for alpha in directions
-    ]
+    per_trial = analysis.verify_conv_chain(spec, X, directions, b, quad, c=cfg.c_conv)
     return _check_report(cfg, per_trial)
 
 

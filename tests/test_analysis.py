@@ -28,6 +28,7 @@ from kernstab import (
     verify_shift_identity,
 )
 from kernstab.geometry import PointSet
+from kernstab.quadrature import QuadratureConfig, fourier_quadratic_form
 
 BASIC = KernelSpec(Family.MATERN_BASIC, dim=1)
 LINEAR = KernelSpec(Family.MATERN_LINEAR, dim=1)
@@ -214,22 +215,65 @@ def test_damping_bound_improved_needs_constant():
 
 
 def test_damping_bound_missing_constant_fails_before_quadrature(monkeypatch):
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("the Fourier-side form ran before the constant was resolved")
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("a matrix was built before the constant was resolved")
 
-    monkeypatch.setattr(analysis, "fourier_quadratic_form", no_quadrature)
+    monkeypatch.setattr(analysis, "gram", no_assembly)
     density = spectral_density_1d(KernelSpec(Family.MATERN_QUADRATIC, dim=1))
     X = equispaced(8, 0, 1)
     with pytest.raises(ValueError, match="no fitted constant"):
         verify_damping_bound(density, X, np.ones(8), 0.1 * X.separation, eps=0.25)
 
 
+def test_damping_bound_flags_floor_noise():
+    # |b| <= sqrt(eps) q: at eps = 1e-14 the exact damped form is a difference
+    # of O(||A|| ||a||^2) terms that cancel below the precision floor
+    density = spectral_density_1d(LINEAR)
+    X = equispaced(20, 0, 1)
+    rng = np.random.default_rng(3)
+    for eps, reliable in ((1e-14, False), (0.25, True)):
+        for alpha in (np.ones(20), rng.uniform(-1, 1, 20)):
+            for kappa in (0.1, 0.5, 1.0):
+                b = math.sqrt(eps) * X.separation * kappa
+                checks = verify_damping_bound(density, X, alpha, b, eps)
+                assert [c.reliable for c in checks] == [reliable, reliable]
+
+
+@pytest.mark.parametrize("spec", [LINEAR, KernelSpec(Family.MATERN_QUADRATIC, dim=1)],
+                         ids=lambda spec: spec.family.value)
+def test_damping_lhs_matches_fourier_oracle(spec):
+    # the truncated integrand is nonnegative and at most the full one, so
+    # the exact form exceeds the quadrature by at most the certified tail
+    density = spectral_density_1d(spec)
+    rng = np.random.default_rng(4)
+    for X in (equispaced(20, 0, 1), _interval_set(np.sort(rng.uniform(0, 1, 8)))):
+        alpha = rng.uniform(-1, 1, len(X))
+        for b in (0.05 * X.separation, 0.5 * X.separation):
+            lhs = verify_damping_bound(density, X, alpha, b, 0.25, c_min=0.1)[0].lhs
+            form = fourier_quadratic_form(density, X, alpha, b)
+            assert abs(lhs - form.damped_integral / math.sqrt(2 * math.pi)) <= (
+                form.tail_bound / math.sqrt(2 * math.pi)
+            )
+
+
+def test_damping_lhs_matches_fourier_oracle_basic():
+    # rho ~ w^-2 decays slowly: the default cutoff misses most of the damped
+    # mass of the tau = 1 form, a cutoff of 1e5 leaves under 1 %
+    density = spectral_density_1d(BASIC)
+    X = equispaced(6, 0, 1)
+    alpha = np.random.default_rng(5).uniform(-1, 1, 6)
+    b = 0.05 * X.separation
+    lhs = verify_damping_bound(density, X, alpha, b, 0.25)[0].lhs
+    form = fourier_quadratic_form(density, X, alpha, b, QuadratureConfig(fourier_cutoff=1e5))
+    assert form.damped_integral / math.sqrt(2 * math.pi) == pytest.approx(lhs, rel=0.01)
+
+
 def test_conv_chain_basic_extremes():
     X = equispaced(10, 0, 1)
     dec = sym_eigen(gram(BASIC, X))
     b = 0.5 * X.separation
-    for which in (0, -1):
-        checks = verify_conv_chain(BASIC, X, dec.eigenvectors[:, which], b)
+    directions = [dec.eigenvectors[:, 0], dec.eigenvectors[:, -1]]
+    for checks in verify_conv_chain(BASIC, X, directions, b):
         assert all(c.satisfied and c.reliable for c in checks)
         assert [c.name for c in checks] == [
             "conv-chain-pointwise",
@@ -240,7 +284,7 @@ def test_conv_chain_basic_extremes():
 def test_conv_chain_linear_reliable_range():
     X = equispaced(20, 0, 1)
     dec = sym_eigen(gram(LINEAR, X))
-    checks = verify_conv_chain(LINEAR, X, dec.eigenvectors[:, 0], 0.5 * X.separation)
+    [checks] = verify_conv_chain(LINEAR, X, [dec.eigenvectors[:, 0]], 0.5 * X.separation)
     assert all(c.satisfied and c.reliable for c in checks)
 
 
@@ -249,22 +293,22 @@ def test_conv_chain_flags_floor_noise():
     # convolved quadratic form below the precision floor
     X = equispaced(200, 0, 1)
     dec = sym_eigen(gram(LINEAR, X))
-    checks = verify_conv_chain(LINEAR, X, dec.eigenvectors[:, 0], 0.5 * X.separation)
+    [checks] = verify_conv_chain(LINEAR, X, [dec.eigenvectors[:, 0]], 0.5 * X.separation)
     assert all(not c.reliable for c in checks)
 
 
 def test_conv_chain_shift_guard():
     X = equispaced(10, 0, 1)
     with pytest.raises(ValueError):
-        verify_conv_chain(BASIC, X, np.ones(10), 2.0 * X.separation)
+        verify_conv_chain(BASIC, X, [np.ones(10)], 2.0 * X.separation)
 
 
 def test_conv_chain_needs_constant_for_quadratic():
     quad = KernelSpec(Family.MATERN_QUADRATIC, dim=1)
     X = equispaced(8, 0, 1)
     with pytest.raises(ValueError):
-        verify_conv_chain(quad, X, np.ones(8), 0.1 * X.separation)
-    checks = verify_conv_chain(quad, X, np.ones(8), 0.1 * X.separation, c=0.01)
+        verify_conv_chain(quad, X, [np.ones(8)], 0.1 * X.separation)
+    [checks] = verify_conv_chain(quad, X, [np.ones(8)], 0.1 * X.separation, c=0.01)
     assert all(c.satisfied for c in checks)
 
 

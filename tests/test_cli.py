@@ -164,7 +164,10 @@ def test_heatmap_command(tmp_path):
 # equivalence were recorded before the heatmap, CSV and Halton loops were
 # vectorized; identity, sin2 and eigen-scaling before the Gram matrices became
 # plain arrays and the panel builders were merged into one; thm41 and fit
-# before the CLI flags were derived from ExperimentConfig
+# before the CLI flags were derived from ExperimentConfig.  identity and sin2
+# were re-recorded when the rejection loop of the random interval sets became
+# the exact spacings sampler (other sets, other coefficients) and sin2's lhs
+# became the exact matrix-side damped form in place of its Fourier quadrature
 GOLDEN_DIGESTS = {
     ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "60"): {
         "heatmap.csv": "8d57e47a9a734f167fb024ee3cd8c2ef23f4f63c308eb25a6260d7e36428f317",
@@ -176,10 +179,10 @@ GOLDEN_DIGESTS = {
         "equivalence.spectrum.csv": "086d15f2f16c42dca76b8e74201f98b3440564e601dee8ad7669b3947afe306a",
     },
     ("identity", "--kernel", "matern-basic", "--n", "6"): {
-        "identity.csv": "ce970025411b4a72f46deec16b7e061c8872228d71fbd0e77b54c66c2e9fe6e3",
+        "identity.csv": "72c8e08fb9d9228f1b98f12cef2dc439a02c46a872803cba8a4f58dad5adfb37",
     },
     ("sin2", "--kernel", "matern-linear", "--n", "10", "--trials", "2"): {
-        "sin2.csv": "ff5ac461bebe5343e271c9c81ebbf7b9de3474c478015bb603945ea3ad04e632",
+        "sin2.csv": "66bf7ac3330b93918bd1c9fcf876b5ec2b4743e828386be6df9633a3c95a24f5",
     },
     ("eigen-scaling", "--kernel", "matern-linear", "--n-max", "40", "--n-count", "8"): {
         "eigen-scaling.csv": "6942fb702f3f4d172ecfecc7b2e4318de04588d28b67c7083cdd27b8393bcf08",
@@ -260,6 +263,14 @@ def test_usage_errors_exit_2(tmp_path):
         assert result.returncode == 2, result.stderr
         assert "usage error" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_random_point_sets_near_capacity_finish(tmp_path):
+    # the interval sampler draws each set once, however tight its gaps
+    for args in (["sin2", "--n", "100", "--trials", "2"],
+                 ["identity", "--n", "400", "--trials", "1"]):
+        result = run_cli(args, tmp_path, timeout=60)
+        assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("command", COMMANDS)

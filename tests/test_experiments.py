@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kernstab import cli
-from kernstab.experiments import ExperimentConfig, _fmt, _write_rows, run
+from kernstab import analysis, cli, quadrature
+from kernstab.experiments import ExperimentConfig, _fmt, _random_interval_set, _write_rows, run
+from kernstab.rng import SplitMix64
 
 
 def _fmt_chain(value):
@@ -58,3 +59,52 @@ def test_library_heatmap_runs_with_its_command_defaults(tmp_path, capsys):
     assert (tmp_path / "cli.spectrum.csv").read_bytes() == (
         tmp_path / "library.spectrum.csv"
     ).read_bytes()
+
+
+def test_random_interval_sets_keep_their_gaps():
+    # 500 points is the largest count whose 499 gaps of 2e-3 fit in [0, 1]
+    for seed in range(1000):
+        n = (2, 20, 500)[seed % 3]
+        x = _random_interval_set(SplitMix64(seed), n).points[:, 0]
+        assert len(x) == n
+        assert x[0] >= 0.0 and x[-1] <= 1.0
+        assert np.min(np.diff(x)) > 2e-3
+
+
+def test_random_interval_sets_match_rejection_sampling():
+    # the exact sampler draws sorted uniforms conditioned on every gap > 0.2,
+    # the law the rejection loop it replaced sampled
+    raw = np.sort(np.random.default_rng(7).uniform(size=(200_000, 4)), axis=1)
+    kept = raw[np.all(np.diff(raw, axis=1) > 0.2, axis=1)]
+    exact = np.array([
+        _random_interval_set(SplitMix64(seed), 4, 0.1).points[:, 0] for seed in range(len(kept))
+    ])
+    stderr = np.sqrt((kept.var(axis=0) + exact.var(axis=0)) / len(kept))
+    assert np.all(np.abs(kept.mean(axis=0) - exact.mean(axis=0)) < 4 * stderr)
+    assert np.all(np.abs(kept.std(axis=0) - exact.std(axis=0)) < 0.05 * kept.std(axis=0))
+
+
+def test_sin2_runs_without_fourier_quadrature(tmp_path, monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("sin2 ran the Fourier-side quadrature")
+
+    monkeypatch.setattr(analysis, "fourier_quadratic_form", no_quadrature)
+    monkeypatch.setattr(quadrature, "fourier_quadratic_form", no_quadrature)
+    args = ["sin2", "--kernel", "matern-linear", "--trials", "2",
+            "--out-csv", str(tmp_path / "sin2.csv")]
+    assert cli.main(args) == 0
+
+
+def test_thm41_builds_its_convolved_gram_once(tmp_path, monkeypatch):
+    calls = []
+    conv_gram = analysis.conv_gram
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return conv_gram(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "conv_gram", counted)
+    args = ["thm41", "--trials", "10", "--shift-factor", "0.5",
+            "--out-csv", str(tmp_path / "thm41.csv")]
+    assert cli.main(args) == 0
+    assert len(calls) == 1
