@@ -21,13 +21,17 @@ def _distance_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def gram(spec: KernelSpec, X: PointSet) -> np.ndarray:
-    """Pairwise kernel matrix on X; exactly symmetric, diagonal phi(0)."""
+    """Pairwise kernel matrix on X; exactly symmetric, diagonal phi(0).
+
+    The strict upper triangle is mirrored into the lower one in place, row by
+    row, so symmetry holds bit for bit and no matrix beyond the distances and
+    the profile's own temporaries is allocated.
+    """
     if X.dim != spec.dim:
         raise ValueError(f"point set dimension {X.dim} != kernel dimension {spec.dim}")
-    vals = phi(spec, _distance_matrix(X.points, X.points))
-    # mirror the strict upper triangle so symmetry holds bit for bit
-    upper = np.triu(vals, 1)
-    A = upper + upper.T
+    A = phi(spec, _distance_matrix(X.points, X.points))
+    for i in range(1, len(A)):
+        A[i, :i] = A[:i, i]
     np.fill_diagonal(A, phi(spec, 0.0))
     return A
 
@@ -46,7 +50,9 @@ def symmetric_part(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
-    return 0.5 * (A + A.T)
+    S = A + A.T
+    S *= 0.5
+    return S
 
 
 def antisymmetric_part(A) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -113,12 +113,21 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
+    """Rows, checks and plot of one run, and the writers of its artifacts.
+
+    ``rows`` (and the rows of each sidecar) is a list or a re-iterable row
+    source with a length, such as ``_GridRows``; ``svg`` is the plot's text,
+    either a ``str`` or a re-iterable source of text chunks such as
+    ``heatmap_svg`` returns.  Each write iterates its source afresh, so a
+    report written twice writes identical files.
+    """
+
     command: str
     config_hash: str
     columns: list
-    rows: list
+    rows: Iterable
     checks: list = field(default_factory=list)
-    svg: Optional[str] = None
+    svg: Optional[Iterable[str]] = None
     sidecars: list = field(default_factory=list)  # (path suffix, columns, rows)
 
     @property
@@ -134,7 +143,7 @@ class ExperimentReport:
         if self.svg is None:
             raise ValueError(f"{self.command} produces no plot")
         with open(path, "w", newline="\n") as fh:
-            fh.write(self.svg)
+            fh.writelines([self.svg] if isinstance(self.svg, str) else self.svg)
 
 
 def _with_suffix(path, suffix: str) -> str:
@@ -153,31 +162,47 @@ def _fmt_fallback(value) -> str:
     return str(value)
 
 
-# exact types only: a subclass such as bool must take the isinstance chain
-_FMT_BY_TYPE = {
-    float: "%.17g".__mod__,
-    np.float64: "%.17g".__mod__,
-    int: str,
-    str: str,
+# %-codes by exact type: a subclass such as bool must take the isinstance chain
+_CODE_BY_TYPE = {
+    float: "%.17g",
+    np.float64: "%.17g",
+    int: "%d",
+    str: "%s",
 }
 
 
 def _fmt(value) -> str:
-    return _FMT_BY_TYPE.get(type(value), _fmt_fallback)(value)
+    code = _CODE_BY_TYPE.get(type(value))
+    return _fmt_fallback(value) if code is None else code % value
 
 
 def _write_rows(path, config_hash, columns, rows) -> None:
     """One CSV line per row, prefixed by the config hash and the version.
 
-    Values of the common exact types (``float``, ``np.float64``, ``int``,
-    ``str``) are formatted through a type table, everything else (``bool``,
-    other numpy scalars) through the ``isinstance`` chain of
-    ``_fmt_fallback``; both give the same text, ``%.17g`` for floats.
+    ``rows`` is iterated once, one row at a time, so a row source that builds
+    its rows on demand is never held whole.  A row whose values all have one
+    of the exact types ``float``, ``np.float64``, ``int`` or ``str`` is
+    formatted by a single ``%``-format built from its types (``%.17g``,
+    ``%d``, ``%s``) and kept for the next row of the same types; any other
+    row is formatted value by value, through the ``isinstance`` chain of
+    ``_fmt_fallback`` for the other types (``bool``, other numpy scalars).
+    Both give the same text.
     """
+    prefix = [config_hash.replace("%", "%%"), __version__.replace("%", "%%")]
+    formats = {}  # row types -> the row's format, or None for the value-by-value path
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(["config", "version", *columns]) + "\n")
         for row in rows:
-            fh.write(",".join([config_hash, __version__, *map(_fmt, row)]) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                codes = [_CODE_BY_TYPE.get(kind) for kind in kinds]
+                formats[kinds] = None if None in codes else ",".join([*prefix, *codes]) + "\n"
+            fmt = formats[kinds]
+            if fmt is None:
+                fh.write(",".join([config_hash, __version__, *map(_fmt, row)]) + "\n")
+            else:
+                fh.write(fmt % row)
 
 
 def _check_report(cfg: ExperimentConfig, per_trial, sidecars=()) -> ExperimentReport:
@@ -319,8 +344,27 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
+class _GridRows:
+    """The CSV rows ``(i, grid[i, 0], grid[i, 1], ...)`` of a matrix, built
+    one at a time on each pass, so the grid is never copied into a list."""
+
+    def __init__(self, grid: np.ndarray):
+        self.grid = grid
+
+    def __len__(self) -> int:
+        return len(self.grid)
+
+    def __iter__(self):
+        for i, values in enumerate(self.grid):
+            yield (i, *values.tolist())
+
+
 def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
-    """Entrywise magnitudes and spectrum of the whitened shifted matrix."""
+    """Entrywise magnitudes and spectrum of the whitened shifted matrix.
+
+    The report keeps the magnitude grid alone; its CSV rows and SVG lines
+    are produced one grid row at a time while they are written.
+    """
     if cfg.dim not in (2, 3):
         raise ValueError("heatmap runs use dim 2 or 3")
     if cfg.layout != "halton":
@@ -329,14 +373,13 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
     X = halton(cfg.n, cfg.dim)
     b = _diagonal_shift(cfg.dim, cfg.shift_factor * X.separation)
     M = whiten(gram(spec, X), shifted_gram(spec, X, b))
-    grid = np.abs(M)
     spectrum = np.linalg.eigvalsh(M)
-    rows = [[i, *values] for i, values in enumerate(grid.tolist())]
+    grid = np.abs(M, out=M)
     return ExperimentReport(
         command=cfg.command,
         config_hash=cfg.config_hash(),
         columns=["row", *[f"c{j}" for j in range(len(X))]],
-        rows=rows,
+        rows=_GridRows(grid),
         svg=heatmap_svg(grid),
         sidecars=[
             ("spectrum", ["index", "eigenvalue"], [[i, v] for i, v in enumerate(spectrum)])

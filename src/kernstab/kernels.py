@@ -61,23 +61,40 @@ def phi(spec: KernelSpec, r):
     """Radial profile at distance ``r`` (scalar or array), scaled by the length scale.
 
     phi(0) is 1 for the basic, linear and squared-exponential profiles and 3
-    for the quadratic one.
+    for the quadratic one.  An array argument gives a fresh array (a 0-d one a
+    float); ``r`` itself is never written.  The arithmetic runs in place on
+    that fresh array, in the operation order of the textbook expressions
+    (``(1 + u) * exp(-u)`` and so on), so every value is bitwise theirs; it
+    allocates one array of the size of ``r`` for the basic and
+    squared-exponential profiles, two for the linear and three for the
+    quadratic one.
     """
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ValueError("profile argument must be finite")
     if np.any(r < 0):
         raise ValueError("profile argument must be nonnegative")
-    u = r / spec.length_scale
+    # a 0-d argument is divided as a 1-element view, so the steps below stay
+    # in place on an array
+    u = np.atleast_1d(r) / spec.length_scale
     if spec.family is Family.MATERN_BASIC:
-        out = np.exp(-u)
+        out = np.exp(np.negative(u, out=u), out=u)
     elif spec.family is Family.MATERN_LINEAR:
-        out = (1.0 + u) * np.exp(-u)
+        decay = np.negative(u)
+        u += 1.0
+        out = np.multiply(u, np.exp(decay, out=decay), out=u)
     elif spec.family is Family.MATERN_QUADRATIC:
-        out = (3.0 + 3.0 * u + u * u) * np.exp(-u)
+        decay = np.negative(u)
+        poly = np.multiply(u, 3.0)
+        poly += 3.0
+        u *= u
+        poly += u
+        out = np.multiply(poly, np.exp(decay, out=decay), out=poly)
     else:
-        out = np.exp(-u * u)
-    return out if out.ndim else float(out)
+        # -(u u) is bitwise (-u) u: rounding is symmetric in sign
+        u *= u
+        out = np.exp(np.negative(u, out=u), out=u)
+    return out if r.ndim else float(out[0])
 
 
 def smoothness(spec: KernelSpec) -> float:

@@ -29,8 +29,11 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
-    scale = np.max(np.abs(A)) if A.size else 0.0
-    if np.max(np.abs(A - A.T), initial=0.0) > 1e-12 * max(scale, 1e-300):
+    # one scratch matrix holds |A|, then |A - A^T|
+    work = np.abs(A)
+    scale = np.max(work) if A.size else 0.0
+    np.subtract(A, A.T, out=work)
+    if np.max(np.abs(work, out=work), initial=0.0) > 1e-12 * max(scale, 1e-300):
         raise ValueError("matrix is not symmetric to 1e-12 relative")
     return A
 
@@ -41,7 +44,7 @@ def sym_eigen(A) -> EigenDecomposition:
     lead = np.argmax(np.abs(Q), axis=0)
     signs = np.sign(Q[lead, np.arange(Q.shape[1])])
     signs[signs == 0] = 1.0
-    Q = Q * signs
+    Q *= signs
     eigenvalues.setflags(write=False)
     Q.setflags(write=False)
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=Q)
@@ -82,18 +85,31 @@ def inv_sqrt(A) -> np.ndarray:
             lambda_min=float(w[0]),
             lambda_max=float(w[-1]),
         )
-    S = (dec.eigenvectors / np.sqrt(w)) @ dec.eigenvectors.T
-    return 0.5 * (S + S.T)
+    scaled = dec.eigenvectors / np.sqrt(w)
+    S = scaled @ dec.eigenvectors.T
+    # 0.5 (S + S^T), written over the dead scaled eigenvectors
+    np.add(S, S.T, out=scaled)
+    scaled *= 0.5
+    return scaled
 
 
 def whiten(A, B) -> np.ndarray:
-    """A^(-1/2) * sym(B) * A^(-1/2); symmetric by construction."""
+    """A^(-1/2) * sym(B) * A^(-1/2); symmetric by construction.
+
+    The product and its symmetrization are written over matrices that are
+    dead by then, so whitening holds at most three n x n matrices of its own
+    (besides the eigensolver's workspace) and every value is bitwise
+    ``0.5 * (M + M.T)`` of ``M = S @ sym(B) @ S``.
+    """
     S = inv_sqrt(A)
     B_sym = symmetric_part(B)
     if B_sym.shape != S.shape:
         raise ValueError("A and B must have equal size")
-    M = S @ B_sym @ S
-    return 0.5 * (M + M.T)
+    left = S @ B_sym
+    M = np.matmul(left, S, out=B_sym)
+    np.add(M, M.T, out=left)
+    left *= 0.5
+    return left
 
 
 def rayleigh(A, alpha) -> float:

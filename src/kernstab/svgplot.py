@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -147,49 +147,78 @@ def _color_index(value: float, floor_log10: float, span: float, tiny: float, top
     return round(t * top)
 
 
-def heatmap_svg(values, floor_log10: float = -5.0, ceil_log10: float = 0.0) -> str:
+class _HeatmapLines:
+    """The text of a heatmap SVG, re-iterable: each pass yields the header,
+    then the ``<rect>`` lines of one grid row per chunk, then the frame and
+    the closing tag.  ``index`` holds the ramp index of every cell, drawn as
+    a square of ``cell`` pixels."""
+
+    def __init__(self, index: np.ndarray, ramp: list[str], cell: int):
+        self.index = index
+        self.ramp = ramp
+        self.cell = cell
+
+    def __iter__(self):
+        n_rows, n_cols = self.index.shape
+        cell = self.cell
+        margin = 20
+        width = n_cols * cell + 2 * margin
+        height = n_rows * cell + 2 * margin
+        yield (
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">\n'
+            f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
+        )
+        heads = [f'<rect x="{margin + j * cell}" y="' for j in range(n_cols)]
+        tails = [f'" width="{cell}" height="{cell}" fill="{color}"/>\n' for color in self.ramp]
+        # a grid without columns has no cells, hence no (empty) row lines either
+        for i, row in enumerate(self.index if n_cols else ()):
+            y = str(margin + i * cell)
+            yield "".join([head + y + tails[k] for head, k in zip(heads, row.tolist())])
+        yield (
+            f'<rect x="{margin}" y="{margin}" width="{n_cols * cell}" height="{n_rows * cell}" '
+            f'fill="none" stroke="black" stroke-width="1"/>\n'
+            "</svg>\n"
+        )
+
+
+def heatmap_svg(values, floor_log10: float = -5.0, ceil_log10: float = 0.0) -> Iterable[str]:
     """Heatmap of |values| on a log color scale clipped to the given decade range.
 
-    Color indices are computed for the whole grid at once and each cell's
-    ``<rect>`` is joined from precomputed pieces.  The output is byte for byte
-    the one of the per-cell ``math.log10`` loop: ``np.log10`` may differ from
-    ``math.log10`` in the last bit, which moves a color only when the scaled
-    level lies next to a half-integer, so every cell within 1e-9 of one is
-    recomputed with the scalar expression (``_color_index``).  ``np.rint`` and
-    ``round`` both round half to even.  A NaN cell raises ``ValueError``.
+    Returns the SVG text as a re-iterable source of chunks, one per grid row
+    (``"".join(heatmap_svg(values))`` is the whole document), so a writer
+    never holds the full text.  Color indices are computed here, for the
+    whole grid at once, and kept as one byte per cell; a NaN cell raises
+    ``ValueError`` from this call, before any text is produced.  The output
+    is byte for byte the one of the per-cell ``math.log10`` loop:
+    ``np.log10`` may differ from ``math.log10`` in the last bit, which moves
+    a color only when the scaled level lies next to a half-integer, so every
+    cell within 1e-9 of one is recomputed with the scalar expression
+    (``_color_index``).  ``np.rint`` and ``round`` both round half to even.
     """
-    grid = np.abs(np.asarray(values, dtype=float))
-    n_rows, n_cols = grid.shape
+    values = np.asarray(values, dtype=float)
+    n_rows, n_cols = values.shape
+    cell = max(4, 480 // max(n_rows, n_cols))
     ramp = color_ramp()
     top = len(ramp) - 1
-    cell = max(4, 480 // max(n_rows, n_cols))
-    margin = 20
-    width = n_cols * cell + 2 * margin
-    height = n_rows * cell + 2 * margin
     span = ceil_log10 - floor_log10
     tiny = 10.0 ** (floor_log10 - 1)
 
-    scaled = np.clip((np.log10(np.maximum(grid, tiny)) - floor_log10) / span, 0.0, 1.0) * top
+    # clip((log10(max(|v|, tiny)) - floor) / span, 0, 1) * top, step by step in place
+    scaled = np.abs(values)
+    np.maximum(scaled, tiny, out=scaled)
+    np.log10(scaled, out=scaled)
+    scaled -= floor_log10
+    scaled /= span
+    np.clip(scaled, 0.0, 1.0, out=scaled)
+    scaled *= top
     if np.isnan(scaled).any():
         raise ValueError("cannot convert float NaN to a color index")
-    index = np.rint(scaled).astype(np.intp)
-    for i, j in zip(*np.nonzero(np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-9)):
-        index[i, j] = _color_index(grid[i, j], floor_log10, span, tiny, top)
-
-    heads = [f'<rect x="{margin + j * cell}" y="' for j in range(n_cols)]
-    tails = [f'" width="{cell}" height="{cell}" fill="{color}"/>' for color in ramp]
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
-    # a grid without columns has no cells, hence no (empty) row lines either
-    for i, row in enumerate(index.tolist() if n_cols else []):
-        y = str(margin + i * cell)
-        parts.append("\n".join([head + y + tails[k] for head, k in zip(heads, row)]))
-    parts.append(
-        f'<rect x="{margin}" y="{margin}" width="{n_cols * cell}" height="{n_rows * cell}" '
-        f'fill="none" stroke="black" stroke-width="1"/>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    offset = np.floor(scaled)
+    np.subtract(scaled, offset, out=offset)
+    offset -= 0.5
+    near_half = np.abs(offset, out=offset) <= 1e-9
+    index = np.rint(scaled, out=scaled).astype(np.uint8)
+    for i, j in zip(*np.nonzero(near_half)):
+        index[i, j] = _color_index(abs(values[i, j]), floor_log10, span, tiny, top)
+    return _HeatmapLines(index, ramp, cell)

@@ -78,6 +78,36 @@ def test_gram_exactly_symmetric():
     assert np.all(np.diag(A) == 3.0)
 
 
+def _gram_triu_mirror(spec, X):
+    # the out-of-place mirror the in-place one replaced: the bitwise oracle
+    vals = phi(spec, _distance_matrix(X.points, X.points))
+    upper = np.triu(vals, 1)
+    A = upper + upper.T
+    np.fill_diagonal(A, phi(spec, 0.0))
+    return A
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gram_is_bitwise_the_triu_mirror(family, dim):
+    X = halton(157, dim)
+    spec = KernelSpec(family, dim=dim, length_scale=0.2)
+    assert gram(spec, X).tobytes() == _gram_triu_mirror(spec, X).tobytes()
+
+
+def test_gram_memory_is_three_matrices():
+    # the distances and the linear profile's two temporaries, no mirror copies
+    X = halton(1500, 3)
+    spec = KernelSpec(Family.MATERN_LINEAR, dim=3)
+    tracemalloc.start()
+    try:
+        gram(spec, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(X) ** 2 * 8
+
+
 def test_gram_dimension_mismatch():
     with pytest.raises(ValueError):
         gram(KernelSpec(Family.MATERN_BASIC, dim=2), equispaced(4, 0, 1))
@@ -127,6 +157,18 @@ def test_parts_of_nilpotent_matrix():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     np.testing.assert_array_equal(symmetric_part(A), [[0.0, 0.5], [0.5, 0.0]])
     np.testing.assert_array_equal(antisymmetric_part(A), [[0.0, 0.5], [-0.5, 0.0]])
+
+
+def test_symmetric_part_is_bitwise_the_expression():
+    rng = np.random.default_rng(5)
+    # the middle matrix overflows in A + A^T; the empty one has no entries
+    for A in (rng.uniform(-1, 1, (97, 97)), rng.uniform(-1, 1, (8, 8)) * 1.7e308, np.ones((0, 0))):
+        before = A.copy()
+        with np.errstate(over="ignore"):
+            got, expected = symmetric_part(A), 0.5 * (A + A.T)
+        assert got.tobytes() == expected.tobytes()
+        assert np.array_equal(A, before)
+    assert symmetric_part([[1, 2], [3, 4]]).tolist() == [[1.0, 2.5], [2.5, 4.0]]
 
 
 def test_parts_require_square():

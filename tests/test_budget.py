@@ -1,0 +1,62 @@
+"""Wall-clock and peak-RSS budgets of the whitened-matrix commands at large n.
+
+Each command runs once, in its own process, under a timeout, so that a hang
+or an ``n x n x d`` temporary fails here instead of in a long benchmark run.
+
+The command is started through a small launcher process that reads the
+command's ``ru_maxrss`` from its own ``os.wait4``.  The peak RSS of a direct
+child of pytest would be floored by pytest's: Linux carries a process's
+high-water mark across ``exec``, so a trivial child of a 320 MB parent reads
+about 330 MB, while the child of a small launcher reads its own peak.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+TIMEOUT_S = 120
+
+# runs ARGV with a timeout; prints {"exit": code, "maxrss_kb": peak} on stdout
+LAUNCHER = """
+import json, os, subprocess, sys, threading
+proc = subprocess.Popen(sys.argv[2:], stdout=sys.stderr)
+killer = threading.Timer(float(sys.argv[1]), proc.kill)
+killer.start()
+try:
+    _, status, usage = os.wait4(proc.pid, 0)
+finally:
+    killer.cancel()
+print(json.dumps({"exit": os.waitstatus_to_exitcode(status), "maxrss_kb": usage.ru_maxrss}))
+"""
+
+# command -> peak RSS budget in MB (1e6 bytes); the parent of the streamed
+# heatmap and the in-place whitening peaked at 314 and 270
+BUDGETS = {
+    ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "1000"): 130,
+    ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): 250,
+}
+
+
+def _blas_threads() -> int:
+    return min(2, len(os.sched_getaffinity(0)))
+
+
+@pytest.mark.parametrize("args", list(BUDGETS), ids=lambda args: args[0])
+def test_command_stays_within_its_budget(args, tmp_path):
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(_blas_threads())
+    command = [sys.executable, "-m", "kernstab", *args]
+    argv = [sys.executable, "-c", LAUNCHER, str(TIMEOUT_S), *command]
+    # the launcher's own timeout kills the command; this one only guards the launcher
+    result = subprocess.run(
+        argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=TIMEOUT_S + 30
+    )
+    assert result.returncode == 0, result.stderr
+    measured = json.loads(result.stdout)
+    assert measured["exit"] == 0, result.stderr
+    peak_mb = measured["maxrss_kb"] * 1024 / 1e6
+    assert peak_mb <= BUDGETS[args], f"{args[0]} peaked at {peak_mb:.1f} MB"

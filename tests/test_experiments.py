@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,34 @@ def test_library_heatmap_runs_with_its_command_defaults(tmp_path, capsys):
     assert (tmp_path / "cli.spectrum.csv").read_bytes() == (
         tmp_path / "library.spectrum.csv"
     ).read_bytes()
+
+
+def test_heatmap_report_streams_its_artifacts(tmp_path):
+    # the report keeps the n x n grid alone: no list of row values and no
+    # full SVG text, so run and writes stay a few n x n float64 matrices
+    cfg = ExperimentConfig(command="heatmap", kernel="matern-linear", n=400)
+    tracemalloc.start()
+    try:
+        report = run(cfg)
+        report.write_csv(tmp_path / "heatmap.csv")
+        report.write_svg(tmp_path / "heatmap.svg")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+    assert len(report.rows) == 400
+
+
+def test_heatmap_report_written_twice_writes_the_same_files(tmp_path):
+    report = run(ExperimentConfig(command="heatmap", n=40))
+    for name in ("first", "second"):
+        report.write_csv(tmp_path / f"{name}.csv")
+        report.write_svg(tmp_path / f"{name}.svg")
+    for suffix in (".csv", ".spectrum.csv", ".svg"):
+        first = (tmp_path / f"first{suffix}").read_bytes()
+        assert first == (tmp_path / f"second{suffix}").read_bytes()
+    assert first.count(b"<rect") == 40 * 40 + 2
+    assert len((tmp_path / "first.csv").read_text().splitlines()) == 41
 
 
 def test_random_interval_sets_keep_their_gaps():

@@ -141,3 +141,44 @@ def test_density_inverts_to_profile(family):
             lambda w: density(w) * np.cos(w * r), -cutoff, cutoff, cfg
         )
         assert abs(recovered - phi(spec, r)) <= budget
+
+
+def _phi_expression(spec, r):
+    # the out-of-place expressions the in-place profile must reproduce bit for bit
+    u = np.asarray(r, dtype=float) / spec.length_scale
+    if spec.family is Family.MATERN_BASIC:
+        out = np.exp(-u)
+    elif spec.family is Family.MATERN_LINEAR:
+        out = (1.0 + u) * np.exp(-u)
+    elif spec.family is Family.MATERN_QUADRATIC:
+        out = (3.0 + 3.0 * u + u * u) * np.exp(-u)
+    else:
+        out = np.exp(-u * u)
+    return out if out.ndim else float(out)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("length_scale", [1.0, 0.3])
+def test_profile_is_bitwise_the_expression_and_keeps_its_input(family, length_scale):
+    spec = KernelSpec(family, length_scale=length_scale)
+    rng = np.random.default_rng(11)
+    arrays = [
+        np.array(0.7),
+        rng.uniform(0, 40, 257),
+        rng.uniform(0, 3, (31, 17)),
+        np.array([0.0, 5e-324, 1e-300, 1e-8, 745.0, 800.0, 1e300]),
+    ]
+    for r in arrays:
+        before = r.copy()
+        # at r = 1e300 the quadratic profile is inf * 0 = nan in both forms
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, expected = phi(spec, r), _phi_expression(spec, r)
+        assert np.array_equal(r, before)
+        assert np.shape(got) == r.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+    for r in (0.0, 0.7, 3, 1e-300):
+        got = phi(spec, r)
+        assert type(got) is float
+        assert got == _phi_expression(spec, r)
+    # an integer or list argument is converted, never aliased
+    assert np.array_equal(phi(spec, [0, 1, 2]), _phi_expression(spec, [0.0, 1.0, 2.0]))

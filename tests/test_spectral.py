@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from kernstab import (
     lambda_min,
     precision_floor,
     rayleigh,
+    shifted_gram,
     sym_eigen,
     whiten,
 )
@@ -111,6 +113,61 @@ def test_whiten_identity_and_zero():
     np.testing.assert_array_equal(whiten(A, np.zeros((30, 30))), np.zeros((30, 30)))
     with pytest.raises(ValueError):
         whiten(A, np.zeros((4, 4)))
+
+
+def _sym_eigen_expression(A):
+    # the out-of-place forms the in-place ones replaced: the bitwise oracles
+    w, Q = np.linalg.eigh(A)
+    lead = np.argmax(np.abs(Q), axis=0)
+    signs = np.sign(Q[lead, np.arange(Q.shape[1])])
+    signs[signs == 0] = 1.0
+    return w, Q * signs
+
+
+def _inv_sqrt_expression(A):
+    w, Q = _sym_eigen_expression(A)
+    S = (Q / np.sqrt(w)) @ Q.T
+    return 0.5 * (S + S.T)
+
+
+def _whiten_expression(A, B):
+    S = _inv_sqrt_expression(A)
+    M = S @ (0.5 * (B + B.T)) @ S
+    return 0.5 * (M + M.T)
+
+
+def _shift_pair(family, dim, n):
+    X = halton(n, dim)
+    spec = KernelSpec(family, dim=dim)
+    b = np.full(dim, 0.1 * X.separation / math.sqrt(dim))
+    return gram(spec, X), shifted_gram(spec, X, b)
+
+
+@pytest.mark.parametrize("family", [Family.MATERN_BASIC, Family.MATERN_LINEAR])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_transforms_are_bitwise_their_expressions(family, dim):
+    A, B = _shift_pair(family, dim, 150)
+    A0, B0 = A.copy(), B.copy()
+    dec = sym_eigen(A)
+    w, Q = _sym_eigen_expression(A)
+    assert dec.eigenvalues.tobytes() == w.tobytes()
+    assert dec.eigenvectors.tobytes() == Q.tobytes()
+    assert inv_sqrt(A).tobytes() == _inv_sqrt_expression(A).tobytes()
+    assert whiten(A, B).tobytes() == _whiten_expression(A, B).tobytes()
+    assert np.array_equal(A, A0) and np.array_equal(B, B0)
+
+
+def test_whiten_memory_is_three_matrices():
+    # the eigenvectors, the scaled copy and their product, then the inverse
+    # root, sym(B) and one product: never a fourth n x n matrix of whiten's own
+    A, B = _shift_pair(Family.MATERN_LINEAR, 3, 1500)
+    tracemalloc.start()
+    try:
+        whiten(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(A) ** 2 * 8
 
 
 def test_rayleigh_examples():

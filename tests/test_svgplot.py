@@ -48,12 +48,12 @@ def _log_uniform(shape, lo, hi, seed):
 @pytest.mark.parametrize("shape", [(120, 120), (37, 53), (200, 9), (1, 1), (2, 0)])
 def test_heatmap_matches_per_cell_loop(shape):
     grid = _log_uniform(shape, -7.0, 0.5, seed=sum(shape))
-    assert heatmap_svg(grid) == _heatmap_svg_loop(grid)
+    assert "".join(heatmap_svg(grid)) == _heatmap_svg_loop(grid)
 
 
 def test_heatmap_matches_loop_on_other_decade_range():
     grid = _log_uniform((60, 80), -12.0, 3.0, seed=3)
-    assert heatmap_svg(grid, -9.0, 2.0) == _heatmap_svg_loop(grid, -9.0, 2.0)
+    assert "".join(heatmap_svg(grid, -9.0, 2.0)) == _heatmap_svg_loop(grid, -9.0, 2.0)
 
 
 def test_heatmap_matches_loop_on_clipped_values():
@@ -61,7 +61,7 @@ def test_heatmap_matches_loop_on_clipped_values():
     values = [0.0, -0.0, np.inf, -np.inf, tiny, np.nextafter(tiny, 0), 1e-300, 5e-324,
               1e-5, 1.0, 10.0, 1e300]
     grid = np.array(values).reshape(3, 4)
-    assert heatmap_svg(grid) == _heatmap_svg_loop(grid)
+    assert "".join(heatmap_svg(grid)) == _heatmap_svg_loop(grid)
 
 
 def test_heatmap_matches_loop_next_to_every_color_edge():
@@ -72,7 +72,7 @@ def test_heatmap_matches_loop_next_to_every_color_edge():
     edges = 10.0 ** (floor_log10 + span * (k + 0.5) / 255)
     below, above = np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)
     grid = np.stack([np.nextafter(below, 0.0), below, edges, above, np.nextafter(above, np.inf)])
-    assert heatmap_svg(grid) == _heatmap_svg_loop(grid)
+    assert "".join(heatmap_svg(grid)) == _heatmap_svg_loop(grid)
 
 
 def test_heatmap_nan_cell_raises():
