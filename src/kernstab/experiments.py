@@ -87,6 +87,13 @@ class ExperimentConfig:
             raise ValueError(f"layout must be {' or '.join(LAYOUTS)}, got {self.layout!r}")
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
+        for name in ("c_min", "c_conv"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        # a bad quadrature option is a usage error also for the commands that
+        # run no quadrature
+        self.quad_config()
 
     def quad_config(self) -> QuadratureConfig:
         return QuadratureConfig(

@@ -67,7 +67,8 @@ def phi(spec: KernelSpec, r):
     (``(1 + u) * exp(-u)`` and so on), so every value is bitwise theirs; it
     allocates one array of the size of ``r`` for the basic and
     squared-exponential profiles, two for the linear and three for the
-    quadratic one.
+    quadratic one.  Past ``u = 1e3`` the quadratic profile is 0, its limit,
+    where the expression would overflow to ``inf * 0``.
     """
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r)):
@@ -84,6 +85,10 @@ def phi(spec: KernelSpec, r):
         u += 1.0
         out = np.multiply(u, np.exp(decay, out=decay), out=u)
     elif spec.family is Family.MATERN_QUADRATIC:
+        # exp(-u) is 0 from u = 746 on, and so is the profile; capping u at
+        # 1e3 changes no value and keeps u * u finite, where it would
+        # overflow past 1.3e154 and give inf * 0 = nan
+        np.minimum(u, 1e3, out=u)
         decay = np.negative(u)
         poly = np.multiply(u, 3.0)
         poly += 3.0

@@ -73,10 +73,12 @@ class QuadratureConfig:
     target_rel_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.order < 1 or self.panels_per_unit <= 0:
-            raise ValueError("order and panels_per_unit must be positive")
-        if self.fourier_cutoff <= 0 or self.target_rel_tol <= 0:
-            raise ValueError("fourier_cutoff and target_rel_tol must be positive")
+        if self.order < 1:
+            raise ValueError(f"order must be positive, got {self.order}")
+        for name in ("panels_per_unit", "fourier_cutoff", "target_rel_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -186,6 +188,23 @@ def fourier_quadratic_form(
     narrow enough for the trigonometric sums; the tail bound uses the closed
     form density envelope and the crude estimate |sum_j a_j e^{i w x_j}|^2 <=
     (sum_j |a_j|)^2.
+
+    The P panels share the half-width h = L / P, so every node is
+    w = m_p + h xi_k for a panel midpoint m_p and a reference Gauss node xi_k,
+    and S(w) = sum_j a_j e^{i w x_j} splits as
+
+        S(m_p + h xi_k) = sum_j e^{i m_p x_j} (a_j e^{i h xi_k x_j}),
+
+    one complex matrix product of a (panels x n) and an (n x order) factor.
+    That takes P n + order n complex exponentials in place of cos and sin at
+    all P order n node-point pairs.  The rounding matches the direct form's:
+    there the phase w x_j is rounded once, with an error of about
+    ulp(L |x_j|), and here m_p x_j carries the same error, h xi_k x_j a much
+    smaller one, and the product of the two unit factors a few ulp.  Nodes,
+    weights and the density and sin^2(w b / 2) factors are those of
+    ``panel_grid`` as before.  Panels are summed in chunks whose
+    (panels x n) and (panels x order) arrays hold at most 2^16 entries each,
+    so the workspace is a few MB for any cutoff and point count.
     """
     if X.dim != 1:
         raise ValueError("fourier quadratic forms are 1-D only")
@@ -202,17 +221,22 @@ def fourier_quadratic_form(
     panels = max(1, math.ceil(2.0 * cutoff / width))
     tail = float(np.abs(alpha).sum()) ** 2 * density.tail_mass_bound(cutoff)
 
+    # a_j e^{i h xi_k x_j}, (points x order), the factor all panels share
+    half_nodes = (cutoff / panels) * gauss_legendre(cfg.order).nodes
+    node_factor = np.exp(np.multiply.outer(x, 1j * half_nodes))
+    node_factor *= alpha[:, None]
     full = 0.0
     damped = 0.0
-    # evaluate in node chunks to bound the (nodes x points) workspace
-    chunk = max(1, 65536 // max(len(X), 1))
+    # chunks of panels keep the (panels x points) and (panels x order) arrays
+    # at 2^16 entries each
+    chunk = max(1, 65536 // max(len(X), cfg.order))
     edges = np.linspace(-cutoff, cutoff, panels + 1)
     for start in range(0, panels, chunk):
-        om, w = panel_grid(edges[start : start + chunk + 1], cfg.order)
-        phase = np.outer(om, x)
-        re = np.cos(phase) @ alpha
-        im = np.sin(phase) @ alpha
-        f = w * density(om) * (re * re + im * im)
+        e = edges[start : start + chunk + 1]
+        om, w = panel_grid(e, cfg.order)
+        mid = e[:-1] + 0.5 * (e[1:] - e[:-1])
+        s = (np.exp(np.multiply.outer(1j * mid, x)) @ node_factor).ravel()
+        f = w * density(om) * (s.real * s.real + s.imag * s.imag)
         full += float(np.sum(f))
         damped += float(np.sum(f * np.sin(0.5 * om * b) ** 2))
 

@@ -167,7 +167,10 @@ def test_heatmap_command(tmp_path):
 # before the CLI flags were derived from ExperimentConfig.  identity and sin2
 # were re-recorded when the rejection loop of the random interval sets became
 # the exact spacings sampler (other sets, other coefficients) and sin2's lhs
-# became the exact matrix-side damped form in place of its Fourier quadrature
+# became the exact matrix-side damped form in place of its Fourier quadrature.
+# identity was re-recorded once more when the Fourier-side phase was split
+# per panel: only roundoff digits of its lhs and slack columns moved (by at
+# most 1e-7 of rhs), never a verdict
 GOLDEN_DIGESTS = {
     ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "60"): {
         "heatmap.csv": "8d57e47a9a734f167fb024ee3cd8c2ef23f4f63c308eb25a6260d7e36428f317",
@@ -179,7 +182,7 @@ GOLDEN_DIGESTS = {
         "equivalence.spectrum.csv": "086d15f2f16c42dca76b8e74201f98b3440564e601dee8ad7669b3947afe306a",
     },
     ("identity", "--kernel", "matern-basic", "--n", "6"): {
-        "identity.csv": "72c8e08fb9d9228f1b98f12cef2dc439a02c46a872803cba8a4f58dad5adfb37",
+        "identity.csv": "7265dcc0439f5157dcaaf368d9097ed54a58566c6420108272e751c774a89963",
     },
     ("sin2", "--kernel", "matern-linear", "--n", "10", "--trials", "2"): {
         "sin2.csv": "66bf7ac3330b93918bd1c9fcf876b5ec2b4743e828386be6df9633a3c95a24f5",
@@ -236,7 +239,7 @@ def test_constant_overrides_enable_quadratic_family(tmp_path):
     assert run_cli([*chain, "--c-conv", "0.01"], tmp_path).returncode == 0
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert run_cli(["eigen-scaling", "--kernel", "bogus"], tmp_path).returncode == 2
     result = run_cli(["eigen-scaling", "--kernel", "gaussian"], tmp_path)
     assert result.returncode == 2
@@ -249,6 +252,19 @@ def test_usage_errors_exit_2(tmp_path):
     result = run_cli(["identity", "--trials", "0"], tmp_path)
     assert result.returncode == 2
     assert "no checks" in result.stderr
+    # a non-finite quadrature option and a bound constant that is not finite
+    # and positive are usage errors, not a traceback or nan bounds
+    monkeypatch.chdir(tmp_path)
+    for args in (
+        ["identity", "--n", "4", "--trials", "1", "--fourier-cutoff", "inf"],
+        ["thm41", "--n", "8", "--trials", "1", "--panels-per-unit", "inf"],
+        ["eigen-scaling", "--n-max", "40", "--n-count", "4", "--c-min", "0"],
+        ["eigen-scaling", "--n-max", "40", "--n-count", "4", "--c-min", "nan"],
+        ["sin2", "--kernel", "matern-linear", "--n", "8", "--trials", "1", "--c-min", "nan"],
+        ["thm41", "--n", "8", "--trials", "1", "--c-conv", "nan"],
+    ):
+        assert cli.main(args) == 2, args
+        assert "usage error" in capsys.readouterr().err
     # 501 points cannot keep every gap above 2e-3 in [0, 1]: fail fast, no hang
     result = run_cli(["identity", "--n", "501"], tmp_path, timeout=60)
     assert result.returncode == 2

@@ -170,12 +170,15 @@ def test_profile_is_bitwise_the_expression_and_keeps_its_input(family, length_sc
     ]
     for r in arrays:
         before = r.copy()
-        # at r = 1e300 the quadratic profile is inf * 0 = nan in both forms
         with np.errstate(over="ignore", invalid="ignore"):
             got, expected = phi(spec, r), _phi_expression(spec, r)
+        if family is Family.MATERN_QUADRATIC:
+            # at r = 1e300 the quadratic expression is inf * 0 = nan; the
+            # profile is its limit 0
+            expected = np.where(np.isnan(expected), 0.0, expected)
         assert np.array_equal(r, before)
         assert np.shape(got) == r.shape
-        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(got, expected)
     for r in (0.0, 0.7, 3, 1e-300):
         got = phi(spec, r)
         assert type(got) is float
