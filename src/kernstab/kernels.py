@@ -67,8 +67,10 @@ def phi(spec: KernelSpec, r):
     (``(1 + u) * exp(-u)`` and so on), so every value is bitwise theirs; it
     allocates one array of the size of ``r`` for the basic and
     squared-exponential profiles, two for the linear and three for the
-    quadratic one.  Past ``u = 1e3`` the quadratic profile is 0, its limit,
-    where the expression would overflow to ``inf * 0``.
+    quadratic one.  ``u`` is capped at 1e3: every profile is 0 from
+    ``u = 746`` on, so no value moves, and the linear and quadratic profiles
+    stay at 0, their limit, where ``r / length_scale`` or ``u * u`` would
+    overflow and the expressions give ``inf * 0``.
     """
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r)):
@@ -78,6 +80,7 @@ def phi(spec: KernelSpec, r):
     # a 0-d argument is divided as a 1-element view, so the steps below stay
     # in place on an array
     u = np.atleast_1d(r) / spec.length_scale
+    np.minimum(u, 1e3, out=u)
     if spec.family is Family.MATERN_BASIC:
         out = np.exp(np.negative(u, out=u), out=u)
     elif spec.family is Family.MATERN_LINEAR:
@@ -85,10 +88,6 @@ def phi(spec: KernelSpec, r):
         u += 1.0
         out = np.multiply(u, np.exp(decay, out=decay), out=u)
     elif spec.family is Family.MATERN_QUADRATIC:
-        # exp(-u) is 0 from u = 746 on, and so is the profile; capping u at
-        # 1e3 changes no value and keeps u * u finite, where it would
-        # overflow past 1.3e154 and give inf * 0 = nan
-        np.minimum(u, 1e3, out=u)
         decay = np.negative(u)
         poly = np.multiply(u, 3.0)
         poly += 3.0

@@ -2,7 +2,9 @@
 
 Both emitters are pure functions of their inputs and format coordinates with
 fixed precision, so regenerating a plot from the same report data yields a
-byte-identical file.
+byte-identical file.  A heatmap row is drawn as runs of one color, one
+``<rect>`` per run rather than per cell, which keeps a mostly uniform
+1000 x 1000 grid at a few MB of text.
 """
 
 from __future__ import annotations
@@ -151,7 +153,9 @@ class _HeatmapLines:
     """The text of a heatmap SVG, re-iterable: each pass yields the header,
     then the ``<rect>`` lines of one grid row per chunk, then the frame and
     the closing tag.  ``index`` holds the ramp index of every cell, drawn as
-    a square of ``cell`` pixels."""
+    a square of ``cell`` pixels; each maximal run of equal indices in a row
+    is drawn as one ``<rect>`` of ``run * cell`` by ``cell`` pixels, so every
+    cell is painted exactly once, in its own color."""
 
     def __init__(self, index: np.ndarray, ramp: list[str], cell: int):
         self.index = index
@@ -170,11 +174,21 @@ class _HeatmapLines:
             f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
         )
         heads = [f'<rect x="{margin + j * cell}" y="' for j in range(n_cols)]
-        tails = [f'" width="{cell}" height="{cell}" fill="{color}"/>\n' for color in self.ramp]
+        # indexed by run length: widths[0] is never used
+        widths = [f'" width="{run * cell}" height="{cell}" fill="' for run in range(n_cols + 1)]
+        tails = [f'{color}"/>\n' for color in self.ramp]
+        # a run starts at column 0 and wherever the index differs from its left neighbour
+        changed = np.ones(n_cols, dtype=bool)
         # a grid without columns has no cells, hence no (empty) row lines either
         for i, row in enumerate(self.index if n_cols else ()):
+            np.not_equal(row[1:], row[:-1], out=changed[1:])
+            starts = np.flatnonzero(changed)
+            runs = np.diff(starts, append=n_cols)
             y = str(margin + i * cell)
-            yield "".join([head + y + tails[k] for head, k in zip(heads, row.tolist())])
+            yield "".join([
+                heads[j] + y + widths[run] + tails[k]
+                for j, run, k in zip(starts.tolist(), runs.tolist(), row[starts].tolist())
+            ])
         yield (
             f'<rect x="{margin}" y="{margin}" width="{n_cols * cell}" height="{n_rows * cell}" '
             f'fill="none" stroke="black" stroke-width="1"/>\n'
@@ -187,10 +201,11 @@ def heatmap_svg(values, floor_log10: float = -5.0, ceil_log10: float = 0.0) -> I
 
     Returns the SVG text as a re-iterable source of chunks, one per grid row
     (``"".join(heatmap_svg(values))`` is the whole document), so a writer
-    never holds the full text.  Color indices are computed here, for the
-    whole grid at once, and kept as one byte per cell; a NaN cell raises
-    ``ValueError`` from this call, before any text is produced.  The output
-    is byte for byte the one of the per-cell ``math.log10`` loop:
+    never holds the full text.  Each row is drawn as one ``<rect>`` per
+    maximal run of equal color (``_HeatmapLines``).  Color indices are
+    computed here, for the whole grid at once, and kept as one byte per cell;
+    a NaN cell raises ``ValueError`` from this call, before any text is
+    produced.  Every cell gets the color of the per-cell ``math.log10`` loop:
     ``np.log10`` may differ from ``math.log10`` in the last bit, which moves
     a color only when the scaled level lies next to a half-integer, so every
     cell within 1e-9 of one is recomputed with the scalar expression

@@ -41,12 +41,24 @@ print(json.dumps(
 # The parent of the streamed heatmap and the in-place whitening peaked at 314
 # and 270 MB; the whitened commands are bounded in time by the timeout alone.
 # identity took 17.6 s and 59.4 MB before the Fourier-side phase was split
-# per panel
+# per panel.  eigen-scaling at its defaults (30 sizes up to n = 1000) took
+# 0.63 to 0.75 s warm (1.6 s on a cold first run) and 70.2 MB on the 2-core
+# VM; its wall budget leaves room for a loaded machine, its RSS budget is
+# far below the 1.6 GB that conv_gram peaked at before its closed form
+HEATMAP_1000 = ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "1000")
 BUDGETS = {
-    ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "1000"): (TIMEOUT_S, 130),
+    HEATMAP_1000: (TIMEOUT_S, 130),
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): (TIMEOUT_S, 250),
     ("identity", "--kernel", "matern-basic", "--n", "400", "--trials", "2",
      "--fourier-cutoff", "1e4"): (8, 50),
+    ("eigen-scaling", "--kernel", "matern-linear"): (4, 90),
+}
+
+# command -> {artifact: size budget in bytes}.  The heatmap SVG drew one
+# <rect> per cell, 61.5 MB at n = 1000, before each run of one color in a
+# grid row became one <rect> (2.34 MB)
+FILE_BUDGETS = {
+    HEATMAP_1000: {"heatmap.svg": 4e6},
 }
 
 
@@ -72,3 +84,6 @@ def test_command_stays_within_its_budget(args, tmp_path):
     assert measured["wall_s"] <= wall_budget, f"{args[0]} took {measured['wall_s']:.1f} s"
     peak_mb = measured["maxrss_kb"] * 1024 / 1e6
     assert peak_mb <= peak_budget, f"{args[0]} peaked at {peak_mb:.1f} MB"
+    for name, size_budget in FILE_BUDGETS.get(args, {}).items():
+        size = (tmp_path / name).stat().st_size
+        assert size <= size_budget, f"{name} has {size} bytes"

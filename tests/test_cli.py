@@ -9,6 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from heatmap_reference import assert_decodes_to_loop_colors, loop_color_indices, run_count
 from kernstab import cli
 from kernstab.experiments import COMMANDS, ExperimentConfig, ExperimentReport
 
@@ -156,7 +157,11 @@ def test_heatmap_command(tmp_path):
     spectrum_lines = (tmp_path / "heatmap.spectrum.csv").read_text().splitlines()
     values = np.array([float(line.split(",")[3]) for line in spectrum_lines[1:]])
     assert values.min() >= 0.75 and values.max() < 1.0
-    assert (tmp_path / "heatmap.svg").read_text().count("<rect") > 2500
+    # one rect per run of one color in a grid row, plus background and frame;
+    # the CSV's '%.17g' values read back exactly, so they give the same colors
+    svg = (tmp_path / "heatmap.svg").read_text()
+    assert svg.count("<rect") == run_count(loop_color_indices(grid)) + 2
+    assert_decodes_to_loop_colors(svg, grid)
 
 
 # SHA-256 of every artifact at --seed 0 (numpy 2.4 with OpenBLAS, x86-64): a
@@ -170,12 +175,15 @@ def test_heatmap_command(tmp_path):
 # became the exact matrix-side damped form in place of its Fourier quadrature.
 # identity was re-recorded once more when the Fourier-side phase was split
 # per panel: only roundoff digits of its lhs and slack columns moved (by at
-# most 1e-7 of rhs), never a verdict
+# most 1e-7 of rhs), never a verdict.  heatmap.svg alone was re-recorded when
+# each run of one color in a grid row became one <rect> in place of one per
+# cell: decoded, every cell has the color it had before (2233 rects instead
+# of 3600 here), and both heatmap CSVs kept their digests
 GOLDEN_DIGESTS = {
     ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "60"): {
         "heatmap.csv": "8d57e47a9a734f167fb024ee3cd8c2ef23f4f63c308eb25a6260d7e36428f317",
         "heatmap.spectrum.csv": "51ecd79814305bf5d1f67df5879b551a470c60c86c7659bbe41a34c91a6f226e",
-        "heatmap.svg": "1319704d45fb582b3c136a322286bcba31bbbc5cbcce6c21d50f89674249c951",
+        "heatmap.svg": "8334a3abe6e9dd69207b9a6840534866bf2552b7ef3ca8f01ef0ef3fabd6333c",
     },
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "200"): {
         "equivalence.csv": "7cd7fd5d6789dea297d43f2e49fda91edd18a338e33398e636f2067632a69a76",

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from heatmap_reference import assert_decodes_to_loop_colors, loop_color_indices, run_count
 from kernstab import analysis, cli, quadrature
 from kernstab.experiments import ExperimentConfig, _fmt, _random_interval_set, _write_rows, run
 from kernstab.rng import SplitMix64
@@ -86,8 +87,12 @@ def test_heatmap_report_written_twice_writes_the_same_files(tmp_path):
     for suffix in (".csv", ".spectrum.csv", ".svg"):
         first = (tmp_path / f"first{suffix}").read_bytes()
         assert first == (tmp_path / f"second{suffix}").read_bytes()
-    assert first.count(b"<rect") == 40 * 40 + 2
-    assert len((tmp_path / "first.csv").read_text().splitlines()) == 41
+    csv_lines = (tmp_path / "first.csv").read_text().splitlines()
+    assert len(csv_lines) == 41
+    grid = np.array([[float(v) for v in line.split(",")[3:]] for line in csv_lines[1:]])
+    svg = first.decode()
+    assert svg.count("<rect") == run_count(loop_color_indices(grid)) + 2
+    assert_decodes_to_loop_colors(svg, grid)
 
 
 def test_random_interval_sets_keep_their_gaps():

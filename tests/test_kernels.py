@@ -158,7 +158,7 @@ def _phi_expression(spec, r):
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
-@pytest.mark.parametrize("length_scale", [1.0, 0.3])
+@pytest.mark.parametrize("length_scale", [1.0, 0.3, 1e-10])
 def test_profile_is_bitwise_the_expression_and_keeps_its_input(family, length_scale):
     spec = KernelSpec(family, length_scale=length_scale)
     rng = np.random.default_rng(11)
@@ -166,15 +166,16 @@ def test_profile_is_bitwise_the_expression_and_keeps_its_input(family, length_sc
         np.array(0.7),
         rng.uniform(0, 40, 257),
         rng.uniform(0, 3, (31, 17)),
-        np.array([0.0, 5e-324, 1e-300, 1e-8, 745.0, 800.0, 1e300]),
+        np.array([0.0, 5e-324, 1e-300, 1e-8, 745.0, 800.0, 1e300, 1.7e308]),
     ]
     for r in arrays:
         before = r.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             got, expected = phi(spec, r), _phi_expression(spec, r)
-        if family is Family.MATERN_QUADRATIC:
-            # at r = 1e300 the quadratic expression is inf * 0 = nan; the
-            # profile is its limit 0
+        if family in (Family.MATERN_LINEAR, Family.MATERN_QUADRATIC):
+            # the expression is inf * 0 = nan where u * u (quadratic, from
+            # r = 1e300) or r / length_scale (linear, r = 1.7e308 at 0.3 and
+            # r = 1e300 at 1e-10) overflows; the profile is its limit 0
             expected = np.where(np.isnan(expected), 0.0, expected)
         assert np.array_equal(r, before)
         assert np.shape(got) == r.shape

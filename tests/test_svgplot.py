@@ -1,42 +1,21 @@
-import math
-
 import numpy as np
 import pytest
 
+from heatmap_reference import (
+    assert_decodes_to_loop_colors,
+    heatmap_svg_loop,
+    loop_color_indices,
+)
 from kernstab.svgplot import Series, color_ramp, heatmap_svg, loglog_plot_svg
 
 
-def _heatmap_svg_loop(values, floor_log10=-5.0, ceil_log10=0.0):
-    # the per-cell reference the vectorized heatmap must reproduce byte for byte
-    grid = np.abs(np.asarray(values, dtype=float))
-    n_rows, n_cols = grid.shape
-    ramp = color_ramp()
-    cell = max(4, 480 // max(n_rows, n_cols))
-    margin = 20
-    width = n_cols * cell + 2 * margin
-    height = n_rows * cell + 2 * margin
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
-    span = ceil_log10 - floor_log10
-    tiny = 10.0 ** (floor_log10 - 1)
-    for i in range(n_rows):
-        for j in range(n_cols):
-            level = math.log10(max(grid[i, j], tiny))
-            t = min(max((level - floor_log10) / span, 0.0), 1.0)
-            color = ramp[round(t * (len(ramp) - 1))]
-            parts.append(
-                f'<rect x="{margin + j * cell}" y="{margin + i * cell}" '
-                f'width="{cell}" height="{cell}" fill="{color}"/>'
-            )
-    parts.append(
-        f'<rect x="{margin}" y="{margin}" width="{n_cols * cell}" height="{n_rows * cell}" '
-        f'fill="none" stroke="black" stroke-width="1"/>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+def _check_heatmap(grid, *decades):
+    # byte for byte the scalar run merge of the per-cell loop, and decoded
+    # back, every cell painted once in the loop's color
+    svg = "".join(heatmap_svg(grid, *decades))
+    assert svg == heatmap_svg_loop(grid, *decades)
+    assert_decodes_to_loop_colors(svg, grid, *decades)
+    return svg
 
 
 def _log_uniform(shape, lo, hi, seed):
@@ -48,12 +27,12 @@ def _log_uniform(shape, lo, hi, seed):
 @pytest.mark.parametrize("shape", [(120, 120), (37, 53), (200, 9), (1, 1), (2, 0)])
 def test_heatmap_matches_per_cell_loop(shape):
     grid = _log_uniform(shape, -7.0, 0.5, seed=sum(shape))
-    assert "".join(heatmap_svg(grid)) == _heatmap_svg_loop(grid)
+    _check_heatmap(grid)
 
 
 def test_heatmap_matches_loop_on_other_decade_range():
     grid = _log_uniform((60, 80), -12.0, 3.0, seed=3)
-    assert "".join(heatmap_svg(grid, -9.0, 2.0)) == _heatmap_svg_loop(grid, -9.0, 2.0)
+    _check_heatmap(grid, -9.0, 2.0)
 
 
 def test_heatmap_matches_loop_on_clipped_values():
@@ -61,7 +40,7 @@ def test_heatmap_matches_loop_on_clipped_values():
     values = [0.0, -0.0, np.inf, -np.inf, tiny, np.nextafter(tiny, 0), 1e-300, 5e-324,
               1e-5, 1.0, 10.0, 1e300]
     grid = np.array(values).reshape(3, 4)
-    assert "".join(heatmap_svg(grid)) == _heatmap_svg_loop(grid)
+    _check_heatmap(grid)
 
 
 def test_heatmap_matches_loop_next_to_every_color_edge():
@@ -72,16 +51,28 @@ def test_heatmap_matches_loop_next_to_every_color_edge():
     edges = 10.0 ** (floor_log10 + span * (k + 0.5) / 255)
     below, above = np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)
     grid = np.stack([np.nextafter(below, 0.0), below, edges, above, np.nextafter(above, np.inf)])
-    assert "".join(heatmap_svg(grid)) == _heatmap_svg_loop(grid)
+    _check_heatmap(grid)
 
 
 def test_heatmap_nan_cell_raises():
     grid = np.ones((3, 3))
     grid[1, 2] = np.nan
     with pytest.raises(ValueError):
-        _heatmap_svg_loop(grid)
+        loop_color_indices(grid)
     with pytest.raises(ValueError):
         heatmap_svg(grid)
+
+
+def test_heatmap_draws_a_constant_row_as_one_rect():
+    svg = _check_heatmap(np.full((7, 9), 0.01))
+    assert svg.count("<rect") == 7 + 2
+
+
+def test_heatmap_draws_an_alternating_row_one_rect_per_cell():
+    # the worst case: no two neighbours in a row share a color
+    grid = np.where(np.indices((6, 11)).sum(axis=0) % 2 == 0, 1.0, 1e-5)
+    svg = _check_heatmap(grid)
+    assert svg.count("<rect") == 6 * 11 + 2
 
 
 def test_loglog_plot_smoke():
