@@ -7,7 +7,6 @@ from .analysis import (
     EquivalenceResult,
     FittedLaw,
     SYMMETRIC_BOUND_CONSTANTS,
-    SharpEquivalenceResult,
     cond_upper_bound,
     conv_lower_bound,
     conv_lower_bound_from_sym,
@@ -18,7 +17,6 @@ from .analysis import (
     verify_conv_chain,
     verify_damping_bound,
     verify_equivalence,
-    verify_sharp_equivalence,
     verify_shift_identity,
 )
 from .assembly import (

@@ -16,7 +16,7 @@ import numpy as np
 
 from .assembly import conv_gram, gram, shifted_gram, symmetric_part
 from .geometry import PointSet, boundary_distance
-from .kernels import Family, KernelSpec, SpectralDensity, smoothness
+from .kernels import Family, KernelSpec, SpectralDensity
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, fourier_quadratic_form
 from .spectral import precision_floor, rayleigh, whiten
 
@@ -124,47 +124,6 @@ def verify_equivalence(spec: KernelSpec, X: PointSet, b) -> EquivalenceResult:
     return EquivalenceResult(lower=lower, upper=upper, spectrum=w)
 
 
-@dataclass(frozen=True)
-class SharpEquivalenceResult:
-    lower: BoundCheck
-    upper: BoundCheck
-    required_prefactor: float
-    degenerate: bool
-
-    @property
-    def checks(self) -> list[BoundCheck]:
-        return [self.lower, self.upper]
-
-
-def verify_sharp_equivalence(
-    spec: KernelSpec, X: PointSet, b, alpha, gap_prefactor: float = 1.0
-) -> SharpEquivalenceResult:
-    """Direction-wise two-sided bound with the separation-powered gap term.
-
-    The gap term R^(1-1/tau) * q^(2-d/tau) carries no explicit constant, so
-    the check applies a configurable prefactor (default 1) and reports the
-    prefactor the data would actually require.  Requires tau > 1.
-    """
-    tau = smoothness(spec)
-    if tau <= 1:
-        raise ValueError(f"sharp equivalence requires tau > 1, got {tau}")
-    q = X.separation
-    A = gram(spec, X)
-    B_sym = symmetric_part(shifted_gram(spec, X, b))
-    r_sym = rayleigh(A, alpha)
-    r_shift = rayleigh(B_sym, alpha)
-    gap = r_sym ** (1.0 - 1.0 / tau) * q ** (2.0 - X.dim / tau)
-    lower = _check("sharp-lower", r_sym - gap_prefactor * gap, r_shift)
-    upper = _check("sharp-upper", r_shift, r_sym, strict=True)
-    required = (r_sym - r_shift) / gap if gap > 0 else math.inf
-    return SharpEquivalenceResult(
-        lower=lower,
-        upper=upper,
-        required_prefactor=float(required),
-        degenerate=bool(r_shift == r_sym),
-    )
-
-
 def verify_shift_identity(
     density: SpectralDensity,
     X: PointSet,
@@ -258,9 +217,10 @@ def verify_conv_chain(
     (a) the convolved quadratic form dominates q * ||k(X+b, X) a||^2, a
     single-shift surrogate of the ball-averaging step, and (b) the end-to-end
     statement <k* a, a> / ||a||^2 >= c q^d (<k a, a> / ||a||^2)^2 with the
-    fitted constant.  q is min(boundary distance, q_X) when positive and q_X
-    otherwise; checks whose quadratic form sits below the precision floor of
-    k* are flagged unreliable.  The matrices are built once for all directions.
+    fitted constant (``conv_lower_bound_from_sym``).  q is min(boundary
+    distance, q_X) when positive and q_X otherwise; checks whose quadratic
+    form sits below the precision floor of k* are flagged unreliable.  The
+    matrices are built once for all directions.
     """
     q_x = X.separation
     q_b = boundary_distance(X)
@@ -284,7 +244,7 @@ def verify_conv_chain(
         quad_conv = float(alpha @ (K @ alpha))
         reliable = quad_conv >= floor * norm2
         pointwise = q * float(np.sum((B @ alpha) ** 2))
-        end_to_end = c * q ** X.dim * rayleigh(A, alpha) ** 2
+        end_to_end = conv_lower_bound_from_sym(X.dim, q, rayleigh(A, alpha), c)
         per_direction.append([
             _check("conv-chain-pointwise", pointwise, quad_conv, reliable=reliable),
             _check("conv-chain-end-to-end", end_to_end, quad_conv / norm2, reliable=reliable),

@@ -23,17 +23,14 @@ def _distance_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def gram(spec: KernelSpec, X: PointSet) -> np.ndarray:
     """Pairwise kernel matrix on X; exactly symmetric, diagonal phi(0).
 
-    The strict upper triangle is mirrored into the lower one in place, row by
-    row, so symmetry holds bit for bit and no matrix beyond the distances and
-    the profile's own temporaries is allocated.
+    Each distance is built from the coordinate differences, which change only
+    sign when the two points swap and are exactly 0 for a point with itself,
+    so the distance matrix, and with it the kernel matrix, is symmetric bit
+    for bit with an exact 0 diagonal; no mirroring pass is needed.
     """
     if X.dim != spec.dim:
         raise ValueError(f"point set dimension {X.dim} != kernel dimension {spec.dim}")
-    A = phi(spec, _distance_matrix(X.points, X.points))
-    for i in range(1, len(A)):
-        A[i, :i] = A[:i, i]
-    np.fill_diagonal(A, phi(spec, 0.0))
-    return A
+    return phi(spec, _distance_matrix(X.points, X.points))
 
 
 def shifted_gram(spec: KernelSpec, X: PointSet, b) -> np.ndarray:

@@ -123,10 +123,10 @@ class ExperimentReport:
     """Rows, checks and plot of one run, and the writers of its artifacts.
 
     ``rows`` (and the rows of each sidecar) is a list or a re-iterable row
-    source with a length, such as ``_GridRows``; ``svg`` is the plot's text,
-    either a ``str`` or a re-iterable source of text chunks such as
-    ``heatmap_svg`` returns.  Each write iterates its source afresh, so a
-    report written twice writes identical files.
+    source with a length, such as ``_GridRows``; ``svg`` is the plot's text
+    as a re-iterable source of chunks, the list ``loglog_plot_svg`` returns
+    or the row-by-row source of ``heatmap_svg``.  Each write iterates its
+    source afresh, so a report written twice writes identical files.
     """
 
     command: str
@@ -150,7 +150,7 @@ class ExperimentReport:
         if self.svg is None:
             raise ValueError(f"{self.command} produces no plot")
         with open(path, "w", newline="\n") as fh:
-            fh.writelines([self.svg] if isinstance(self.svg, str) else self.svg)
+            fh.writelines(self.svg)
 
 
 def _with_suffix(path, suffix: str) -> str:
@@ -159,57 +159,45 @@ def _with_suffix(path, suffix: str) -> str:
     return f"{stem}.{suffix}.{ext}" if dot else f"{path}.{suffix}"
 
 
-def _fmt_fallback(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % value
-    return str(value)
-
-
-# %-codes by exact type: a subclass such as bool must take the isinstance chain
+# %-codes by exact type, so a bool (an int subclass) never takes "%d": it is
+# written as the text true/false
 _CODE_BY_TYPE = {
     float: "%.17g",
     np.float64: "%.17g",
     int: "%d",
     str: "%s",
+    bool: "%s",
 }
-
-
-def _fmt(value) -> str:
-    code = _CODE_BY_TYPE.get(type(value))
-    return _fmt_fallback(value) if code is None else code % value
 
 
 def _write_rows(path, config_hash, columns, rows) -> None:
     """One CSV line per row, prefixed by the config hash and the version.
 
     ``rows`` is iterated once, one row at a time, so a row source that builds
-    its rows on demand is never held whole.  A row whose values all have one
-    of the exact types ``float``, ``np.float64``, ``int`` or ``str`` is
-    formatted by a single ``%``-format built from its types (``%.17g``,
-    ``%d``, ``%s``) and kept for the next row of the same types; any other
-    row is formatted value by value, through the ``isinstance`` chain of
-    ``_fmt_fallback`` for the other types (``bool``, other numpy scalars).
-    Both give the same text.
+    its rows on demand is never held whole.  Every value must have one of the
+    exact types ``float``, ``np.float64``, ``int``, ``str`` or ``bool``;
+    anything else raises ``TypeError``.  Each row is formatted by a single
+    ``%``-format built from its types (``%.17g``, ``%d``, ``%s``) and kept for
+    the next row of the same types, together with whether those types hold a
+    ``bool``; only such a row has its bools turned into ``true``/``false``.
     """
     prefix = [config_hash.replace("%", "%%"), __version__.replace("%", "%%")]
-    formats = {}  # row types -> the row's format, or None for the value-by-value path
+    formats = {}  # row types -> (the row's format, whether it holds a bool)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(["config", "version", *columns]) + "\n")
         for row in rows:
             row = tuple(row)
             kinds = tuple(map(type, row))
             if kinds not in formats:
-                codes = [_CODE_BY_TYPE.get(kind) for kind in kinds]
-                formats[kinds] = None if None in codes else ",".join([*prefix, *codes]) + "\n"
-            fmt = formats[kinds]
-            if fmt is None:
-                fh.write(",".join([config_hash, __version__, *map(_fmt, row)]) + "\n")
-            else:
-                fh.write(fmt % row)
+                try:
+                    codes = [_CODE_BY_TYPE[kind] for kind in kinds]
+                except KeyError as exc:
+                    raise TypeError(f"cannot write a {exc.args[0]} value to CSV") from None
+                formats[kinds] = (",".join([*prefix, *codes]) + "\n", bool in kinds)
+            fmt, has_bool = formats[kinds]
+            if has_bool:
+                row = tuple(("true" if v else "false") if type(v) is bool else v for v in row)
+            fh.write(fmt % row)
 
 
 def _check_report(cfg: ExperimentConfig, per_trial, sidecars=()) -> ExperimentReport:

@@ -55,8 +55,12 @@ def _decade_span(values):
     return d0, d1
 
 
-def loglog_plot_svg(series: Sequence[Series], xlabel: str = "", ylabel: str = "") -> str:
-    """Log-log line plot; points with nonpositive ordinate are dropped."""
+def loglog_plot_svg(series: Sequence[Series], xlabel: str = "", ylabel: str = "") -> list[str]:
+    """Log-log line plot; points with nonpositive ordinate are dropped.
+
+    Returns the SVG text as a list of lines, each ending in a newline, like
+    the chunks of ``heatmap_svg``: ``"".join(...)`` is the whole document.
+    """
     width, height = 720, 540
     ml, mr, mt, mb = 80, 24, 24, 64
     plotted = [
@@ -139,7 +143,7 @@ def loglog_plot_svg(series: Sequence[Series], xlabel: str = "", ylabel: str = ""
         )
         ly += 16
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return [part + "\n" for part in parts]
 
 
 def _color_index(value: float, floor_log10: float, span: float, tiny: float, top: int) -> int:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -13,10 +14,12 @@ from kernstab import (
     default_conv_constant,
     default_symmetric_constant,
     equispaced,
+    experiments,
     fit_power_law,
     gram,
     halton,
     lambda_min,
+    rayleigh,
     sample_grid,
     spectral_density_1d,
     sym_eigen,
@@ -24,7 +27,6 @@ from kernstab import (
     verify_conv_chain,
     verify_damping_bound,
     verify_equivalence,
-    verify_sharp_equivalence,
     verify_shift_identity,
 )
 from kernstab.geometry import PointSet
@@ -139,30 +141,6 @@ def test_equivalence_small_shift(family, dim, n):
     assert result.spectrum.max() < 1.0
 
 
-def test_sharp_equivalence_requires_tau_above_one():
-    with pytest.raises(ValueError):
-        verify_sharp_equivalence(BASIC, equispaced(5, 0, 1), [0.01], np.ones(5))
-
-
-def test_sharp_equivalence_zero_shift_degenerate():
-    X = equispaced(8, 0, 1)
-    result = verify_sharp_equivalence(LINEAR, X, [0.0], np.ones(8))
-    assert result.degenerate
-    assert result.lower.satisfied
-    assert not result.upper.satisfied  # equality boundary, strict comparison
-
-
-def test_sharp_equivalence_eigenvector_directions():
-    X = equispaced(20, 0, 1)
-    b = [0.1 * X.separation]
-    dec = sym_eigen(gram(LINEAR, X))
-    for which in (0, -1):
-        alpha = dec.eigenvectors[:, which]
-        result = verify_sharp_equivalence(LINEAR, X, b, alpha)
-        assert result.lower.satisfied and result.upper.satisfied
-        assert 0.0 <= result.required_prefactor < 1.0
-
-
 def test_shift_identity_handpicked_and_random():
     basic_density = spectral_density_1d(BASIC)
     check = verify_shift_identity(
@@ -270,15 +248,19 @@ def test_damping_lhs_matches_fourier_oracle_basic():
 
 def test_conv_chain_basic_extremes():
     X = equispaced(10, 0, 1)
-    dec = sym_eigen(gram(BASIC, X))
+    A = gram(BASIC, X)
+    dec = sym_eigen(A)
     b = 0.5 * X.separation
     directions = [dec.eigenvectors[:, 0], dec.eigenvectors[:, -1]]
-    for checks in verify_conv_chain(BASIC, X, directions, b):
+    for alpha, checks in zip(directions, verify_conv_chain(BASIC, X, directions, b)):
         assert all(c.satisfied and c.reliable for c in checks)
         assert [c.name for c in checks] == [
             "conv-chain-pointwise",
             "conv-chain-end-to-end",
         ]
+        # the end-to-end bound is the companion form, bit for bit
+        bound = conv_lower_bound_from_sym(1, X.separation, rayleigh(A, alpha), 0.24)
+        assert checks[1].lhs == bound
 
 
 def test_conv_chain_linear_reliable_range():
@@ -310,6 +292,14 @@ def test_conv_chain_needs_constant_for_quadratic():
         verify_conv_chain(quad, X, [np.ones(8)], 0.1 * X.separation)
     [checks] = verify_conv_chain(quad, X, [np.ones(8)], 0.1 * X.separation, c=0.01)
     assert all(c.satisfied for c in checks)
+
+
+def test_every_verifier_is_run_by_a_command():
+    # test-only claim code is wired into a command or deleted
+    source = inspect.getsource(experiments)
+    verifiers = [name for name in dir(analysis) if name.startswith("verify_")]
+    assert verifiers
+    assert [name for name in verifiers if name not in source] == []
 
 
 def test_fit_power_law_exact_synthetic():

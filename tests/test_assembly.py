@@ -79,7 +79,8 @@ def test_gram_exactly_symmetric():
 
 
 def _gram_triu_mirror(spec, X):
-    # the out-of-place mirror the in-place one replaced: the bitwise oracle
+    # the upper triangle mirrored, with phi(0) on the diagonal: the bitwise
+    # oracle for gram's claim that its distances need no mirroring
     vals = phi(spec, _distance_matrix(X.points, X.points))
     upper = np.triu(vals, 1)
     A = upper + upper.T
@@ -88,9 +89,12 @@ def _gram_triu_mirror(spec, X):
 
 
 @pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_gram_is_bitwise_the_triu_mirror(family, dim):
-    X = halton(157, dim)
+# halton(700, 3) spans two row blocks of the distance computation
+@pytest.mark.parametrize(
+    "dim, n", [(1, 157), (2, 157), (3, 157), (3, 700)], ids=["1", "2", "3", "3-700"]
+)
+def test_gram_is_bitwise_the_triu_mirror(family, dim, n):
+    X = halton(n, dim)
     spec = KernelSpec(family, dim=dim, length_scale=0.2)
     assert gram(spec, X).tobytes() == _gram_triu_mirror(spec, X).tobytes()
 

@@ -6,47 +6,66 @@ import pytest
 
 from heatmap_reference import assert_decodes_to_loop_colors, loop_color_indices, run_count
 from kernstab import analysis, cli, quadrature
-from kernstab.experiments import ExperimentConfig, _fmt, _random_interval_set, _write_rows, run
+from kernstab.experiments import ExperimentConfig, _random_interval_set, _write_rows, run
 from kernstab.rng import SplitMix64
 
 
 def _fmt_chain(value):
-    # the isinstance chain the type-table fast path must agree with
+    # the isinstance chain the per-row-type format must agree with
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
         return "%.17g" % value
     return str(value)
 
 
+# one or more values of each type the CSV writer takes
 VALUES = [
-    True, False, np.bool_(True), np.bool_(False),
-    0, -7, 2**70, np.int64(-3), np.int32(12),
-    0.1, 1 / 3, 1e-300, np.float64(2.0 / 3.0), np.float32(0.1),
+    True, False,
+    0, -7, 2**70,
+    0.1, 1 / 3, 1e-300, np.float64(2.0 / 3.0),
     -0.0, np.float64(-0.0), float("nan"), np.float64("nan"),
     float("inf"), float("-inf"), np.float64("-inf"),
     "matern-linear", "",
 ]
 
 
+def _written_fields(tmp_path, rows):
+    path = tmp_path / "rows.csv"
+    _write_rows(path, "abc", [f"c{j}" for j in range(len(rows[0]))], rows)
+    return [line.split(",")[2:] for line in path.read_text().splitlines()[1:]]
+
+
 @pytest.mark.parametrize("value", VALUES, ids=repr)
-def test_fmt_matches_isinstance_chain(value):
-    assert _fmt(value) == _fmt_chain(value)
+def test_fmt_matches_isinstance_chain(tmp_path, value):
+    assert _written_fields(tmp_path, [[value]]) == [[_fmt_chain(value)]]
 
 
 def test_write_rows_formats_mixed_rows(tmp_path):
+    rows = [VALUES[::2], VALUES[1::2]]
     path = tmp_path / "rows.csv"
-    _write_rows(path, "abc", ["a", "b"], [VALUES[:12], VALUES[12:]])
+    _write_rows(path, "abc", ["a", "b"], rows)
     lines = path.read_text().splitlines()
     assert lines[0] == "config,version,a,b"
-    for line, row in zip(lines[1:], [VALUES[:12], VALUES[12:]]):
+    for line, row in zip(lines[1:], rows):
         assert line.split(",")[2:] == [_fmt_chain(v) for v in row]
         # '%.17g' is full precision: finite floats read back exactly
         for text, v in zip(line.split(",")[2:], row):
             if isinstance(v, float) and math.isfinite(v):
                 assert float(text) == v
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.bool_(True), np.bool_(False), np.int64(-3), np.int32(12), np.float32(0.1)],
+    ids=repr,
+)
+def test_write_rows_rejects_a_type_outside_the_table(tmp_path, value):
+    # a numpy scalar other than float64 is an error, never a second format path
+    with pytest.raises(TypeError, match=type(value).__name__):
+        _written_fields(tmp_path, [[1, value, "x"]])
 
 
 def test_library_heatmap_runs_with_its_command_defaults(tmp_path, capsys):

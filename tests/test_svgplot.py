@@ -76,7 +76,7 @@ def test_heatmap_draws_an_alternating_row_one_rect_per_cell():
 
 
 def test_loglog_plot_smoke():
-    svg = loglog_plot_svg(
+    chunks = loglog_plot_svg(
         [
             Series("a", [(10, 1e-2), (100, 1e-4), (1000, 0.0)]),
             Series("b", [(10, 1e-3), (1000, 1e-7)], color="#000000", dashed=True),
@@ -85,6 +85,9 @@ def test_loglog_plot_smoke():
         xlabel="#points",
         ylabel="lambda_min",
     )
+    # one chunk per line, as ExperimentReport.write_svg writes them
+    assert all(chunk.endswith("\n") and chunk.count("\n") == 1 for chunk in chunks)
+    svg = "".join(chunks)
     assert svg.startswith("<svg") and svg.endswith("</svg>\n")
     assert svg.count("<polyline") == 2
     assert 'stroke-dasharray="6,4"' in svg
