@@ -38,7 +38,6 @@ from .kernels import (
     Family,
     KernelSpec,
     SpectralDensity,
-    has_finite_smoothness,
     phi,
     smoothness,
     spectral_density_1d,
@@ -59,8 +58,6 @@ from .spectral import (
     below_precision_floor,
     cond,
     inv_sqrt,
-    lambda_max,
-    lambda_min,
     precision_floor,
     rayleigh,
     sym_eigen,

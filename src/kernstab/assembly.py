@@ -7,10 +7,10 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QuadratureError, UnsupportedKernelError
 from .geometry import PointSet, _squared_distance_blocks
 from .kernels import Family, KernelSpec, phi
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _segments, conv_value, panel_grid
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, conv_value
 
 
 def _distance_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -57,21 +57,6 @@ def antisymmetric_part(A) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
     return 0.5 * (A - A.T)
-
-
-def _conv_data(spec: KernelSpec, x: np.ndarray, a: float, b: float, cfg: QuadratureConfig, refine: int):
-    # split at every data point: each integrand phi(|x_i - y|) phi(|y - x_j|)
-    # is analytic between consecutive split points
-    ys, ws = [], []
-    for lo, hi in _segments(a, b, x):
-        panels = refine * max(1, math.ceil((hi - lo) * cfg.panels_per_unit))
-        y, w = panel_grid(np.linspace(lo, hi, panels + 1), cfg.order)
-        ys.append(y)
-        ws.append(w)
-    y, w = np.concatenate(ys), np.concatenate(ws)
-    K = phi(spec, np.abs(x[:, None] - y[None, :]))
-    M = (K * w) @ K.T
-    return 0.5 * (M + M.T)
 
 
 # half-integer Matern families as np.polyval coefficients (highest degree
@@ -128,24 +113,19 @@ def conv_gram(spec: KernelSpec, X: PointSet, cfg: QuadratureConfig = DEFAULT_CON
     it is assembled in closed form in O(n^2): the whole-line self-convolution
     Q(r) e^(-r) minus two separable half-line tails, of rank at most three
     each.  The closed form is spot-checked against ``conv_value`` on the
-    entries {0, n//2, n-1}^2, so cfg sets the precision of that check.  The
-    Gaussian family has no closed form here and is integrated with
-    Gauss-Legendre panels split at every data point, validated by recomputing
-    on a doubled panel grid.  Either check raises QuadratureError with the
-    achieved deviation when it exceeds cfg.target_rel_tol.  The result is
-    symmetrized, so it is exactly symmetric.
+    entries {0, n//2, n-1}^2, so cfg sets the precision of that check, which
+    raises QuadratureError with the achieved deviation when it exceeds
+    cfg.target_rel_tol.  The result is symmetrized, so it is exactly
+    symmetric.  Other families raise UnsupportedKernelError.
     """
     if X.dim != 1 or spec.dim != 1:
         raise ValueError("convolution Gram matrices are 1-D only")
+    if spec.family not in _CONV_POLYNOMIALS:
+        raise UnsupportedKernelError(f"no closed-form convolution for {spec.family.value}")
     a, b = float(X.domain[0, 0]), float(X.domain[0, 1])
     x = X.points[:, 0]
-    if spec.family in _CONV_POLYNOMIALS:
-        K = _conv_closed_form(spec, x, a, b)
-        achieved = _spot_check(spec, x, (a, b), K, cfg)
-    else:
-        coarse = _conv_data(spec, x, a, b, cfg, refine=1)
-        K = _conv_data(spec, x, a, b, cfg, refine=2)
-        achieved = float(np.max(np.abs(K - coarse)) / np.max(np.abs(K)))
+    K = _conv_closed_form(spec, x, a, b)
+    achieved = _spot_check(spec, x, (a, b), K, cfg)
     if achieved > cfg.target_rel_tol:
         raise QuadratureError(
             f"convolution quadrature reached {achieved:.3e}, "

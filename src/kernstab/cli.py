@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every subcommand takes one flag per ``ExperimentConfig`` field, named after
-it (``n_min`` is ``--n-min``) and with its default, so the CLI and the
-library run the same experiment for the same options; ``--out-svg`` exists
-for the plotting commands only.  Artifacts default to ``<command>.csv`` and
-``<command>.svg`` in the working directory.
+Each subcommand takes one flag per ``ExperimentConfig`` field that its row
+of ``experiments.COMMANDS`` lists, named after the field (``n_min`` is
+``--n-min``) and with its default, and offers the kernel families that row
+lists, so the CLI and the library run the same experiment for the same
+options.  Artifacts default to ``<command>.csv`` and ``<command>.svg`` in
+the working directory.
 
 Exit codes: 0 all checks satisfied, 1 at least one reliable check failed,
 2 usage error (also a checking command that ran no checks, and an output
@@ -20,8 +21,7 @@ from dataclasses import fields
 
 from ._version import __version__
 from .errors import QuadratureError, SingularMatrixError
-from .experiments import COMMANDS, LAYOUTS, PLOTTING, ExperimentConfig, run
-from .kernels import Family
+from .experiments import COMMANDS, LAYOUTS, ExperimentConfig, run
 
 
 def _bool_flag(value: str) -> bool:
@@ -33,9 +33,8 @@ def _bool_flag(value: str) -> bool:
 
 
 # what a field's default cannot tell its flag: the other flags take the type
-# of their default
+# of their default, and --kernel the families of its command
 _FLAG_OPTIONS = {
-    "kernel": {"choices": [f.value for f in Family]},
     "dim": {"type": int},
     "n": {"type": int},
     "layout": {"choices": LAYOUTS},
@@ -54,12 +53,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"kernstab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in COMMANDS:
+    for command, row in COMMANDS.items():
         p = sub.add_parser(command, help=f"run the {command} experiment")
         for f in fields(ExperimentConfig):
-            if f.name == "command" or (f.name == "out_svg" and command not in PLOTTING):
+            if f.name not in row.options:
                 continue
             options = _FLAG_OPTIONS.get(f.name, {"type": type(f.default)})
+            if f.name == "kernel":
+                options = {"choices": [family.value for family in row.families]}
             p.add_argument("--" + f.name.replace("_", "-"), default=f.default, **options)
     return parser
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
 import numpy as np
@@ -20,34 +20,69 @@ from . import analysis
 from ._version import __version__
 from .assembly import conv_gram, gram, shifted_gram
 from .geometry import PointSet, equispaced, halton
-from .kernels import Family, KernelSpec, has_finite_smoothness, smoothness, spectral_density_1d
+from .kernels import Family, KernelSpec, smoothness, spectral_density_1d
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .rng import SplitMix64
 from .spectral import below_precision_floor, sym_eigen, whiten
 from .svgplot import Series, heatmap_svg, loglog_plot_svg
 
-COMMANDS = ("eigen-scaling", "heatmap", "equivalence", "identity", "sin2", "thm41", "fit")
-#: commands whose verdict is their checks; a run of one with no checks is an error
-CHECKING = ("equivalence", "identity", "sin2", "thm41", "fit")
-#: commands that also write an SVG plot
-PLOTTING = ("eigen-scaling", "heatmap")
 LAYOUTS = ("halton", "equispaced")
-_DEFAULT_N = {"identity": 6, "sin2": 20, "thm41": 20}
 
 _CHECK_COLUMNS = ["trial", "name", "lhs", "rhs", "slack", "satisfied", "reliable"]
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Every option of an experiment: the one table the CLI flags come from.
+class Command:
+    """One row of ``COMMANDS``: the config fields a command takes (those its
+    runner reads, the output paths the CLI reads, and ``seed``, taken by
+    every command so that one seed can be passed to any), the kernel
+    families it runs, and its defaults of ``dim`` and ``n``."""
 
-    Each field is a flag of the same name (``n_min`` is ``--n-min``) with the
-    same default; ``out_svg`` is a flag of the plotting commands only.
-    ``dim``, ``n`` and ``layout`` default per command: ``dim`` is 2 for
-    ``heatmap`` and 1 otherwise, ``n`` is 6 for ``identity``, 20 for ``sin2``
-    and ``thm41`` and 50 otherwise, and ``layout`` is ``halton`` for
-    ``heatmap`` and for ``dim > 1``, ``equispaced`` otherwise.  The field
-    order is part of ``canonical_string``, hence of every config hash.
+    options: tuple
+    families: tuple
+    dim: int = 1
+    n: int = 50
+
+
+_MATERN = (Family.MATERN_BASIC, Family.MATERN_LINEAR, Family.MATERN_QUADRATIC)
+_SCALING = (
+    "kernel", "n_min", "n_max", "n_count", "layout", "endpoints",
+    "quad_order", "panels_per_unit", "seed", "out_csv",
+)
+_SHIFTED = ("kernel", "dim", "n", "shift_factor", "seed", "out_csv")
+_RANDOMIZED = ("kernel", "n", "trials", "seed", "out_csv")
+
+#: command -> what it takes: the one table the CLI's flags and kernel
+#: choices and ``ExperimentConfig``'s checks come from
+COMMANDS = {
+    "eigen-scaling": Command((*_SCALING, "c_min", "c_conv", "out_svg"), _MATERN),
+    "heatmap": Command((*_SHIFTED, "out_svg"), tuple(Family), dim=2),
+    "equivalence": Command((*_SHIFTED, "layout", "endpoints"), tuple(Family)),
+    "identity": Command(
+        (*_RANDOMIZED, "shift_factor", "quad_order", "fourier_cutoff"), _MATERN, n=6
+    ),
+    "sin2": Command((*_RANDOMIZED, "endpoints", "eps", "c_min"), _MATERN, n=20),
+    "thm41": Command(
+        (*_RANDOMIZED, "layout", "endpoints", "shift_factor", "quad_order", "panels_per_unit",
+         "c_conv"),
+        _MATERN,
+        n=20,
+    ),
+    "fit": Command(_SCALING, _MATERN),
+}
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Every option of an experiment, in one record per run.
+
+    A command takes the fields its row of ``COMMANDS`` lists, each as a flag
+    of the same name (``n_min`` is ``--n-min``) with the same default; any
+    other field must keep its default, and a kernel family the row does not
+    list is rejected.  ``dim`` and ``n`` default per command, from its row,
+    and ``layout`` to ``halton`` for ``dim > 1``, ``equispaced`` otherwise.
+    The field order is part of ``canonical_string``, hence of every config
+    hash.
     """
 
     command: str
@@ -72,17 +107,21 @@ class ExperimentConfig:
     out_svg: Optional[str] = None
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        row = COMMANDS.get(self.command)
+        if row is None:
             raise ValueError(f"unknown command {self.command!r}")
         if not isinstance(self.kernel, Family):
             object.__setattr__(self, "kernel", Family(self.kernel))
-        if self.dim is None:
-            object.__setattr__(self, "dim", 2 if self.command == "heatmap" else 1)
-        if self.n is None:
-            object.__setattr__(self, "n", _DEFAULT_N.get(self.command, 50))
-        if self.layout is None:
-            halton_default = self.command == "heatmap" or self.dim > 1
-            object.__setattr__(self, "layout", "halton" if halton_default else "equispaced")
+        if self.kernel not in row.families:
+            raise ValueError(f"{self.command} does not run the {self.kernel.value} kernel")
+        dim = row.dim if self.dim is None else self.dim
+        defaults = {"dim": row.dim, "n": row.n, "layout": "halton" if dim > 1 else "equispaced"}
+        for f in fields(self)[1:]:  # every field but command
+            value, default = getattr(self, f.name), defaults.get(f.name, f.default)
+            if value is None:
+                object.__setattr__(self, f.name, default)
+            elif f.name not in row.options and value != default:
+                raise ValueError(f"{self.command} does not take {f.name} (given {value!r})")
         if self.layout not in LAYOUTS:
             raise ValueError(f"layout must be {' or '.join(LAYOUTS)}, got {self.layout!r}")
         if self.trials < 0:
@@ -91,9 +130,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        # a bad quadrature option is a usage error also for the commands that
-        # run no quadrature
-        self.quad_config()
 
     def quad_config(self) -> QuadratureConfig:
         return QuadratureConfig(
@@ -230,10 +266,10 @@ def sample_grid(n_min: int, n_max: int, count: int) -> list[int]:
     return sorted({int(v + 1e-9) for v in vals})
 
 
-def _make_points(cfg: ExperimentConfig, n: int) -> PointSet:
+def _make_points(cfg: ExperimentConfig, n: int, dim: int = 1) -> PointSet:
     if cfg.layout == "halton":
-        return halton(n, cfg.dim, skip=0)
-    if cfg.dim != 1:
+        return halton(n, dim, skip=0)
+    if dim != 1:
         raise ValueError("equispaced layout is one-dimensional")
     return equispaced(n, 0.0, 1.0, include_endpoints=cfg.endpoints)
 
@@ -256,13 +292,6 @@ def _random_interval_set(rng: SplitMix64, n: int, min_separation: float = 1e-3) 
     return PointSet(np.cumsum(gaps)[:n, None], np.array([[0.0, 1.0]]))
 
 
-def _require_finite_smoothness(cfg: ExperimentConfig) -> float:
-    spec = KernelSpec(cfg.kernel, dim=cfg.dim)
-    if not has_finite_smoothness(spec):
-        raise ValueError(f"{cfg.kernel.value} is excluded from finite-smoothness runs")
-    return smoothness(spec)
-
-
 def _intercept_fit(samples, exponent: float) -> Optional[float]:
     kept = [(q, v) for q, v in samples if v > 0]
     if not kept:
@@ -271,18 +300,13 @@ def _intercept_fit(samples, exponent: float) -> Optional[float]:
     return math.exp(sum(logs) / len(logs))
 
 
-def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
-    """Smallest eigenvalues of the plain and convolved Gram matrices over a
-    geometric grid of sample sizes, with the fitted lower-bound curves."""
-    tau = _require_finite_smoothness(cfg)
-    if cfg.dim != 1:
-        raise ValueError("eigenvalue scaling runs are one-dimensional")
-    spec = KernelSpec(cfg.kernel, dim=1)
+def _scaling_samples(cfg: ExperimentConfig, spec: KernelSpec) -> tuple:
+    """The rows ``(n, q, lambda_min(k), lambda_min(k*), flag(k), flag(k*))``
+    at each size of the grid, the flags true below the precision floor, and
+    the ``(q, lambda_min)`` pairs of k and of k* that are not flagged."""
     quad = cfg.quad_config()
-    grid = sample_grid(cfg.n_min, cfg.n_max, cfg.n_count)
-
     samples = []
-    for n in grid:
+    for n in sample_grid(cfg.n_min, cfg.n_max, cfg.n_count):
         X = _make_points(cfg, n)
         q = X.separation
         w_sym = np.linalg.eigvalsh(gram(spec, X))
@@ -297,17 +321,24 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
                 bool(below_precision_floor(w_conv)[0]),
             )
         )
+    sym = [(q, v) for _, q, v, _, flag, _ in samples if not flag]
+    conv = [(q, v) for _, q, _, v, _, flag in samples if not flag]
+    return samples, sym, conv
+
+
+def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
+    """Smallest eigenvalues of the plain and convolved Gram matrices over a
+    geometric grid of sample sizes, with the fitted lower-bound curves."""
+    spec = KernelSpec(cfg.kernel, dim=1)
+    tau = smoothness(spec)
+    samples, sym, conv = _scaling_samples(cfg, spec)
 
     c_sym = cfg.c_min if cfg.c_min is not None else analysis.default_symmetric_constant(cfg.kernel, 1)
     c_conv = cfg.c_conv if cfg.c_conv is not None else analysis.default_conv_constant(cfg.kernel, 1)
     if c_sym is None:
-        c_sym = _intercept_fit(
-            [(q, v) for _, q, v, _, flag, _ in samples if not flag], 2 * tau - 1
-        )
+        c_sym = _intercept_fit(sym, 2 * tau - 1)
     if c_conv is None:
-        c_conv = _intercept_fit(
-            [(q, v) for _, q, _, v, _, flag in samples if not flag], 4 * tau - 1
-        )
+        c_conv = _intercept_fit(conv, 4 * tau - 1)
 
     rows = []
     for n, q, lam_sym, lam_conv, flag_sym, flag_conv in samples:
@@ -362,8 +393,6 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
     """
     if cfg.dim not in (2, 3):
         raise ValueError("heatmap runs use dim 2 or 3")
-    if cfg.layout != "halton":
-        raise ValueError("heatmap runs use the halton layout")
     spec = KernelSpec(cfg.kernel, dim=cfg.dim)
     X = halton(cfg.n, cfg.dim)
     b = _diagonal_shift(cfg.dim, cfg.shift_factor * X.separation)
@@ -384,7 +413,7 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_equivalence(cfg: ExperimentConfig) -> ExperimentReport:
     spec = KernelSpec(cfg.kernel, dim=cfg.dim)
-    X = _make_points(cfg, cfg.n)
+    X = _make_points(cfg, cfg.n, cfg.dim)
     b = _diagonal_shift(cfg.dim, cfg.shift_factor * X.separation)
     result = analysis.verify_equivalence(spec, X, b)
     spectrum = [[i, v] for i, v in enumerate(result.spectrum)]
@@ -393,8 +422,6 @@ def run_equivalence(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_identity(cfg: ExperimentConfig) -> ExperimentReport:
     """Randomized matrix-side versus Fourier-side identity checks."""
-    if cfg.dim != 1:
-        raise ValueError("identity checks are one-dimensional")
     density = spectral_density_1d(KernelSpec(cfg.kernel, dim=1))
     quad = cfg.quad_config()
     rng = SplitMix64(cfg.seed)
@@ -409,11 +436,9 @@ def run_identity(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_sin2(cfg: ExperimentConfig) -> ExperimentReport:
     """Damped-form stability sweep over shift fractions and point sets."""
-    if cfg.dim != 1:
-        raise ValueError("damping checks are one-dimensional")
     density = spectral_density_1d(KernelSpec(cfg.kernel, dim=1))
     rng = SplitMix64(cfg.seed)
-    sets = [_make_points(replace(cfg, layout="equispaced"), cfg.n)]
+    sets = [equispaced(cfg.n, 0.0, 1.0, include_endpoints=cfg.endpoints)]
     sets += [_random_interval_set(rng, cfg.n) for _ in range(cfg.trials)]
     per_trial = []
     for X in sets:
@@ -429,9 +454,6 @@ def run_sin2(cfg: ExperimentConfig) -> ExperimentReport:
 def run_conv_chain(cfg: ExperimentConfig) -> ExperimentReport:
     """Convolved-kernel chain checks for extreme eigenvectors and random
     directions; below-floor quadratic forms are reported but flagged."""
-    _require_finite_smoothness(cfg)
-    if cfg.dim != 1:
-        raise ValueError("convolution chain checks are one-dimensional")
     spec = KernelSpec(cfg.kernel, dim=1)
     quad = cfg.quad_config()
     rng = SplitMix64(cfg.seed)
@@ -447,10 +469,9 @@ def run_conv_chain(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_fit(cfg: ExperimentConfig) -> ExperimentReport:
     """Power-law fits of the eigenvalue scaling data against the decay targets."""
-    tau = _require_finite_smoothness(cfg)
-    scaling = run_eigen_scaling(cfg)
-    sym_samples = [(r[1], r[2]) for r in scaling.rows if r[6]]
-    conv_samples = [(r[1], r[3]) for r in scaling.rows if r[7]]
+    spec = KernelSpec(cfg.kernel, dim=1)
+    tau = smoothness(spec)
+    _, sym_samples, conv_samples = _scaling_samples(cfg, spec)
     targets = [
         ("lambda_min_sym", sym_samples, 2 * tau - 1, 0.15),
         ("lambda_min_conv", conv_samples, 4 * tau - 1, 0.30),
@@ -491,6 +512,7 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     report = _RUNNERS[cfg.command](cfg)
-    if cfg.command in CHECKING and not report.checks:
+    # a command's verdict is its plot or its checks
+    if report.svg is None and not report.checks:
         raise ValueError(f"{cfg.command} ran no checks, so it has no verdict")
     return report

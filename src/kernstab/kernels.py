@@ -110,10 +110,6 @@ def smoothness(spec: KernelSpec) -> float:
     return FAMILY_SMOOTHNESS[spec.family]
 
 
-def has_finite_smoothness(spec: KernelSpec) -> bool:
-    return spec.family in FAMILY_SMOOTHNESS
-
-
 @dataclass(frozen=True)
 class SpectralDensity:
     """Closed-form 1-D Fourier transform of a kernel profile.

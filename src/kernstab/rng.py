@@ -56,7 +56,10 @@ class SplitMix64:
         return lo + self.next_uint64() % (hi - lo + 1)
 
     def direction(self, dim: int) -> np.ndarray:
-        """Unit vector, rejection-sampled away from the origin."""
+        """Unit vector, rejection-sampled away from the origin; each draw is
+        rejected with probability below 1e-3."""
+        if dim < 1:
+            raise ValueError(f"a direction needs dim >= 1, got {dim}")
         while True:
             v = self.symmetric(dim)
             norm = np.linalg.norm(v)

@@ -50,14 +50,6 @@ def sym_eigen(A) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=Q)
 
 
-def lambda_min(A) -> float:
-    return float(np.linalg.eigvalsh(_check_symmetric(A))[0])
-
-
-def lambda_max(A) -> float:
-    return float(np.linalg.eigvalsh(_check_symmetric(A))[-1])
-
-
 def cond(A) -> float:
     """lambda_max / lambda_min, requiring a positive definite input."""
     w = np.linalg.eigvalsh(_check_symmetric(A))

@@ -5,13 +5,14 @@ import subprocess
 import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heatmap_reference import assert_decodes_to_loop_colors, loop_color_indices, run_count
 from kernstab import cli
-from kernstab.experiments import COMMANDS, ExperimentConfig, ExperimentReport
+from kernstab.experiments import COMMANDS, ExperimentConfig, ExperimentReport, run
 
 
 def run_cli(args, cwd, timeout=None):
@@ -249,9 +250,10 @@ def test_constant_overrides_enable_quadratic_family(tmp_path):
 
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert run_cli(["eigen-scaling", "--kernel", "bogus"], tmp_path).returncode == 2
+    # a family the command does not run is not offered
     result = run_cli(["eigen-scaling", "--kernel", "gaussian"], tmp_path)
     assert result.returncode == 2
-    assert "usage error" in result.stderr
+    assert "invalid choice: 'gaussian'" in result.stderr
     assert run_cli(["eigen-scaling", "--n-min", "5", "--n-max", "2"], tmp_path).returncode == 2
     assert run_cli([], tmp_path).returncode == 2
     # negative counts, and checking runs left with zero checks, have no verdict
@@ -303,19 +305,100 @@ def test_command_alone_parses_to_library_defaults(command):
     assert ExperimentConfig(**vars(args)) == ExperimentConfig(command=command)
 
 
-def test_flags_are_exactly_the_config_fields():
+def test_flags_are_exactly_the_table_rows():
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert tuple(sub.choices) == COMMANDS
-    for command, p in sub.choices.items():
-        flags = {a.option_strings[-1]: a.default for a in p._actions if a.dest != "help"}
-        expected = {
-            "--" + f.name.replace("_", "-"): f.default
-            for f in fields(ExperimentConfig)
-            if f.name != "command"
-            and (f.name != "out_svg" or command in ("eigen-scaling", "heatmap"))
-        }
-        assert flags == expected, command
+    parsers = sub.choices
+    assert tuple(parsers) == tuple(COMMANDS)
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    for command, p in parsers.items():
+        actions = {a.dest: a for a in p._actions if a.dest != "help"}
+        row = COMMANDS[command]
+        assert set(actions) == set(row.options), command
+        for name, action in actions.items():
+            assert action.option_strings == ["--" + name.replace("_", "-")]
+            assert action.default == defaults[name], (command, name)
+        assert actions["kernel"].choices == [f.value for f in row.families], command
+    assert sum(len(p._actions) - 1 for p in parsers.values()) == 65
+
+
+def test_unread_options_are_rejected(tmp_path):
+    # sin2 draws its point sets and takes no --layout
+    result = run_cli(["sin2", "--layout", "halton"], tmp_path)
+    assert result.returncode == 2
+    assert "unrecognized arguments: --layout" in result.stderr
+    with pytest.raises(ValueError, match="eigen-scaling does not take eps"):
+        ExperimentConfig(command="eigen-scaling", eps=0.5)
+    with pytest.raises(ValueError, match="heatmap does not take layout"):
+        ExperimentConfig(command="heatmap", layout="equispaced")
+    with pytest.raises(ValueError, match="thm41 does not run the gaussian kernel"):
+        ExperimentConfig(command="thm41", kernel="gaussian")
+    # an unread field given its default is the default run, hash included
+    assert ExperimentConfig(command="identity", dim=1, layout="equispaced", eps=0.25) == (
+        ExperimentConfig(command="identity")
+    )
+
+
+_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)} - {"command"}
+# QuadratureConfig field -> the ExperimentConfig field it is built from
+_QUAD_SOURCES = {
+    "order": "quad_order",
+    "panels_per_unit": "panels_per_unit",
+    "fourier_cutoff": "fourier_cutoff",
+}
+
+
+class _Recorder:
+    """Stands in for a config and records in ``read`` the ExperimentConfig
+    fields taken from it.  ``config_hash`` reads every field and is not
+    counted; the QuadratureConfig that ``quad_config`` builds from all three
+    quadrature fields counts only those read from it downstream."""
+
+    def __init__(self, target, read, sources):
+        self._target, self._read, self._sources = target, read, sources
+
+    def __getattr__(self, name):
+        if name in self._sources:
+            self._read.add(self._sources[name])
+        return getattr(self._target, name)
+
+    def config_hash(self):
+        return self._target.config_hash()
+
+    def quad_config(self):
+        return _Recorder(self._target.quad_config(), self._read, _QUAD_SOURCES)
+
+
+# small runs of each command: every option its runner reads is reached
+_SMALL = {
+    "eigen-scaling": {"n_max": 20, "n_count": 3},
+    "heatmap": {"n": 12},
+    "equivalence": {"n": 12},
+    "identity": {"n": 4, "trials": 1},
+    "sin2": {"n": 6, "trials": 1},
+    "thm41": {"n": 8, "trials": 1, "shift_factor": 0.5},
+    "fit": {"n_max": 40, "n_count": 8},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_runners_read_exactly_the_table_rows(command):
+    read = set()
+    cfg = ExperimentConfig(command=command, **_SMALL[command])
+    report = run(_Recorder(cfg, read, {name: name for name in _FIELD_NAMES}))
+    assert report.rows
+    # the CLI reads the output paths, and every command takes --seed
+    untracked = {"seed", "out_csv", "out_svg"}
+    assert read - {"seed"} == set(COMMANDS[command].options) - untracked
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = re.findall(r"^kernstab (\S.*)$", readme, re.M)
+    assert len(lines) >= len(COMMANDS)
+    for line in lines:
+        args = cli.build_parser().parse_args(line.split())
+        ExperimentConfig(**vars(args))
 
 
 def test_numerical_failure_exits_3(tmp_path):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from kernstab import SplitMix64
 
@@ -57,3 +58,9 @@ def test_direction_is_unit():
         v = rng.direction(dim)
         assert v.shape == (dim,)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+
+
+def test_direction_rejects_an_empty_dimension():
+    # dim 0 draws only zero vectors: the rejection loop must not run on
+    with pytest.raises(ValueError, match="dim >= 1"):
+        SplitMix64(5).direction(0)

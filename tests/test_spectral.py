@@ -14,8 +14,6 @@ from kernstab import (
     gram,
     halton,
     inv_sqrt,
-    lambda_max,
-    lambda_min,
     precision_floor,
     rayleigh,
     shifted_gram,
@@ -44,8 +42,8 @@ def test_reference_gram_eigenvalues():
     basic = KernelSpec(Family.MATERN_BASIC, dim=1)
     linear = KernelSpec(Family.MATERN_LINEAR, dim=1)
     X = equispaced(10, 0, 1)
-    assert lambda_min(gram(basic, X)) == pytest.approx(5.68706355670114e-2, rel=1e-8)
-    assert lambda_min(gram(linear, X)) == pytest.approx(1.27687777536716e-4, rel=1e-8)
+    assert np.linalg.eigvalsh(gram(basic, X))[0] == pytest.approx(5.68706355670114e-2, rel=1e-8)
+    assert np.linalg.eigvalsh(gram(linear, X))[0] == pytest.approx(1.27687777536716e-4, rel=1e-8)
 
 
 def test_rejects_asymmetric_input():
@@ -77,7 +75,7 @@ def test_sign_convention_and_determinism():
 
 def test_extremes_and_cond():
     assert cond(np.eye(4)) == 1.0
-    assert lambda_max(np.diag([1.0, 4.0])) == 4.0
+    assert np.linalg.eigvalsh(np.diag([1.0, 4.0]))[-1] == 4.0
     assert cond(np.diag([1.0, 4.0])) == 4.0
     with pytest.raises(SingularMatrixError) as info:
         cond(np.diag([1.0, -2.0]))
@@ -182,7 +180,7 @@ def test_rayleigh_examples():
 def test_rayleigh_within_spectrum():
     rng = np.random.default_rng(17)
     A = _random_symmetric(rng, 15)
-    lo, hi = lambda_min(A), lambda_max(A)
+    lo, hi = np.linalg.eigvalsh(A)[0], np.linalg.eigvalsh(A)[-1]
     for _ in range(1000):
         alpha = rng.uniform(-1, 1, 15)
         value = rayleigh(A, alpha)
