@@ -10,8 +10,6 @@ from .analysis import (
     cond_upper_bound,
     conv_lower_bound,
     conv_lower_bound_from_sym,
-    default_conv_constant,
-    default_symmetric_constant,
     fit_power_law,
     symmetric_lower_bound,
     verify_conv_chain,
@@ -54,12 +52,9 @@ from .quadrature import (
 )
 from .rng import SplitMix64
 from .spectral import (
-    EigenDecomposition,
     below_precision_floor,
-    cond,
     inv_sqrt,
     precision_floor,
-    rayleigh,
     sym_eigen,
     whiten,
 )

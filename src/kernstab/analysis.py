@@ -18,7 +18,7 @@ from .assembly import conv_gram, gram, shifted_gram, symmetric_part
 from .geometry import PointSet, boundary_distance
 from .kernels import Family, KernelSpec, SpectralDensity
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, fourier_quadratic_form
-from .spectral import precision_floor, rayleigh, whiten
+from .spectral import precision_floor, whiten
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -54,14 +54,6 @@ def _check(name, lhs, rhs, tol=0.0, strict=False, reliable=True) -> BoundCheck:
         name=name, lhs=lhs, rhs=rhs, satisfied=bool(ok), slack=rhs - lhs,
         reliable=bool(reliable),
     )
-
-
-def default_symmetric_constant(family: Family, dim: int) -> Optional[float]:
-    return SYMMETRIC_BOUND_CONSTANTS.get((family, dim))
-
-
-def default_conv_constant(family: Family, dim: int) -> Optional[float]:
-    return CONV_BOUND_CONSTANTS.get((family, dim))
 
 
 def symmetric_lower_bound(tau: float, d: int, q: float, c_min: float) -> float:
@@ -180,7 +172,7 @@ def verify_damping_bound(
         )
     spec = density.kernel
     if density.tau > 1 and c_min is None:
-        c_min = default_symmetric_constant(spec.family, X.dim)
+        c_min = SYMMETRIC_BOUND_CONSTANTS.get((spec.family, X.dim))
         if c_min is None:
             raise ValueError(
                 f"no fitted constant for {spec.family.value} in dimension {X.dim}; pass c_min"
@@ -220,7 +212,10 @@ def verify_conv_chain(
     fitted constant (``conv_lower_bound_from_sym``).  q is min(boundary
     distance, q_X) when positive and q_X otherwise; checks whose quadratic
     form sits below the precision floor of k* are flagged unreliable.  The
-    matrices are built once for all directions.
+    matrices are built once for all directions.  Each direction enters only
+    through quadratic forms, so negating it (in the same memory layout)
+    leaves every check bitwise unchanged; a zero direction is a
+    ``ValueError``.
     """
     q_x = X.separation
     q_b = boundary_distance(X)
@@ -228,7 +223,7 @@ def verify_conv_chain(
     if abs(b) > q * (1.0 + 1e-12):
         raise ValueError(f"shift {b} violates |b| <= q = {q:.3e}")
     if c is None:
-        c = default_conv_constant(spec.family, X.dim)
+        c = CONV_BOUND_CONSTANTS.get((spec.family, X.dim))
     if c is None:
         raise ValueError(
             f"no fitted constant for {spec.family.value} in dimension {X.dim}; pass c"
@@ -241,10 +236,13 @@ def verify_conv_chain(
     for alpha in directions:
         alpha = np.asarray(alpha, dtype=float)
         norm2 = float(alpha @ alpha)
+        if norm2 == 0.0:
+            raise ValueError("direction is the zero vector")
         quad_conv = float(alpha @ (K @ alpha))
         reliable = quad_conv >= floor * norm2
         pointwise = q * float(np.sum((B @ alpha) ** 2))
-        end_to_end = conv_lower_bound_from_sym(X.dim, q, rayleigh(A, alpha), c)
+        r_sym = float(alpha @ (A @ alpha)) / norm2
+        end_to_end = conv_lower_bound_from_sym(X.dim, q, r_sym, c)
         per_direction.append([
             _check("conv-chain-pointwise", pointwise, quad_conv, reliable=reliable),
             _check("conv-chain-end-to-end", end_to_end, quad_conv / norm2, reliable=reliable),
@@ -260,10 +258,6 @@ class FittedLaw:
     log_constant: float
     r_squared: float
     support: tuple
-
-    @property
-    def constant(self) -> float:
-        return math.exp(self.log_constant)
 
 
 def fit_power_law(samples: Sequence[tuple[float, float]]) -> FittedLaw:

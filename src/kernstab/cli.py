@@ -4,12 +4,15 @@ Each subcommand takes one flag per ``ExperimentConfig`` field that its row
 of ``experiments.COMMANDS`` lists, named after the field (``n_min`` is
 ``--n-min``) and with its default, and offers the kernel families that row
 lists, so the CLI and the library run the same experiment for the same
-options.  Artifacts default to ``<command>.csv`` and ``<command>.svg`` in
-the working directory.
+options.  A flag must be spelled in full: a prefix of one is rejected.
+Artifacts default to ``<command>.csv`` and ``<command>.svg`` in the working
+directory.
 
 Exit codes: 0 all checks satisfied, 1 at least one reliable check failed,
-2 usage error (also a checking command that ran no checks, and an output
-path that cannot be written), 3 numerical failure (SPD or quadrature).
+2 usage error (also a checking command that ran no checks, a size whose
+matrix exceeds physical memory or a run that does, and an output path that
+cannot be written), 3 numerical failure (SPD, or quadrature that misses
+its accuracy target or needs more nodes than its budget).
 """
 
 from __future__ import annotations
@@ -50,11 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kernstab",
         description="Kernel matrix stability experiments and verifier suites.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"kernstab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, row in COMMANDS.items():
-        p = sub.add_parser(command, help=f"run the {command} experiment")
+        p = sub.add_parser(command, help=f"run the {command} experiment", allow_abbrev=False)
         for f in fields(ExperimentConfig):
             if f.name not in row.options:
                 continue
@@ -74,7 +78,7 @@ def main(argv=None) -> int:
     except (SingularMatrixError, QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

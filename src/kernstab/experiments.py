@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
@@ -29,6 +30,8 @@ from .svgplot import Series, heatmap_svg, loglog_plot_svg
 LAYOUTS = ("halton", "equispaced")
 
 _CHECK_COLUMNS = ["trial", "name", "lhs", "rhs", "slack", "satisfied", "reliable"]
+
+_PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,8 @@ class ExperimentConfig:
     other field must keep its default, and a kernel family the row does not
     list is rejected.  ``dim`` and ``n`` default per command, from its row,
     and ``layout`` to ``halton`` for ``dim > 1``, ``equispaced`` otherwise.
+    A size (the larger of ``n`` and ``n_max``) whose ``n x n`` float64
+    matrix would not fit in physical memory is rejected before any work.
     The field order is part of ``canonical_string``, hence of every config
     hash.
     """
@@ -122,6 +127,12 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, default)
             elif f.name not in row.options and value != default:
                 raise ValueError(f"{self.command} does not take {f.name} (given {value!r})")
+        size = max(self.n, self.n_max)
+        if 8 * size * size > _PHYSICAL_MEMORY:
+            raise ValueError(
+                f"one {size} x {size} matrix needs {8 * size * size / 2**30:.3g} GiB, "
+                f"more than the {_PHYSICAL_MEMORY / 2**30:.3g} GiB of memory"
+            )
         if self.layout not in LAYOUTS:
             raise ValueError(f"layout must be {' or '.join(LAYOUTS)}, got {self.layout!r}")
         if self.trials < 0:
@@ -333,8 +344,9 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     tau = smoothness(spec)
     samples, sym, conv = _scaling_samples(cfg, spec)
 
-    c_sym = cfg.c_min if cfg.c_min is not None else analysis.default_symmetric_constant(cfg.kernel, 1)
-    c_conv = cfg.c_conv if cfg.c_conv is not None else analysis.default_conv_constant(cfg.kernel, 1)
+    # a given constant is positive, so `or` falls back only when none is given
+    c_sym = cfg.c_min or analysis.SYMMETRIC_BOUND_CONSTANTS.get((cfg.kernel, 1))
+    c_conv = cfg.c_conv or analysis.CONV_BOUND_CONSTANTS.get((cfg.kernel, 1))
     if c_sym is None:
         c_sym = _intercept_fit(sym, 2 * tau - 1)
     if c_conv is None:
@@ -460,8 +472,8 @@ def run_conv_chain(cfg: ExperimentConfig) -> ExperimentReport:
     X = _make_points(cfg, cfg.n)
     q = X.separation
     b = cfg.shift_factor * q
-    dec = sym_eigen(gram(spec, X))
-    directions = [dec.eigenvectors[:, 0], dec.eigenvectors[:, -1]]
+    _, Q = sym_eigen(gram(spec, X))
+    directions = [Q[:, 0], Q[:, -1]]
     directions += [rng.symmetric(len(X)) for _ in range(cfg.trials)]
     per_trial = analysis.verify_conv_chain(spec, X, directions, b, quad, c=cfg.c_conv)
     return _check_report(cfg, per_trial)

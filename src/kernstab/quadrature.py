@@ -13,6 +13,9 @@ from .errors import QuadratureError
 from .geometry import PointSet
 from .kernels import KernelSpec, SpectralDensity, phi
 
+#: most nodes (panels x order) one Fourier-side form may take
+FOURIER_NODE_BUDGET = 2 ** 24
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -160,7 +163,6 @@ class FourierFormResult:
     full_integral: float
     damped_integral: float
     tail_bound: float
-    cutoff: float
 
 
 def _fourier_panel_width(diameter: float, shift: float) -> float:
@@ -204,7 +206,9 @@ def fourier_quadratic_form(
     weights and the density and sin^2(w b / 2) factors are those of
     ``panel_grid`` as before.  Panels are summed in chunks whose
     (panels x n) and (panels x order) arrays hold at most 2^16 entries each,
-    so the workspace is a few MB for any cutoff and point count.
+    so the workspace is a few MB for any cutoff and point count.  A form of
+    more than ``FOURIER_NODE_BUDGET`` nodes raises ``QuadratureError`` before
+    any work.
     """
     if X.dim != 1:
         raise ValueError("fourier quadratic forms are 1-D only")
@@ -219,6 +223,11 @@ def fourier_quadratic_form(
     x = X.points[:, 0]
     width = _fourier_panel_width(float(x.max() - x.min()), float(b))
     panels = max(1, math.ceil(2.0 * cutoff / width))
+    if panels * cfg.order > FOURIER_NODE_BUDGET:
+        raise QuadratureError(
+            f"fourier_cutoff {cutoff:g} needs {panels * cfg.order} nodes, more than the "
+            f"budget of {FOURIER_NODE_BUDGET}; lower it"
+        )
     tail = float(np.abs(alpha).sum()) ** 2 * density.tail_mass_bound(cutoff)
 
     # a_j e^{i h xi_k x_j}, (points x order), the factor all panels share
@@ -246,6 +255,4 @@ def fourier_quadratic_form(
             f"{full:.3e}; increase fourier_cutoff beyond {cutoff:g}",
             achieved=tail,
         )
-    return FourierFormResult(
-        full_integral=full, damped_integral=damped, tail_bound=tail, cutoff=cutoff
-    )
+    return FourierFormResult(full_integral=full, damped_integral=damped, tail_bound=tail)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .assembly import symmetric_part
@@ -11,18 +9,6 @@ from .errors import SingularMatrixError
 
 #: relative spread below which whitening output is roundoff noise
 _SPD_FLOOR = 1e3 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in ascending order with orthonormal eigenvector columns.
-
-    Eigenvector signs follow a deterministic convention: the component of
-    largest magnitude (first such index on ties) is positive.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _check_symmetric(A: np.ndarray) -> np.ndarray:
@@ -38,38 +24,21 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def sym_eigen(A) -> EigenDecomposition:
-    A = _check_symmetric(A)
-    eigenvalues, Q = np.linalg.eigh(A)
-    lead = np.argmax(np.abs(Q), axis=0)
-    signs = np.sign(Q[lead, np.arange(Q.shape[1])])
-    signs[signs == 0] = 1.0
-    Q *= signs
-    eigenvalues.setflags(write=False)
-    Q.setflags(write=False)
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=Q)
-
-
-def cond(A) -> float:
-    """lambda_max / lambda_min, requiring a positive definite input."""
-    w = np.linalg.eigvalsh(_check_symmetric(A))
-    if w[0] <= 0:
-        raise SingularMatrixError(
-            f"condition number undefined: lambda_min = {w[0]:.3e} <= 0",
-            lambda_min=float(w[0]),
-            lambda_max=float(w[-1]),
-        )
-    return float(w[-1] / w[0])
+def sym_eigen(A):
+    """``(w, Q)`` of ``np.linalg.eigh``: ascending eigenvalues and orthonormal
+    eigenvector columns, signed as LAPACK leaves them; no output reads a sign
+    (``inv_sqrt`` and ``verify_conv_chain`` are bitwise sign-invariant)."""
+    return np.linalg.eigh(_check_symmetric(A))
 
 
 def inv_sqrt(A) -> np.ndarray:
     """Symmetric inverse square root of an SPD matrix.
 
     Inputs with lambda_min <= 1e3 * eps * lambda_max are rejected: whitening
-    against such a matrix would return noise.
+    against such a matrix would return noise.  The result does not depend
+    on the signs of the eigenvectors, bit for bit.
     """
-    dec = sym_eigen(A)
-    w = dec.eigenvalues
+    w, Q = sym_eigen(A)
     if w[0] <= _SPD_FLOOR * w[-1]:
         raise SingularMatrixError(
             f"matrix numerically singular for inverse square root "
@@ -77,8 +46,8 @@ def inv_sqrt(A) -> np.ndarray:
             lambda_min=float(w[0]),
             lambda_max=float(w[-1]),
         )
-    scaled = dec.eigenvectors / np.sqrt(w)
-    S = scaled @ dec.eigenvectors.T
+    scaled = Q / np.sqrt(w)
+    S = scaled @ Q.T
     # 0.5 (S + S^T), written over the dead scaled eigenvectors
     np.add(S, S.T, out=scaled)
     scaled *= 0.5
@@ -102,16 +71,6 @@ def whiten(A, B) -> np.ndarray:
     np.add(M, M.T, out=left)
     left *= 0.5
     return left
-
-
-def rayleigh(A, alpha) -> float:
-    """Quadratic form quotient <A a, a> / ||a||^2; lies in [lambda_min, lambda_max]."""
-    A = np.asarray(A, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    nrm2 = float(alpha @ alpha)
-    if nrm2 == 0.0:
-        raise ValueError("rayleigh quotient of the zero vector")
-    return float(alpha @ (A @ alpha)) / nrm2
 
 
 def precision_floor(eigenvalues) -> float:

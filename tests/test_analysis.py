@@ -11,14 +11,11 @@ from kernstab import (
     cond_upper_bound,
     conv_lower_bound,
     conv_lower_bound_from_sym,
-    default_conv_constant,
-    default_symmetric_constant,
     equispaced,
     experiments,
     fit_power_law,
     gram,
     halton,
-    rayleigh,
     sample_grid,
     spectral_density_1d,
     sym_eigen,
@@ -97,13 +94,14 @@ def test_cond_upper_bound():
 
 def test_cond_upper_bound_fitted_on_observed_conditions():
     # fit the constant on small sample sizes, verify on the larger ones
-    from kernstab import cond, conv_gram
+    from kernstab import conv_gram
 
     tau = 1.0
     observed = []
     for n in sample_grid(10, 200, 30):
         X = equispaced(n, 0, 1)
-        observed.append((n, X.separation, cond(conv_gram(BASIC, X))))
+        w = np.linalg.eigvalsh(conv_gram(BASIC, X))
+        observed.append((n, X.separation, w[-1] / w[0]))
     c_fit = max(value * q ** (4 * tau) for n, q, value in observed if n <= 50)
     for n, q, value in observed:
         if n >= 50:
@@ -111,9 +109,9 @@ def test_cond_upper_bound_fitted_on_observed_conditions():
 
 
 def test_default_constants():
-    assert default_symmetric_constant(Family.MATERN_BASIC, 1) == 0.4
-    assert default_conv_constant(Family.MATERN_LINEAR, 1) == 0.0896
-    assert default_symmetric_constant(Family.MATERN_QUADRATIC, 1) is None
+    assert analysis.SYMMETRIC_BOUND_CONSTANTS.get((Family.MATERN_BASIC, 1)) == 0.4
+    assert analysis.CONV_BOUND_CONSTANTS.get((Family.MATERN_LINEAR, 1)) == 0.0896
+    assert analysis.SYMMETRIC_BOUND_CONSTANTS.get((Family.MATERN_QUADRATIC, 1)) is None
 
 
 def test_equivalence_zero_shift_is_marginal():
@@ -248,9 +246,9 @@ def test_damping_lhs_matches_fourier_oracle_basic():
 def test_conv_chain_basic_extremes():
     X = equispaced(10, 0, 1)
     A = gram(BASIC, X)
-    dec = sym_eigen(A)
+    _, Q = sym_eigen(A)
     b = 0.5 * X.separation
-    directions = [dec.eigenvectors[:, 0], dec.eigenvectors[:, -1]]
+    directions = [Q[:, 0], Q[:, -1]]
     for alpha, checks in zip(directions, verify_conv_chain(BASIC, X, directions, b)):
         assert all(c.satisfied and c.reliable for c in checks)
         assert [c.name for c in checks] == [
@@ -258,14 +256,15 @@ def test_conv_chain_basic_extremes():
             "conv-chain-end-to-end",
         ]
         # the end-to-end bound is the companion form, bit for bit
-        bound = conv_lower_bound_from_sym(1, X.separation, rayleigh(A, alpha), 0.24)
+        r_sym = float(alpha @ (A @ alpha)) / float(alpha @ alpha)
+        bound = conv_lower_bound_from_sym(1, X.separation, r_sym, 0.24)
         assert checks[1].lhs == bound
 
 
 def test_conv_chain_linear_reliable_range():
     X = equispaced(20, 0, 1)
-    dec = sym_eigen(gram(LINEAR, X))
-    [checks] = verify_conv_chain(LINEAR, X, [dec.eigenvectors[:, 0]], 0.5 * X.separation)
+    _, Q = sym_eigen(gram(LINEAR, X))
+    [checks] = verify_conv_chain(LINEAR, X, [Q[:, 0]], 0.5 * X.separation)
     assert all(c.satisfied and c.reliable for c in checks)
 
 
@@ -273,9 +272,32 @@ def test_conv_chain_flags_floor_noise():
     # the smallest eigendirection of a large linear-family matrix drives the
     # convolved quadratic form below the precision floor
     X = equispaced(200, 0, 1)
-    dec = sym_eigen(gram(LINEAR, X))
-    [checks] = verify_conv_chain(LINEAR, X, [dec.eigenvectors[:, 0]], 0.5 * X.separation)
+    _, Q = sym_eigen(gram(LINEAR, X))
+    [checks] = verify_conv_chain(LINEAR, X, [Q[:, 0]], 0.5 * X.separation)
     assert all(not c.reliable for c in checks)
+
+
+@pytest.mark.parametrize("spec", [BASIC, LINEAR])
+def test_conv_chain_is_invariant_under_negated_directions(spec):
+    # thm41 takes eigenvectors with the signs LAPACK leaves: each check must
+    # be bitwise the same for a direction and its negation.  The columns are
+    # negated as columns of -Q, so both are strided alike: BLAS may sum a
+    # strided vector and a contiguous copy of it in different orders
+    X = equispaced(30, 0, 1)
+    _, Q = sym_eigen(gram(spec, X))
+    rng = np.random.default_rng(3)
+    randoms = [rng.uniform(-1, 1, 30), rng.uniform(-1, 1, 30)]
+    b = 0.5 * X.separation
+    checks = verify_conv_chain(spec, X, [Q[:, 0], Q[:, -1], *randoms], b)
+    N = -Q
+    negated = verify_conv_chain(spec, X, [N[:, 0], N[:, -1], *[-r for r in randoms]], b)
+    assert negated == checks
+
+
+def test_conv_chain_rejects_a_zero_direction():
+    X = equispaced(10, 0, 1)
+    with pytest.raises(ValueError, match="zero vector"):
+        verify_conv_chain(BASIC, X, [np.ones(10), np.zeros(10)], 0.5 * X.separation)
 
 
 def test_conv_chain_shift_guard():
@@ -305,7 +327,7 @@ def test_fit_power_law_exact_synthetic():
     qs = np.geomspace(1e-3, 1e-1, 12)
     law = fit_power_law([(q, 0.4 * q) for q in qs])
     assert law.exponent == pytest.approx(1.0, abs=1e-12)
-    assert law.constant == pytest.approx(0.4, rel=1e-12)
+    assert math.exp(law.log_constant) == pytest.approx(0.4, rel=1e-12)
     assert law.r_squared == pytest.approx(1.0, abs=1e-12)
 
 

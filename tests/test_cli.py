@@ -401,6 +401,53 @@ def test_readme_command_lines_parse():
         ExperimentConfig(**vars(args))
 
 
+def test_abbreviated_flags_are_rejected(tmp_path):
+    # a unique prefix (--c of --c-conv) and an ambiguous one (--n of --n-min,
+    # --n-max and --n-count) are both unknown flags
+    for args in (
+        ["thm41", "--kernel", "matern-quadratic", "--n", "8", "--trials", "1", "--c", "0.01"],
+        ["eigen-scaling", "--n", "7"],
+    ):
+        result = run_cli(args, tmp_path)
+        assert result.returncode == 2, args
+        assert "unrecognized arguments" in result.stderr
+
+
+def test_fourier_node_budget_exits_3(tmp_path):
+    # 4.8e13 nodes would need TiB of panel edges: refused before any work
+    start = time.perf_counter()
+    result = run_cli(
+        ["identity", "--n", "6", "--trials", "1", "--fourier-cutoff", "1e12"], tmp_path, timeout=60
+    )
+    assert time.perf_counter() - start < 5.0
+    assert result.returncode == 3
+    assert "numerical failure" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["equivalence", "--dim", "3", "--n", "10000000"],
+    ["eigen-scaling", "--n-min", "10000000", "--n-max", "10000000", "--n-count", "1"],
+])
+def test_sizes_beyond_memory_exit_2(args, tmp_path):
+    # one 10^7 x 10^7 float64 matrix is 800 TB
+    start = time.perf_counter()
+    result = run_cli(args, tmp_path, timeout=60)
+    assert time.perf_counter() - start < 10.0
+    assert result.returncode == 2
+    assert "usage error" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_memory_error_is_a_usage_error(monkeypatch, capsys):
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    assert cli.main(["heatmap", "--n", "10"]) == 2
+    assert "usage error: Unable to allocate" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_3(tmp_path):
     result = run_cli(
         ["thm41", "--kernel", "matern-basic", "--n", "8", "--quad-order", "2",
