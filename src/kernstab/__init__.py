@@ -57,4 +57,5 @@ from .spectral import (
     precision_floor,
     sym_eigen,
     whiten,
+    whitened_spectrum,
 )

@@ -18,7 +18,7 @@ from .assembly import conv_gram, gram, shifted_gram, symmetric_part
 from .geometry import PointSet, boundary_distance
 from .kernels import Family, KernelSpec, SpectralDensity
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, fourier_quadratic_form
-from .spectral import precision_floor, whiten
+from .spectral import precision_floor, whitened_spectrum
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -105,12 +105,12 @@ def verify_equivalence(spec: KernelSpec, X: PointSet, b) -> EquivalenceResult:
     Whitening the symmetrized shifted matrix against the unshifted one must
     place the whole spectrum in [3/4, 1): the upper edge holds for every
     shift, the 3/4 edge for shifts small against the separation distance
-    (caller's responsibility; both checks simply report).
+    (caller's responsibility; both checks simply report).  The spectrum is
+    ``whitened_spectrum``'s Cholesky congruence, which never forms the
+    whitened matrix; a Gram matrix too near singular to whiten raises
+    ``SingularMatrixError``.
     """
-    A = gram(spec, X)
-    B = shifted_gram(spec, X, b)
-    M = whiten(A, B)
-    w = np.linalg.eigvalsh(M)
+    w = whitened_spectrum(gram(spec, X), shifted_gram(spec, X, b))
     lower = _check("equivalence-lower", 0.75, w[0])
     upper = _check("equivalence-upper", w[-1], 1.0, strict=True)
     return EquivalenceResult(lower=lower, upper=upper, spectrum=w)

@@ -31,6 +31,17 @@ def sym_eigen(A):
     return np.linalg.eigh(_check_symmetric(A))
 
 
+def _require_spd(w) -> None:
+    """Reject the ascending spectrum ``w`` if lambda_min <= 1e3 eps lambda_max."""
+    if w[0] <= _SPD_FLOOR * w[-1]:
+        raise SingularMatrixError(
+            f"matrix numerically singular for inverse square root "
+            f"(lambda_min = {w[0]:.3e}, lambda_max = {w[-1]:.3e})",
+            lambda_min=float(w[0]),
+            lambda_max=float(w[-1]),
+        )
+
+
 def inv_sqrt(A) -> np.ndarray:
     """Symmetric inverse square root of an SPD matrix.
 
@@ -39,13 +50,7 @@ def inv_sqrt(A) -> np.ndarray:
     on the signs of the eigenvectors, bit for bit.
     """
     w, Q = sym_eigen(A)
-    if w[0] <= _SPD_FLOOR * w[-1]:
-        raise SingularMatrixError(
-            f"matrix numerically singular for inverse square root "
-            f"(lambda_min = {w[0]:.3e}, lambda_max = {w[-1]:.3e})",
-            lambda_min=float(w[0]),
-            lambda_max=float(w[-1]),
-        )
+    _require_spd(w)
     scaled = Q / np.sqrt(w)
     S = scaled @ Q.T
     # 0.5 (S + S^T), written over the dead scaled eigenvectors
@@ -71,6 +76,72 @@ def whiten(A, B) -> np.ndarray:
     np.add(M, M.T, out=left)
     left *= 0.5
     return left
+
+
+def _invert_lower(L: np.ndarray) -> np.ndarray:
+    """Overwrite the lower-triangular ``L`` with its inverse, and return it.
+
+    ``[[L11, 0], [L21, L22]]^-1 = [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]]``:
+    the diagonal halves are inverted recursively and the corner takes two
+    matmuls, so nearly all the work is matrix products (numpy offers no
+    triangular inverse).  Blocks of up to 256 rows are inverted whole, and
+    keep the roundoff that their LU inverse leaves above the diagonal:
+    zeroing it made lambda_max of a whitened spectrum 300 times less
+    accurate against the 50-digit oracle (matern-quadratic, n = 40).
+    """
+    n = len(L)
+    if n <= 256:
+        L[...] = np.linalg.inv(L)
+        return L
+    h = n // 2
+    L11, L21, L22 = _invert_lower(L[:h, :h]), L[h:, :h], _invert_lower(L[h:, h:])
+    np.negative(L22 @ (L21 @ L11), out=L21)
+    return L
+
+
+def whitened_spectrum(A, B) -> np.ndarray:
+    """Ascending eigenvalues of A^(-1/2) sym(B) A^(-1/2), by Cholesky congruence.
+
+    With A = L L^T and W = L^-1 A^(1/2), W W^T = L^-1 A L^-T = I, so W is
+    orthogonal and L^-1 sym(B) L^-T = W (A^(-1/2) sym(B) A^(-1/2)) W^T has
+    the same spectrum; it costs a Cholesky factor, its inverse, two matmuls
+    and one ``eigvalsh``, where ``whiten`` needs a full ``eigh`` and three.
+
+    ``inv_sqrt``'s rejection of lambda_min <= 1e3 eps lambda_max is kept
+    without an eigensolve where it can be: ||L^-1||_2^2 = 1 / lambda_min, so
+    1 / ||L^-1||_F^2 <= lambda_min, and ||A||_1 >= lambda_max; a ratio of the
+    two above the floor accepts A.  Otherwise, or if Cholesky breaks down,
+    the test runs on ``eigh(A)``, the eigenvalues ``inv_sqrt`` tests, so a
+    rejection and its message are those of ``inv_sqrt``; an accepted A whose
+    Cholesky broke down is whitened by its eigenpairs instead.  The matrices
+    of the product are written over dead ones: at most three n x n matrices
+    of its own besides the factorizations' workspace.
+    """
+    A = _check_symmetric(A)
+    if np.shape(B) != A.shape:
+        raise ValueError("A and B must have equal size")
+    upper = np.linalg.norm(A, 1)
+    try:
+        G = _invert_lower(np.linalg.cholesky(A))
+    except np.linalg.LinAlgError:
+        G = None
+    # written as "not below", so a NaN in the inverse also falls back
+    if G is None or not _SPD_FLOOR * upper * np.vdot(G, G) < 1.0:
+        w, Q = np.linalg.eigh(A)
+        _require_spd(w)
+        if G is None:
+            G = (Q / np.sqrt(w)).T  # G A G^T = I, like L^-1
+        del Q
+    # a caller that passes A and B as temporaries gets them back here
+    del A
+    B_sym = symmetric_part(B)
+    del B
+    left = G @ B_sym
+    M = np.matmul(left, G.T, out=B_sym)
+    np.add(M, M.T, out=left)
+    left *= 0.5
+    del G, M, B_sym
+    return np.linalg.eigvalsh(left)
 
 
 def precision_floor(eigenvalues) -> float:

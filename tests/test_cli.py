@@ -179,7 +179,12 @@ def test_heatmap_command(tmp_path):
 # most 1e-7 of rhs), never a verdict.  heatmap.svg alone was re-recorded when
 # each run of one color in a grid row became one <rect> in place of one per
 # cell: decoded, every cell has the color it had before (2233 rects instead
-# of 3600 here), and both heatmap CSVs kept their digests
+# of 3600 here), and both heatmap CSVs kept their digests.  Both equivalence
+# digests were re-recorded when its spectrum came from a Cholesky congruence
+# in place of the eigenvalues of the whitened matrix: a different reduction,
+# so the spectrum moved in its roundoff digits (by at most 5.2e-14 here and
+# 1.3e-12 at n = 2000), and the mpmath oracle of tests/test_spectral.py finds
+# the new reduction the more accurate one
 GOLDEN_DIGESTS = {
     ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "60"): {
         "heatmap.csv": "8d57e47a9a734f167fb024ee3cd8c2ef23f4f63c308eb25a6260d7e36428f317",
@@ -187,8 +192,8 @@ GOLDEN_DIGESTS = {
         "heatmap.svg": "8334a3abe6e9dd69207b9a6840534866bf2552b7ef3ca8f01ef0ef3fabd6333c",
     },
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "200"): {
-        "equivalence.csv": "7cd7fd5d6789dea297d43f2e49fda91edd18a338e33398e636f2067632a69a76",
-        "equivalence.spectrum.csv": "086d15f2f16c42dca76b8e74201f98b3440564e601dee8ad7669b3947afe306a",
+        "equivalence.csv": "b328947fcc1e7e94abe259d5b3025503e2b8282861d4782a517ab37a023fe15a",
+        "equivalence.spectrum.csv": "f777f987223be9e2b47807e9263b242c79fab2988022707e98ea416b5109df24",
     },
     ("identity", "--kernel", "matern-basic", "--n", "6"): {
         "identity.csv": "7265dcc0439f5157dcaaf368d9097ed54a58566c6420108272e751c774a89963",
@@ -456,3 +461,19 @@ def test_numerical_failure_exits_3(tmp_path):
     )
     assert result.returncode == 3
     assert "numerical failure" in result.stderr
+
+
+def test_singular_gram_in_equivalence_exits_3(tmp_path):
+    # k(X, X) of 400 equispaced points is indefinite in double precision for
+    # matern-quadratic; lambda_min is roundoff, and its digits follow the BLAS
+    result = run_cli(
+        ["equivalence", "--kernel", "matern-quadratic", "--dim", "1", "--n", "400",
+         "--seed", "0"],
+        tmp_path,
+    )
+    assert result.returncode == 3
+    assert re.fullmatch(
+        r"numerical failure: matrix numerically singular for inverse square root "
+        r"\(lambda_min = -?\d\.\d{3}e[+-]\d\d, lambda_max = 1\.169e\+03\)\n",
+        result.stderr,
+    ), result.stderr

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracle
 from kernstab import (
     Family,
     KernelSpec,
@@ -17,7 +18,9 @@ from kernstab import (
     shifted_gram,
     sym_eigen,
     whiten,
+    whitened_spectrum,
 )
+from kernstab.spectral import _invert_lower
 
 
 def _random_symmetric(rng, n):
@@ -157,6 +160,150 @@ def test_whiten_memory_is_three_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5 * len(A) ** 2 * 8
+
+
+@pytest.mark.parametrize("n", [1, 7, 256, 257, 600])
+def test_invert_lower_inverts_in_place(n):
+    rng = np.random.default_rng(n)
+    L = np.tril(rng.uniform(-1, 1, (n, n)) / math.sqrt(n)) + 2.0 * np.eye(n)
+    G = L.copy()
+    assert _invert_lower(G) is G
+    assert np.max(np.abs(G @ L - np.eye(n))) <= 1e-12
+    assert not np.any(G[: n // 2, n // 2 :])
+
+
+def _roundoff(A):
+    w = np.linalg.eigvalsh(A)
+    return 10.0 * np.finfo(float).eps * w[-1] / w[0]
+
+
+@pytest.mark.parametrize("family", [Family.MATERN_BASIC, Family.MATERN_LINEAR])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_whitened_spectrum_is_the_spectrum_of_whiten(family, dim):
+    # 300 points: the triangular inverse recurses once before its leaves
+    A, B = _shift_pair(family, dim, 300)
+    A0, B0 = A.copy(), B.copy()
+    w = whitened_spectrum(A, B)
+    assert np.all(np.diff(w) >= 0)
+    # both routes err by up to about eps cond(A); the oracle test below says
+    # which lands nearer
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(whiten(A, B)), rtol=0, atol=_roundoff(A))
+    assert np.array_equal(A, A0) and np.array_equal(B, B0)
+    with pytest.raises(ValueError):
+        whitened_spectrum(A, np.zeros((4, 4)))
+
+
+def _graded(c, n=500):
+    # Q diag(geomspace(1/c, 1, n)) Q^T with a random orthogonal Q
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))
+    A = (Q * np.geomspace(1.0 / c, 1.0, n)) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+def test_floor_decides_where_cholesky_succeeds():
+    # lambda_min = 2.5e-13 clears the floor 1e3 eps = 2.2e-13, 1e-13 does
+    # not; Cholesky factors both, so only the floor test can tell them apart
+    accepted, rejected = _graded(4e12), _graded(1e13)
+    for A in (accepted, rejected):
+        np.linalg.cholesky(A)
+    inv_sqrt(accepted)
+    w = whitened_spectrum(accepted, accepted)
+    np.testing.assert_allclose(w, 1.0, atol=1e-2)
+    with pytest.raises(SingularMatrixError) as by_eigh:
+        inv_sqrt(rejected)
+    with pytest.raises(SingularMatrixError) as by_cholesky:
+        whitened_spectrum(rejected, rejected)
+    assert str(by_cholesky.value) == str(by_eigh.value)
+    assert by_cholesky.value.lambda_min == by_eigh.value.lambda_min
+
+
+def test_indefinite_matrix_is_singular_not_a_linalg_error():
+    # LinAlgError is a ValueError, which the CLI reports as a usage error
+    A = np.diag([1.0, 0.5, -1e-3])
+    with pytest.raises(SingularMatrixError) as info:
+        whitened_spectrum(A, np.eye(3))
+    assert type(info.value) is SingularMatrixError
+    with pytest.raises(SingularMatrixError) as by_eigh:
+        inv_sqrt(A)
+    assert str(info.value) == str(by_eigh.value)
+
+
+def test_cholesky_breakdown_whitens_by_eigenpairs(monkeypatch):
+    A, B = _shift_pair(Family.MATERN_LINEAR, 2, 80)
+    expected = whitened_spectrum(A, B)
+
+    def breaks_down(A):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", breaks_down)
+    np.testing.assert_allclose(whitened_spectrum(A, B), expected, rtol=0, atol=_roundoff(A))
+
+
+def test_well_conditioned_input_takes_no_eigendecomposition(monkeypatch):
+    A, B = _shift_pair(Family.MATERN_BASIC, 3, 300)
+    expected = np.linalg.eigvalsh(whiten(A, B))
+
+    def unexpected(A):
+        raise AssertionError("eigh called on a matrix the norm bounds accept")
+
+    monkeypatch.setattr(np.linalg, "eigh", unexpected)
+    np.testing.assert_allclose(whitened_spectrum(A, B), expected, rtol=0, atol=_roundoff(A))
+
+
+def test_whitened_spectrum_memory_is_three_matrices():
+    # the Cholesky factor (overwritten by its inverse), sym(B) (overwritten by
+    # the congruence) and L^-1 sym(B) (overwritten by the symmetrized result):
+    # never a fourth n x n matrix of its own
+    A, B = _shift_pair(Family.MATERN_LINEAR, 3, 1500)
+    tracemalloc.start()
+    try:
+        whitened_spectrum(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(A) ** 2 * 8
+
+
+def test_oracle_builds_the_program_matrices():
+    spec = KernelSpec(Family.MATERN_QUADRATIC, dim=1)
+    X = equispaced(12, 0, 1)
+    b = 0.1 * X.separation
+    np.testing.assert_allclose(
+        np.array(oracle.gram(spec, X).tolist(), dtype=float), gram(spec, X), rtol=1e-15
+    )
+    B = shifted_gram(spec, X, [b])
+    np.testing.assert_allclose(
+        np.array(oracle.sym_shifted_gram(spec, X, b).tolist(), dtype=float),
+        0.5 * (B + B.T), rtol=1e-15,
+    )
+
+
+# absolute error against the 50-digit spectrum at lambda_max, at lambda_min and
+# the largest over the spectrum, for equispaced points on [0, 1] with
+# b = 0.1 q, as ROADMAP direction 4 records them for the Cholesky congruence
+ORACLE_ERRORS = {
+    (Family.MATERN_QUADRATIC, 40): (1.2e-12, 5.5e-8, 6.4e-6),
+    (Family.MATERN_LINEAR, 60): (6.0e-14, 1.2e-9, 1.2e-9),
+}
+
+
+@pytest.mark.parametrize("family, n", list(ORACLE_ERRORS), ids=lambda v: getattr(v, "value", v))
+def test_whitened_spectrum_against_oracle(family, n):
+    spec = KernelSpec(family, dim=1)
+    X = equispaced(n, 0, 1)
+    b = 0.1 * X.separation
+    exact = oracle.whitened_spectrum(spec, X, b)
+    A, B = gram(spec, X), shifted_gram(spec, X, [b])
+
+    def errors(w):
+        e = np.abs(w - exact)
+        return e[-1], e[0], e.max()
+
+    congruence = errors(whitened_spectrum(A, B))
+    # at least as accurate as recorded, at the two digits recorded
+    assert all(float(f"{e:.1e}") <= r for e, r in zip(congruence, ORACLE_ERRORS[family, n]))
+    # and more accurate than the spectrum of the whitened matrix
+    assert all(c <= w for c, w in zip(congruence, errors(np.linalg.eigvalsh(whiten(A, B)))))
 
 
 def test_precision_floor_flags():
