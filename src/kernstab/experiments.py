@@ -201,9 +201,9 @@ class ExperimentReport:
 
 
 def _with_suffix(path, suffix: str) -> str:
-    path = str(path)
-    stem, dot, ext = path.rpartition(".")
-    return f"{stem}.{suffix}.{ext}" if dot else f"{path}.{suffix}"
+    # only the last path component's extension: a/b.c/x gives a/b.c/x.<suffix>
+    stem, ext = os.path.splitext(str(path))
+    return f"{stem}.{suffix}{ext}"
 
 
 # %-codes by exact type, so a bool (an int subclass) never takes "%d": it is
@@ -221,30 +221,35 @@ def _write_rows(path, config_hash, columns, rows) -> None:
     """One CSV line per row, prefixed by the config hash and the version.
 
     ``rows`` is iterated once, one row at a time, so a row source that builds
-    its rows on demand is never held whole.  Every value must have one of the
-    exact types ``float``, ``np.float64``, ``int``, ``str`` or ``bool``;
-    anything else raises ``TypeError``.  Each row is formatted by a single
-    ``%``-format built from its types (``%.17g``, ``%d``, ``%s``) and kept for
-    the next row of the same types, together with whether those types hold a
+    its rows on demand is never held whole.  A row is either a sequence of
+    values or one ``str``: the row's values already formatted by these rules
+    and joined by commas, as ``_GridRows`` yields them, which is written as
+    it is after the prefix.  A row holds at least one value.  Every value must have one of the exact types
+    ``float``, ``np.float64``, ``int``, ``str`` or ``bool``; anything else
+    raises ``TypeError``.  Each row is formatted by a single ``%``-format
+    built from its types (``%.17g``, ``%d``, ``%s``) and kept for the next
+    row of the same types, together with whether those types hold a
     ``bool``; only such a row has its bools turned into ``true``/``false``.
     """
-    prefix = [config_hash.replace("%", "%%"), __version__.replace("%", "%%")]
+    head = f"{config_hash},{__version__},"
     formats = {}  # row types -> (the row's format, whether it holds a bool)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(["config", "version", *columns]) + "\n")
         for row in rows:
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            if kinds not in formats:
-                try:
-                    codes = [_CODE_BY_TYPE[kind] for kind in kinds]
-                except KeyError as exc:
-                    raise TypeError(f"cannot write a {exc.args[0]} value to CSV") from None
-                formats[kinds] = (",".join([*prefix, *codes]) + "\n", bool in kinds)
-            fmt, has_bool = formats[kinds]
-            if has_bool:
-                row = tuple(("true" if v else "false") if type(v) is bool else v for v in row)
-            fh.write(fmt % row)
+            if type(row) is not str:
+                row = tuple(row)
+                kinds = tuple(map(type, row))
+                if kinds not in formats:
+                    try:
+                        codes = [_CODE_BY_TYPE[kind] for kind in kinds]
+                    except KeyError as exc:
+                        raise TypeError(f"cannot write a {exc.args[0]} value to CSV") from None
+                    formats[kinds] = (",".join(codes), bool in kinds)
+                fmt, has_bool = formats[kinds]
+                if has_bool:
+                    row = tuple(("true" if v else "false") if type(v) is bool else v for v in row)
+                row = fmt % row
+            fh.write(f"{head}{row}\n")
 
 
 def _check_report(cfg: ExperimentConfig, per_trial, sidecars=()) -> ExperimentReport:
@@ -383,25 +388,49 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 class _GridRows:
-    """The CSV rows ``(i, grid[i, 0], grid[i, 1], ...)`` of a matrix, built
-    one at a time on each pass, so the grid is never copied into a list."""
+    """The CSV rows of a bitwise symmetric matrix, row ``i`` as the text
+    ``i,grid[i, 0],grid[i, 1],...`` that ``_write_rows`` writes as it is,
+    built one at a time on each pass, so the grid is never copied into a list.
+
+    Each of the n (n + 1) / 2 distinct values is formatted once, by the
+    writer's own float code: row ``i`` formats ``grid[i, i:]`` with one
+    ``%``-format and takes its first ``i`` cells from the strings that rows
+    ``0 .. i-1`` formatted for column ``i``.  Those are dropped once row
+    ``i`` is written, so at most about n^2 / 4 strings are held.  A grid
+    whose entries (i, j) and (j, i) differ in any bit (``-0.0`` against
+    ``0.0`` included) is rejected with ``ValueError`` here, before a line
+    is written.
+    """
 
     def __init__(self, grid: np.ndarray):
+        bits = grid.view(np.uint64)
+        if bits.ndim != 2 or not np.array_equal(bits, bits.T):
+            raise ValueError("heatmap grid is not bitwise symmetric")
         self.grid = grid
 
     def __len__(self) -> int:
         return len(self.grid)
 
     def __iter__(self):
+        n = len(self.grid)
+        code = _CODE_BY_TYPE[float] + ","
+        formats = code * n  # its first k * len(code) - 1 characters format k values
+        cells = np.empty((n, n), dtype=object)  # cells[j, i]: the text of grid[j, i], j <= i
         for i, values in enumerate(self.grid):
-            yield (i, *values.tolist())
+            upper = formats[: len(code) * (n - i) - 1] % tuple(values[i:].tolist())
+            cells[i, i:] = upper.split(",")
+            yield f"{i},{','.join(cells[:i, i])},{upper}" if i else f"0,{upper}"
+            cells[: i + 1, i] = None
 
 
 def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
     """Entrywise magnitudes and spectrum of the whitened shifted matrix.
 
     The report keeps the magnitude grid alone; its CSV rows and SVG lines
-    are produced one grid row at a time while they are written.
+    are produced one grid row at a time while they are written.  ``whiten``
+    returns ``0.5 * (M + M^T)``, whose (i, j) and (j, i) entries are the
+    same double, so the CSV rows format each distinct value once
+    (``_GridRows``).
     """
     if cfg.dim not in (2, 3):
         raise ValueError("heatmap runs use dim 2 or 3")

@@ -296,6 +296,16 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command", ["heatmap", "equivalence"])
+def test_sidecar_sits_beside_a_csv_in_a_dotted_directory(command, tmp_path):
+    # the sidecar name splits the file name alone, never a dot of a directory
+    out = tmp_path / "a.b"
+    out.mkdir()
+    result = run_cli([command, "--n", "10", "--out-csv", str(out / "heat")], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert sorted(path.name for path in out.iterdir()) == ["heat", "heat.spectrum"]
+
+
 def test_random_point_sets_near_capacity_finish(tmp_path):
     # the interval sampler draws each set once, however tight its gaps
     for args in (["sin2", "--n", "100", "--trials", "2"],

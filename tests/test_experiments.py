@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from heatmap_reference import assert_decodes_to_loop_colors, loop_color_indices, run_count
-from kernstab import analysis, cli, quadrature
-from kernstab.experiments import ExperimentConfig, _random_interval_set, _write_rows, run
+from kernstab import __version__, analysis, cli, quadrature
+from kernstab.experiments import (
+    ExperimentConfig,
+    _GridRows,
+    _random_interval_set,
+    _write_rows,
+    run,
+)
 from kernstab.rng import SplitMix64
 
 
@@ -66,6 +72,46 @@ def test_write_rows_rejects_a_type_outside_the_table(tmp_path, value):
     # a numpy scalar other than float64 is an error, never a second format path
     with pytest.raises(TypeError, match=type(value).__name__):
         _written_fields(tmp_path, [[1, value, "x"]])
+
+
+# values at the edges of '%.17g': the smallest subnormal, 1e-4 and the double
+# just below it (where it turns to exponent notation), 1e16 and 1e17 (where
+# the exponent comes back), and signed zero, inf and nan
+GRID_VALUES = [
+    0.0, 5e-324, 1e-4, np.nextafter(1e-4, 0.0), 1e16, 1e17, 1 / 3, math.inf, -0.0, math.nan,
+]
+
+
+def _symmetric_grid(n):
+    # the special values first along the upper triangle, then random ones
+    rng = np.random.default_rng(n)
+    upper = np.zeros((n, n))
+    count = n * (n + 1) // 2
+    upper[np.triu_indices(n)] = np.resize([*GRID_VALUES, *rng.uniform(0, 2, count)], count)
+    return np.where(np.tri(n, k=-1, dtype=bool), upper.T, upper)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 300])
+def test_grid_rows_write_the_per_row_format(tmp_path, n):
+    grid = _symmetric_grid(n)
+    path = tmp_path / "grid.csv"
+    _write_rows(path, "abc", [f"c{j}" for j in range(n)], _GridRows(grid))
+    row_format = ",".join(["%d"] + ["%.17g"] * n)
+    expected = [",".join(["config", "version", *[f"c{j}" for j in range(n)]])]
+    expected += [f"abc,{__version__}," + row_format % (i, *row) for i, row in enumerate(grid)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "value, mirror", [(0.25, np.nextafter(0.25, 1.0)), (0.0, -0.0)], ids=["last-bit", "signed-zero"]
+)
+def test_grid_rows_reject_an_asymmetric_grid(tmp_path, value, mirror):
+    grid = np.full((5, 5), 0.5)  # no nan, which a value comparison would also reject
+    grid[1, 3], grid[3, 1] = value, mirror
+    path = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match="not bitwise symmetric"):
+        _write_rows(path, "abc", [f"c{j}" for j in range(5)], _GridRows(grid))
+    assert not path.exists()
 
 
 def test_library_heatmap_runs_with_its_command_defaults(tmp_path, capsys):

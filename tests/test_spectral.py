@@ -149,6 +149,20 @@ def test_transforms_are_bitwise_their_expressions(family, dim):
     assert np.array_equal(A, A0) and np.array_equal(B, B0)
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [10, 257, 600])
+def test_whiten_is_bitwise_symmetric(family, dim, n):
+    # the heatmap CSV formats entry (i, j) once for (j, i) too; a length scale
+    # of one separation keeps every family's pair well conditioned
+    X = halton(n, dim)
+    spec = KernelSpec(family, dim=dim, length_scale=X.separation)
+    b = np.full(dim, 0.1 * X.separation / math.sqrt(dim))
+    M = whiten(gram(spec, X), shifted_gram(spec, X, b))
+    assert np.array_equal(M, M.T)
+    assert np.array_equal(np.abs(M), np.abs(M).T)
+
+
 def test_whiten_memory_is_three_matrices():
     # the eigenvectors, the scaled copy and their product, then the inverse
     # root, sym(B) and one product: never a fourth n x n matrix of whiten's own
