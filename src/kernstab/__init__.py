@@ -53,6 +53,7 @@ from .quadrature import (
 from .rng import SplitMix64
 from .spectral import (
     below_precision_floor,
+    centrosymmetric_eigvalsh,
     inv_sqrt,
     precision_floor,
     sym_eigen,

@@ -90,10 +90,23 @@ def _conv_closed_form(spec: KernelSpec, x: np.ndarray, a: float, b: float) -> np
     p, q = _CONV_POLYNOMIALS[spec.family]
     ell = spec.length_scale
     t = (x - a) / ell
+    # ell (Q(r) e^(-r) - W W^T), symmetrized, bit for bit as that expression
+    # with np.polyval, but in two n x n buffers: each temporary is written
+    # over one that is dead by then
     W = np.hstack([_tail_factor(p, t), _tail_factor(p, (b - a) / ell - t)])
-    r = np.abs(t[:, None] - t[None, :])
-    K = ell * (np.polyval(q, r) * np.exp(-r) - W @ W.T)
-    return 0.5 * (K + K.T)
+    r = np.subtract.outer(t, t)
+    np.abs(r, out=r)
+    K = np.zeros_like(r)
+    for c in q:  # np.polyval's Horner steps
+        K *= r
+        K += c
+    np.negative(r, out=r)
+    K *= np.exp(r, out=r)
+    K -= np.matmul(W, W.T, out=r)
+    K *= ell
+    np.add(K, K.T, out=r)
+    r *= 0.5
+    return r
 
 
 def _spot_check(spec: KernelSpec, x: np.ndarray, domain, K: np.ndarray, cfg: QuadratureConfig) -> float:

@@ -24,7 +24,7 @@ from .geometry import PointSet, equispaced, halton
 from .kernels import Family, KernelSpec, smoothness, spectral_density_1d
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .rng import SplitMix64
-from .spectral import below_precision_floor, sym_eigen, whiten
+from .spectral import below_precision_floor, centrosymmetric_eigvalsh, sym_eigen, whiten
 from .svgplot import Series, heatmap_svg, loglog_plot_svg
 
 LAYOUTS = ("halton", "equispaced")
@@ -325,8 +325,9 @@ def _scaling_samples(cfg: ExperimentConfig, spec: KernelSpec) -> tuple:
     for n in sample_grid(cfg.n_min, cfg.n_max, cfg.n_count):
         X = _make_points(cfg, n)
         q = X.separation
-        w_sym = np.linalg.eigvalsh(gram(spec, X))
-        w_conv = np.linalg.eigvalsh(conv_gram(spec, X, quad))
+        # each matrix is dead before the next is built
+        w_sym = centrosymmetric_eigvalsh(gram(spec, X))
+        w_conv = centrosymmetric_eigvalsh(conv_gram(spec, X, quad))
         samples.append(
             (
                 n,

@@ -57,6 +57,81 @@ def sym_shifted_gram(spec: KernelSpec, X: PointSet, b: float) -> mpmath.matrix:
         ])
 
 
+def _times(p: list, q: list) -> list:
+    out = [mpmath.mpf(0)] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return out
+
+
+def _at(p: list, s):
+    return mpmath.polyval(p[::-1], s)
+
+
+def _composed(p: list, slope, offset) -> list:
+    """Coefficients (degree 0 first) of s -> p(slope s + offset)."""
+    out = [mpmath.mpf(0)]
+    for c in p[::-1]:  # Horner on polynomials
+        out = _times(out, [offset, slope])
+        out[0] += c
+    return out
+
+
+def _conv_entry(p: list, d, lower, upper):
+    """Int p(|t - t1|) p(|t - t2|) e^(-|t - t1| - |t - t2|) dt over the
+    interval reaching ``lower`` below min(t1, t2) and ``upper`` above
+    max(t1, t2), with d = |t1 - t2|.
+
+    Between the points, u = t - min(t1, t2) leaves p(u) p(d - u) e^(-d), a
+    polynomial.  Outside them, s = the distance to the nearer point leaves
+    R(s) e^(-2 s - d) with R(s) = p(s) p(s + d), and integration by parts
+    gives Int_0^L R(s) e^(-2 s) ds = sum_k (R^(k)(0) - e^(-2 L) R^(k)(L)) / 2^(k+1).
+    """
+    between = _times(p, _composed(p, -1, d))  # p(u) p(d - u)
+    total = sum(c * d ** (k + 1) / (k + 1) for k, c in enumerate(between))
+    outer = _times(p, _composed(p, 1, d))
+    for length in (lower, upper):
+        R, scale = outer, mpmath.mpf(1) / 2
+        while R:
+            total += scale * (_at(R, 0) - mpmath.exp(-2 * length) * _at(R, length))
+            R = [k * c for k, c in enumerate(R)][1:]
+            scale /= 2
+    return total * mpmath.exp(-d)
+
+
+def conv_gram(spec: KernelSpec, X: PointSet) -> mpmath.matrix:
+    """k*(X, X), entry (i, j) = Int_a^b phi(|x_i - y|) phi(|y - x_j|) dy over
+    the domain [a, b] of X, at ``DIGITS`` digits.
+
+    Each entry is integrated exactly over the three panels the two points
+    cut [a, b] into (``_conv_entry``), in units of the length scale, so no
+    quadrature and none of the program's half-line tail algebra enters it.
+    """
+    with mpmath.workdps(DIGITS):
+        x = _coordinates(spec, X)
+        ell = mpmath.mpf(spec.length_scale)
+        a, b = (mpmath.mpf(float(v)) for v in X.domain[0])
+        p = [mpmath.mpf(c) for c in _PROFILE[spec.family]]
+        n = len(x)
+        K = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(i, n):
+                lo, hi = min(x[i], x[j]), max(x[i], x[j])
+                K[i, j] = K[j, i] = ell * _conv_entry(
+                    p, (hi - lo) / ell, (lo - a) / ell, (b - hi) / ell
+                )
+        return K
+
+
+def spectrum(M: mpmath.matrix) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric ``M`` at ``DIGITS`` digits,
+    rounded to doubles."""
+    with mpmath.workdps(DIGITS):
+        w = mpmath.eigsy(M, eigvals_only=True)
+        return np.sort(np.array([float(v) for v in w]))
+
+
 def whitened_spectrum(spec: KernelSpec, X: PointSet, b: float) -> np.ndarray:
     """Ascending eigenvalues of A^(-1/2) sym(B) A^(-1/2), A = k(X, X) and
     B = k(X + b, X), rounded to doubles.
@@ -74,5 +149,4 @@ def whitened_spectrum(spec: KernelSpec, X: PointSet, b: float) -> np.ndarray:
         for i in range(n):  # exactly symmetric for eigsy
             for j in range(i):
                 M[i, j] = M[j, i] = (M[i, j] + M[j, i]) / 2
-        w = mpmath.eigsy(M, eigvals_only=True)
-        return np.sort(np.array([float(v) for v in w]))
+        return spectrum(M)

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +24,8 @@ from kernstab import (
     shifted_gram,
     symmetric_part,
 )
-from kernstab.assembly import _distance_matrix
+import oracle
+from kernstab.assembly import _CONV_POLYNOMIALS, _conv_closed_form, _distance_matrix, _tail_factor
 from kernstab.geometry import PointSet
 from kernstab.quadrature import _segments, panel_grid
 
@@ -253,6 +255,55 @@ def test_conv_gram_closed_form_matches_quadrature(family, length_scale, points):
     assert np.max(np.abs(K - reference)) <= 1e-13 * np.max(np.abs(K))
 
 
+def _conv_closed_form_expression(spec, x, a, b):
+    # the out-of-place form the in-place _conv_closed_form replaced: its bitwise oracle
+    p, q = _CONV_POLYNOMIALS[spec.family]
+    ell = spec.length_scale
+    t = (x - a) / ell
+    W = np.hstack([_tail_factor(p, t), _tail_factor(p, (b - a) / ell - t)])
+    r = np.abs(t[:, None] - t[None, :])
+    K = ell * (np.polyval(q, r) * np.exp(-r) - W @ W.T)
+    return 0.5 * (K + K.T)
+
+
+@pytest.mark.parametrize("family", ["matern-basic", "matern-linear", "matern-quadratic"])
+@pytest.mark.parametrize("length_scale", [1.0, 0.3])
+@pytest.mark.parametrize(
+    "points",
+    [equispaced(2, 0, 1), equispaced(600, 0, 1), halton(257, 1), equispaced(37, 0, 2.5)],
+    ids=["equispaced-2", "equispaced-600", "halton-257", "equispaced-37-wide"],
+)
+def test_conv_closed_form_is_bitwise_its_expression(family, length_scale, points):
+    spec = KernelSpec(Family(family), dim=1, length_scale=length_scale)
+    (a, b), = points.domain
+    x = points.points[:, 0]
+    expected = _conv_closed_form_expression(spec, x, a, b)
+    assert _conv_closed_form(spec, x, a, b).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("family", ["matern-basic", "matern-linear", "matern-quadratic"])
+@pytest.mark.parametrize("length_scale", [1.0, 0.3])
+@pytest.mark.parametrize("endpoints", [True, False])
+def test_conv_gram_against_oracle(family, length_scale, endpoints):
+    spec = KernelSpec(Family(family), dim=1, length_scale=length_scale)
+    X = equispaced(21, 0, 1, include_endpoints=endpoints)
+    exact = np.array(oracle.conv_gram(spec, X).tolist(), dtype=float)
+    K = conv_gram(spec, X)
+    assert np.max(np.abs(K - exact)) <= 16 * np.finfo(float).eps * np.max(np.abs(exact))
+
+
+def test_oracle_conv_gram_is_the_integral():
+    # one entry by mpmath's own quadrature over the panels the points cut
+    spec = KernelSpec(Family.MATERN_QUADRATIC, dim=1, length_scale=0.3)
+    X = equispaced(7, 0, 1)
+    xi, xj = (mpmath.mpf(float(v)) for v in X.points[[1, 4], 0])
+    with mpmath.workdps(30):
+        value = mpmath.quad(
+            lambda y: oracle._phi(spec, xi - y) * oracle._phi(spec, y - xj), [0, xi, xj, 1]
+        )
+        assert abs(oracle.conv_gram(spec, X)[1, 4] - value) <= mpmath.mpf(10) ** -28 * value
+
+
 def test_conv_gram_rejects_a_family_without_closed_form():
     with pytest.raises(UnsupportedKernelError, match="gaussian"):
         conv_gram(KernelSpec(Family.GAUSSIAN, dim=1), halton(12, 1))
@@ -274,7 +325,8 @@ def test_quadrature_paths_match_pinned_digests():
 
 
 def test_conv_gram_memory_is_quadratic():
-    # no n x O(n)-node quadrature temporaries: the peak stays a few n x n arrays
+    # the closed form in two n x n buffers, and no n x O(n)-node quadrature
+    # temporaries
     X = equispaced(400, 0, 1)
     tracemalloc.start()
     try:
@@ -282,7 +334,7 @@ def test_conv_gram_memory_is_quadratic():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * len(X) ** 2 * 8
+    assert peak <= 2.5 * len(X) ** 2 * 8
 
 
 def test_conv_gram_reference_eigenvalues():

@@ -5,14 +5,29 @@ import numpy as np
 import pytest
 
 from heatmap_reference import assert_decodes_to_loop_colors, loop_color_indices, run_count
-from kernstab import __version__, analysis, cli, quadrature
+from kernstab import (
+    Family,
+    KernelSpec,
+    __version__,
+    analysis,
+    cli,
+    conv_gram,
+    equispaced,
+    experiments,
+    gram,
+    halton,
+    quadrature,
+    sample_grid,
+)
 from kernstab.experiments import (
     ExperimentConfig,
     _GridRows,
     _random_interval_set,
+    _scaling_samples,
     _write_rows,
     run,
 )
+from kernstab.spectral import below_precision_floor, centrosymmetric_eigvalsh, precision_floor
 from kernstab.rng import SplitMix64
 
 
@@ -207,3 +222,66 @@ def test_thm41_builds_its_convolved_gram_once(tmp_path, monkeypatch):
             "--out-csv", str(tmp_path / "thm41.csv")]
     assert cli.main(args) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", [Family.MATERN_BASIC, Family.MATERN_LINEAR, Family.MATERN_QUADRATIC])
+@pytest.mark.parametrize("endpoints", [True, False])
+def test_split_spectra_keep_the_scaling_flags(family, endpoints):
+    # the default eigen-scaling grid up to n = 300: every split eigenvalue
+    # within the precision floor of the full solve's, and the same flag on
+    # lambda_min, the one eigen-scaling reports (an eigenvalue at the floor
+    # itself, as lambda_2 of k* for matern-quadratic at n = 10 is, can be
+    # flagged by one solve's roundoff and not by the other's)
+    spec = KernelSpec(family, dim=1)
+    for n in [n for n in sample_grid(10, 1000, 30) if n <= 300]:
+        X = equispaced(n, 0.0, 1.0, include_endpoints=endpoints)
+        for A in (gram(spec, X), conv_gram(spec, X)):
+            full, split = np.linalg.eigvalsh(A), centrosymmetric_eigvalsh(A)
+            assert np.max(np.abs(split - full)) <= precision_floor(full)
+            assert below_precision_floor(split)[0] == below_precision_floor(full)[0]
+
+
+def test_halton_scaling_samples_are_eigvalsh_bitwise():
+    cfg = ExperimentConfig(command="eigen-scaling", kernel=Family.MATERN_LINEAR, n_min=10,
+                           n_max=200, n_count=4, layout="halton")
+    spec = KernelSpec(cfg.kernel, dim=1)
+    samples, _, _ = _scaling_samples(cfg, spec)
+    for n, q, lam_sym, lam_conv, flag_sym, flag_conv in samples:
+        X = halton(n, 1, skip=0)
+        w_sym = np.linalg.eigvalsh(gram(spec, X))
+        w_conv = np.linalg.eigvalsh(conv_gram(spec, X, cfg.quad_config()))
+        assert (lam_sym, lam_conv) == (w_sym[0], w_conv[0])
+        assert (flag_sym, flag_conv) == (below_precision_floor(w_sym)[0], below_precision_floor(w_conv)[0])
+
+
+def test_scaling_samples_hold_one_matrix_at_a_time(monkeypatch):
+    # each matrix is dead before the next is built: nothing n x n is alive
+    # when gram or conv_gram starts, and only the one it solves when the
+    # eigensolve starts (keeping k(X, X) through conv_gram raised the
+    # scaling benchmark's peak RSS by 8 MB)
+    n = 600
+    live = {}
+
+    def entered(name, fn):
+        def wrapper(*args, **kwargs):
+            live.setdefault(name, []).append(tracemalloc.get_traced_memory()[0])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("gram", "conv_gram", "centrosymmetric_eigvalsh"):
+        monkeypatch.setattr(experiments, name, entered(name, getattr(experiments, name)))
+    cfg = ExperimentConfig(command="eigen-scaling", kernel=Family.MATERN_LINEAR, n_min=n,
+                           n_max=n, n_count=1)
+    tracemalloc.start()
+    try:
+        _scaling_samples(cfg, KernelSpec(cfg.kernel, dim=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = n * n * 8
+    assert len(live["gram"]) == len(live["conv_gram"]) == 1
+    assert max(live["gram"] + live["conv_gram"]) < 0.5 * matrix
+    assert len(live["centrosymmetric_eigvalsh"]) == 2
+    assert max(live["centrosymmetric_eigvalsh"]) < 1.5 * matrix
+    # the largest stage is gram's three matrices
+    assert peak <= 3.5 * matrix

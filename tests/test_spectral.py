@@ -10,6 +10,8 @@ from kernstab import (
     KernelSpec,
     SingularMatrixError,
     below_precision_floor,
+    centrosymmetric_eigvalsh,
+    conv_gram,
     equispaced,
     gram,
     halton,
@@ -327,3 +329,101 @@ def test_precision_floor_flags():
     # raw negative values are preserved and flagged, never clamped
     noisy = np.array([-1e-18, 1.0])
     np.testing.assert_array_equal(below_precision_floor(noisy), [True, False])
+
+
+def _counted_eigvalsh(monkeypatch):
+    # the sizes of the np.linalg.eigvalsh solves made through the attribute
+    solver, sizes = np.linalg.eigvalsh, []
+
+    def counted(A):
+        sizes.append(len(A))
+        return solver(A)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return sizes
+
+
+def _reflective(rng, n):
+    # R + J R J of a symmetric R: symmetric and centrosymmetric bit for bit,
+    # since the two terms of each entry just swap
+    R = _random_symmetric(rng, n)
+    return R + R[::-1, ::-1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 40, 41, 300, 301])
+def test_centrosymmetric_split_is_the_spectrum(n, monkeypatch):
+    A = _reflective(np.random.default_rng(n), n)
+    kept = A.copy()
+    full = np.linalg.eigvalsh(A)
+    sizes = _counted_eigvalsh(monkeypatch)
+    w = centrosymmetric_eigvalsh(A)
+    assert sizes == [n // 2, n - n // 2]
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(w - full)) <= precision_floor(full)
+    np.testing.assert_array_equal(A, kept)
+
+
+def _bitwise_eigvalsh(A, monkeypatch, sizes):
+    expected = np.linalg.eigvalsh(A)
+    solves = _counted_eigvalsh(monkeypatch)
+    w = centrosymmetric_eigvalsh(A)
+    assert solves == sizes
+    assert w.tobytes() == expected.tobytes()
+
+
+def test_non_reflective_input_is_eigvalsh_before_any_split(monkeypatch):
+    F = np.random.default_rng(5).standard_normal((300, 300))
+    _bitwise_eigvalsh(F @ F.T, monkeypatch, [300])
+
+
+@pytest.mark.parametrize("n", [40, 41])
+@pytest.mark.parametrize("factor, split", [(0.99, True), (1.01, False)])
+def test_split_only_below_its_threshold(n, factor, split, monkeypatch):
+    # A - J A J = t (e_0 e_0^T - e_n e_n^T) has delta = t / 2; the threshold
+    # (n // 2) eps lambda_max is read from the split's lambda_max, which is
+    # within delta of the unperturbed one
+    A = _reflective(np.random.default_rng(7), n)
+    threshold = (n // 2) * np.finfo(float).eps * np.max(np.abs(np.linalg.eigvalsh(A)))
+    A[0, 0] += 2 * factor * threshold
+    if split:
+        sizes = _counted_eigvalsh(monkeypatch)
+        w = centrosymmetric_eigvalsh(A)
+        assert sizes == [n // 2, n - n // 2]
+        assert w.tobytes() != np.linalg.eigvalsh(A).tobytes()
+    else:
+        _bitwise_eigvalsh(A, monkeypatch, [n // 2, n - n // 2, n])
+
+
+def test_unsplittable_input_goes_to_eigvalsh(monkeypatch):
+    _bitwise_eigvalsh(np.array([[2.0]]), monkeypatch, [1])
+    # a NaN fails the threshold test, so eigvalsh itself reports it
+    A = _reflective(np.random.default_rng(3), 6)
+    A[2, 3] = A[3, 2] = np.nan
+    sizes = _counted_eigvalsh(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError):
+        centrosymmetric_eigvalsh(A)
+    assert sizes == [6]
+
+
+# k(X, X) and k*(X, X) of equispaced points on [0, 1]: whole spectra against
+# the 50-digit oracle at odd and even n
+SPLIT_ORACLE_CASES = [
+    (Family.MATERN_BASIC, 31), (Family.MATERN_LINEAR, 30), (Family.MATERN_LINEAR, 31),
+    (Family.MATERN_QUADRATIC, 30),
+]
+
+
+@pytest.mark.parametrize("family, n", SPLIT_ORACLE_CASES, ids=lambda v: getattr(v, "value", v))
+@pytest.mark.parametrize("matrix", ["gram", "conv_gram"])
+def test_centrosymmetric_split_against_oracle(family, n, matrix):
+    spec = KernelSpec(family, dim=1)
+    X = equispaced(n, 0, 1)
+    A = {"gram": gram, "conv_gram": conv_gram}[matrix](spec, X)
+    exact = oracle.spectrum(getattr(oracle, matrix)(spec, X))
+    full = np.abs(np.linalg.eigvalsh(A) - exact)
+    split = np.abs(centrosymmetric_eigvalsh(A) - exact)
+    # no worse than the full solve, at lambda_min and over the spectrum, to
+    # a few ulps of lambda_max
+    ulps = 4 * np.finfo(float).eps * exact[-1]
+    assert split[0] <= full[0] + ulps
+    assert split.max() <= full.max() + ulps
