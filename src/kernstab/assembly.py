@@ -15,8 +15,8 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, conv_value
 
 def _distance_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     out = np.empty((P.shape[0], Q.shape[0]))
-    for start, d2 in _squared_distance_blocks(P, Q):
-        np.sqrt(d2, out=out[start : start + d2.shape[0]])
+    for block in _squared_distance_blocks(P, Q, out):
+        np.sqrt(block, out=block)
     return out
 
 
@@ -85,15 +85,14 @@ def _tail_factor(p, t: np.ndarray) -> np.ndarray:
 
 
 def _conv_closed_form(spec: KernelSpec, x: np.ndarray, a: float, b: float) -> np.ndarray:
-    # in units of the length scale relative to a, Int_a^b = Int_R minus the
-    # half-line tails beyond a and beyond b, each a separable rank-(m+1) term
+    # relative to a, Int_a^b = Int_R minus the half-line tails beyond a and
+    # beyond b, each a separable rank-(m+1) term
     p, q = _CONV_POLYNOMIALS[spec.family]
-    ell = spec.length_scale
-    t = (x - a) / ell
-    # ell (Q(r) e^(-r) - W W^T), symmetrized, bit for bit as that expression
-    # with np.polyval, but in two n x n buffers: each temporary is written
-    # over one that is dead by then
-    W = np.hstack([_tail_factor(p, t), _tail_factor(p, (b - a) / ell - t)])
+    t = x - a
+    # Q(r) e^(-r) - W W^T, symmetrized, bit for bit as that expression with
+    # np.polyval, but in two n x n buffers: each temporary is written over
+    # one that is dead by then
+    W = np.hstack([_tail_factor(p, t), _tail_factor(p, (b - a) - t)])
     r = np.subtract.outer(t, t)
     np.abs(r, out=r)
     K = np.zeros_like(r)
@@ -103,10 +102,13 @@ def _conv_closed_form(spec: KernelSpec, x: np.ndarray, a: float, b: float) -> np
     np.negative(r, out=r)
     K *= np.exp(r, out=r)
     K -= np.matmul(W, W.T, out=r)
-    K *= ell
     np.add(K, K.T, out=r)
     r *= 0.5
     return r
+
+
+#: largest relative deviation of conv_gram's closed form from its spot check
+SPOT_CHECK_TOL = 1e-10
 
 
 def _spot_check(spec: KernelSpec, x: np.ndarray, domain, K: np.ndarray, cfg: QuadratureConfig) -> float:
@@ -128,7 +130,7 @@ def conv_gram(spec: KernelSpec, X: PointSet, cfg: QuadratureConfig = DEFAULT_CON
     each.  The closed form is spot-checked against ``conv_value`` on the
     entries {0, n//2, n-1}^2, so cfg sets the precision of that check, which
     raises QuadratureError with the achieved deviation when it exceeds
-    cfg.target_rel_tol.  The result is symmetrized, so it is exactly
+    ``SPOT_CHECK_TOL``.  The result is symmetrized, so it is exactly
     symmetric.  Other families raise UnsupportedKernelError.
     """
     if X.dim != 1 or spec.dim != 1:
@@ -139,11 +141,11 @@ def conv_gram(spec: KernelSpec, X: PointSet, cfg: QuadratureConfig = DEFAULT_CON
     x = X.points[:, 0]
     K = _conv_closed_form(spec, x, a, b)
     achieved = _spot_check(spec, x, (a, b), K, cfg)
-    if achieved > cfg.target_rel_tol:
+    if achieved > SPOT_CHECK_TOL:
         raise QuadratureError(
             f"convolution quadrature reached {achieved:.3e}, "
-            f"target {cfg.target_rel_tol:.1e}; raise order or panels_per_unit",
+            f"target {SPOT_CHECK_TOL:.1e}; raise order or panels_per_unit",
             achieved=achieved,
-            target=cfg.target_rel_tol,
+            target=SPOT_CHECK_TOL,
         )
     return K

@@ -206,15 +206,22 @@ def _with_suffix(path, suffix: str) -> str:
     return f"{stem}.{suffix}{ext}"
 
 
-# %-codes by exact type, so a bool (an int subclass) never takes "%d": it is
-# written as the text true/false
+# %-codes by exact type; a bool (an int subclass) is written true/false instead
 _CODE_BY_TYPE = {
     float: "%.17g",
     np.float64: "%.17g",
     int: "%d",
     str: "%s",
-    bool: "%s",
 }
+
+
+def _format_value(value) -> str:
+    if type(value) is bool:
+        return "true" if value else "false"
+    try:
+        return _CODE_BY_TYPE[type(value)] % value
+    except KeyError:
+        raise TypeError(f"cannot write a {type(value)} value to CSV") from None
 
 
 def _write_rows(path, config_hash, columns, rows) -> None:
@@ -224,31 +231,17 @@ def _write_rows(path, config_hash, columns, rows) -> None:
     its rows on demand is never held whole.  A row is either a sequence of
     values or one ``str``: the row's values already formatted by these rules
     and joined by commas, as ``_GridRows`` yields them, which is written as
-    it is after the prefix.  A row holds at least one value.  Every value must have one of the exact types
-    ``float``, ``np.float64``, ``int``, ``str`` or ``bool``; anything else
-    raises ``TypeError``.  Each row is formatted by a single ``%``-format
-    built from its types (``%.17g``, ``%d``, ``%s``) and kept for the next
-    row of the same types, together with whether those types hold a
-    ``bool``; only such a row has its bools turned into ``true``/``false``.
+    it is after the prefix.  A row holds at least one value, each formatted
+    by ``_format_value``: a ``bool`` as ``true``/``false``, a ``float``,
+    ``np.float64``, ``int`` or ``str`` by its ``%``-code, and any other type
+    raises ``TypeError``.
     """
     head = f"{config_hash},{__version__},"
-    formats = {}  # row types -> (the row's format, whether it holds a bool)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(["config", "version", *columns]) + "\n")
         for row in rows:
             if type(row) is not str:
-                row = tuple(row)
-                kinds = tuple(map(type, row))
-                if kinds not in formats:
-                    try:
-                        codes = [_CODE_BY_TYPE[kind] for kind in kinds]
-                    except KeyError as exc:
-                        raise TypeError(f"cannot write a {exc.args[0]} value to CSV") from None
-                    formats[kinds] = (",".join(codes), bool in kinds)
-                fmt, has_bool = formats[kinds]
-                if has_bool:
-                    row = tuple(("true" if v else "false") if type(v) is bool else v for v in row)
-                row = fmt % row
+                row = ",".join(map(_format_value, row))
             fh.write(f"{head}{row}\n")
 
 
@@ -284,7 +277,7 @@ def sample_grid(n_min: int, n_max: int, count: int) -> list[int]:
 
 def _make_points(cfg: ExperimentConfig, n: int, dim: int = 1) -> PointSet:
     if cfg.layout == "halton":
-        return halton(n, dim, skip=0)
+        return halton(n, dim)
     if dim != 1:
         raise ValueError("equispaced layout is one-dimensional")
     return equispaced(n, 0.0, 1.0, include_endpoints=cfg.endpoints)

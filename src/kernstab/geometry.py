@@ -11,19 +11,22 @@ _HALTON_BASES = (2, 3, 5)
 _BLOCK_ENTRIES = 1 << 20
 
 
-def _squared_distance_blocks(P: np.ndarray, Q: np.ndarray):
-    """Yield ``(start, d2)`` over row blocks of P, ``d2[i, j] = |P[start + i] - Q[j]|^2``.
+def _squared_distance_blocks(P: np.ndarray, Q: np.ndarray, out: np.ndarray):
+    """Fill ``out[i, j] = |P[i] - Q[j]|^2`` by row blocks, yielding each one once written.
 
     Each entry is the sum of squared coordinate differences, never the
     ``|p|^2 + |q|^2 - 2 p.q`` expansion, which cancels at small distances.
     A block's difference array holds at most ``_BLOCK_ENTRIES`` entries, so
-    no ``n x m x d`` temporary is built; the entries are bitwise those of the
-    unblocked computation.
+    no ``n x m x d`` temporary is built, and its sums go straight into
+    ``out``; the entries are bitwise those of the unblocked computation.
     """
     rows = max(1, _BLOCK_ENTRIES // (Q.shape[0] * Q.shape[1]))
     for start in range(0, P.shape[0], rows):
         diff = P[start : start + rows, None, :] - Q[None, :, :]
-        yield start, np.einsum("ijk,ijk->ij", diff, diff)
+        block = out[start : start + rows]
+        np.einsum("ijk,ijk->ij", diff, diff, out=block)
+        del diff  # before the next block's is built
+        yield block
 
 
 def _pairwise_min_distance(points: np.ndarray) -> float:
@@ -119,8 +122,8 @@ def _radical_inverses(indices: np.ndarray, base: int) -> np.ndarray:
     return f
 
 
-def halton(n: int, dim: int, skip: int = 0) -> PointSet:
-    """Halton points in (0, 1)^dim, indices skip+1 .. skip+n (index 0 excluded).
+def halton(n: int, dim: int) -> PointSet:
+    """Halton points in (0, 1)^dim, indices 1 .. n (index 0 excluded).
 
     Bases are 2, 3, 5 for the first three axes; higher dimensions are not
     configured.  Each axis is computed for all indices at once and is bitwise
@@ -130,9 +133,7 @@ def halton(n: int, dim: int, skip: int = 0) -> PointSet:
         raise ValueError("need n >= 1")
     if not 1 <= dim <= len(_HALTON_BASES):
         raise ValueError(f"halton dim must be in 1..{len(_HALTON_BASES)}")
-    if skip < 0:
-        raise ValueError("skip must be nonnegative")
-    indices = np.arange(skip + 1, skip + n + 1)
+    indices = np.arange(1, n + 1)
     pts = np.column_stack([_radical_inverses(indices, b) for b in _HALTON_BASES[:dim]])
     domain = np.array([[0.0, 1.0]] * dim)
     return PointSet(pts, domain)

@@ -73,12 +73,11 @@ class QuadratureConfig:
     order: int = 20
     panels_per_unit: float = 4.0
     fourier_cutoff: float = 1000.0
-    target_rel_tol: float = 1e-10
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"order must be positive, got {self.order}")
-        for name in ("panels_per_unit", "fourier_cutoff", "target_rel_tol"):
+        for name in ("panels_per_unit", "fourier_cutoff"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")

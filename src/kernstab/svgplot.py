@@ -24,11 +24,18 @@ _RAMP_ANCHORS = [
 ]
 
 
-def color_ramp(steps: int = 256) -> list[str]:
-    """Piecewise-linear ramp through the anchor colors as '#rrggbb' strings."""
+# the heatmap's colors and the decades of |value| they span, clipped outside
+# (_TINY keeps log10 finite at 0)
+_RAMP_STEPS = 256
+_FLOOR_LOG10, _CEIL_LOG10 = -5.0, 0.0
+_SPAN, _TINY = _CEIL_LOG10 - _FLOOR_LOG10, 10.0 ** (_FLOOR_LOG10 - 1)
+
+
+def color_ramp() -> list[str]:
+    """The ``_RAMP_STEPS`` '#rrggbb' colors of a piecewise-linear ramp through the anchors."""
     out = []
-    for i in range(steps):
-        t = i / (steps - 1)
+    for i in range(_RAMP_STEPS):
+        t = i / (_RAMP_STEPS - 1)
         for (t0, c0), (t1, c1) in zip(_RAMP_ANCHORS[:-1], _RAMP_ANCHORS[1:]):
             if t0 <= t <= t1:
                 frac = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
@@ -146,11 +153,11 @@ def loglog_plot_svg(series: Sequence[Series], xlabel: str = "", ylabel: str = ""
     return [part + "\n" for part in parts]
 
 
-def _color_index(value: float, floor_log10: float, span: float, tiny: float, top: int) -> int:
+def _color_index(value: float) -> int:
     """Ramp index of one cell: the scalar ``math.log10`` reference."""
-    level = math.log10(max(value, tiny))
-    t = min(max((level - floor_log10) / span, 0.0), 1.0)
-    return round(t * top)
+    level = math.log10(max(value, _TINY))
+    t = min(max((level - _FLOOR_LOG10) / _SPAN, 0.0), 1.0)
+    return round(t * (_RAMP_STEPS - 1))
 
 
 class _HeatmapLines:
@@ -200,8 +207,8 @@ class _HeatmapLines:
         )
 
 
-def heatmap_svg(values, floor_log10: float = -5.0, ceil_log10: float = 0.0) -> Iterable[str]:
-    """Heatmap of |values| on a log color scale clipped to the given decade range.
+def heatmap_svg(values) -> Iterable[str]:
+    """Heatmap of |values| on a log color scale clipped to the decades 1e-5 .. 1.
 
     Returns the SVG text as a re-iterable source of chunks, one per grid row
     (``"".join(heatmap_svg(values))`` is the whole document), so a writer
@@ -218,19 +225,15 @@ def heatmap_svg(values, floor_log10: float = -5.0, ceil_log10: float = 0.0) -> I
     values = np.asarray(values, dtype=float)
     n_rows, n_cols = values.shape
     cell = max(4, 480 // max(n_rows, n_cols))
-    ramp = color_ramp()
-    top = len(ramp) - 1
-    span = ceil_log10 - floor_log10
-    tiny = 10.0 ** (floor_log10 - 1)
 
     # clip((log10(max(|v|, tiny)) - floor) / span, 0, 1) * top, step by step in place
     scaled = np.abs(values)
-    np.maximum(scaled, tiny, out=scaled)
+    np.maximum(scaled, _TINY, out=scaled)
     np.log10(scaled, out=scaled)
-    scaled -= floor_log10
-    scaled /= span
+    scaled -= _FLOOR_LOG10
+    scaled /= _SPAN
     np.clip(scaled, 0.0, 1.0, out=scaled)
-    scaled *= top
+    scaled *= _RAMP_STEPS - 1
     if np.isnan(scaled).any():
         raise ValueError("cannot convert float NaN to a color index")
     offset = np.floor(scaled)
@@ -239,5 +242,5 @@ def heatmap_svg(values, floor_log10: float = -5.0, ceil_log10: float = 0.0) -> I
     near_half = np.abs(offset, out=offset) <= 1e-9
     index = np.rint(scaled, out=scaled).astype(np.uint8)
     for i, j in zip(*np.nonzero(near_half)):
-        index[i, j] = _color_index(abs(values[i, j]), floor_log10, span, tiny, top)
-    return _HeatmapLines(index, ramp, cell)
+        index[i, j] = _color_index(abs(values[i, j]))
+    return _HeatmapLines(index, color_ramp(), cell)

@@ -16,6 +16,8 @@ import numpy as np
 from kernstab.svgplot import color_ramp
 
 MARGIN = 20
+# the decades of |value| the color scale spans
+FLOOR_LOG10, CEIL_LOG10 = -5.0, 0.0
 
 _CELL_RECT = re.compile(
     r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="(\d+)" fill="(#[0-9a-f]{6})"/>'
@@ -26,18 +28,18 @@ def cell_size(shape):
     return max(4, 480 // max(shape))
 
 
-def loop_color_indices(values, floor_log10=-5.0, ceil_log10=0.0):
+def loop_color_indices(values):
     """Ramp index of every cell, one scalar ``math.log10`` at a time."""
     grid = np.abs(np.asarray(values, dtype=float))
     top = len(color_ramp()) - 1
-    span = ceil_log10 - floor_log10
-    tiny = 10.0 ** (floor_log10 - 1)
+    span = CEIL_LOG10 - FLOOR_LOG10
+    tiny = 10.0 ** (FLOOR_LOG10 - 1)
     indices = []
     for row in grid.tolist():
         out = []
         for value in row:
             level = math.log10(max(value, tiny))
-            t = min(max((level - floor_log10) / span, 0.0), 1.0)
+            t = min(max((level - FLOOR_LOG10) / span, 0.0), 1.0)
             out.append(round(t * top))
         indices.append(out)
     return indices
@@ -59,9 +61,9 @@ def run_count(indices):
     return sum(len(row_runs(row)) for row in indices)
 
 
-def heatmap_svg_loop(values, floor_log10=-5.0, ceil_log10=0.0):
+def heatmap_svg_loop(values):
     """The document ``heatmap_svg`` must reproduce byte for byte."""
-    indices = loop_color_indices(values, floor_log10, ceil_log10)
+    indices = loop_color_indices(values)
     n_rows, n_cols = np.shape(values)
     ramp = color_ramp()
     cell = cell_size((n_rows, n_cols))
@@ -118,11 +120,9 @@ def decode_heatmap(svg, shape):
     return colors
 
 
-def assert_decodes_to_loop_colors(svg, values, floor_log10=-5.0, ceil_log10=0.0):
+def assert_decodes_to_loop_colors(svg, values):
     """Each cell of ``svg`` is painted once, in the per-cell loop's color."""
     ramp = color_ramp()
-    expected = [
-        [ramp[k] for k in row] for row in loop_color_indices(values, floor_log10, ceil_log10)
-    ]
+    expected = [[ramp[k] for k in row] for row in loop_color_indices(values)]
     decoded = decode_heatmap(svg, np.shape(values))
     assert decoded.tolist() == expected

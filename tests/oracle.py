@@ -29,7 +29,7 @@ _PROFILE = {
 
 
 def _phi(spec: KernelSpec, r):
-    u = abs(r) / mpmath.mpf(spec.length_scale)
+    u = abs(r)
     return mpmath.polyval(_PROFILE[spec.family][::-1], u) * mpmath.exp(-u)
 
 
@@ -105,12 +105,11 @@ def conv_gram(spec: KernelSpec, X: PointSet) -> mpmath.matrix:
     the domain [a, b] of X, at ``DIGITS`` digits.
 
     Each entry is integrated exactly over the three panels the two points
-    cut [a, b] into (``_conv_entry``), in units of the length scale, so no
-    quadrature and none of the program's half-line tail algebra enters it.
+    cut [a, b] into (``_conv_entry``), so no quadrature and none of the
+    program's half-line tail algebra enters it.
     """
     with mpmath.workdps(DIGITS):
         x = _coordinates(spec, X)
-        ell = mpmath.mpf(spec.length_scale)
         a, b = (mpmath.mpf(float(v)) for v in X.domain[0])
         p = [mpmath.mpf(c) for c in _PROFILE[spec.family]]
         n = len(x)
@@ -118,9 +117,7 @@ def conv_gram(spec: KernelSpec, X: PointSet) -> mpmath.matrix:
         for i in range(n):
             for j in range(i, n):
                 lo, hi = min(x[i], x[j]), max(x[i], x[j])
-                K[i, j] = K[j, i] = ell * _conv_entry(
-                    p, (hi - lo) / ell, (lo - a) / ell, (b - hi) / ell
-                )
+                K[i, j] = K[j, i] = _conv_entry(p, hi - lo, lo - a, b - hi)
         return K
 
 

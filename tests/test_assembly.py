@@ -97,13 +97,33 @@ def _gram_triu_mirror(spec, X):
     "dim, n", [(1, 157), (2, 157), (3, 157), (3, 700)], ids=["1", "2", "3", "3-700"]
 )
 def test_gram_is_bitwise_the_triu_mirror(family, dim, n):
-    X = halton(n, dim)
-    spec = KernelSpec(family, dim=dim, length_scale=0.2)
+    # Halton points on (0, 5)^dim, where every profile is well above 0
+    Y = halton(n, dim)
+    X = PointSet(Y.points / 0.2, Y.domain / 0.2)
+    spec = KernelSpec(family, dim=dim)
     assert gram(spec, X).tobytes() == _gram_triu_mirror(spec, X).tobytes()
 
 
+@pytest.mark.parametrize("family", [Family.MATERN_LINEAR, Family.MATERN_QUADRATIC])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_gram_peak_is_two_matrices(family, dim):
+    # the distances and the profile's output, each n x n; the distances' row
+    # blocks and the profile's block temporaries add at most 2^20 and 2^15
+    # entries
+    X = halton(1000, dim)
+    spec = KernelSpec(family, dim=dim)
+    tracemalloc.start()
+    try:
+        gram(spec, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * len(X) ** 2 * 8
+
+
 def test_gram_memory_is_three_matrices():
-    # the distances and the linear profile's two temporaries, no mirror copies
+    # 3-D points in several distance row blocks: at most the distances, the
+    # profile's output and one row block's differences
     X = halton(1500, 3)
     spec = KernelSpec(Family.MATERN_LINEAR, dim=3)
     tracemalloc.start()
@@ -112,7 +132,7 @@ def test_gram_memory_is_three_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * len(X) ** 2 * 8
+    assert peak <= 2.2 * len(X) ** 2 * 8
 
 
 def test_gram_dimension_mismatch():
@@ -240,15 +260,22 @@ def _conv_by_quadrature(spec, x, a, b, cfg):
     return 0.5 * (M + M.T)
 
 
+def _stretched(X: PointSet, scale: float) -> PointSet:
+    # X in units of ``scale``: a kernel of length scale ``scale`` on X is the
+    # unit-scale kernel on these points, on a 1/scale times longer domain
+    return X if scale == 1.0 else PointSet(X.points / scale, X.domain / scale)
+
+
 @pytest.mark.parametrize("family", ["matern-basic", "matern-linear", "matern-quadratic"])
-@pytest.mark.parametrize("length_scale", [1.0, 0.3])
+@pytest.mark.parametrize("scale", [1.0, 0.3])
 @pytest.mark.parametrize(
     "points",
     [equispaced(10, 0, 1), equispaced(37, 0, 2.5), halton(20, 1)],
     ids=["equispaced-10", "equispaced-37-wide", "halton-20"],
 )
-def test_conv_gram_closed_form_matches_quadrature(family, length_scale, points):
-    spec = KernelSpec(Family(family), dim=1, length_scale=length_scale)
+def test_conv_gram_closed_form_matches_quadrature(family, scale, points):
+    spec = KernelSpec(Family(family), dim=1)
+    points = _stretched(points, scale)
     K = conv_gram(spec, points)
     (a, b), = points.domain
     reference = _conv_by_quadrature(spec, points.points[:, 0], a, b, QuadratureConfig())
@@ -258,23 +285,23 @@ def test_conv_gram_closed_form_matches_quadrature(family, length_scale, points):
 def _conv_closed_form_expression(spec, x, a, b):
     # the out-of-place form the in-place _conv_closed_form replaced: its bitwise oracle
     p, q = _CONV_POLYNOMIALS[spec.family]
-    ell = spec.length_scale
-    t = (x - a) / ell
-    W = np.hstack([_tail_factor(p, t), _tail_factor(p, (b - a) / ell - t)])
+    t = x - a
+    W = np.hstack([_tail_factor(p, t), _tail_factor(p, (b - a) - t)])
     r = np.abs(t[:, None] - t[None, :])
-    K = ell * (np.polyval(q, r) * np.exp(-r) - W @ W.T)
+    K = np.polyval(q, r) * np.exp(-r) - W @ W.T
     return 0.5 * (K + K.T)
 
 
 @pytest.mark.parametrize("family", ["matern-basic", "matern-linear", "matern-quadratic"])
-@pytest.mark.parametrize("length_scale", [1.0, 0.3])
+@pytest.mark.parametrize("scale", [1.0, 0.3])
 @pytest.mark.parametrize(
     "points",
     [equispaced(2, 0, 1), equispaced(600, 0, 1), halton(257, 1), equispaced(37, 0, 2.5)],
     ids=["equispaced-2", "equispaced-600", "halton-257", "equispaced-37-wide"],
 )
-def test_conv_closed_form_is_bitwise_its_expression(family, length_scale, points):
-    spec = KernelSpec(Family(family), dim=1, length_scale=length_scale)
+def test_conv_closed_form_is_bitwise_its_expression(family, scale, points):
+    spec = KernelSpec(Family(family), dim=1)
+    points = _stretched(points, scale)
     (a, b), = points.domain
     x = points.points[:, 0]
     expected = _conv_closed_form_expression(spec, x, a, b)
@@ -282,11 +309,11 @@ def test_conv_closed_form_is_bitwise_its_expression(family, length_scale, points
 
 
 @pytest.mark.parametrize("family", ["matern-basic", "matern-linear", "matern-quadratic"])
-@pytest.mark.parametrize("length_scale", [1.0, 0.3])
+@pytest.mark.parametrize("scale", [1.0, 0.3])
 @pytest.mark.parametrize("endpoints", [True, False])
-def test_conv_gram_against_oracle(family, length_scale, endpoints):
-    spec = KernelSpec(Family(family), dim=1, length_scale=length_scale)
-    X = equispaced(21, 0, 1, include_endpoints=endpoints)
+def test_conv_gram_against_oracle(family, scale, endpoints):
+    spec = KernelSpec(Family(family), dim=1)
+    X = equispaced(21, 0, 1 / scale, include_endpoints=endpoints)
     exact = np.array(oracle.conv_gram(spec, X).tolist(), dtype=float)
     K = conv_gram(spec, X)
     assert np.max(np.abs(K - exact)) <= 16 * np.finfo(float).eps * np.max(np.abs(exact))
@@ -294,12 +321,13 @@ def test_conv_gram_against_oracle(family, length_scale, endpoints):
 
 def test_oracle_conv_gram_is_the_integral():
     # one entry by mpmath's own quadrature over the panels the points cut
-    spec = KernelSpec(Family.MATERN_QUADRATIC, dim=1, length_scale=0.3)
-    X = equispaced(7, 0, 1)
+    spec = KernelSpec(Family.MATERN_QUADRATIC, dim=1)
+    X = equispaced(7, 0, 10 / 3)
     xi, xj = (mpmath.mpf(float(v)) for v in X.points[[1, 4], 0])
+    end = mpmath.mpf(10 / 3)
     with mpmath.workdps(30):
         value = mpmath.quad(
-            lambda y: oracle._phi(spec, xi - y) * oracle._phi(spec, y - xj), [0, xi, xj, 1]
+            lambda y: oracle._phi(spec, xi - y) * oracle._phi(spec, y - xj), [0, xi, xj, end]
         )
         assert abs(oracle.conv_gram(spec, X)[1, 4] - value) <= mpmath.mpf(10) ** -28 * value
 

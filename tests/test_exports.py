@@ -1,10 +1,15 @@
-"""Every name the package exports has a user.
+"""Every name the package exports, and every default it declares, has a user.
 
 A name that ``kernstab/__init__.py`` exports must be referenced as code in
 another part of the package (an AST name or attribute, so docstrings and
 the name's own definition do not count), be imported by the acceptance
 suite, or be a span that ``bench/run.py`` expects.  Library API with none of
 these users is wired into a command or deleted.
+
+Likewise each default of a public function's parameter or of a public
+dataclass field must be passed some other value, by position, by keyword
+or through ``*``/``**``, by at least one call in the package or the
+acceptance suite; a default that no caller changes is made a constant.
 """
 
 import ast
@@ -72,3 +77,90 @@ def test_every_export_has_a_user():
     assert UNUSED_BY_DESIGN <= exports
     used = _package_references() | _acceptance_imports() | _span_parts()
     assert sorted(exports - used - UNUSED_BY_DESIGN) == []
+
+
+# a settable default that every caller leaves alone is a constant in disguise
+UNSET_BY_DESIGN = {
+    "main(argv)": "the console entry point: argparse reads sys.argv when it is None",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+
+
+def _signature(fn: ast.FunctionDef, method: bool):
+    """Positional parameter names, and the default expression of each
+    parameter that has one, of a function or method (``self`` dropped)."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args][int(method):]
+    defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    defaults.update(
+        (a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    )
+    return positional, defaults
+
+
+def _knobs() -> dict:
+    """Callable name -> (positional names, {parameter: default expression})
+    for every public function and public class of the package: a class
+    is called through its dataclass fields or its ``__init__``."""
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found[node.name] = _signature(node, method=False)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if _is_dataclass(node):
+                    fields = [
+                        (s.target.id, s.value)
+                        for s in node.body
+                        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                    ]
+                    found[node.name] = (
+                        [name for name, _ in fields],
+                        {name: value for name, value in fields if value is not None},
+                    )
+                for s in node.body:
+                    if isinstance(s, ast.FunctionDef) and s.name == "__init__":
+                        found[node.name] = _signature(s, method=True)
+    return found
+
+
+def _same_value(arg: ast.expr, default: ast.expr) -> bool:
+    try:
+        return ast.literal_eval(arg) == ast.literal_eval(default)
+    except ValueError:
+        return ast.dump(arg) == ast.dump(default)
+
+
+def _set_parameters(call: ast.Call, positional: list, defaults: dict) -> set:
+    """The defaulted parameters that ``call`` may pass another value: every
+    one behind a ``*`` or ``**`` argument, else each it passes a value
+    that is not the default's own literal or expression."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    ):
+        return set(defaults)
+    passed = dict(zip(positional, call.args))
+    passed.update((k.arg, k.value) for k in call.keywords)
+    return {
+        name for name, value in passed.items()
+        if name in defaults and not _same_value(value, defaults[name])
+    }
+
+
+def test_every_default_is_set_by_some_caller():
+    knobs = _knobs()
+    set_somewhere = set()
+    for path in [*PACKAGE.glob("*.py"), ACCEPTANCE]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in knobs:
+                    set_somewhere |= {f"{name}({p})" for p in _set_parameters(node, *knobs[name])}
+    declared = {f"{name}({p})" for name, (_, defaults) in knobs.items() for p in defaults}
+    assert set(UNSET_BY_DESIGN) <= declared
+    unset = sorted(declared - set_somewhere - set(UNSET_BY_DESIGN))
+    assert not unset, f"defaults that no caller changes: {unset}"

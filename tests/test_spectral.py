@@ -8,6 +8,7 @@ import oracle
 from kernstab import (
     Family,
     KernelSpec,
+    PointSet,
     SingularMatrixError,
     below_precision_floor,
     centrosymmetric_eigvalsh,
@@ -155,10 +156,11 @@ def test_transforms_are_bitwise_their_expressions(family, dim):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("n", [10, 257, 600])
 def test_whiten_is_bitwise_symmetric(family, dim, n):
-    # the heatmap CSV formats entry (i, j) once for (j, i) too; a length scale
-    # of one separation keeps every family's pair well conditioned
-    X = halton(n, dim)
-    spec = KernelSpec(family, dim=dim, length_scale=X.separation)
+    # the heatmap CSV formats entry (i, j) once for (j, i) too; Halton points
+    # scaled to unit separation keep every family's pair well conditioned
+    Y = halton(n, dim)
+    X = PointSet(Y.points / Y.separation, Y.domain / Y.separation)
+    spec = KernelSpec(family, dim=dim)
     b = np.full(dim, 0.1 * X.separation / math.sqrt(dim))
     M = whiten(gram(spec, X), shifted_gram(spec, X, b))
     assert np.array_equal(M, M.T)
