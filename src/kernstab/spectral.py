@@ -15,6 +15,8 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
+    if np.array_equal(A, A.T):
+        return A
     # one scratch matrix holds |A|, then |A - A^T|
     work = np.abs(A)
     scale = np.max(work) if A.size else 0.0
@@ -78,22 +80,38 @@ def whiten(A, B) -> np.ndarray:
     return left
 
 
+def _halve(n: int) -> int:
+    """Rows of the top half that ``_invert_lower`` splits n rows into, or 0
+    for a block of at most 256 rows, which it inverts whole."""
+    return 0 if n <= 256 else n // 2
+
+
+def _leaves(n: int) -> list[tuple[int, int]]:
+    """Row ranges ``(start, stop)`` of the diagonal blocks that
+    ``_invert_lower`` inverts whole, top to bottom.  Its result is exactly
+    zero above them: every entry right of a leaf's ``stop`` in that leaf's rows."""
+    h = _halve(n)
+    if not h:
+        return [(0, n)]
+    return _leaves(h) + [(h + start, h + stop) for start, stop in _leaves(n - h)]
+
+
 def _invert_lower(L: np.ndarray) -> np.ndarray:
     """Overwrite the lower-triangular ``L`` with its inverse, and return it.
 
     ``[[L11, 0], [L21, L22]]^-1 = [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]]``:
     the diagonal halves are inverted recursively and the corner takes two
     matmuls, so nearly all the work is matrix products (numpy offers no
-    triangular inverse).  Blocks of up to 256 rows are inverted whole, and
-    keep the roundoff that their LU inverse leaves above the diagonal:
-    zeroing it made lambda_max of a whitened spectrum 300 times less
-    accurate against the 50-digit oracle (matern-quadratic, n = 40).
+    triangular inverse).  Blocks of up to 256 rows, the ``_leaves``, are
+    inverted whole, and keep the roundoff that their LU inverse leaves above
+    the diagonal: zeroing it made lambda_max of a whitened spectrum 300
+    times less accurate against the 50-digit oracle (matern-quadratic,
+    n = 40).  Above the leaves the inverse is left exactly zero.
     """
-    n = len(L)
-    if n <= 256:
+    h = _halve(len(L))
+    if not h:
         L[...] = np.linalg.inv(L)
         return L
-    h = n // 2
     L11, L21, L22 = _invert_lower(L[:h, :h]), L[h:, :h], _invert_lower(L[h:, h:])
     np.negative(L22 @ (L21 @ L11), out=L21)
     return L
@@ -103,9 +121,10 @@ def whitened_spectrum(A, B) -> np.ndarray:
     """Ascending eigenvalues of A^(-1/2) sym(B) A^(-1/2), by Cholesky congruence.
 
     With A = L L^T and W = L^-1 A^(1/2), W W^T = L^-1 A L^-T = I, so W is
-    orthogonal and L^-1 sym(B) L^-T = W (A^(-1/2) sym(B) A^(-1/2)) W^T has
-    the same spectrum; it costs a Cholesky factor, its inverse, two matmuls
-    and one ``eigvalsh``, where ``whiten`` needs a full ``eigh`` and three.
+    orthogonal and C = L^-1 sym(B) L^-T = W (A^(-1/2) sym(B) A^(-1/2)) W^T
+    has the same spectrum; it costs a Cholesky factor, its inverse, two
+    matmuls and one ``eigvalsh``, where ``whiten`` needs a full ``eigh`` and
+    three.
 
     ``inv_sqrt``'s rejection of lambda_min <= 1e3 eps lambda_max is kept
     without an eigensolve where it can be: ||L^-1||_2^2 = 1 / lambda_min, so
@@ -113,9 +132,22 @@ def whitened_spectrum(A, B) -> np.ndarray:
     two above the floor accepts A.  Otherwise, or if Cholesky breaks down,
     the test runs on ``eigh(A)``, the eigenvalues ``inv_sqrt`` tests, so a
     rejection and its message are those of ``inv_sqrt``; an accepted A whose
-    Cholesky broke down is whitened by its eigenpairs instead.  The matrices
-    of the product are written over dead ones: at most three n x n matrices
-    of its own besides the factorizations' workspace.
+    Cholesky broke down is whitened by G = diag(w^-1/2) Q^T, for which
+    G A G^T = I as for L^-1.
+
+    The products go over G's diagonal blocks I = start:stop, from the last
+    up: the ``_leaves`` of ``_invert_lower`` for L^-1, and one block of all
+    n rows for the full G of the eigenpairs.  G is zero right of each
+    block's stop, and ``eigvalsh`` reads only the lower triangle of C, so a
+    block forms ``T[I, :stop] = G[I, :stop] S[:stop, :stop]``, S = sym(B),
+    then its block column of C's lower block triangle,
+    ``C[start:, I] = T[start:, :stop] G[I, :stop]^T``, and symmetrizes its
+    diagonal block.  Both are written over S: a block reads S only above its
+    stop and T only left of its stop, where no block below it writes.  That is
+    about a quarter of the flops of the two full products; for one block
+    it is those products and 0.5 (C + C^T), bit for bit.  G and S are the
+    only n x n matrices of its own besides the factorizations' workspace and
+    one block's products, and A and B are read, never written.
     """
     A = _check_symmetric(A)
     if np.shape(B) != A.shape:
@@ -123,6 +155,7 @@ def whitened_spectrum(A, B) -> np.ndarray:
     upper = np.linalg.norm(A, 1)
     try:
         G = _invert_lower(np.linalg.cholesky(A))
+        blocks = _leaves(len(A))
     except np.linalg.LinAlgError:
         G = None
     # written as "not below", so a NaN in the inverse also falls back
@@ -130,18 +163,22 @@ def whitened_spectrum(A, B) -> np.ndarray:
         w, Q = np.linalg.eigh(A)
         _require_spd(w)
         if G is None:
-            G = (Q / np.sqrt(w)).T  # G A G^T = I, like L^-1
+            G, blocks = (Q / np.sqrt(w)).T, [(0, len(A))]  # full, like no leaf
         del Q
     # a caller that passes A and B as temporaries gets them back here
     del A
-    B_sym = symmetric_part(B)
+    S = symmetric_part(B)
     del B
-    left = G @ B_sym
-    M = np.matmul(left, G.T, out=B_sym)
-    np.add(M, M.T, out=left)
-    left *= 0.5
-    del G, M, B_sym
-    return np.linalg.eigvalsh(left)
+    for start, stop in reversed(blocks):
+        S[start:stop, :stop] = G[start:stop, :stop] @ S[:stop, :stop]
+        S[start:, start:stop] = S[start:, :stop] @ G[start:stop, :stop].T
+        diagonal = S[start:stop, start:stop]
+        np.add(diagonal, diagonal.T, out=diagonal)
+        diagonal *= 0.5
+    del G
+    # the default UPLO="L" reads only the lower triangle: the blocks above
+    # the diagonal ones still hold leftover entries of S and T
+    return np.linalg.eigvalsh(S)
 
 
 def centrosymmetric_eigvalsh(A) -> np.ndarray:

@@ -43,18 +43,21 @@ print(json.dumps(
 # on the 2-core VM once its CSV formatted each value of the symmetric grid
 # once (1.85 to 2.35 s and 87.6 MB before; the added peak is the text of
 # the columns still to be written); its wall budget leaves about 5x room, as
-# eigen-scaling's does.  equivalence is bounded in time by the timeout alone.
+# eigen-scaling's does.
 # identity took 17.6 s and 59.4 MB before the Fourier-side phase was split
 # per panel.  eigen-scaling at its defaults (30 sizes up to n = 1000) took
 # 0.63 to 0.75 s warm (1.6 s on a cold first run) and 70.2 MB on the 2-core
 # VM; its wall budget leaves room for a loaded machine, its RSS budget is
 # far below the 1.6 GB that conv_gram peaked at before its closed form.
 # equivalence at n = 2000 peaked at 236 MB while it whitened by a full
-# eigendecomposition, and at 170 MB since its Cholesky congruence
+# eigendecomposition, and at 170 MB since its Cholesky congruence; it took
+# 2.0 to 2.1 s on the 2-core VM once the congruence skipped the zero blocks
+# of L^-1 (2.2 to 2.65 s before), and its wall budget leaves about 5x room,
+# as heatmap's does
 HEATMAP_1000 = ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "1000")
 BUDGETS = {
     HEATMAP_1000: (10, 130),
-    ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): (TIMEOUT_S, 190),
+    ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): (12, 190),
     ("identity", "--kernel", "matern-basic", "--n", "400", "--trials", "2",
      "--fourier-cutoff", "1e4"): (8, 50),
     ("eigen-scaling", "--kernel", "matern-linear"): (4, 90),

@@ -23,7 +23,8 @@ from kernstab import (
     whiten,
     whitened_spectrum,
 )
-from kernstab.spectral import _invert_lower
+from kernstab import spectral
+from kernstab.spectral import _invert_lower, _leaves
 
 
 def _random_symmetric(rng, n):
@@ -53,6 +54,17 @@ def test_reference_gram_eigenvalues():
 def test_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_symmetry_tolerance_is_1e_12_relative():
+    A = _random_symmetric(np.random.default_rng(12), 40)
+    sym_eigen(A)  # bitwise symmetric
+    P = A.copy()
+    P[3, 17] += 1e-13 * np.max(np.abs(A))
+    sym_eigen(P)
+    P[3, 17] = A[3, 17] + 1e-11 * np.max(np.abs(A))
+    with pytest.raises(ValueError, match="not symmetric to 1e-12 relative"):
+        sym_eigen(P)
 
 
 def test_reconstruction_and_orthonormality():
@@ -180,14 +192,20 @@ def test_whiten_memory_is_three_matrices():
     assert peak <= 3.5 * len(A) ** 2 * 8
 
 
-@pytest.mark.parametrize("n", [1, 7, 256, 257, 600])
+@pytest.mark.parametrize("n", [1, 7, 256, 257, 600, 1100])
 def test_invert_lower_inverts_in_place(n):
     rng = np.random.default_rng(n)
     L = np.tril(rng.uniform(-1, 1, (n, n)) / math.sqrt(n)) + 2.0 * np.eye(n)
     G = L.copy()
     assert _invert_lower(G) is G
     assert np.max(np.abs(G @ L - np.eye(n))) <= 1e-12
-    assert not np.any(G[: n // 2, n // 2 :])
+    # whitened_spectrum's products skip every block right of a leaf's stop
+    leaves = _leaves(n)
+    assert leaves[0][0] == 0 and leaves[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+    assert all(0 < stop - start <= 256 for start, stop in leaves)
+    for start, stop in leaves:
+        assert not np.any(G[start:stop, stop:])
 
 
 def _roundoff(A):
@@ -246,8 +264,11 @@ def test_indefinite_matrix_is_singular_not_a_linalg_error():
     assert str(info.value) == str(by_eigh.value)
 
 
-def test_cholesky_breakdown_whitens_by_eigenpairs(monkeypatch):
-    A, B = _shift_pair(Family.MATERN_LINEAR, 2, 80)
+@pytest.mark.parametrize("n", [80, 300])
+def test_cholesky_breakdown_whitens_by_eigenpairs(monkeypatch, n):
+    # at 300 points L^-1 has two leaves, while the full G of the eigenpairs
+    # must be taken as one block
+    A, B = _shift_pair(Family.MATERN_LINEAR, 2, n)
     expected = whitened_spectrum(A, B)
 
     def breaks_down(A):
@@ -268,10 +289,10 @@ def test_well_conditioned_input_takes_no_eigendecomposition(monkeypatch):
     np.testing.assert_allclose(whitened_spectrum(A, B), expected, rtol=0, atol=_roundoff(A))
 
 
-def test_whitened_spectrum_memory_is_three_matrices():
-    # the Cholesky factor (overwritten by its inverse), sym(B) (overwritten by
-    # the congruence) and L^-1 sym(B) (overwritten by the symmetrized result):
-    # never a fourth n x n matrix of its own
+def test_whitened_spectrum_memory_is_two_matrices():
+    # the Cholesky factor (overwritten by its inverse) and sym(B) (overwritten
+    # by L^-1 sym(B), then by the lower triangle of the congruence), besides
+    # one leaf's rows of a product: never a third n x n matrix of its own
     A, B = _shift_pair(Family.MATERN_LINEAR, 3, 1500)
     tracemalloc.start()
     try:
@@ -279,7 +300,30 @@ def test_whitened_spectrum_memory_is_three_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * len(A) ** 2 * 8
+    assert peak <= 2.5 * len(A) ** 2 * 8
+
+
+@pytest.mark.parametrize("n", [300, 600, 1100])
+def test_blocks_above_the_leaves_are_never_read(monkeypatch, n):
+    A, B = _shift_pair(Family.MATERN_BASIC, 3, n)
+    expected = whitened_spectrum(A, B)
+    invert = spectral._invert_lower
+
+    def poisoned(L):
+        with monkeypatch.context() as inner:
+            # the recursion into the halves calls the real inverse
+            inner.setattr(spectral, "_invert_lower", invert)
+            G = invert(L)
+        for start, stop in _leaves(len(G)):
+            G[start:stop, stop:] = np.nan
+        return G
+
+    # the NaN also fails the norm bound, so eigh(A) decides, accepts A and
+    # leaves the product to run on the poisoned inverse
+    monkeypatch.setattr(spectral, "_invert_lower", poisoned)
+    w = whitened_spectrum(A, B)
+    assert np.all(np.isfinite(w))
+    assert w.tobytes() == expected.tobytes()
 
 
 def test_oracle_builds_the_program_matrices():
