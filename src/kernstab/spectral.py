@@ -101,24 +101,41 @@ def _invert_lower(L: np.ndarray) -> np.ndarray:
 
     ``[[L11, 0], [L21, L22]]^-1 = [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]]``:
     the diagonal halves are inverted recursively and the corner takes two
-    matmuls, so nearly all the work is matrix products (numpy offers no
-    triangular inverse).  Blocks of up to 256 rows, the ``_leaves``, are
-    inverted whole, and keep the roundoff that their LU inverse leaves above
-    the diagonal: zeroing it made lambda_max of a whitened spectrum 300
-    times less accurate against the 50-digit oracle (matern-quadratic,
-    n = 40).  Above the leaves the inverse is left exactly zero.
+    products, written over L21, so nearly all the work is matrix products
+    (numpy offers no triangular inverse).  Blocks of up to 256 rows, the
+    ``_leaves``, are inverted whole, and keep the roundoff that their LU
+    inverse leaves above the diagonal: zeroing it made lambda_max of a
+    whitened spectrum 300 times less accurate against the 50-digit oracle
+    (matern-quadratic, n = 40).  Above the leaves the inverse is left
+    exactly zero, and the corner's products skip those blocks of L11^-1 and
+    L22^-1; for halves of one leaf each they are the two full products, bit
+    for bit.
     """
     h = _halve(len(L))
     if not h:
         L[...] = np.linalg.inv(L)
         return L
     L11, L21, L22 = _invert_lower(L[:h, :h]), L[h:, :h], _invert_lower(L[h:, h:])
-    np.negative(L22 @ (L21 @ L11), out=L21)
+    # L21 L11^-1 by the leaf columns I of L11^-1, left to right: they are
+    # zero above their leaf's start, and no block after I reads L21[:, I]
+    for start, stop in _leaves(h):
+        L21[:, start:stop] = L21[:, start:] @ L11[start:, start:stop]
+    # -L22^-1 (.) by the leaf rows I of L22^-1, bottom up: they are zero
+    # right of their leaf's stop, and no block after I reads L21[I]
+    for start, stop in reversed(_leaves(len(L) - h)):
+        np.negative(L22[start:stop, :stop] @ L21[:stop], out=L21[start:stop])
     return L
 
 
-def whitened_spectrum(A, B) -> np.ndarray:
-    """Ascending eigenvalues of A^(-1/2) sym(B) A^(-1/2), by Cholesky congruence.
+def whitened_spectrum(A, shifted) -> np.ndarray:
+    """Ascending eigenvalues of A^(-1/2) sym(B) A^(-1/2), by Cholesky congruence,
+    with ``B = shifted()``.
+
+    B is built only once A has been factored, tested and dropped, so a
+    caller that passes A as a temporary never holds A and B at once.  The
+    peak is then three n x n matrices: A, LAPACK's copy of it and L while A
+    is factored; L and what ``shifted`` holds at once (for ``shifted_gram``,
+    a distance matrix and its profile); L, B and sym(B).
 
     With A = L L^T and W = L^-1 A^(1/2), W W^T = L^-1 A L^-T = I, so W is
     orthogonal and C = L^-1 sym(B) L^-T = W (A^(-1/2) sym(B) A^(-1/2)) W^T
@@ -147,11 +164,10 @@ def whitened_spectrum(A, B) -> np.ndarray:
     about a quarter of the flops of the two full products; for one block
     it is those products and 0.5 (C + C^T), bit for bit.  G and S are the
     only n x n matrices of its own besides the factorizations' workspace and
-    one block's products, and A and B are read, never written.
+    one block's products, and A and B are read, never written; a B of
+    another shape than A is rejected once it is built.
     """
     A = _check_symmetric(A)
-    if np.shape(B) != A.shape:
-        raise ValueError("A and B must have equal size")
     upper = np.linalg.norm(A, 1)
     try:
         G = _invert_lower(np.linalg.cholesky(A))
@@ -165,8 +181,11 @@ def whitened_spectrum(A, B) -> np.ndarray:
         if G is None:
             G, blocks = (Q / np.sqrt(w)).T, [(0, len(A))]  # full, like no leaf
         del Q
-    # a caller that passes A and B as temporaries gets them back here
+    # a caller that passes A as a temporary gets it back here, before B exists
     del A
+    B = shifted()
+    if np.shape(B) != G.shape:
+        raise ValueError("A and B must have equal size")
     S = symmetric_part(B)
     del B
     for start, stop in reversed(blocks):

@@ -11,10 +11,13 @@ SRC = str(Path(kernstab.__file__).resolve().parent.parent)
 
 @pytest.fixture(autouse=True)
 def _children_import_kernstab(monkeypatch):
-    """Put the absolute source path first on PYTHONPATH.
+    """Put the absolute source path first on PYTHONPATH, and pin BLAS threads.
 
     CLI tests start ``python -m kernstab`` in ``tmp_path``, where a relative
-    PYTHONPATH entry such as ``src`` no longer resolves.
+    PYTHONPATH entry such as ``src`` no longer resolves.  Every child gets
+    min(2, cores) BLAS threads: the sums of a matrix product depend on the
+    thread count, and with it the last digits of some golden digests and
+    the wall time of the budgets.
     """
     inherited = [
         os.path.abspath(p)
@@ -22,3 +25,6 @@ def _children_import_kernstab(monkeypatch):
         if p
     ]
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join([SRC, *inherited]))
+    threads = str(min(2, len(os.sched_getaffinity(0))))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, threads)

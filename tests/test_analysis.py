@@ -1,5 +1,6 @@
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -136,6 +137,29 @@ def test_equivalence_small_shift(family, dim, n):
     assert result.lower.satisfied and result.upper.satisfied
     assert result.spectrum.min() >= 0.75
     assert result.spectrum.max() < 1.0
+
+
+def test_equivalence_builds_the_shifted_matrix_after_freeing_the_gram_matrix(monkeypatch):
+    # while k(X,X) is factored, it, LAPACK's copy and the factor are alive;
+    # k(X+b,X) built before k(X,X) is freed would be a fourth n x n matrix
+    build_gram, build_shifted = analysis.gram, analysis.shifted_gram
+    built = []
+
+    def tracked_gram(spec, X):
+        A = build_gram(spec, X)
+        built.append(weakref.ref(A))
+        return A
+
+    def shifted_gram_after_gram_freed(spec, X, b):
+        assert [ref() is None for ref in built] == [True], "k(X,X) is alive"
+        return build_shifted(spec, X, b)
+
+    monkeypatch.setattr(analysis, "gram", tracked_gram)
+    monkeypatch.setattr(analysis, "shifted_gram", shifted_gram_after_gram_freed)
+    X = halton(300, 3)
+    spec = KernelSpec(Family.MATERN_BASIC, dim=3)
+    result = verify_equivalence(spec, X, 0.1 * X.separation * np.ones(3) / math.sqrt(3))
+    assert result.lower.satisfied and result.upper.satisfied
 
 
 def test_shift_identity_handpicked_and_random():

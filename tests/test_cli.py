@@ -165,15 +165,20 @@ def test_heatmap_command(tmp_path):
     assert_decodes_to_loop_colors(svg, grid)
 
 
-# SHA-256 of every artifact at --seed 0 (numpy 2.4 with OpenBLAS, x86-64): a
-# change that moves one output byte of these commands fails here.  heatmap and
-# equivalence were recorded before the heatmap, CSV and Halton loops were
-# vectorized; identity, sin2 and eigen-scaling before the Gram matrices became
-# plain arrays and the panel builders were merged into one; thm41 and fit
-# before the CLI flags were derived from ExperimentConfig.  identity and sin2
-# were re-recorded when the rejection loop of the random interval sets became
-# the exact spacings sampler (other sets, other coefficients) and sin2's lhs
-# became the exact matrix-side damped form in place of its Fourier quadrature.
+# SHA-256 of every artifact at --seed 0 (numpy 2.4 with OpenBLAS, x86-64, at
+# the 2 BLAS threads that tests/conftest.py gives every child on a host of 2
+# or more cores): a change that moves one output byte of these commands fails
+# here.  The equivalence digests depend on the thread count through the sums
+# of its matrix products, so a 1-core host, which runs its children at 1
+# thread, still cannot reproduce them.
+# heatmap and equivalence were recorded before the heatmap, CSV and Halton
+# loops were vectorized; identity, sin2 and eigen-scaling before the Gram
+# matrices became plain arrays and the panel builders were merged into one;
+# thm41 and fit before the CLI flags were derived from ExperimentConfig.
+# identity and sin2 were re-recorded when the rejection loop of the random
+# interval sets became the exact spacings sampler (other sets, other
+# coefficients) and sin2's lhs became the exact matrix-side damped form in
+# place of its Fourier quadrature.
 # identity was re-recorded once more when the Fourier-side phase was split
 # per panel: only roundoff digits of its lhs and slack columns moved (by at
 # most 1e-7 of rhs), never a verdict.  heatmap.svg alone was re-recorded when
@@ -192,7 +197,13 @@ def test_heatmap_command(tmp_path):
 # The equivalence entry at n = 600, four leaves of the triangular inverse,
 # was recorded when the congruence came to skip the zero blocks above those
 # leaves and to form only its lower triangle; every digest above was kept,
-# as up to 256 points the congruence is bitwise what it was
+# as up to 256 points the congruence is bitwise what it was.  It was
+# re-recorded when the corner of the triangular inverse came to skip the
+# zero blocks above the leaves of its halves: a half of more than 256 rows
+# has several leaves, so its products sum in another order, and the spectrum
+# moved in its roundoff digits (by at most 3.3e-15 here and 1.4e-14 at
+# n = 2000), no verdict with it; up to 512 points each half is one leaf and
+# the inverse is bitwise what it was
 GOLDEN_DIGESTS = {
     ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "60"): {
         "heatmap.csv": "8d57e47a9a734f167fb024ee3cd8c2ef23f4f63c308eb25a6260d7e36428f317",
@@ -204,8 +215,8 @@ GOLDEN_DIGESTS = {
         "equivalence.spectrum.csv": "f777f987223be9e2b47807e9263b242c79fab2988022707e98ea416b5109df24",
     },
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "600"): {
-        "equivalence.csv": "10284d40ce5f20ea6ce4166314b7d35bfc14b8dad51a56b3376cffcc4bf9752a",
-        "equivalence.spectrum.csv": "d06010f63b828be351c41dfd85c6891c5c0ca1a2a86f3b094f16db9e6a4e0e11",
+        "equivalence.csv": "81fb2272cefff5b9cba61e418f7efe385a3aaf5855954f3db16eb82e452823b1",
+        "equivalence.spectrum.csv": "df2cf1b279a7a46b4dad8004f290591a7b71b3332385c38634c7cd53946f3abe",
     },
     ("identity", "--kernel", "matern-basic", "--n", "6"): {
         "identity.csv": "7265dcc0439f5157dcaaf368d9097ed54a58566c6420108272e751c774a89963",

@@ -219,14 +219,14 @@ def test_whitened_spectrum_is_the_spectrum_of_whiten(family, dim):
     # 300 points: the triangular inverse recurses once before its leaves
     A, B = _shift_pair(family, dim, 300)
     A0, B0 = A.copy(), B.copy()
-    w = whitened_spectrum(A, B)
+    w = whitened_spectrum(A, lambda: B)
     assert np.all(np.diff(w) >= 0)
     # both routes err by up to about eps cond(A); the oracle test below says
     # which lands nearer
     np.testing.assert_allclose(w, np.linalg.eigvalsh(whiten(A, B)), rtol=0, atol=_roundoff(A))
     assert np.array_equal(A, A0) and np.array_equal(B, B0)
-    with pytest.raises(ValueError):
-        whitened_spectrum(A, np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="equal size"):
+        whitened_spectrum(A, lambda: np.zeros((4, 4)))
 
 
 def _graded(c, n=500):
@@ -243,12 +243,12 @@ def test_floor_decides_where_cholesky_succeeds():
     for A in (accepted, rejected):
         np.linalg.cholesky(A)
     inv_sqrt(accepted)
-    w = whitened_spectrum(accepted, accepted)
+    w = whitened_spectrum(accepted, lambda: accepted)
     np.testing.assert_allclose(w, 1.0, atol=1e-2)
     with pytest.raises(SingularMatrixError) as by_eigh:
         inv_sqrt(rejected)
     with pytest.raises(SingularMatrixError) as by_cholesky:
-        whitened_spectrum(rejected, rejected)
+        whitened_spectrum(rejected, lambda: rejected)
     assert str(by_cholesky.value) == str(by_eigh.value)
     assert by_cholesky.value.lambda_min == by_eigh.value.lambda_min
 
@@ -257,7 +257,7 @@ def test_indefinite_matrix_is_singular_not_a_linalg_error():
     # LinAlgError is a ValueError, which the CLI reports as a usage error
     A = np.diag([1.0, 0.5, -1e-3])
     with pytest.raises(SingularMatrixError) as info:
-        whitened_spectrum(A, np.eye(3))
+        whitened_spectrum(A, lambda: np.eye(3))
     assert type(info.value) is SingularMatrixError
     with pytest.raises(SingularMatrixError) as by_eigh:
         inv_sqrt(A)
@@ -269,13 +269,13 @@ def test_cholesky_breakdown_whitens_by_eigenpairs(monkeypatch, n):
     # at 300 points L^-1 has two leaves, while the full G of the eigenpairs
     # must be taken as one block
     A, B = _shift_pair(Family.MATERN_LINEAR, 2, n)
-    expected = whitened_spectrum(A, B)
+    expected = whitened_spectrum(A, lambda: B)
 
     def breaks_down(A):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", breaks_down)
-    np.testing.assert_allclose(whitened_spectrum(A, B), expected, rtol=0, atol=_roundoff(A))
+    np.testing.assert_allclose(whitened_spectrum(A, lambda: B), expected, rtol=0, atol=_roundoff(A))
 
 
 def test_well_conditioned_input_takes_no_eigendecomposition(monkeypatch):
@@ -286,7 +286,7 @@ def test_well_conditioned_input_takes_no_eigendecomposition(monkeypatch):
         raise AssertionError("eigh called on a matrix the norm bounds accept")
 
     monkeypatch.setattr(np.linalg, "eigh", unexpected)
-    np.testing.assert_allclose(whitened_spectrum(A, B), expected, rtol=0, atol=_roundoff(A))
+    np.testing.assert_allclose(whitened_spectrum(A, lambda: B), expected, rtol=0, atol=_roundoff(A))
 
 
 def test_whitened_spectrum_memory_is_two_matrices():
@@ -296,7 +296,7 @@ def test_whitened_spectrum_memory_is_two_matrices():
     A, B = _shift_pair(Family.MATERN_LINEAR, 3, 1500)
     tracemalloc.start()
     try:
-        whitened_spectrum(A, B)
+        whitened_spectrum(A, lambda: B)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -306,14 +306,13 @@ def test_whitened_spectrum_memory_is_two_matrices():
 @pytest.mark.parametrize("n", [300, 600, 1100])
 def test_blocks_above_the_leaves_are_never_read(monkeypatch, n):
     A, B = _shift_pair(Family.MATERN_BASIC, 3, n)
-    expected = whitened_spectrum(A, B)
+    expected = whitened_spectrum(A, lambda: B)
     invert = spectral._invert_lower
 
     def poisoned(L):
-        with monkeypatch.context() as inner:
-            # the recursion into the halves calls the real inverse
-            inner.setattr(spectral, "_invert_lower", invert)
-            G = invert(L)
+        # the recursion into the halves calls this function too, so the
+        # corner of each level is formed from poisoned inverses of its halves
+        G = invert(L)
         for start, stop in _leaves(len(G)):
             G[start:stop, stop:] = np.nan
         return G
@@ -321,7 +320,7 @@ def test_blocks_above_the_leaves_are_never_read(monkeypatch, n):
     # the NaN also fails the norm bound, so eigh(A) decides, accepts A and
     # leaves the product to run on the poisoned inverse
     monkeypatch.setattr(spectral, "_invert_lower", poisoned)
-    w = whitened_spectrum(A, B)
+    w = whitened_spectrum(A, lambda: B)
     assert np.all(np.isfinite(w))
     assert w.tobytes() == expected.tobytes()
 
@@ -361,7 +360,7 @@ def test_whitened_spectrum_against_oracle(family, n):
         e = np.abs(w - exact)
         return e[-1], e[0], e.max()
 
-    congruence = errors(whitened_spectrum(A, B))
+    congruence = errors(whitened_spectrum(A, lambda: B))
     # at least as accurate as recorded, at the two digits recorded
     assert all(float(f"{e:.1e}") <= r for e, r in zip(congruence, ORACLE_ERRORS[family, n]))
     # and more accurate than the spectrum of the whitened matrix
