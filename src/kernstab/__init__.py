@@ -42,7 +42,6 @@ from .kernels import (
 )
 from .quadrature import (
     FourierFormResult,
-    QuadratureConfig,
     QuadratureRule,
     closed_form_conv_exp,
     conv_value,

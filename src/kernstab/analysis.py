@@ -17,7 +17,7 @@ import numpy as np
 from .assembly import conv_gram, gram, shifted_gram, symmetric_part
 from .geometry import PointSet, boundary_distance
 from .kernels import Family, KernelSpec, SpectralDensity
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, fourier_quadratic_form
+from .quadrature import FOURIER_CUTOFF, fourier_quadratic_form
 from .spectral import precision_floor, whitened_spectrum
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -123,7 +123,7 @@ def verify_shift_identity(
     X: PointSet,
     alpha,
     b: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    fourier_cutoff: float = FOURIER_CUTOFF,
 ) -> BoundCheck:
     """Matrix side versus Fourier side of the symmetrized shifted form.
 
@@ -136,7 +136,7 @@ def verify_shift_identity(
     spec = density.kernel
     B_sym = symmetric_part(shifted_gram(spec, X, [b]))
     lhs = _SQRT_2PI * float(alpha @ (B_sym @ alpha))
-    form = fourier_quadratic_form(density, X, alpha, b, cfg)
+    form = fourier_quadratic_form(density, X, alpha, b, fourier_cutoff)
     rhs = form.full_integral - 2.0 * form.damped_integral
     tol = 3.0 * form.tail_bound + 1e-8 * abs(lhs)
     return _check("shift-identity", abs(lhs - rhs), tol)
@@ -202,7 +202,6 @@ def verify_conv_chain(
     X: PointSet,
     directions,
     b: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
     c: Optional[float] = None,
 ) -> list[list[BoundCheck]]:
     """Two links of the convolved-kernel lower-bound chain, for a given shift,
@@ -230,7 +229,7 @@ def verify_conv_chain(
         raise ValueError(
             f"no fitted constant for {spec.family.value} in dimension {X.dim}; pass c"
         )
-    K = conv_gram(spec, X, cfg)
+    K = conv_gram(spec, X)
     A = gram(spec, X)
     B = shifted_gram(spec, X, [b])
     floor = precision_floor(np.linalg.eigvalsh(K))

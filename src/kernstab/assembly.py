@@ -10,7 +10,7 @@ import numpy as np
 from .errors import QuadratureError, UnsupportedKernelError
 from .geometry import PointSet, _squared_distance_blocks
 from .kernels import Family, KernelSpec, phi
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, conv_value
+from .quadrature import conv_value
 
 
 def _distance_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -111,27 +111,27 @@ def _conv_closed_form(spec: KernelSpec, x: np.ndarray, a: float, b: float) -> np
 SPOT_CHECK_TOL = 1e-10
 
 
-def _spot_check(spec: KernelSpec, x: np.ndarray, domain, K: np.ndarray, cfg: QuadratureConfig) -> float:
+def _spot_check(spec: KernelSpec, x: np.ndarray, domain, K: np.ndarray) -> float:
     # relative deviation from conv_value on the corner and middle entries
     idx = sorted({0, len(x) // 2, len(x) - 1})
     worst = max(
-        abs(K[i, j] - conv_value(spec, x[i], x[j], domain, cfg))
+        abs(K[i, j] - conv_value(spec, x[i], x[j], domain))
         for i, j in combinations_with_replacement(idx, 2)
     )
     return worst / float(np.max(np.abs(K)))
 
 
-def conv_gram(spec: KernelSpec, X: PointSet, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+def conv_gram(spec: KernelSpec, X: PointSet) -> np.ndarray:
     """Gram matrix of the domain-convolved kernel over the 1-D domain box of X.
 
     Entry (i, j) is Int_a^b k(x_i, y) k(y, x_j) dy.  For the Matern families
     it is assembled in closed form in O(n^2): the whole-line self-convolution
     Q(r) e^(-r) minus two separable half-line tails, of rank at most three
     each.  The closed form is spot-checked against ``conv_value`` on the
-    entries {0, n//2, n-1}^2, so cfg sets the precision of that check, which
-    raises QuadratureError with the achieved deviation when it exceeds
-    ``SPOT_CHECK_TOL``.  The result is symmetrized, so it is exactly
-    symmetric.  Other families raise UnsupportedKernelError.
+    entries {0, n//2, n-1}^2, which raises QuadratureError with the achieved
+    deviation when it exceeds ``SPOT_CHECK_TOL``.  The result is
+    symmetrized, so it is exactly symmetric.  Other families raise
+    UnsupportedKernelError.
     """
     if X.dim != 1 or spec.dim != 1:
         raise ValueError("convolution Gram matrices are 1-D only")
@@ -140,11 +140,11 @@ def conv_gram(spec: KernelSpec, X: PointSet, cfg: QuadratureConfig = DEFAULT_CON
     a, b = float(X.domain[0, 0]), float(X.domain[0, 1])
     x = X.points[:, 0]
     K = _conv_closed_form(spec, x, a, b)
-    achieved = _spot_check(spec, x, (a, b), K, cfg)
+    achieved = _spot_check(spec, x, (a, b), K)
     if achieved > SPOT_CHECK_TOL:
         raise QuadratureError(
             f"convolution quadrature reached {achieved:.3e}, "
-            f"target {SPOT_CHECK_TOL:.1e}; raise order or panels_per_unit",
+            f"target {SPOT_CHECK_TOL:.1e}; the closed form disagrees with its quadrature",
             achieved=achieved,
             target=SPOT_CHECK_TOL,
         )

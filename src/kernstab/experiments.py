@@ -22,7 +22,7 @@ from ._version import __version__
 from .assembly import conv_gram, gram, shifted_gram
 from .geometry import PointSet, equispaced, halton
 from .kernels import Family, KernelSpec, smoothness, spectral_density_1d
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import FOURIER_CUTOFF
 from .rng import SplitMix64
 from .spectral import below_precision_floor, centrosymmetric_eigvalsh, sym_eigen, whiten
 from .svgplot import Series, heatmap_svg, loglog_plot_svg
@@ -49,8 +49,7 @@ class Command:
 
 _MATERN = (Family.MATERN_BASIC, Family.MATERN_LINEAR, Family.MATERN_QUADRATIC)
 _SCALING = (
-    "kernel", "n_min", "n_max", "n_count", "layout", "endpoints",
-    "quad_order", "panels_per_unit", "seed", "out_csv",
+    "kernel", "n_min", "n_max", "n_count", "layout", "endpoints", "seed", "out_csv",
 )
 _SHIFTED = ("kernel", "dim", "n", "shift_factor", "seed", "out_csv")
 _RANDOMIZED = ("kernel", "n", "trials", "seed", "out_csv")
@@ -61,15 +60,10 @@ COMMANDS = {
     "eigen-scaling": Command((*_SCALING, "c_min", "c_conv", "out_svg"), _MATERN),
     "heatmap": Command((*_SHIFTED, "out_svg"), tuple(Family), dim=2),
     "equivalence": Command((*_SHIFTED, "layout", "endpoints"), tuple(Family)),
-    "identity": Command(
-        (*_RANDOMIZED, "shift_factor", "quad_order", "fourier_cutoff"), _MATERN, n=6
-    ),
+    "identity": Command((*_RANDOMIZED, "shift_factor", "fourier_cutoff"), _MATERN, n=6),
     "sin2": Command((*_RANDOMIZED, "endpoints", "eps", "c_min"), _MATERN, n=20),
     "thm41": Command(
-        (*_RANDOMIZED, "layout", "endpoints", "shift_factor", "quad_order", "panels_per_unit",
-         "c_conv"),
-        _MATERN,
-        n=20,
+        (*_RANDOMIZED, "layout", "endpoints", "shift_factor", "c_conv"), _MATERN, n=20
     ),
     "fit": Command(_SCALING, _MATERN),
 }
@@ -102,9 +96,7 @@ class ExperimentConfig:
     shift_factor: float = 0.1
     eps: float = 0.25
     trials: int = 10
-    quad_order: int = DEFAULT_CONFIG.order
-    panels_per_unit: float = DEFAULT_CONFIG.panels_per_unit
-    fourier_cutoff: float = DEFAULT_CONFIG.fourier_cutoff
+    fourier_cutoff: float = FOURIER_CUTOFF
     seed: int = 0
     c_min: Optional[float] = None
     c_conv: Optional[float] = None
@@ -137,17 +129,10 @@ class ExperimentConfig:
             raise ValueError(f"layout must be {' or '.join(LAYOUTS)}, got {self.layout!r}")
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
-        for name in ("c_min", "c_conv"):
+        for name in ("fourier_cutoff", "c_min", "c_conv"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-
-    def quad_config(self) -> QuadratureConfig:
-        return QuadratureConfig(
-            order=self.quad_order,
-            panels_per_unit=self.panels_per_unit,
-            fourier_cutoff=self.fourier_cutoff,
-        )
 
     def canonical_string(self) -> str:
         skip = {"out_csv", "out_svg"}
@@ -313,14 +298,13 @@ def _scaling_samples(cfg: ExperimentConfig, spec: KernelSpec) -> tuple:
     """The rows ``(n, q, lambda_min(k), lambda_min(k*), flag(k), flag(k*))``
     at each size of the grid, the flags true below the precision floor, and
     the ``(q, lambda_min)`` pairs of k and of k* that are not flagged."""
-    quad = cfg.quad_config()
     samples = []
     for n in sample_grid(cfg.n_min, cfg.n_max, cfg.n_count):
         X = _make_points(cfg, n)
         q = X.separation
         # each matrix is dead before the next is built
         w_sym = centrosymmetric_eigvalsh(gram(spec, X))
-        w_conv = centrosymmetric_eigvalsh(conv_gram(spec, X, quad))
+        w_conv = centrosymmetric_eigvalsh(conv_gram(spec, X))
         samples.append(
             (
                 n,
@@ -458,14 +442,14 @@ def run_equivalence(cfg: ExperimentConfig) -> ExperimentReport:
 def run_identity(cfg: ExperimentConfig) -> ExperimentReport:
     """Randomized matrix-side versus Fourier-side identity checks."""
     density = spectral_density_1d(KernelSpec(cfg.kernel, dim=1))
-    quad = cfg.quad_config()
     rng = SplitMix64(cfg.seed)
     per_trial = []
     for _ in range(cfg.trials):
         X = _random_interval_set(rng, cfg.n)
         alpha = rng.symmetric(cfg.n)
         b = cfg.shift_factor * X.separation
-        per_trial.append([analysis.verify_shift_identity(density, X, alpha, b, quad)])
+        check = analysis.verify_shift_identity(density, X, alpha, b, cfg.fourier_cutoff)
+        per_trial.append([check])
     return _check_report(cfg, per_trial)
 
 
@@ -490,7 +474,6 @@ def run_conv_chain(cfg: ExperimentConfig) -> ExperimentReport:
     """Convolved-kernel chain checks for extreme eigenvectors and random
     directions; below-floor quadratic forms are reported but flagged."""
     spec = KernelSpec(cfg.kernel, dim=1)
-    quad = cfg.quad_config()
     rng = SplitMix64(cfg.seed)
     X = _make_points(cfg, cfg.n)
     q = X.separation
@@ -498,7 +481,7 @@ def run_conv_chain(cfg: ExperimentConfig) -> ExperimentReport:
     _, Q = sym_eigen(gram(spec, X))
     directions = [Q[:, 0], Q[:, -1]]
     directions += [rng.symmetric(len(X)) for _ in range(cfg.trials)]
-    per_trial = analysis.verify_conv_chain(spec, X, directions, b, quad, c=cfg.c_conv)
+    per_trial = analysis.verify_conv_chain(spec, X, directions, b, c=cfg.c_conv)
     return _check_report(cfg, per_trial)
 
 

@@ -13,6 +13,12 @@ from .errors import QuadratureError
 from .geometry import PointSet
 from .kernels import KernelSpec, SpectralDensity, phi
 
+#: the Gauss-Legendre rule of every panelized integral: its order, and its
+#: panels per unit length in ``integrate``
+ORDER = 20
+PANELS_PER_UNIT = 4
+#: default truncation [-L, L] of the Fourier-side forms
+FOURIER_CUTOFF = 1000.0
 #: most nodes (panels x order) one Fourier-side form may take
 FOURIER_NODE_BUDGET = 2 ** 24
 
@@ -68,24 +74,6 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return QuadratureRule(order=order, nodes=nodes, weights=weights)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    order: int = 20
-    panels_per_unit: float = 4.0
-    fourier_cutoff: float = 1000.0
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
-        for name in ("panels_per_unit", "fourier_cutoff"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
-
-
 def panel_grid(edges: np.ndarray, order: int):
     """Nodes and weights of one Gauss-Legendre panel per pair of adjacent ``edges``."""
     rule = gauss_legendre(order)
@@ -102,31 +90,33 @@ def _segments(a: float, b: float, kinks) -> list[tuple[float, float]]:
     return [(lo, hi) for lo, hi in zip(pts[:-1], pts[1:]) if hi > lo]
 
 
-def integrate(f, a: float, b: float, cfg: QuadratureConfig = DEFAULT_CONFIG, kinks=()) -> float:
+def integrate(f, a: float, b: float, kinks=()) -> float:
     """Panelized Gauss-Legendre integral of a vectorized integrand.
 
-    The interval is split at the declared kinks, so the integrand must be
-    analytic on each resulting piece for the rule to reach machine precision.
+    The interval is split at the declared kinks, and each piece into
+    ``PANELS_PER_UNIT`` panels per unit length (at least one) of the
+    order-``ORDER`` rule, so the integrand must be analytic on each piece for
+    the rule to reach machine precision.
     """
     if not a < b:
         raise ValueError("need a < b")
     panel_sums = []
     for lo, hi in _segments(a, b, kinks):
-        panels = max(1, math.ceil((hi - lo) * cfg.panels_per_unit))
-        y, w = panel_grid(np.linspace(lo, hi, panels + 1), cfg.order)
+        panels = max(1, math.ceil((hi - lo) * PANELS_PER_UNIT))
+        y, w = panel_grid(np.linspace(lo, hi, panels + 1), ORDER)
         vals = w * np.asarray(f(y), dtype=float)
-        panel_sums.append(vals.reshape(panels, cfg.order).sum(axis=1))
+        panel_sums.append(vals.reshape(panels, ORDER).sum(axis=1))
     return float(np.sum(np.concatenate(panel_sums)))
 
 
-def conv_value(spec: KernelSpec, x: float, z: float, domain, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def conv_value(spec: KernelSpec, x: float, z: float, domain) -> float:
     """Entry of the domain-convolved kernel: Int_a^b phi(|x-y|) phi(|y-z|) dy."""
     if spec.dim != 1:
         raise ValueError("convolution values are 1-D only")
     a, b = float(domain[0]), float(domain[1])
     return integrate(
         lambda y: phi(spec, np.abs(x - y)) * phi(spec, np.abs(y - z)),
-        a, b, cfg, kinks=(x, z),
+        a, b, kinks=(x, z),
     )
 
 
@@ -166,7 +156,7 @@ class FourierFormResult:
 
 def _fourier_panel_width(diameter: float, shift: float) -> float:
     # integrand frequency is bounded by diameter(X) + |shift|; a quarter period
-    # per panel keeps the order-20 rule at machine precision, and the cap of
+    # per panel keeps the ORDER-point rule at machine precision, and the cap of
     # one unit resolves the density's own variation near the origin
     width = 1.0
     if diameter > 0:
@@ -181,11 +171,11 @@ def fourier_quadratic_form(
     X: PointSet,
     alpha,
     b: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    fourier_cutoff: float = FOURIER_CUTOFF,
 ) -> FourierFormResult:
     """Truncated Fourier-side form of a coefficient vector over a 1-D point set.
 
-    Both integrals run over [-L, L] with L = cfg.fourier_cutoff using panels
+    Both integrals run over [-L, L] with L = fourier_cutoff using panels
     narrow enough for the trigonometric sums; the tail bound uses the closed
     form density envelope and the crude estimate |sum_j a_j e^{i w x_j}|^2 <=
     (sum_j |a_j|)^2.
@@ -196,52 +186,54 @@ def fourier_quadratic_form(
 
         S(m_p + h xi_k) = sum_j e^{i m_p x_j} (a_j e^{i h xi_k x_j}),
 
-    one complex matrix product of a (panels x n) and an (n x order) factor.
-    That takes P n + order n complex exponentials in place of cos and sin at
-    all P order n node-point pairs.  The rounding matches the direct form's:
+    one complex matrix product of a (panels x n) and an (n x ORDER) factor.
+    That takes P n + ORDER n complex exponentials in place of cos and sin at
+    all P ORDER n node-point pairs.  The rounding matches the direct form's:
     there the phase w x_j is rounded once, with an error of about
     ulp(L |x_j|), and here m_p x_j carries the same error, h xi_k x_j a much
     smaller one, and the product of the two unit factors a few ulp.  Nodes,
     weights and the density and sin^2(w b / 2) factors are those of
     ``panel_grid`` as before.  Panels are summed in chunks whose
-    (panels x n) and (panels x order) arrays hold at most 2^16 entries each,
+    (panels x n) and (panels x ORDER) arrays hold at most 2^16 entries each,
     so the workspace is a few MB for any cutoff and point count.  A form of
     more than ``FOURIER_NODE_BUDGET`` nodes raises ``QuadratureError`` before
-    any work.
+    any work, a cutoff too large for an integer panel count included.
     """
     if X.dim != 1:
         raise ValueError("fourier quadratic forms are 1-D only")
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (len(X),):
         raise ValueError("alpha must have one coefficient per point")
-    cutoff = cfg.fourier_cutoff
-    if cutoff < 1.0:
+    cutoff = fourier_cutoff
+    if not cutoff >= 1.0:  # nan included
         raise QuadratureError(
             f"fourier_cutoff {cutoff} too small; increase it to at least 1", target=1.0
         )
     x = X.points[:, 0]
     width = _fourier_panel_width(float(x.max() - x.min()), float(b))
-    panels = max(1, math.ceil(2.0 * cutoff / width))
-    if panels * cfg.order > FOURIER_NODE_BUDGET:
+    # counted in floats: a huge cutoff has no integer panel count
+    panels = max(1.0, np.ceil(2.0 * cutoff / width))
+    if panels * ORDER > FOURIER_NODE_BUDGET:
         raise QuadratureError(
-            f"fourier_cutoff {cutoff:g} needs {panels * cfg.order} nodes, more than the "
+            f"fourier_cutoff {cutoff:g} needs {panels * ORDER:.3g} nodes, more than the "
             f"budget of {FOURIER_NODE_BUDGET}; lower it"
         )
+    panels = int(panels)
     tail = float(np.abs(alpha).sum()) ** 2 * density.tail_mass_bound(cutoff)
 
-    # a_j e^{i h xi_k x_j}, (points x order), the factor all panels share
-    half_nodes = (cutoff / panels) * gauss_legendre(cfg.order).nodes
+    # a_j e^{i h xi_k x_j}, (points x ORDER), the factor all panels share
+    half_nodes = (cutoff / panels) * gauss_legendre(ORDER).nodes
     node_factor = np.exp(np.multiply.outer(x, 1j * half_nodes))
     node_factor *= alpha[:, None]
     full = 0.0
     damped = 0.0
-    # chunks of panels keep the (panels x points) and (panels x order) arrays
+    # chunks of panels keep the (panels x points) and (panels x ORDER) arrays
     # at 2^16 entries each
-    chunk = max(1, 65536 // max(len(X), cfg.order))
+    chunk = max(1, 65536 // max(len(X), ORDER))
     edges = np.linspace(-cutoff, cutoff, panels + 1)
     for start in range(0, panels, chunk):
         e = edges[start : start + chunk + 1]
-        om, w = panel_grid(e, cfg.order)
+        om, w = panel_grid(e, ORDER)
         mid = e[:-1] + 0.5 * (e[1:] - e[:-1])
         s = (np.exp(np.multiply.outer(1j * mid, x)) @ node_factor).ravel()
         f = w * density(om) * (s.real * s.real + s.imag * s.imag)

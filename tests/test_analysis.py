@@ -27,7 +27,7 @@ from kernstab import (
     verify_shift_identity,
 )
 from kernstab.geometry import PointSet
-from kernstab.quadrature import QuadratureConfig, fourier_quadratic_form
+from kernstab.quadrature import fourier_quadratic_form
 
 BASIC = KernelSpec(Family.MATERN_BASIC, dim=1)
 LINEAR = KernelSpec(Family.MATERN_LINEAR, dim=1)
@@ -263,7 +263,7 @@ def test_damping_lhs_matches_fourier_oracle_basic():
     alpha = np.random.default_rng(5).uniform(-1, 1, 6)
     b = 0.05 * X.separation
     lhs = verify_damping_bound(density, X, alpha, b, 0.25)[0].lhs
-    form = fourier_quadratic_form(density, X, alpha, b, QuadratureConfig(fourier_cutoff=1e5))
+    form = fourier_quadratic_form(density, X, alpha, b, 1e5)
     assert form.damped_integral / math.sqrt(2 * math.pi) == pytest.approx(lhs, rel=0.01)
 
 

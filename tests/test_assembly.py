@@ -9,7 +9,6 @@ import pytest
 from kernstab import (
     Family,
     KernelSpec,
-    QuadratureConfig,
     QuadratureError,
     UnsupportedKernelError,
     antisymmetric_part,
@@ -25,9 +24,10 @@ from kernstab import (
     symmetric_part,
 )
 import oracle
+from kernstab import assembly, cli
 from kernstab.assembly import _CONV_POLYNOMIALS, _conv_closed_form, _distance_matrix, _tail_factor
 from kernstab.geometry import PointSet
-from kernstab.quadrature import _segments, panel_grid
+from kernstab.quadrature import ORDER, PANELS_PER_UNIT, _segments, panel_grid
 
 BASIC = KernelSpec(Family.MATERN_BASIC, dim=1)
 LINEAR = KernelSpec(Family.MATERN_LINEAR, dim=1)
@@ -244,14 +244,14 @@ def test_conv_gram_matches_conv_value():
             assert K[i, j] == pytest.approx(conv_value(LINEAR, x[i], x[j], (0, 1)), abs=1e-13)
 
 
-def _conv_by_quadrature(spec, x, a, b, cfg):
+def _conv_by_quadrature(spec, x, a, b):
     """Int_a^b phi(|x_i - y|) phi(|y - x_j|) dy by Gauss-Legendre panels split
     at every data point, where each integrand is analytic between two splits:
     the oracle of the closed-form conv_gram."""
     ys, ws = [], []
     for lo, hi in _segments(a, b, x):
-        panels = max(1, math.ceil((hi - lo) * cfg.panels_per_unit))
-        y, w = panel_grid(np.linspace(lo, hi, panels + 1), cfg.order)
+        panels = max(1, math.ceil((hi - lo) * PANELS_PER_UNIT))
+        y, w = panel_grid(np.linspace(lo, hi, panels + 1), ORDER)
         ys.append(y)
         ws.append(w)
     y, w = np.concatenate(ys), np.concatenate(ws)
@@ -278,7 +278,7 @@ def test_conv_gram_closed_form_matches_quadrature(family, scale, points):
     points = _stretched(points, scale)
     K = conv_gram(spec, points)
     (a, b), = points.domain
-    reference = _conv_by_quadrature(spec, points.points[:, 0], a, b, QuadratureConfig())
+    reference = _conv_by_quadrature(spec, points.points[:, 0], a, b)
     assert np.max(np.abs(K - reference)) <= 1e-13 * np.max(np.abs(K))
 
 
@@ -386,12 +386,18 @@ def test_conv_gram_exactly_symmetric():
     np.testing.assert_array_equal(K, K.T)
 
 
-def test_conv_gram_reports_quadrature_failure():
-    coarse = QuadratureConfig(order=2, panels_per_unit=1.0)
+def test_conv_gram_reports_quadrature_failure(monkeypatch, tmp_path, capsys):
+    # a spot check that disagrees by 1e-6 with the closed form
+    exact = assembly.conv_value
+    monkeypatch.setattr(assembly, "conv_value", lambda *args: exact(*args) + 1e-6)
     with pytest.raises(QuadratureError) as info:
-        conv_gram(BASIC, equispaced(3, 0, 1), coarse)
+        conv_gram(BASIC, equispaced(3, 0, 1))
     assert info.value.achieved is not None
     assert info.value.achieved > info.value.target
+    # through the CLI it is a numerical failure
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["thm41", "--n", "8", "--trials", "1"]) == 3
+    assert "numerical failure: convolution quadrature" in capsys.readouterr().err
 
 
 def test_conv_gram_is_one_dimensional_only():

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from heatmap_reference import assert_decodes_to_loop_colors, loop_color_indices, run_count
-from kernstab import cli
+from kernstab import Family, cli
 from kernstab.experiments import COMMANDS, ExperimentConfig, ExperimentReport, run
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args, cwd, timeout=None):
@@ -203,36 +205,42 @@ def test_heatmap_command(tmp_path):
 # has several leaves, so its products sum in another order, and the spectrum
 # moved in its roundoff digits (by at most 3.3e-15 here and 1.4e-14 at
 # n = 2000), no verdict with it; up to 512 points each half is one leaf and
-# the inverse is bitwise what it was
+# the inverse is bitwise what it was.
+# Every CSV digest was re-recorded when the quadrature rule became a fixed
+# constant and the quad_order and panels_per_unit fields left
+# ExperimentConfig: the 12-hex config column hashes canonical_string, which
+# lists every field, so it moved on every row.  With that first column
+# dropped each CSV is byte for byte what it was, and both SVGs kept their
+# digests
 GOLDEN_DIGESTS = {
     ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "60"): {
-        "heatmap.csv": "8d57e47a9a734f167fb024ee3cd8c2ef23f4f63c308eb25a6260d7e36428f317",
-        "heatmap.spectrum.csv": "51ecd79814305bf5d1f67df5879b551a470c60c86c7659bbe41a34c91a6f226e",
+        "heatmap.csv": "a0c23d34c38b478b70d2714ef8f4c260d1eac3df9047cd5d0209e2bfcbbf4012",
+        "heatmap.spectrum.csv": "83b7442915bd1968e03114874ae645a7514416e16753521ad453cdc15b27e85d",
         "heatmap.svg": "8334a3abe6e9dd69207b9a6840534866bf2552b7ef3ca8f01ef0ef3fabd6333c",
     },
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "200"): {
-        "equivalence.csv": "b328947fcc1e7e94abe259d5b3025503e2b8282861d4782a517ab37a023fe15a",
-        "equivalence.spectrum.csv": "f777f987223be9e2b47807e9263b242c79fab2988022707e98ea416b5109df24",
+        "equivalence.csv": "ab695fadbde5f1143027768c85d01dacabb4c7fedb501b2620265dd800c0e67d",
+        "equivalence.spectrum.csv": "357ca3569095c6db51610ac56264863e997b961015ca86be8c2a503952f48b55",
     },
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "600"): {
-        "equivalence.csv": "81fb2272cefff5b9cba61e418f7efe385a3aaf5855954f3db16eb82e452823b1",
-        "equivalence.spectrum.csv": "df2cf1b279a7a46b4dad8004f290591a7b71b3332385c38634c7cd53946f3abe",
+        "equivalence.csv": "0ec096b9ab48abacea6ffeab0f87df90a1b1ebf9dc59b3d367b4795c360d0bae",
+        "equivalence.spectrum.csv": "3e0e9ecee1a3b7ad4cef9357027fa0b077e883b1894b163b6b0630ec1390f387",
     },
     ("identity", "--kernel", "matern-basic", "--n", "6"): {
-        "identity.csv": "7265dcc0439f5157dcaaf368d9097ed54a58566c6420108272e751c774a89963",
+        "identity.csv": "3dd181f3f88969f4814cd6ab68159e00a28b6727f9e66c17cd11a64cdab42863",
     },
     ("sin2", "--kernel", "matern-linear", "--n", "10", "--trials", "2"): {
-        "sin2.csv": "66bf7ac3330b93918bd1c9fcf876b5ec2b4743e828386be6df9633a3c95a24f5",
+        "sin2.csv": "ca82183f620f893306c9a6ed6e1702e5dacf64a765d89dba9ca4c8bd86b83d0c",
     },
     ("eigen-scaling", "--kernel", "matern-linear", "--n-max", "40", "--n-count", "8"): {
-        "eigen-scaling.csv": "8af73f29b9975575f4956af2ce59f5088b80f43277cf032163a6ed55aafe6945",
+        "eigen-scaling.csv": "913b6ff32f0582334c5cd3254c088bf02cb4f27572decaf7543e96e8d4a1e7c0",
         "eigen-scaling.svg": "6d9c28dd98d8d2549abae6f17b0a973059aa142d236a4de6fb6c769246da257a",
     },
     ("thm41", "--kernel", "matern-basic", "--n", "20", "--shift-factor", "0.5"): {
-        "thm41.csv": "393304d56502cc1229be0212568c4d9adf100668d2f4eef8c2036e135550f3d4",
+        "thm41.csv": "ec8649925eab7ef870e2aa22a94183c7c699fa614c3bd368f5f48ed7cc3e6f08",
     },
     ("fit", "--kernel", "matern-basic", "--n-max", "40", "--n-count", "8"): {
-        "fit.csv": "42c3f3cf02b0dd8d2d9945bef588522350ed1c5b21552dbd0253b448c57b6c19",
+        "fit.csv": "73bea4495cee748ff4652d06d89f76a2c3edc72caa03dcfc2bd9ec1802151456",
     },
 }
 
@@ -296,12 +304,14 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     result = run_cli(["identity", "--trials", "0"], tmp_path)
     assert result.returncode == 2
     assert "no checks" in result.stderr
-    # a non-finite quadrature option and a bound constant that is not finite
-    # and positive are usage errors, not a traceback or nan bounds
+    # a Fourier cutoff and a bound constant that are not finite and positive
+    # are usage errors, not a traceback or nan bounds
     monkeypatch.chdir(tmp_path)
     for args in (
         ["identity", "--n", "4", "--trials", "1", "--fourier-cutoff", "inf"],
-        ["thm41", "--n", "8", "--trials", "1", "--panels-per-unit", "inf"],
+        ["identity", "--n", "4", "--trials", "1", "--fourier-cutoff", "nan"],
+        ["identity", "--n", "4", "--trials", "1", "--fourier-cutoff", "0"],
+        ["identity", "--n", "4", "--trials", "1", "--fourier-cutoff", "-1"],
         ["eigen-scaling", "--n-max", "40", "--n-count", "4", "--c-min", "0"],
         ["eigen-scaling", "--n-max", "40", "--n-count", "4", "--c-min", "nan"],
         ["sin2", "--kernel", "matern-linear", "--n", "8", "--trials", "1", "--c-min", "nan"],
@@ -363,7 +373,17 @@ def test_flags_are_exactly_the_table_rows():
             assert action.option_strings == ["--" + name.replace("_", "-")]
             assert action.default == defaults[name], (command, name)
         assert actions["kernel"].choices == [f.value for f in row.families], command
-    assert sum(len(p._actions) - 1 for p in parsers.values()) == 65
+    assert sum(len(p._actions) - 1 for p in parsers.values()) == 58
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_quadrature_rule_is_not_an_option(command, capsys):
+    # one fixed Gauss-Legendre rule: no command accepts a knob of it
+    for flag in ("--quad-order", "--panels-per-unit"):
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args([command, flag, "4"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_unread_options_are_rejected(tmp_path):
@@ -384,33 +404,23 @@ def test_unread_options_are_rejected(tmp_path):
 
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)} - {"command"}
-# QuadratureConfig field -> the ExperimentConfig field it is built from
-_QUAD_SOURCES = {
-    "order": "quad_order",
-    "panels_per_unit": "panels_per_unit",
-    "fourier_cutoff": "fourier_cutoff",
-}
 
 
 class _Recorder:
     """Stands in for a config and records in ``read`` the ExperimentConfig
     fields taken from it.  ``config_hash`` reads every field and is not
-    counted; the QuadratureConfig that ``quad_config`` builds from all three
-    quadrature fields counts only those read from it downstream."""
+    counted."""
 
-    def __init__(self, target, read, sources):
-        self._target, self._read, self._sources = target, read, sources
+    def __init__(self, target, read):
+        self._target, self._read = target, read
 
     def __getattr__(self, name):
-        if name in self._sources:
-            self._read.add(self._sources[name])
+        if name in _FIELD_NAMES:
+            self._read.add(name)
         return getattr(self._target, name)
 
     def config_hash(self):
         return self._target.config_hash()
-
-    def quad_config(self):
-        return _Recorder(self._target.quad_config(), self._read, _QUAD_SOURCES)
 
 
 # small runs of each command: every option its runner reads is reached
@@ -429,7 +439,7 @@ _SMALL = {
 def test_runners_read_exactly_the_table_rows(command):
     read = set()
     cfg = ExperimentConfig(command=command, **_SMALL[command])
-    report = run(_Recorder(cfg, read, {name: name for name in _FIELD_NAMES}))
+    report = run(_Recorder(cfg, read))
     assert report.rows
     # the CLI reads the output paths, and every command takes --seed
     untracked = {"seed", "out_csv", "out_svg"}
@@ -437,12 +447,32 @@ def test_runners_read_exactly_the_table_rows(command):
 
 
 def test_readme_command_lines_parse():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    lines = re.findall(r"^kernstab (\S.*)$", readme, re.M)
+    lines = re.findall(r"^kernstab (\S.*)$", README.read_text(), re.M)
     assert len(lines) >= len(COMMANDS)
     for line in lines:
         args = cli.build_parser().parse_args(line.split())
         ExperimentConfig(**vars(args))
+
+
+# the kernel column of README's flag table
+_README_KERNELS = {
+    "Matérn": (Family.MATERN_BASIC, Family.MATERN_LINEAR, Family.MATERN_QUADRATIC),
+    "all four": tuple(Family),
+}
+
+
+def test_readme_flag_table_matches_the_commands():
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \| (.*) \|$", README.read_text(), re.M)
+    assert [command for command, _, _ in rows] == list(COMMANDS)
+    for command, flags, kernels in rows:
+        # the header's "besides --kernel, --seed, --out-csv"
+        options = {"kernel", "seed", "out_csv"}
+        for cell in flags.split(", "):
+            for flag in cell.strip("`").split("/"):
+                assert flag.startswith("--"), (command, flag)
+                options.add(flag[2:].replace("-", "_"))
+        assert options == set(COMMANDS[command].options), command
+        assert _README_KERNELS[kernels] == COMMANDS[command].families, command
 
 
 def test_abbreviated_flags_are_rejected(tmp_path):
@@ -469,6 +499,16 @@ def test_fourier_node_budget_exits_3(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("cutoff", ["1e305", "1e308"])
+def test_fourier_cutoff_beyond_any_panel_count_exits_3(cutoff, tmp_path):
+    # 2 cutoff / width overflows an integer panel count (at 1e308 it is inf)
+    result = run_cli(["identity", "--trials", "1", "--fourier-cutoff", cutoff], tmp_path, timeout=60)
+    assert result.returncode == 3, result.stderr
+    assert "numerical failure" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr) < 200, result.stderr
+
+
 @pytest.mark.parametrize("args", [
     ["equivalence", "--dim", "3", "--n", "10000000"],
     ["eigen-scaling", "--n-min", "10000000", "--n-max", "10000000", "--n-count", "1"],
@@ -493,13 +533,9 @@ def test_memory_error_is_a_usage_error(monkeypatch, capsys):
 
 
 def test_numerical_failure_exits_3(tmp_path):
-    result = run_cli(
-        ["thm41", "--kernel", "matern-basic", "--n", "8", "--quad-order", "2",
-         "--panels-per-unit", "1"],
-        tmp_path,
-    )
+    result = run_cli(["identity", "--n", "6", "--trials", "1", "--fourier-cutoff", "0.5"], tmp_path)
     assert result.returncode == 3
-    assert "numerical failure" in result.stderr
+    assert "numerical failure: fourier_cutoff 0.5 too small" in result.stderr
 
 
 def test_singular_gram_in_equivalence_exits_3(tmp_path):

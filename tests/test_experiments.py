@@ -249,7 +249,7 @@ def test_halton_scaling_samples_are_eigvalsh_bitwise():
     for n, q, lam_sym, lam_conv, flag_sym, flag_conv in samples:
         X = halton(n, 1)
         w_sym = np.linalg.eigvalsh(gram(spec, X))
-        w_conv = np.linalg.eigvalsh(conv_gram(spec, X, cfg.quad_config()))
+        w_conv = np.linalg.eigvalsh(conv_gram(spec, X))
         assert (lam_sym, lam_conv) == (w_sym[0], w_conv[0])
         assert (flag_sym, flag_conv) == (below_precision_floor(w_sym)[0], below_precision_floor(w_conv)[0])
 

@@ -7,7 +7,6 @@ import pytest
 from kernstab import (
     Family,
     KernelSpec,
-    QuadratureConfig,
     QuadratureError,
     closed_form_conv_exp,
     conv_value,
@@ -18,8 +17,9 @@ from kernstab import (
     integrate,
     spectral_density_1d,
 )
+from kernstab.experiments import ExperimentConfig
 from kernstab.geometry import PointSet
-from kernstab.quadrature import _fourier_panel_width, panel_grid
+from kernstab.quadrature import ORDER, _fourier_panel_width, panel_grid
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -63,11 +63,12 @@ def test_rule_rejects_bad_order():
         gauss_legendre(65)
 
 
-@pytest.mark.parametrize("field", ["panels_per_unit", "fourier_cutoff"])
+@pytest.mark.parametrize("field", ["fourier_cutoff"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
 def test_config_rejects_values_that_are_not_finite_and_positive(field, value):
-    with pytest.raises(ValueError, match=field):
-        QuadratureConfig(**{field: value})
+    # the one quadrature option left, checked with the config before any work
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive, got {value}"):
+        ExperimentConfig(command="identity", **{field: value})
 
 
 def test_integrate_constant():
@@ -82,15 +83,16 @@ def test_integrate_kinked_exponential():
 
 
 def test_integrate_kink_declaration_matters():
-    f = np.abs
-    # one panel spanning the kink: with finer default panels the kink would
-    # land on a panel edge and be resolved by accident
-    cfg = QuadratureConfig(panels_per_unit=0.5)
-    undeclared = integrate(f, -1.0, 1.0, cfg)
-    declared = integrate(f, -1.0, 1.0, cfg, kinks=(0.0,))
-    assert abs(declared - 1.0) <= 1e-15
-    assert abs(undeclared - 1.0) > 1e-12
-    assert abs(undeclared - 1.0) < 1e-2
+    # a kink off the panel edges (multiples of 1/4 here), so only its
+    # declaration resolves it: Int_-1^1 |y - 0.1| dy = (1.1^2 + 0.9^2) / 2
+    def f(y):
+        return np.abs(y - 0.1)
+
+    undeclared = integrate(f, -1.0, 1.0)
+    declared = integrate(f, -1.0, 1.0, kinks=(0.1,))
+    assert abs(declared - 1.01) <= 1e-15
+    assert abs(undeclared - 1.01) > 1e-12
+    assert abs(undeclared - 1.01) < 1e-2
 
 
 def test_integrate_rejects_empty_interval():
@@ -198,11 +200,10 @@ def test_fourier_form_panel_doubling_converges():
     density = spectral_density_1d(BASIC)
     b = 0.5 * X.separation
     base = fourier_quadratic_form(density, X, alpha, b)
-    fine = fourier_quadratic_form(
-        density, X, alpha, b, QuadratureConfig(order=24, panels_per_unit=8.0)
-    )
-    assert base.full_integral == pytest.approx(fine.full_integral, rel=1e-10)
-    assert base.damped_integral == pytest.approx(fine.damped_integral, rel=1e-10)
+    # the same panels with a finer rule
+    [(full, damped)] = _direct_integrals([density], X, alpha, [b], 24, 1000.0).values()
+    assert base.full_integral == pytest.approx(full, rel=1e-10)
+    assert base.damped_integral == pytest.approx(damped, rel=1e-10)
 
 
 def test_fourier_form_damping_monotone_near_zero():
@@ -221,9 +222,7 @@ def test_fourier_form_cutoff_guard():
     density = spectral_density_1d(BASIC)
     X = equispaced(4, 0, 1)
     with pytest.raises(QuadratureError):
-        fourier_quadratic_form(
-            density, X, np.ones(4), 0.0, QuadratureConfig(fourier_cutoff=0.5)
-        )
+        fourier_quadratic_form(density, X, np.ones(4), 0.0, 0.5)
     # oscillating coefficients on nearly coincident points leave almost all
     # mass beyond any moderate cutoff
     tight = PointSet(np.array([[0.0], [1e-3]]), np.array([[0.0, 1.0]]))
@@ -231,7 +230,7 @@ def test_fourier_form_cutoff_guard():
         fourier_quadratic_form(density, tight, [1.0, -1.0], 0.0)
 
 
-def _direct_integrals(densities, X, alpha, shifts, cfg):
+def _direct_integrals(densities, X, alpha, shifts, order, cutoff):
     """{(density, b): (full, damped)} from cos and sin of every node's phase.
 
     This is the chunk loop that the phase split replaced, run once for all
@@ -239,14 +238,13 @@ def _direct_integrals(densities, X, alpha, shifts, cfg):
     of ``fourier_quadratic_form``.
     """
     x = X.points[:, 0]
-    cutoff = cfg.fourier_cutoff
     (width,) = {_fourier_panel_width(float(x.max() - x.min()), float(b)) for b in shifts}
     panels = max(1, math.ceil(2.0 * cutoff / width))
     sums = {(d, b): [0.0, 0.0] for d in densities for b in shifts}
     chunk = max(1, 65536 // max(len(X), 1))
     edges = np.linspace(-cutoff, cutoff, panels + 1)
     for start in range(0, panels, chunk):
-        om, w = panel_grid(edges[start : start + chunk + 1], cfg.order)
+        om, w = panel_grid(edges[start : start + chunk + 1], order)
         phase = np.outer(om, x)
         re = np.cos(phase) @ alpha
         im = np.sin(phase) @ alpha
@@ -284,11 +282,10 @@ def test_fourier_form_phase_split_matches_direct_evaluation(n, cutoff):
         X, q = PointSet(X.points / 10.0, X.domain / 10.0), q / 10.0
     alpha = rng.uniform(0.0, 1.0, n) if cutoff == 10.0 else rng.uniform(-1, 1, n)
     shifts = (0.0, q / 3, q)
-    cfg = QuadratureConfig(fourier_cutoff=cutoff)
-    direct = _direct_integrals(densities, X, alpha, shifts, cfg)
+    direct = _direct_integrals(densities, X, alpha, shifts, ORDER, cutoff)
     for density in densities:
         for b in shifts:
-            result = fourier_quadratic_form(density, X, alpha, b, cfg)
+            result = fourier_quadratic_form(density, X, alpha, b, cutoff)
             full, damped = direct[density, b]
             tol = 1e-12 * result.full_integral
             assert abs(result.full_integral - full) <= tol
@@ -302,10 +299,9 @@ def test_fourier_form_workspace_stays_small(n, cutoff):
     # the direct evaluation peaked at 33.5, 21.5 and 25.8 MB here
     X = equispaced(n, 0, 1) if n > 1 else PointSet(np.array([[0.4]]), np.array([[0.0, 1.0]]))
     density = spectral_density_1d(BASIC)
-    cfg = QuadratureConfig(fourier_cutoff=cutoff)
     tracemalloc.start()
     try:
-        fourier_quadratic_form(density, X, np.ones(n), 0.01, cfg)
+        fourier_quadratic_form(density, X, np.ones(n), 0.01, cutoff)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
