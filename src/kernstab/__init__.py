@@ -24,7 +24,7 @@ from .assembly import (
     shifted_gram,
     symmetric_part,
 )
-from .errors import QuadratureError, SingularMatrixError, UnsupportedKernelError
+from .errors import QuadratureError, SingularMatrixError
 from .experiments import ExperimentConfig, ExperimentReport, run, sample_grid
 from .geometry import (
     PointSet,

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import QuadratureError, UnsupportedKernelError
+from .errors import QuadratureError
 from .geometry import PointSet, _squared_distance_blocks
 from .kernels import Family, KernelSpec, phi
 from .quadrature import conv_value
@@ -124,19 +124,16 @@ def _spot_check(spec: KernelSpec, x: np.ndarray, domain, K: np.ndarray) -> float
 def conv_gram(spec: KernelSpec, X: PointSet) -> np.ndarray:
     """Gram matrix of the domain-convolved kernel over the 1-D domain box of X.
 
-    Entry (i, j) is Int_a^b k(x_i, y) k(y, x_j) dy.  For the Matern families
-    it is assembled in closed form in O(n^2): the whole-line self-convolution
+    Entry (i, j) is Int_a^b k(x_i, y) k(y, x_j) dy, assembled in closed
+    form in O(n^2): the whole-line self-convolution
     Q(r) e^(-r) minus two separable half-line tails, of rank at most three
     each.  The closed form is spot-checked against ``conv_value`` on the
     entries {0, n//2, n-1}^2, which raises QuadratureError with the achieved
     deviation when it exceeds ``SPOT_CHECK_TOL``.  The result is
-    symmetrized, so it is exactly symmetric.  Other families raise
-    UnsupportedKernelError.
+    symmetrized, so it is exactly symmetric.
     """
     if X.dim != 1 or spec.dim != 1:
         raise ValueError("convolution Gram matrices are 1-D only")
-    if spec.family not in _CONV_POLYNOMIALS:
-        raise UnsupportedKernelError(f"no closed-form convolution for {spec.family.value}")
     a, b = float(X.domain[0, 0]), float(X.domain[0, 1])
     x = X.points[:, 0]
     K = _conv_closed_form(spec, x, a, b)

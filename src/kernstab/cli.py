@@ -2,11 +2,10 @@
 
 Each subcommand takes one flag per ``ExperimentConfig`` field that its row
 of ``experiments.COMMANDS`` lists, named after the field (``n_min`` is
-``--n-min``) and with its default, and offers the kernel families that row
-lists, so the CLI and the library run the same experiment for the same
-options.  A flag must be spelled in full: a prefix of one is rejected.
-Artifacts default to ``<command>.csv`` and ``<command>.svg`` in the working
-directory.
+``--n-min``) and with its default, so the CLI and the library run the same
+experiment for the same options; ``--kernel`` offers every ``Family``.  A
+flag must be spelled in full: a prefix of one is rejected.  Artifacts
+default to ``<command>.csv`` and ``<command>.svg`` in the working directory.
 
 Exit codes: 0 all checks satisfied, 1 at least one reliable check failed,
 2 usage error (also a checking command that ran no checks, a size whose
@@ -25,6 +24,7 @@ from dataclasses import fields
 from ._version import __version__
 from .errors import QuadratureError, SingularMatrixError
 from .experiments import COMMANDS, LAYOUTS, ExperimentConfig, run
+from .kernels import Family
 
 
 def _bool_flag(value: str) -> bool:
@@ -36,8 +36,9 @@ def _bool_flag(value: str) -> bool:
 
 
 # what a field's default cannot tell its flag: the other flags take the type
-# of their default, and --kernel the families of its command
+# of their default
 _FLAG_OPTIONS = {
+    "kernel": {"choices": [family.value for family in Family]},
     "dim": {"type": int},
     "n": {"type": int},
     "layout": {"choices": LAYOUTS},
@@ -63,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
             if f.name not in row.options:
                 continue
             options = _FLAG_OPTIONS.get(f.name, {"type": type(f.default)})
-            if f.name == "kernel":
-                options = {"choices": [family.value for family in row.families]}
             p.add_argument("--" + f.name.replace("_", "-"), default=f.default, **options)
     return parser
 
@@ -87,7 +86,7 @@ def main(argv=None) -> int:
         report.write_csv(out_csv)
         print(f"wrote {out_csv}")
         if report.svg is not None:
-            out_svg = cfg.out_svg or f"{cfg.command}.svg"
+            out_svg = cfg.out_svg if cfg.out_svg is not None else f"{cfg.command}.svg"
             report.write_svg(out_svg)
             print(f"wrote {out_svg}")
     except OSError as exc:

@@ -24,7 +24,3 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.achieved = achieved
         self.target = target
-
-
-class UnsupportedKernelError(ValueError):
-    """The requested operation is not defined for this kernel family."""

@@ -38,34 +38,30 @@ _PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 class Command:
     """One row of ``COMMANDS``: the config fields a command takes (those its
     runner reads, the output paths the CLI reads, and ``seed``, taken by
-    every command so that one seed can be passed to any), the kernel
-    families it runs, and its defaults of ``dim`` and ``n``."""
+    every command so that one seed can be passed to any), and its defaults
+    of ``dim`` and ``n``.  Every command runs every kernel family."""
 
     options: tuple
-    families: tuple
     dim: int = 1
     n: int = 50
 
 
-_MATERN = (Family.MATERN_BASIC, Family.MATERN_LINEAR, Family.MATERN_QUADRATIC)
 _SCALING = (
     "kernel", "n_min", "n_max", "n_count", "layout", "endpoints", "seed", "out_csv",
 )
 _SHIFTED = ("kernel", "dim", "n", "shift_factor", "seed", "out_csv")
 _RANDOMIZED = ("kernel", "n", "trials", "seed", "out_csv")
 
-#: command -> what it takes: the one table the CLI's flags and kernel
-#: choices and ``ExperimentConfig``'s checks come from
+#: command -> what it takes: the one table the CLI's flags and
+#: ``ExperimentConfig``'s checks come from
 COMMANDS = {
-    "eigen-scaling": Command((*_SCALING, "c_min", "c_conv", "out_svg"), _MATERN),
-    "heatmap": Command((*_SHIFTED, "out_svg"), tuple(Family), dim=2),
-    "equivalence": Command((*_SHIFTED, "layout", "endpoints"), tuple(Family)),
-    "identity": Command((*_RANDOMIZED, "shift_factor", "fourier_cutoff"), _MATERN, n=6),
-    "sin2": Command((*_RANDOMIZED, "endpoints", "eps", "c_min"), _MATERN, n=20),
-    "thm41": Command(
-        (*_RANDOMIZED, "layout", "endpoints", "shift_factor", "c_conv"), _MATERN, n=20
-    ),
-    "fit": Command(_SCALING, _MATERN),
+    "eigen-scaling": Command((*_SCALING, "c_min", "c_conv", "out_svg")),
+    "heatmap": Command((*_SHIFTED, "out_svg"), dim=2),
+    "equivalence": Command((*_SHIFTED, "layout", "endpoints")),
+    "identity": Command((*_RANDOMIZED, "shift_factor", "fourier_cutoff"), n=6),
+    "sin2": Command((*_RANDOMIZED, "endpoints", "eps", "c_min"), n=20),
+    "thm41": Command((*_RANDOMIZED, "layout", "endpoints", "shift_factor", "c_conv"), n=20),
+    "fit": Command(_SCALING),
 }
 
 
@@ -75,11 +71,11 @@ class ExperimentConfig:
 
     A command takes the fields its row of ``COMMANDS`` lists, each as a flag
     of the same name (``n_min`` is ``--n-min``) with the same default; any
-    other field must keep its default, and a kernel family the row does not
-    list is rejected.  ``dim`` and ``n`` default per command, from its row,
-    and ``layout`` to ``halton`` for ``dim > 1``, ``equispaced`` otherwise.
-    A size (the larger of ``n`` and ``n_max``) whose ``n x n`` float64
-    matrix would not fit in physical memory is rejected before any work.
+    other field must keep its default.  ``dim`` and ``n`` default per
+    command, from its row, and ``layout`` to ``halton`` for ``dim > 1``,
+    ``equispaced`` otherwise.  A size (the larger of ``n`` and ``n_max``)
+    whose ``n x n`` float64 matrix would not fit in physical memory, and a
+    numeric option out of its range, are rejected before any work.
     The field order is part of ``canonical_string``, hence of every config
     hash.
     """
@@ -109,8 +105,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if not isinstance(self.kernel, Family):
             object.__setattr__(self, "kernel", Family(self.kernel))
-        if self.kernel not in row.families:
-            raise ValueError(f"{self.command} does not run the {self.kernel.value} kernel")
         dim = row.dim if self.dim is None else self.dim
         defaults = {"dim": row.dim, "n": row.n, "layout": "halton" if dim > 1 else "equispaced"}
         for f in fields(self)[1:]:  # every field but command
@@ -129,7 +123,12 @@ class ExperimentConfig:
             raise ValueError(f"layout must be {' or '.join(LAYOUTS)}, got {self.layout!r}")
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
-        for name in ("fourier_cutoff", "c_min", "c_conv"):
+        if not math.isfinite(self.shift_factor):
+            raise ValueError(f"shift_factor must be finite, got {self.shift_factor}")
+        cutoff = self.fourier_cutoff
+        if not (math.isfinite(cutoff) and cutoff >= 1):
+            raise ValueError(f"fourier_cutoff must be finite and at least 1, got {cutoff}")
+        for name in ("c_min", "c_conv"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")

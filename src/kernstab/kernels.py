@@ -1,12 +1,11 @@
 """Translation-invariant kernels, their radial profiles and 1-D densities.
 
-A kernel here is k(x, z) = phi(||x - z||) for one of four radial profiles,
-at unit length scale, where the paper's bounds and the fitted constants are
-stated (points at another scale are rescaled instead).  The three
-exponential-family profiles have algebraically decaying Fourier transforms
-with decay exponents tau = 1, 2, 3; the squared-exponential profile decays
-faster than any algebraic rate and is rejected by every operation that
-requires a finite decay exponent.
+A kernel here is k(x, z) = phi(||x - z||) for one of three half-integer
+Matern profiles p(r) e^(-r), at unit length scale, where the paper's bounds
+and the fitted constants are stated (points at another scale are rescaled
+instead).  Each is finitely smooth: its Fourier transform decays
+algebraically, with decay exponent tau = 1, 2, 3.  Every table keyed by
+``Family`` covers all of its members.
 """
 
 from __future__ import annotations
@@ -17,17 +16,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import UnsupportedKernelError
-
 
 class Family(str, Enum):
     MATERN_BASIC = "matern-basic"
     MATERN_LINEAR = "matern-linear"
     MATERN_QUADRATIC = "matern-quadratic"
-    GAUSSIAN = "gaussian"
 
 
-#: decay exponent of the Fourier transform per family (finite families only)
+#: decay exponent of the Fourier transform per family
 FAMILY_SMOOTHNESS = {
     Family.MATERN_BASIC: 1.0,
     Family.MATERN_LINEAR: 2.0,
@@ -62,10 +58,10 @@ _PHI_BLOCK = 1 << 14  # entries phi evaluates at a time (128 KB of float64)
 def phi(spec: KernelSpec, r):
     """Radial profile at distance ``r`` (scalar or array).
 
-    phi(0) is 1 for the basic, linear and squared-exponential profiles and 3
-    for the quadratic one.  An array argument gives a fresh array (a 0-d one a
-    float); ``r`` itself is never written.  The arithmetic runs in place on
-    that fresh array, in the operation order of the textbook expressions
+    phi(0) is 1 for the basic and linear profiles and 3 for the quadratic
+    one.  An array argument gives a fresh array (a 0-d one a float); ``r``
+    itself is never written.  The arithmetic runs in place on that fresh
+    array, in the operation order of the textbook expressions
     (``(1 + u) * exp(-u)`` and so on), so every value is bitwise theirs, a
     block of ``_PHI_BLOCK`` entries at a time with two block-sized
     temporaries: an n x n argument and its profile peak at about two n x n
@@ -92,26 +88,18 @@ def phi(spec: KernelSpec, r):
             np.negative(u, out=decay)
             u += 1.0
             u *= np.exp(decay, out=decay)
-        elif spec.family is Family.MATERN_QUADRATIC:
+        else:
             np.negative(u, out=decay)
             np.multiply(u, 3.0, out=poly)
             poly += 3.0
             u *= u
             poly += u
             np.multiply(poly, np.exp(decay, out=decay), out=u)
-        else:
-            # -(u u) is bitwise (-u) u: rounding is symmetric in sign
-            u *= u
-            np.exp(np.negative(u, out=u), out=u)
     return out.reshape(r.shape) if r.ndim else float(out[0])
 
 
 def smoothness(spec: KernelSpec) -> float:
     """Decay exponent tau of the kernel's Fourier transform."""
-    if spec.family not in FAMILY_SMOOTHNESS:
-        raise UnsupportedKernelError(
-            f"{spec.family.value} has infinite smoothness; finite decay exponent required"
-        )
     return FAMILY_SMOOTHNESS[spec.family]
 
 
@@ -145,13 +133,9 @@ class SpectralDensity:
 
 
 def spectral_density_1d(spec: KernelSpec) -> SpectralDensity:
-    """Closed-form spectral density; only available for 1-D finite-smoothness kernels."""
+    """Closed-form spectral density; only available in 1-D."""
     if spec.dim != 1:
-        raise UnsupportedKernelError("closed-form spectral densities are 1-D only")
-    if spec.family not in _DENSITY_AMPLITUDE:
-        raise UnsupportedKernelError(
-            f"no closed-form spectral density for {spec.family.value}"
-        )
+        raise ValueError("closed-form spectral densities are 1-D only")
     return SpectralDensity(
         kernel=spec,
         amplitude=_DENSITY_AMPLITUDE[spec.family],

@@ -10,7 +10,6 @@ from kernstab import (
     Family,
     KernelSpec,
     QuadratureError,
-    UnsupportedKernelError,
     antisymmetric_part,
     closed_form_conv_exp,
     conv_gram,
@@ -330,11 +329,6 @@ def test_oracle_conv_gram_is_the_integral():
             lambda y: oracle._phi(spec, xi - y) * oracle._phi(spec, y - xj), [0, xi, xj, end]
         )
         assert abs(oracle.conv_gram(spec, X)[1, 4] - value) <= mpmath.mpf(10) ** -28 * value
-
-
-def test_conv_gram_rejects_a_family_without_closed_form():
-    with pytest.raises(UnsupportedKernelError, match="gaussian"):
-        conv_gram(KernelSpec(Family.GAUSSIAN, dim=1), halton(12, 1))
 
 
 # SHA-256 of the Gauss-Legendre rules of orders 1 to 64, recorded before the three panel

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from heatmap_reference import assert_decodes_to_loop_colors, loop_color_indices, run_count
-from kernstab import Family, cli
+from kernstab import Family, QuadratureError, SingularMatrixError, cli
 from kernstab.experiments import COMMANDS, ExperimentConfig, ExperimentReport, run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -292,10 +292,12 @@ def test_constant_overrides_enable_quadratic_family(tmp_path):
 
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert run_cli(["eigen-scaling", "--kernel", "bogus"], tmp_path).returncode == 2
-    # a family the command does not run is not offered
-    result = run_cli(["eigen-scaling", "--kernel", "gaussian"], tmp_path)
-    assert result.returncode == 2
-    assert "invalid choice: 'gaussian'" in result.stderr
+    # every command offers the finitely smooth families alone
+    for command in COMMANDS:
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--kernel", "gaussian"])
+        assert info.value.code == 2, command
+        assert "invalid choice: 'gaussian'" in capsys.readouterr().err, command
     assert run_cli(["eigen-scaling", "--n-min", "5", "--n-max", "2"], tmp_path).returncode == 2
     assert run_cli([], tmp_path).returncode == 2
     # negative counts, and checking runs left with zero checks, have no verdict
@@ -304,14 +306,17 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     result = run_cli(["identity", "--trials", "0"], tmp_path)
     assert result.returncode == 2
     assert "no checks" in result.stderr
-    # a Fourier cutoff and a bound constant that are not finite and positive
-    # are usage errors, not a traceback or nan bounds
+    # a Fourier cutoff that is not finite and at least 1, a shift factor that
+    # is not finite and a bound constant that is not finite and positive are
+    # usage errors, not a traceback or nan bounds
     monkeypatch.chdir(tmp_path)
     for args in (
         ["identity", "--n", "4", "--trials", "1", "--fourier-cutoff", "inf"],
         ["identity", "--n", "4", "--trials", "1", "--fourier-cutoff", "nan"],
         ["identity", "--n", "4", "--trials", "1", "--fourier-cutoff", "0"],
         ["identity", "--n", "4", "--trials", "1", "--fourier-cutoff", "-1"],
+        ["identity", "--n", "6", "--trials", "1", "--fourier-cutoff", "0.5"],
+        ["equivalence", "--n", "10", "--shift-factor", "nan"],
         ["eigen-scaling", "--n-max", "40", "--n-count", "4", "--c-min", "0"],
         ["eigen-scaling", "--n-max", "40", "--n-count", "4", "--c-min", "nan"],
         ["sin2", "--kernel", "matern-linear", "--n", "8", "--trials", "1", "--c-min", "nan"],
@@ -323,16 +328,20 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     result = run_cli(["identity", "--n", "501"], tmp_path, timeout=60)
     assert result.returncode == 2
     assert "usage error" in result.stderr
-    # an unwritable output path is a usage error, not a failed check
+    # an unwritable output path is a usage error, not a failed check; an
+    # empty one names no file, for the plot as for the table
     missing = tmp_path / "no-such-dir"
     for args in (
         ["identity", "--n", "4", "--trials", "1", "--out-csv", str(missing / "x.csv")],
+        ["identity", "--n", "4", "--trials", "1", "--out-csv", ""],
         ["heatmap", "--n", "10", "--out-svg", str(missing / "x.svg")],
+        ["eigen-scaling", "--n-max", "20", "--n-count", "3", "--out-svg", ""],
     ):
         result = run_cli(args, tmp_path)
         assert result.returncode == 2, result.stderr
         assert "usage error" in result.stderr
         assert "Traceback" not in result.stderr
+    assert not (tmp_path / "eigen-scaling.svg").exists()
 
 
 @pytest.mark.parametrize("command", ["heatmap", "equivalence"])
@@ -372,7 +381,7 @@ def test_flags_are_exactly_the_table_rows():
         for name, action in actions.items():
             assert action.option_strings == ["--" + name.replace("_", "-")]
             assert action.default == defaults[name], (command, name)
-        assert actions["kernel"].choices == [f.value for f in row.families], command
+        assert actions["kernel"].choices == [f.value for f in Family], command
     assert sum(len(p._actions) - 1 for p in parsers.values()) == 58
 
 
@@ -395,7 +404,7 @@ def test_unread_options_are_rejected(tmp_path):
         ExperimentConfig(command="eigen-scaling", eps=0.5)
     with pytest.raises(ValueError, match="heatmap does not take layout"):
         ExperimentConfig(command="heatmap", layout="equispaced")
-    with pytest.raises(ValueError, match="thm41 does not run the gaussian kernel"):
+    with pytest.raises(ValueError, match="'gaussian' is not a valid Family"):
         ExperimentConfig(command="thm41", kernel="gaussian")
     # an unread field given its default is the default run, hash included
     assert ExperimentConfig(command="identity", dim=1, layout="equispaced", eps=0.25) == (
@@ -454,17 +463,10 @@ def test_readme_command_lines_parse():
         ExperimentConfig(**vars(args))
 
 
-# the kernel column of README's flag table
-_README_KERNELS = {
-    "Matérn": (Family.MATERN_BASIC, Family.MATERN_LINEAR, Family.MATERN_QUADRATIC),
-    "all four": tuple(Family),
-}
-
-
 def test_readme_flag_table_matches_the_commands():
-    rows = re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \| (.*) \|$", README.read_text(), re.M)
-    assert [command for command, _, _ in rows] == list(COMMANDS)
-    for command, flags, kernels in rows:
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \|$", README.read_text(), re.M)
+    assert [command for command, _ in rows] == list(COMMANDS)
+    for command, flags in rows:
         # the header's "besides --kernel, --seed, --out-csv"
         options = {"kernel", "seed", "out_csv"}
         for cell in flags.split(", "):
@@ -472,7 +474,6 @@ def test_readme_flag_table_matches_the_commands():
                 assert flag.startswith("--"), (command, flag)
                 options.add(flag[2:].replace("-", "_"))
         assert options == set(COMMANDS[command].options), command
-        assert _README_KERNELS[kernels] == COMMANDS[command].families, command
 
 
 def test_abbreviated_flags_are_rejected(tmp_path):
@@ -532,10 +533,16 @@ def test_memory_error_is_a_usage_error(monkeypatch, capsys):
     assert "usage error: Unable to allocate" in capsys.readouterr().err
 
 
-def test_numerical_failure_exits_3(tmp_path):
-    result = run_cli(["identity", "--n", "6", "--trials", "1", "--fourier-cutoff", "0.5"], tmp_path)
-    assert result.returncode == 3
-    assert "numerical failure: fourier_cutoff 0.5 too small" in result.stderr
+def test_numerical_failure_exits_3(monkeypatch, capsys):
+    # both numerical failures a run can raise map to exit 3, never a traceback
+    for exc in (SingularMatrixError("matrix numerically singular"),
+                QuadratureError("quadrature missed its target")):
+        def fail(cfg, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "run", fail)
+        assert cli.main(["heatmap", "--n", "10"]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {exc}\n"
 
 
 def test_singular_gram_in_equivalence_exits_3(tmp_path):

@@ -224,7 +224,7 @@ def test_thm41_builds_its_convolved_gram_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("family", [Family.MATERN_BASIC, Family.MATERN_LINEAR, Family.MATERN_QUADRATIC])
+@pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("endpoints", [True, False])
 def test_split_spectra_keep_the_scaling_flags(family, endpoints):
     # the default eigen-scaling grid up to n = 300: every split eigenvalue
