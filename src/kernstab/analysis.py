@@ -108,11 +108,11 @@ def verify_equivalence(spec: KernelSpec, X: PointSet, b) -> EquivalenceResult:
     (caller's responsibility; both checks simply report).  The spectrum is
     ``whitened_spectrum``'s Cholesky congruence, which never forms the
     whitened matrix; a Gram matrix too near singular to whiten raises
-    ``SingularMatrixError``.  The shifted matrix is built only after the
-    Gram matrix has been factored and freed, so at most three n x n
-    matrices are alive at once.
+    ``SingularMatrixError``.  The Gram matrix is factored and inverted in
+    place, and the shifted matrix is built only after that inverse has been
+    tested, so at most two n x n matrices are alive at once.
     """
-    w = whitened_spectrum(gram(spec, X), lambda: shifted_gram(spec, X, b))
+    w = whitened_spectrum(lambda: gram(spec, X), lambda: shifted_gram(spec, X, b))
     lower = _check("equivalence-lower", 0.75, w[0])
     upper = _check("equivalence-upper", w[-1], 1.0, strict=True)
     return EquivalenceResult(lower=lower, upper=upper, spectrum=w)

@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import QuadratureError
-from .geometry import PointSet, _squared_distance_blocks
+from .geometry import _BLOCK_ENTRIES, PointSet, _squared_distance_blocks
 from .kernels import Family, KernelSpec, phi
 from .quadrature import conv_value
 
@@ -20,36 +20,65 @@ def _distance_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    # the profile is written over the distance matrix: one n x m array
+    D = _distance_matrix(P, Q)
+    return phi(spec, D, out=D)
+
+
 def gram(spec: KernelSpec, X: PointSet) -> np.ndarray:
     """Pairwise kernel matrix on X; exactly symmetric, diagonal phi(0).
 
     Each distance is built from the coordinate differences, which change only
     sign when the two points swap and are exactly 0 for a point with itself,
     so the distance matrix, and with it the kernel matrix, is symmetric bit
-    for bit with an exact 0 diagonal; no mirroring pass is needed.
+    for bit with an exact 0 diagonal; no mirroring pass is needed.  The
+    profile is written over the distance matrix, so the result is the only
+    n x n array built.
     """
     if X.dim != spec.dim:
         raise ValueError(f"point set dimension {X.dim} != kernel dimension {spec.dim}")
-    return phi(spec, _distance_matrix(X.points, X.points))
+    return _kernel_matrix(spec, X.points, X.points)
 
 
 def shifted_gram(spec: KernelSpec, X: PointSet, b) -> np.ndarray:
-    """Kernel matrix between the translated set X + b and X; unsymmetric for b != 0."""
+    """Kernel matrix between the translated set X + b and X; unsymmetric for b != 0.
+
+    Built over its distance matrix, as ``gram`` is."""
     if X.dim != spec.dim:
         raise ValueError(f"point set dimension {X.dim} != kernel dimension {spec.dim}")
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if b.shape != (X.dim,):
         raise ValueError(f"shift vector must have dimension {X.dim}")
-    return phi(spec, _distance_matrix(X.points + b, X.points))
+    return _kernel_matrix(spec, X.points + b, X.points)
+
+
+def _symmetrize(B: np.ndarray) -> np.ndarray:
+    """Overwrite the square B with ``0.5 (B + B^T)``, and return it.
+
+    Row block I and column block I are paired up to I's stop, so each pair
+    of mirrored entries is read before either is written, and each entry is
+    ``(B_ij + B_ji) * 0.5``, bitwise ``(B + B^T) * 0.5``: addition commutes
+    exactly.  The scratch is one row block, not a second n x n matrix.
+    """
+    n = len(B)
+    rows = max(1, _BLOCK_ENTRIES // max(1, n))
+    work = np.empty((min(rows, n), n))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        lower, upper = B[start:stop, :stop], B[:stop, start:stop]
+        pair = np.add(lower, upper.T, out=work[: stop - start, :stop])
+        pair *= 0.5
+        lower[...] = pair
+        upper[...] = pair.T
+    return B
 
 
 def symmetric_part(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
-    S = A + A.T
-    S *= 0.5
-    return S
+    return _symmetrize(A.copy())
 
 
 def antisymmetric_part(A) -> np.ndarray:

@@ -7,25 +7,55 @@ import numpy as np
 _HALTON_BASES = (2, 3, 5)
 
 
-# entries of one block's difference array (8 MB of float64)
-_BLOCK_ENTRIES = 1 << 20
+# entries of one row block of a pass over an n x m matrix, and of its
+# scratch array (512 KB of float64 each): the distances here, and the
+# symmetrization and norm of assembly and spectral
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _add_squares(p: np.ndarray, q: np.ndarray, coords, acc: np.ndarray, tmp: np.ndarray) -> None:
+    """``acc[i, j] = sum over coords, left to right, of (p[i, k] - q[j, k])^2``;
+    ``tmp`` is written only for the second coordinate on."""
+    for count, k in enumerate(coords):
+        term = tmp if count else acc
+        np.subtract.outer(p[:, k], q[:, k], out=term)
+        term *= term
+        if count:
+            acc += term
+
+
+def _squared_distances(p: np.ndarray, q: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """``out[i, j] = |p[i] - q[j]|^2``, a coordinate at a time.
+
+    Each entry is the sum of squared coordinate differences, never the
+    ``|p|^2 + |q|^2 - 2 p.q`` expansion, which cancels at small distances.
+    The squares are summed as numpy's ``einsum("ijk,ijk->ij")`` sums them
+    below 8 coordinates, in two lanes: the even coordinates and the odd ones,
+    each left to right, then the two lane sums (for d = 3,
+    ``(d0^2 + d2^2) + d1^2``), so each entry is bitwise that ``einsum``'s.
+    ``tmp`` is a scratch array of ``out``'s shape.
+    """
+    d = p.shape[1]
+    _add_squares(p, q, range(0, d, 2), out, tmp)
+    if d > 1:
+        # below 4 coordinates the odd lane is one square, which tmp holds
+        odd = tmp if d < 4 else np.empty_like(out)
+        _add_squares(p, q, range(1, d, 2), odd, tmp)
+        out += odd
 
 
 def _squared_distance_blocks(P: np.ndarray, Q: np.ndarray, out: np.ndarray):
     """Fill ``out[i, j] = |P[i] - Q[j]|^2`` by row blocks, yielding each one once written.
 
-    Each entry is the sum of squared coordinate differences, never the
-    ``|p|^2 + |q|^2 - 2 p.q`` expansion, which cancels at small distances.
-    A block's difference array holds at most ``_BLOCK_ENTRIES`` entries, so
-    no ``n x m x d`` temporary is built, and its sums go straight into
-    ``out``; the entries are bitwise those of the unblocked computation.
+    A block holds at most ``_BLOCK_ENTRIES`` entries, and so does the
+    scratch array of ``_squared_distances``, so no ``n x m x d`` temporary is
+    built; the entries are bitwise those of the unblocked computation.
     """
-    rows = max(1, _BLOCK_ENTRIES // (Q.shape[0] * Q.shape[1]))
+    rows = max(1, _BLOCK_ENTRIES // max(1, Q.shape[0]))
+    tmp = np.empty((min(rows, P.shape[0]), Q.shape[0]))
     for start in range(0, P.shape[0], rows):
-        diff = P[start : start + rows, None, :] - Q[None, :, :]
         block = out[start : start + rows]
-        np.einsum("ijk,ijk->ij", diff, diff, out=block)
-        del diff  # before the next block's is built
+        _squared_distances(P[start : start + rows], Q, block, tmp[: len(block)])
         yield block
 
 
@@ -36,13 +66,15 @@ def _pairwise_min_distance(points: np.ndarray) -> float:
         return float(np.sqrt((gaps * gaps).min()))
     # each row block against the columns from its first row on: every pair
     # once, with the block's own diagonal masked
-    n, d = points.shape
-    rows = max(1, _BLOCK_ENTRIES // (n * d))
+    n = len(points)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    d2_buffer, tmp = np.empty((2, min(rows, n), n))
     best = np.inf
     for start in range(0, n, rows):
-        diff = points[start : start + rows, None, :] - points[None, start:, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        diag = np.arange(d2.shape[0])
+        p, q = points[start : start + rows], points[start:]
+        d2 = d2_buffer[: len(p), : len(q)]
+        _squared_distances(p, q, d2, tmp[: len(p), : len(q)])
+        diag = np.arange(len(p))
         d2[diag, diag] = np.inf
         best = min(best, d2.min())
     return float(np.sqrt(best))

@@ -55,31 +55,42 @@ class KernelSpec:
 _PHI_BLOCK = 1 << 14  # entries phi evaluates at a time (128 KB of float64)
 
 
-def phi(spec: KernelSpec, r):
+def phi(spec: KernelSpec, r, out=None):
     """Radial profile at distance ``r`` (scalar or array).
 
     phi(0) is 1 for the basic and linear profiles and 3 for the quadratic
     one.  An array argument gives a fresh array (a 0-d one a float); ``r``
-    itself is never written.  The arithmetic runs in place on that fresh
-    array, in the operation order of the textbook expressions
-    (``(1 + u) * exp(-u)`` and so on), so every value is bitwise theirs, a
-    block of ``_PHI_BLOCK`` entries at a time with two block-sized
-    temporaries: an n x n argument and its profile peak at about two n x n
-    arrays.  ``u`` is capped at 1e3: every profile is 0 from ``u = 746`` on,
-    so no value moves, and the quadratic profile stays at 0, its limit,
-    where ``u * u`` would overflow and the expression gives ``inf * 0``.
+    itself is never written, unless it is passed as ``out``: a C-contiguous
+    float64 array of r's shape that receives the values and is returned, as
+    ``gram`` and ``shifted_gram`` write the profile over their distance
+    matrix.  The arithmetic runs in place on the output, in the operation
+    order of the textbook expressions (``(1 + u) * exp(-u)`` and so on), so
+    every value is bitwise theirs, a block of ``_PHI_BLOCK`` entries at a
+    time with two block-sized temporaries: an n x n argument and its profile
+    peak at about two n x n arrays, and one written over its argument at
+    one.  ``u`` is capped at 1e3: every profile is 0 from ``u = 746`` on, so
+    no value moves, and the quadratic profile stays at 0, its limit, where
+    ``u * u`` would overflow and the expression gives ``inf * 0``.
     """
     r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r)):
+    # a NaN makes both extremes NaN; no n x n mask is built
+    lo, hi = np.min(r, initial=0.0), np.max(r, initial=0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("profile argument must be finite")
-    if np.any(r < 0):
+    if lo < 0:
         raise ValueError("profile argument must be nonnegative")
+    if out is None:
+        out = np.empty(r.shape)
+    elif not (
+        isinstance(out, np.ndarray) and out.dtype == float
+        and out.shape == r.shape and out.flags.c_contiguous
+    ):
+        raise ValueError("out must be a C-contiguous float64 array of the argument's shape")
     # flat (copied only if r is not contiguous); a 0-d argument is one entry
-    src = r.reshape(-1)
-    out = np.empty(src.shape)
+    src, flat = r.reshape(-1), out.reshape(-1)
     temporaries = np.empty((2, min(src.size, _PHI_BLOCK)))
     for start in range(0, src.size, _PHI_BLOCK):
-        u = out[start : start + _PHI_BLOCK]
+        u = flat[start : start + _PHI_BLOCK]
         decay, poly = temporaries[:, : u.size]
         np.minimum(src[start : start + _PHI_BLOCK], 1e3, out=u)
         if spec.family is Family.MATERN_BASIC:
@@ -95,7 +106,7 @@ def phi(spec: KernelSpec, r):
             u *= u
             poly += u
             np.multiply(poly, np.exp(decay, out=decay), out=u)
-    return out.reshape(r.shape) if r.ndim else float(out[0])
+    return out if r.ndim else float(out)
 
 
 def smoothness(spec: KernelSpec) -> float:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import symmetric_part
+from .assembly import _symmetrize, symmetric_part
 from .errors import SingularMatrixError
+from .geometry import _BLOCK_ENTRIES
 
 #: relative spread below which whitening output is roundoff noise
 _SPD_FLOOR = 1e3 * np.finfo(float).eps
@@ -81,65 +82,89 @@ def whiten(A, B) -> np.ndarray:
 
 
 def _halve(n: int) -> int:
-    """Rows of the top half that ``_invert_lower`` splits n rows into, or 0
-    for a block of at most 256 rows, which it inverts whole."""
+    """Rows of the top half that ``_inverse_cholesky`` splits n rows into, or 0
+    for a block of at most 256 rows, which it factors and inverts whole."""
     return 0 if n <= 256 else n // 2
 
 
 def _leaves(n: int) -> list[tuple[int, int]]:
     """Row ranges ``(start, stop)`` of the diagonal blocks that
-    ``_invert_lower`` inverts whole, top to bottom.  Its result is exactly
-    zero above them: every entry right of a leaf's ``stop`` in that leaf's rows."""
+    ``_inverse_cholesky`` factors and inverts whole, top to bottom.  Its
+    result is exactly zero above them: every entry right of a leaf's
+    ``stop`` in that leaf's rows."""
     h = _halve(n)
     if not h:
         return [(0, n)]
     return _leaves(h) + [(h + start, h + stop) for start, stop in _leaves(n - h)]
 
 
-def _invert_lower(L: np.ndarray) -> np.ndarray:
-    """Overwrite the lower-triangular ``L`` with its inverse, and return it.
+def _inverse_cholesky(A: np.ndarray) -> np.ndarray:
+    """Overwrite the SPD ``A`` with ``L^-1``, ``A = L L^T``, and return it.
 
-    ``[[L11, 0], [L21, L22]]^-1 = [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]]``:
-    the diagonal halves are inverted recursively and the corner takes two
-    products, written over L21, so nearly all the work is matrix products
-    (numpy offers no triangular inverse).  Blocks of up to 256 rows, the
-    ``_leaves``, are inverted whole, and keep the roundoff that their LU
-    inverse leaves above the diagonal: zeroing it made lambda_max of a
-    whitened spectrum 300 times less accurate against the 50-digit oracle
-    (matern-quadratic, n = 40).  Above the leaves the inverse is left
-    exactly zero, and the corner's products skip those blocks of L11^-1 and
-    L22^-1; for halves of one leaf each they are the two full products, bit
-    for bit.
+    By halves, with ``G = L^-1``: ``G11`` of ``A11``; ``L21 = A21 G11^T``;
+    the Schur complement ``A22 - L21 L21^T``; its ``G22``; and the corner
+    ``G21 = -G22 L21 G11``.  Each step is written over the block it
+    replaces, so no n x n matrix is made besides A, and every step but the
+    leaves is matrix products (numpy offers no triangular solve or
+    inverse).  Only the lower triangle of A is read.  Blocks of up to 256
+    rows, the ``_leaves``, are factored and inverted whole by
+    ``np.linalg.inv(np.linalg.cholesky(.))``, so up to 256 rows this is
+    bitwise that expression.  A leaf's inverse keeps the roundoff that LU
+    leaves above its diagonal: zeroing it made lambda_max of a whitened
+    spectrum 300 times less accurate against the 50-digit oracle
+    (matern-quadratic, n = 40).  Everything right of a leaf's stop is set to
+    exact zero, and every product skips those blocks.  Raises
+    ``np.linalg.LinAlgError`` if a leaf's Cholesky factor breaks down.
     """
-    h = _halve(len(L))
+    h = _halve(len(A))
     if not h:
-        L[...] = np.linalg.inv(L)
-        return L
-    L11, L21, L22 = _invert_lower(L[:h, :h]), L[h:, :h], _invert_lower(L[h:, h:])
-    # L21 L11^-1 by the leaf columns I of L11^-1, left to right: they are
-    # zero above their leaf's start, and no block after I reads L21[:, I]
-    for start, stop in _leaves(h):
-        L21[:, start:stop] = L21[:, start:] @ L11[start:, start:stop]
-    # -L22^-1 (.) by the leaf rows I of L22^-1, bottom up: they are zero
-    # right of their leaf's stop, and no block after I reads L21[I]
-    for start, stop in reversed(_leaves(len(L) - h)):
-        np.negative(L22[start:stop, :stop] @ L21[:stop], out=L21[start:stop])
-    return L
+        A[...] = np.linalg.inv(np.linalg.cholesky(A))
+        return A
+    G11, A21, A22 = _inverse_cholesky(A[:h, :h]), A[h:, :h], A[h:, h:]
+    A[:h, h:] = 0.0
+    upper, lower = _leaves(h), _leaves(len(A) - h)
+    # L21 = A21 G11^T by the leaf columns J, right to left: G11^T is zero
+    # below J's stop there, and no block left of J reads A21[:, J]
+    for start, stop in reversed(upper):
+        A21[:, start:stop] = A21[:, :stop] @ G11[start:stop, :stop].T
+    # the lower block triangle of A22 - L21 L21^T, the part its halves read
+    for start, stop in lower:
+        A22[start:stop, :stop] -= A21[start:stop] @ A21[:stop].T
+    G22 = _inverse_cholesky(A22)
+    # L21 G11 by the leaf columns J of G11, left to right: they are zero
+    # above J's start, and no block after J reads L21[:, J]
+    for start, stop in upper:
+        A21[:, start:stop] = A21[:, start:] @ G11[start:, start:stop]
+    # -G22 (.) by the leaf rows I of G22, bottom up: they are zero right of
+    # I's stop, and no block after I reads row block I
+    for start, stop in reversed(lower):
+        np.negative(G22[start:stop, :stop] @ A21[:stop], out=A21[start:stop])
+    return A
 
 
-def whitened_spectrum(A, shifted) -> np.ndarray:
+def _norm_1(A: np.ndarray) -> float:
+    """``||A||_1`` of a symmetric A, as its largest absolute row sum (its
+    infinity norm, bitwise ``np.linalg.norm(A, np.inf)``), by row blocks of
+    ``_BLOCK_ENTRIES``, so no n x n ``|A|`` is made."""
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(A)))
+    sums = (np.abs(A[start : start + rows]).sum(axis=1) for start in range(0, len(A), rows))
+    return max((float(s.max()) for s in sums), default=0.0)
+
+
+def whitened_spectrum(gram, shifted) -> np.ndarray:
     """Ascending eigenvalues of A^(-1/2) sym(B) A^(-1/2), by Cholesky congruence,
-    with ``B = shifted()``.
+    with ``A = gram()`` and ``B = shifted()``.
 
-    B is built only once A has been factored, tested and dropped, so a
-    caller that passes A as a temporary never holds A and B at once.  The
-    peak is then three n x n matrices: A, LAPACK's copy of it and L while A
-    is factored; L and what ``shifted`` holds at once (for ``shifted_gram``,
-    a distance matrix and its profile); L, B and sym(B).
+    Both are zero-argument builders, and what they return is owned and
+    overwritten: A by ``L^-1`` (``_inverse_cholesky``), B by sym(B) and then
+    by the congruence.  B is built only once A has been overwritten and
+    tested, so the peak is two n x n matrices: L^-1 and B (while B is
+    built, ``shifted_gram`` writes its profile over its distance matrix),
+    then B and ``eigvalsh``'s copy of it.
 
     With A = L L^T and W = L^-1 A^(1/2), W W^T = L^-1 A L^-T = I, so W is
     orthogonal and C = L^-1 sym(B) L^-T = W (A^(-1/2) sym(B) A^(-1/2)) W^T
-    has the same spectrum; it costs a Cholesky factor, its inverse, two
+    has the same spectrum; it costs a Cholesky factor and its inverse, two
     matmuls and one ``eigvalsh``, where ``whiten`` needs a full ``eigh`` and
     three.
 
@@ -147,14 +172,16 @@ def whitened_spectrum(A, shifted) -> np.ndarray:
     without an eigensolve where it can be: ||L^-1||_2^2 = 1 / lambda_min, so
     1 / ||L^-1||_F^2 <= lambda_min, and ||A||_1 >= lambda_max; a ratio of the
     two above the floor accepts A.  Otherwise, or if Cholesky breaks down,
-    the test runs on ``eigh(A)``, the eigenvalues ``inv_sqrt`` tests, so a
-    rejection and its message are those of ``inv_sqrt``; an accepted A whose
-    Cholesky broke down is whitened by G = diag(w^-1/2) Q^T, for which
-    G A G^T = I as for L^-1.
+    ``gram`` is called again and the test runs on ``eigh(A)``, the
+    eigenvalues ``inv_sqrt`` tests, so a rejection and its message are those
+    of ``inv_sqrt``; an accepted A whose Cholesky broke down is whitened by
+    G = diag(w^-1/2) Q^T, for which G A G^T = I as for L^-1.  That fallback
+    holds the rebuilt A, its eigenvectors and ``eigh``'s workspace at once,
+    and L^-1 beside them where Cholesky succeeded.
 
     The products go over G's diagonal blocks I = start:stop, from the last
-    up: the ``_leaves`` of ``_invert_lower`` for L^-1, and one block of all
-    n rows for the full G of the eigenpairs.  G is zero right of each
+    up: the ``_leaves`` of ``_inverse_cholesky`` for L^-1, and one block of
+    all n rows for the full G of the eigenpairs.  G is zero right of each
     block's stop, and ``eigvalsh`` reads only the lower triangle of C, so a
     block forms ``T[I, :stop] = G[I, :stop] S[:stop, :stop]``, S = sym(B),
     then its block column of C's lower block triangle,
@@ -162,31 +189,29 @@ def whitened_spectrum(A, shifted) -> np.ndarray:
     diagonal block.  Both are written over S: a block reads S only above its
     stop and T only left of its stop, where no block below it writes.  That is
     about a quarter of the flops of the two full products; for one block
-    it is those products and 0.5 (C + C^T), bit for bit.  G and S are the
-    only n x n matrices of its own besides the factorizations' workspace and
-    one block's products, and A and B are read, never written; a B of
-    another shape than A is rejected once it is built.
+    it is those products and 0.5 (C + C^T), bit for bit.  A B of another
+    shape than A is rejected once it is built.
     """
-    A = _check_symmetric(A)
-    upper = np.linalg.norm(A, 1)
+    A = _check_symmetric(gram())
+    upper = _norm_1(A)
     try:
-        G = _invert_lower(np.linalg.cholesky(A))
-        blocks = _leaves(len(A))
+        G, blocks = _inverse_cholesky(A), _leaves(len(A))
     except np.linalg.LinAlgError:
         G = None
+    # A is G now, or what is left of it once Cholesky broke down
+    del A
     # written as "not below", so a NaN in the inverse also falls back
     if G is None or not _SPD_FLOOR * upper * np.vdot(G, G) < 1.0:
-        w, Q = np.linalg.eigh(A)
+        w, Q = np.linalg.eigh(_check_symmetric(gram()))
         _require_spd(w)
         if G is None:
-            G, blocks = (Q / np.sqrt(w)).T, [(0, len(A))]  # full, like no leaf
+            Q /= np.sqrt(w)
+            G, blocks = Q.T, [(0, len(Q))]  # full, like no leaf
         del Q
-    # a caller that passes A as a temporary gets it back here, before B exists
-    del A
     B = shifted()
     if np.shape(B) != G.shape:
         raise ValueError("A and B must have equal size")
-    S = symmetric_part(B)
+    S = _symmetrize(np.asarray(B, dtype=float))
     del B
     for start, stop in reversed(blocks):
         S[start:stop, :stop] = G[start:stop, :stop] @ S[:stop, :stop]

@@ -8,6 +8,9 @@ import kernstab
 # the directory that holds the kernstab package under test
 SRC = str(Path(kernstab.__file__).resolve().parent.parent)
 
+# BLAS threads of every child: 2, or 1 on a 1-core host
+BLAS_THREADS = min(2, len(os.sched_getaffinity(0)))
+
 
 @pytest.fixture(autouse=True)
 def _children_import_kernstab(monkeypatch):
@@ -25,6 +28,5 @@ def _children_import_kernstab(monkeypatch):
         if p
     ]
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join([SRC, *inherited]))
-    threads = str(min(2, len(os.sched_getaffinity(0))))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, threads)
+        monkeypatch.setenv(var, str(BLAS_THREADS))

@@ -1,6 +1,5 @@
 import inspect
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -140,18 +139,22 @@ def test_equivalence_small_shift(family, dim, n):
 
 
 def test_equivalence_builds_the_shifted_matrix_after_freeing_the_gram_matrix(monkeypatch):
-    # while k(X,X) is factored, it, LAPACK's copy and the factor are alive;
-    # k(X+b,X) built before k(X,X) is freed would be a fourth n x n matrix
+    # k(X,X) is built once and overwritten by its inverse Cholesky factor
+    # before k(X+b,X) is built: its values are gone, and the one n x n
+    # matrix alive beside the new one is L^-1
     build_gram, build_shifted = analysis.gram, analysis.shifted_gram
     built = []
 
     def tracked_gram(spec, X):
         A = build_gram(spec, X)
-        built.append(weakref.ref(A))
+        built.append(A)
         return A
 
     def shifted_gram_after_gram_freed(spec, X, b):
-        assert [ref() is None for ref in built] == [True], "k(X,X) is alive"
+        assert len(built) == 1, "k(X,X) built again"
+        G, A = built[0], build_gram(spec, X)
+        assert not np.any(np.triu(G, 257)), "k(X,X) is alive"
+        assert np.max(np.abs(G @ A @ G.T - np.eye(len(A)))) <= 1e-8
         return build_shifted(spec, X, b)
 
     monkeypatch.setattr(analysis, "gram", tracked_gram)

@@ -168,6 +168,26 @@ def test_distance_matrix_bitwise_equals_einsum_reference(n, m, dim):
     assert _distance_matrix(X.points + b, X.points).tobytes() == expected.tobytes()
 
 
+def _einsum_distances(P, Q):
+    # the unblocked n x m x d reference
+    diff = P[:, None, :] - Q[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernel_matrices_bitwise_equal_einsum_reference(dim):
+    # the distances are summed a coordinate at a time, in einsum's order, and
+    # the profile is written over them; 700 points span several row blocks
+    # (tests/test_geometry.py holds the separation to the same reference)
+    X = halton(700, dim)
+    b = np.full(dim, 0.1 * X.separation)
+    for family in Family:
+        spec = KernelSpec(family, dim=dim)
+        assert gram(spec, X).tobytes() == phi(spec, _einsum_distances(X.points, X.points)).tobytes()
+        expected = phi(spec, _einsum_distances(X.points + b, X.points))
+        assert shifted_gram(spec, X, b).tobytes() == expected.tobytes()
+
+
 def test_shifted_gram_dimension_mismatch():
     with pytest.raises(ValueError):
         shifted_gram(BASIC, equispaced(3, 0, 1), [0.1, 0.2])
@@ -187,8 +207,15 @@ def test_parts_of_nilpotent_matrix():
 
 def test_symmetric_part_is_bitwise_the_expression():
     rng = np.random.default_rng(5)
-    # the middle matrix overflows in A + A^T; the empty one has no entries
-    for A in (rng.uniform(-1, 1, (97, 97)), rng.uniform(-1, 1, (8, 8)) * 1.7e308, np.ones((0, 0))):
+    # the second spans several row blocks of the in-place pass; the third
+    # overflows in A + A^T; the empty one has no entries
+    matrices = (
+        rng.uniform(-1, 1, (97, 97)),
+        rng.uniform(-1, 1, (700, 700)),
+        rng.uniform(-1, 1, (8, 8)) * 1.7e308,
+        np.ones((0, 0)),
+    )
+    for A in matrices:
         before = A.copy()
         with np.errstate(over="ignore"):
             got, expected = symmetric_part(A), 0.5 * (A + A.T)

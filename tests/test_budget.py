@@ -41,8 +41,9 @@ print(json.dumps(
 # and 270 MB.  heatmap at n = 1000 took 1.3 to 2.0 s and peaked at 101.5 MB
 # on the 2-core VM once its CSV formatted each value of the symmetric grid
 # once (1.85 to 2.35 s and 87.6 MB before; the added peak is the text of
-# the columns still to be written); its wall budget leaves about 5x room, as
-# eigen-scaling's does.
+# the columns still to be written), and at 88 MB once its kernel matrices
+# were built over their distance matrices; its wall budget leaves about 5x
+# room, as eigen-scaling's does.
 # identity took 17.6 s and 59.4 MB before the Fourier-side phase was split
 # per panel.  eigen-scaling at its defaults (30 sizes up to n = 1000) took
 # 0.63 to 0.75 s warm (1.6 s on a cold first run) and 70.2 MB on the 2-core
@@ -50,16 +51,19 @@ print(json.dumps(
 # far below the 1.6 GB that conv_gram peaked at before its closed form.
 # equivalence at n = 2000 peaked at 236 MB while it whitened by a full
 # eigendecomposition, and at 170 MB with its Cholesky congruence while the
-# shifted matrix was built before the Gram matrix was factored; built after
-# the Gram matrix is freed, it peaks at 140 MB (three n x n matrices of
-# 32 MB over about 43 MB of interpreter and numpy).  It took 2.0 to 2.1 s
-# on the 2-core VM once the congruence skipped the zero blocks of L^-1
-# (2.2 to 2.65 s before), and its wall budget leaves about 5x room, as
-# heatmap's does
+# shifted matrix was built before the Gram matrix was factored, and at
+# 140 MB (three n x n matrices of 32 MB over about 43 MB of interpreter and
+# numpy) once it was built after the Gram matrix was freed.  With the Gram
+# matrix factored and inverted in place and both kernel matrices built over
+# their distance matrices, it peaks at 111 MB (two n x n matrices) and
+# takes 1.5 to 1.65 s on the 2-core VM, against 1.8 s for the three-matrix
+# version measured beside it (recorded at 2.0 to 2.1 s once the congruence
+# skipped the zero blocks of L^-1, 2.2 to 2.65 s before); its wall budget
+# leaves about 5x room, as heatmap's does
 HEATMAP_1000 = ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "1000")
 BUDGETS = {
     HEATMAP_1000: (10, 130),
-    ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): (12, 150),
+    ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): (12, 125),
     ("identity", "--kernel", "matern-basic", "--n", "400", "--trials", "2",
      "--fourier-cutoff", "1e4"): (8, 50),
     ("eigen-scaling", "--kernel", "matern-linear"): (4, 90),

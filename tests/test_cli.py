@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import BLAS_THREADS
 from heatmap_reference import assert_decodes_to_loop_colors, loop_color_indices, run_count
 from kernstab import Family, QuadratureError, SingularMatrixError, cli
 from kernstab.experiments import COMMANDS, ExperimentConfig, ExperimentReport, run
@@ -167,12 +168,13 @@ def test_heatmap_command(tmp_path):
     assert_decodes_to_loop_colors(svg, grid)
 
 
-# SHA-256 of every artifact at --seed 0 (numpy 2.4 with OpenBLAS, x86-64, at
-# the 2 BLAS threads that tests/conftest.py gives every child on a host of 2
-# or more cores): a change that moves one output byte of these commands fails
-# here.  The equivalence digests depend on the thread count through the sums
-# of its matrix products, so a 1-core host, which runs its children at 1
-# thread, still cannot reproduce them.
+# SHA-256 of every artifact at --seed 0 (numpy 2.4 with OpenBLAS, x86-64):
+# a change that moves one output byte of these commands fails here.  The
+# equivalence digests depend on the BLAS thread count through the sums of
+# its matrix products, so they are recorded at 1 and at 2 threads, keyed by
+# that count, and the entry of the min(2, cores) threads that
+# tests/conftest.py gives every child is compared; every other digest holds
+# at both.
 # heatmap and equivalence were recorded before the heatmap, CSV and Halton
 # loops were vectorized; identity, sin2 and eigen-scaling before the Gram
 # matrices became plain arrays and the panel builders were merged into one;
@@ -206,6 +208,14 @@ def test_heatmap_command(tmp_path):
 # moved in its roundoff digits (by at most 3.3e-15 here and 1.4e-14 at
 # n = 2000), no verdict with it; up to 512 points each half is one leaf and
 # the inverse is bitwise what it was.
+# Both equivalence entries were recorded at 1 BLAS thread beside 2 when the
+# digests came to be selected by thread count.  The n = 600 entry was
+# re-recorded at both when the Gram matrix came to be factored and inverted
+# in place, by one recursion by halves in place of LAPACK's Cholesky factor
+# and a separate inverse: another reduction above 256 points, so the
+# spectrum moved in its roundoff digits (by at most 4.0e-14 here and 1.6e-13
+# at n = 2000), no verdict with it; up to 256 points the inverse is bitwise
+# what it was, and the n = 200 entry kept its digests.
 # Every CSV digest was re-recorded when the quadrature rule became a fixed
 # constant and the quad_order and panels_per_unit fields left
 # ExperimentConfig: the 12-hex config column hashes canonical_string, which
@@ -219,12 +229,24 @@ GOLDEN_DIGESTS = {
         "heatmap.svg": "8334a3abe6e9dd69207b9a6840534866bf2552b7ef3ca8f01ef0ef3fabd6333c",
     },
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "200"): {
-        "equivalence.csv": "ab695fadbde5f1143027768c85d01dacabb4c7fedb501b2620265dd800c0e67d",
-        "equivalence.spectrum.csv": "357ca3569095c6db51610ac56264863e997b961015ca86be8c2a503952f48b55",
+        1: {
+            "equivalence.csv": "828161a93390f11204196e3793a7aef17c3c9786b26f107c32f18ce5d06847c0",
+            "equivalence.spectrum.csv": "afc8fe01e841adaa06abe28add8bcb4f60102b365b60afd32bd60bfb4835fb35",
+        },
+        2: {
+            "equivalence.csv": "ab695fadbde5f1143027768c85d01dacabb4c7fedb501b2620265dd800c0e67d",
+            "equivalence.spectrum.csv": "357ca3569095c6db51610ac56264863e997b961015ca86be8c2a503952f48b55",
+        },
     },
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "600"): {
-        "equivalence.csv": "0ec096b9ab48abacea6ffeab0f87df90a1b1ebf9dc59b3d367b4795c360d0bae",
-        "equivalence.spectrum.csv": "3e0e9ecee1a3b7ad4cef9357027fa0b077e883b1894b163b6b0630ec1390f387",
+        1: {
+            "equivalence.csv": "219a87ad7fccd5bfb9bf41b2ad5b6d731098fc556d2412725e15dd5576ae9b37",
+            "equivalence.spectrum.csv": "29e93ba52f22cc053ae024c479c5571684af4da129dc0dcae3cba8601df46bac",
+        },
+        2: {
+            "equivalence.csv": "979a01121e8e40a1d9bf6e90b43554174d02d174a6691bd618a635f89f82792d",
+            "equivalence.spectrum.csv": "04c43654ab976a7f7511e33e9120a7122c08c90c520d8c84f8b1704d87c394fe",
+        },
     },
     ("identity", "--kernel", "matern-basic", "--n", "6"): {
         "identity.csv": "3dd181f3f88969f4814cd6ab68159e00a28b6727f9e66c17cd11a64cdab42863",
@@ -260,7 +282,10 @@ def test_artifacts_match_golden_digests(args, tmp_path):
         for path in tmp_path.iterdir()
         if path.suffix in (".csv", ".svg")
     }
-    assert digests == GOLDEN_DIGESTS[args]
+    expected = GOLDEN_DIGESTS[args]
+    if BLAS_THREADS in expected:  # recorded per BLAS thread count
+        expected = expected[BLAS_THREADS]
+    assert digests == expected
 
 
 def test_wall_clock_covers_artifact_writes(tmp_path, monkeypatch, capsys):
@@ -291,25 +316,30 @@ def test_constant_overrides_enable_quadratic_family(tmp_path):
 
 
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
-    assert run_cli(["eigen-scaling", "--kernel", "bogus"], tmp_path).returncode == 2
+    # in-process through cli.main, in tmp_path; the last case runs the module
+    monkeypatch.chdir(tmp_path)
+    # an argument argparse rejects, or none at all
+    for args in (["eigen-scaling", "--kernel", "bogus"], []):
+        with pytest.raises(SystemExit) as info:
+            cli.main(args)
+        assert info.value.code == 2, args
+    capsys.readouterr()
     # every command offers the finitely smooth families alone
     for command in COMMANDS:
         with pytest.raises(SystemExit) as info:
             cli.main([command, "--kernel", "gaussian"])
         assert info.value.code == 2, command
         assert "invalid choice: 'gaussian'" in capsys.readouterr().err, command
-    assert run_cli(["eigen-scaling", "--n-min", "5", "--n-max", "2"], tmp_path).returncode == 2
-    assert run_cli([], tmp_path).returncode == 2
+    assert cli.main(["eigen-scaling", "--n-min", "5", "--n-max", "2"]) == 2
     # negative counts, and checking runs left with zero checks, have no verdict
     for command in ("identity", "sin2", "thm41"):
-        assert run_cli([command, "--trials", "-3"], tmp_path).returncode == 2
-    result = run_cli(["identity", "--trials", "0"], tmp_path)
-    assert result.returncode == 2
-    assert "no checks" in result.stderr
+        assert cli.main([command, "--trials", "-3"]) == 2
+    capsys.readouterr()
+    assert cli.main(["identity", "--trials", "0"]) == 2
+    assert "no checks" in capsys.readouterr().err
     # a Fourier cutoff that is not finite and at least 1, a shift factor that
     # is not finite and a bound constant that is not finite and positive are
     # usage errors, not a traceback or nan bounds
-    monkeypatch.chdir(tmp_path)
     for args in (
         ["identity", "--n", "4", "--trials", "1", "--fourier-cutoff", "inf"],
         ["identity", "--n", "4", "--trials", "1", "--fourier-cutoff", "nan"],
@@ -324,10 +354,6 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     ):
         assert cli.main(args) == 2, args
         assert "usage error" in capsys.readouterr().err
-    # 501 points cannot keep every gap above 2e-3 in [0, 1]: fail fast, no hang
-    result = run_cli(["identity", "--n", "501"], tmp_path, timeout=60)
-    assert result.returncode == 2
-    assert "usage error" in result.stderr
     # an unwritable output path is a usage error, not a failed check; an
     # empty one names no file, for the plot as for the table
     missing = tmp_path / "no-such-dir"
@@ -337,11 +363,17 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
         ["heatmap", "--n", "10", "--out-svg", str(missing / "x.svg")],
         ["eigen-scaling", "--n-max", "20", "--n-count", "3", "--out-svg", ""],
     ):
-        result = run_cli(args, tmp_path)
-        assert result.returncode == 2, result.stderr
-        assert "usage error" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert cli.main(args) == 2, args
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert "Traceback" not in err
     assert not (tmp_path / "eigen-scaling.svg").exists()
+    # 501 points cannot keep every gap above 2e-3 in [0, 1]: fail fast, no
+    # hang, and exit 2 from the module as from cli.main
+    result = run_cli(["identity", "--n", "501"], tmp_path, timeout=60)
+    assert result.returncode == 2
+    assert "usage error" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("command", ["heatmap", "equivalence"])

@@ -52,6 +52,19 @@ def test_profile_rejects_bad_radius():
         phi(spec, math.nan)
 
 
+def test_profile_written_over_its_argument():
+    rng = np.random.default_rng(12)
+    for family in Family:
+        spec = KernelSpec(family)
+        r = rng.uniform(0, 40, (130, 257))  # more entries than one of phi's blocks
+        expected = phi(spec, r)
+        assert phi(spec, r, out=r) is r
+        assert r.tobytes() == expected.tobytes()
+    for bad in (np.empty(4), np.empty((2, 2), dtype=np.float32), np.empty((2, 4))[:, ::2]):
+        with pytest.raises(ValueError, match="out must be"):
+            phi(spec, np.ones((2, 2)), out=bad)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(Family.MATERN_BASIC, dim=0)

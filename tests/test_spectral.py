@@ -24,7 +24,7 @@ from kernstab import (
     whitened_spectrum,
 )
 from kernstab import spectral
-from kernstab.spectral import _invert_lower, _leaves
+from kernstab.spectral import _inverse_cholesky, _leaves, _norm_1
 
 
 def _random_symmetric(rng, n):
@@ -196,9 +196,12 @@ def test_whiten_memory_is_three_matrices():
 def test_invert_lower_inverts_in_place(n):
     rng = np.random.default_rng(n)
     L = np.tril(rng.uniform(-1, 1, (n, n)) / math.sqrt(n)) + 2.0 * np.eye(n)
-    G = L.copy()
-    assert _invert_lower(G) is G
-    assert np.max(np.abs(G @ L - np.eye(n))) <= 1e-12
+    A = L @ L.T
+    G = A.copy()
+    assert _inverse_cholesky(G) is G
+    assert np.max(np.abs(G @ A @ G.T - np.eye(n))) <= 1e-12
+    if n <= 256:
+        assert G.tobytes() == np.linalg.inv(np.linalg.cholesky(A)).tobytes()
     # whitened_spectrum's products skip every block right of a leaf's stop
     leaves = _leaves(n)
     assert leaves[0][0] == 0 and leaves[-1][1] == n
@@ -206,6 +209,9 @@ def test_invert_lower_inverts_in_place(n):
     assert all(0 < stop - start <= 256 for start, stop in leaves)
     for start, stop in leaves:
         assert not np.any(G[start:stop, stop:])
+    # only the lower triangle of A is read
+    poisoned = np.where(np.tri(n, dtype=bool), A, np.nan)
+    assert _inverse_cholesky(poisoned).tobytes() == G.tobytes()
 
 
 def _roundoff(A):
@@ -218,15 +224,14 @@ def _roundoff(A):
 def test_whitened_spectrum_is_the_spectrum_of_whiten(family, dim):
     # 300 points: the triangular inverse recurses once before its leaves
     A, B = _shift_pair(family, dim, 300)
-    A0, B0 = A.copy(), B.copy()
-    w = whitened_spectrum(A, lambda: B)
+    # whitened_spectrum overwrites what its builders return: give it copies
+    w = whitened_spectrum(A.copy, B.copy)
     assert np.all(np.diff(w) >= 0)
     # both routes err by up to about eps cond(A); the oracle test below says
     # which lands nearer
     np.testing.assert_allclose(w, np.linalg.eigvalsh(whiten(A, B)), rtol=0, atol=_roundoff(A))
-    assert np.array_equal(A, A0) and np.array_equal(B, B0)
     with pytest.raises(ValueError, match="equal size"):
-        whitened_spectrum(A, lambda: np.zeros((4, 4)))
+        whitened_spectrum(A.copy, lambda: np.zeros((4, 4)))
 
 
 def _graded(c, n=500):
@@ -243,12 +248,12 @@ def test_floor_decides_where_cholesky_succeeds():
     for A in (accepted, rejected):
         np.linalg.cholesky(A)
     inv_sqrt(accepted)
-    w = whitened_spectrum(accepted, lambda: accepted)
+    w = whitened_spectrum(accepted.copy, accepted.copy)
     np.testing.assert_allclose(w, 1.0, atol=1e-2)
     with pytest.raises(SingularMatrixError) as by_eigh:
         inv_sqrt(rejected)
     with pytest.raises(SingularMatrixError) as by_cholesky:
-        whitened_spectrum(rejected, lambda: rejected)
+        whitened_spectrum(rejected.copy, rejected.copy)
     assert str(by_cholesky.value) == str(by_eigh.value)
     assert by_cholesky.value.lambda_min == by_eigh.value.lambda_min
 
@@ -257,7 +262,7 @@ def test_indefinite_matrix_is_singular_not_a_linalg_error():
     # LinAlgError is a ValueError, which the CLI reports as a usage error
     A = np.diag([1.0, 0.5, -1e-3])
     with pytest.raises(SingularMatrixError) as info:
-        whitened_spectrum(A, lambda: np.eye(3))
+        whitened_spectrum(A.copy, lambda: np.eye(3))
     assert type(info.value) is SingularMatrixError
     with pytest.raises(SingularMatrixError) as by_eigh:
         inv_sqrt(A)
@@ -269,13 +274,13 @@ def test_cholesky_breakdown_whitens_by_eigenpairs(monkeypatch, n):
     # at 300 points L^-1 has two leaves, while the full G of the eigenpairs
     # must be taken as one block
     A, B = _shift_pair(Family.MATERN_LINEAR, 2, n)
-    expected = whitened_spectrum(A, lambda: B)
+    expected = whitened_spectrum(A.copy, B.copy)
 
     def breaks_down(A):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", breaks_down)
-    np.testing.assert_allclose(whitened_spectrum(A, lambda: B), expected, rtol=0, atol=_roundoff(A))
+    np.testing.assert_allclose(whitened_spectrum(A.copy, B.copy), expected, rtol=0, atol=_roundoff(A))
 
 
 def test_well_conditioned_input_takes_no_eigendecomposition(monkeypatch):
@@ -286,41 +291,52 @@ def test_well_conditioned_input_takes_no_eigendecomposition(monkeypatch):
         raise AssertionError("eigh called on a matrix the norm bounds accept")
 
     monkeypatch.setattr(np.linalg, "eigh", unexpected)
-    np.testing.assert_allclose(whitened_spectrum(A, lambda: B), expected, rtol=0, atol=_roundoff(A))
+    np.testing.assert_allclose(whitened_spectrum(A.copy, B.copy), expected, rtol=0, atol=_roundoff(A))
 
 
 def test_whitened_spectrum_memory_is_two_matrices():
-    # the Cholesky factor (overwritten by its inverse) and sym(B) (overwritten
-    # by L^-1 sym(B), then by the lower triangle of the congruence), besides
-    # one leaf's rows of a product: never a third n x n matrix of its own
-    A, B = _shift_pair(Family.MATERN_LINEAR, 3, 1500)
+    # the whole pipeline, both builds included: the Gram matrix (built over
+    # its distance matrix, then overwritten by L^-1) and B (built over its
+    # distance matrix, then overwritten by sym(B), by L^-1 sym(B) and by the
+    # lower triangle of the congruence), besides one leaf's rows of a
+    # product: never a third n x n matrix
+    n = 1500
+    X = halton(n, 3)
+    spec = KernelSpec(Family.MATERN_LINEAR, dim=3)
+    b = np.full(3, 0.1 * X.separation / math.sqrt(3))
     tracemalloc.start()
     try:
-        whitened_spectrum(A, lambda: B)
+        whitened_spectrum(lambda: gram(spec, X), lambda: shifted_gram(spec, X, b))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * len(A) ** 2 * 8
+    assert peak <= 2.5 * n**2 * 8
+
+
+def test_norm_bound_is_bitwise_the_infinity_norm():
+    # 700 rows span several row blocks
+    A = _random_symmetric(np.random.default_rng(8), 700)
+    assert _norm_1(A) == np.linalg.norm(A, np.inf) == pytest.approx(np.linalg.norm(A, 1), rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [300, 600, 1100])
 def test_blocks_above_the_leaves_are_never_read(monkeypatch, n):
     A, B = _shift_pair(Family.MATERN_BASIC, 3, n)
-    expected = whitened_spectrum(A, lambda: B)
-    invert = spectral._invert_lower
+    expected = whitened_spectrum(A.copy, B.copy)
+    invert = spectral._inverse_cholesky
 
-    def poisoned(L):
+    def poisoned(A):
         # the recursion into the halves calls this function too, so the
         # corner of each level is formed from poisoned inverses of its halves
-        G = invert(L)
+        G = invert(A)
         for start, stop in _leaves(len(G)):
             G[start:stop, stop:] = np.nan
         return G
 
     # the NaN also fails the norm bound, so eigh(A) decides, accepts A and
     # leaves the product to run on the poisoned inverse
-    monkeypatch.setattr(spectral, "_invert_lower", poisoned)
-    w = whitened_spectrum(A, lambda: B)
+    monkeypatch.setattr(spectral, "_inverse_cholesky", poisoned)
+    w = whitened_spectrum(A.copy, B.copy)
     assert np.all(np.isfinite(w))
     assert w.tobytes() == expected.tobytes()
 
@@ -360,7 +376,7 @@ def test_whitened_spectrum_against_oracle(family, n):
         e = np.abs(w - exact)
         return e[-1], e[0], e.max()
 
-    congruence = errors(whitened_spectrum(A, lambda: B))
+    congruence = errors(whitened_spectrum(A.copy, B.copy))
     # at least as accurate as recorded, at the two digits recorded
     assert all(float(f"{e:.1e}") <= r for e, r in zip(congruence, ORACLE_ERRORS[family, n]))
     # and more accurate than the spectrum of the whitened matrix
