@@ -261,15 +261,24 @@ class FittedLaw:
     support: tuple
 
 
+#: fewest samples a power law is fitted to
+MIN_FIT_SAMPLES = 3
+
+
+def _fit_support(samples: Sequence[tuple[float, float]]) -> list:
+    """The ``(q, value)`` samples a power-law fit keeps: positive, finite values."""
+    return [(float(q), float(v)) for q, v in samples if v > 0 and math.isfinite(v)]
+
+
 def fit_power_law(samples: Sequence[tuple[float, float]]) -> FittedLaw:
     """Fit log(value) = exponent * log(q) + log_constant.
 
     Nonpositive values (precision-floor artifacts) are excluded; fewer than
-    three surviving samples is an error.
+    ``MIN_FIT_SAMPLES`` surviving samples is an error.
     """
-    kept = [(float(q), float(v)) for q, v in samples if v > 0 and math.isfinite(v)]
-    if len(kept) < 3:
-        raise ValueError(f"need at least 3 positive samples, have {len(kept)}")
+    kept = _fit_support(samples)
+    if len(kept) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} positive samples, have {len(kept)}")
     logq = np.log([q for q, _ in kept])
     logv = np.log([v for _, v in kept])
     design = np.column_stack([logq, np.ones_like(logq)])

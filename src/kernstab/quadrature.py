@@ -21,6 +21,11 @@ PANELS_PER_UNIT = 4
 FOURIER_CUTOFF = 1000.0
 #: most nodes (panels x order) one Fourier-side form may take
 FOURIER_NODE_BUDGET = 2 ** 24
+#: half-width c of the core [-c, c] of the Fourier-side panels, and the most
+#: phase kappa h (kappa = diam(X) + |b|) over the half-width h of a panel
+#: outside it; ``fourier_quadratic_form`` derives both
+FOURIER_CORE = 16.0
+OUTER_PHASE = 8.0
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,58 @@ def _fourier_panel_width(diameter: float, shift: float) -> float:
     return width
 
 
+def _panel_count(length: float, width: float) -> float:
+    """max(1, ceil(length / width)) as a float: a count too large for any
+    integer reads inf, with no overflow error or warning."""
+    count = length / width
+    return float(max(1, math.ceil(count))) if count < math.inf else count
+
+
+def _fourier_zones(diameter: float, shift: float, cutoff: float) -> list:
+    """``(lo, hi, panels)`` of each zone of equal panels on [-cutoff, cutoff],
+    left to right: the core [-c, c] (c = ``FOURIER_CORE``, or the cutoff if
+    smaller) at ``_fourier_panel_width``, and beyond it the outer zones
+    [-cutoff, -c] and [c, cutoff] at the common width
+    W = max(core width, min(c, 2 ``OUTER_PHASE`` / kappa)), kappa =
+    diameter + |shift|.  Panel counts are floats (``_panel_count``)."""
+    width = _fourier_panel_width(diameter, shift)
+    core = min(cutoff, FOURIER_CORE)
+    zones = [(-core, core, _panel_count(2.0 * core, width))]
+    if cutoff > core:
+        kappa = diameter + abs(shift)
+        outer = FOURIER_CORE
+        if kappa * FOURIER_CORE > 2.0 * OUTER_PHASE:
+            outer = 2.0 * OUTER_PHASE / kappa
+        panels = _panel_count(cutoff - core, max(width, outer))
+        zones = [(-cutoff, -core, panels), *zones, (core, cutoff, panels)]
+    return zones
+
+
+def _zone_sums(density: SpectralDensity, x, alpha, b: float, lo: float, hi: float, panels: int):
+    """The full and damped sums over [lo, hi] cut into ``panels`` equal
+    panels of half-width h, S(w) split per panel midpoint and reference node
+    (see ``fourier_quadratic_form``)."""
+    # a_j e^{i h xi_k x_j}, (points x ORDER), the factor all panels share
+    half_nodes = ((hi - lo) / (2 * panels)) * gauss_legendre(ORDER).nodes
+    node_factor = np.exp(np.multiply.outer(x, 1j * half_nodes))
+    node_factor *= alpha[:, None]
+    full = 0.0
+    damped = 0.0
+    # chunks of panels keep the (panels x points) and (panels x ORDER) arrays
+    # at 2^16 entries each
+    chunk = max(1, 65536 // max(len(x), ORDER))
+    edges = np.linspace(lo, hi, panels + 1)
+    for start in range(0, panels, chunk):
+        e = edges[start : start + chunk + 1]
+        om, w = panel_grid(e, ORDER)
+        mid = e[:-1] + 0.5 * (e[1:] - e[:-1])
+        s = (np.exp(np.multiply.outer(1j * mid, x)) @ node_factor).ravel()
+        f = w * density(om) * (s.real * s.real + s.imag * s.imag)
+        full += float(np.sum(f))
+        damped += float(np.sum(f * np.sin(0.5 * om * b) ** 2))
+    return full, damped
+
+
 def fourier_quadratic_form(
     density: SpectralDensity,
     X: PointSet,
@@ -175,29 +232,55 @@ def fourier_quadratic_form(
 ) -> FourierFormResult:
     """Truncated Fourier-side form of a coefficient vector over a 1-D point set.
 
-    Both integrals run over [-L, L] with L = fourier_cutoff using panels
-    narrow enough for the trigonometric sums; the tail bound uses the closed
-    form density envelope and the crude estimate |sum_j a_j e^{i w x_j}|^2 <=
-    (sum_j |a_j|)^2.
+    Both integrals run over [-L, L] with L = fourier_cutoff; the tail bound
+    uses the closed form density envelope and the crude estimate
+    |sum_j a_j e^{i w x_j}|^2 <= (sum_j |a_j|)^2.
 
-    The P panels share the half-width h = L / P, so every node is
+    Panels.  The integrand is density(w) |S(w)|^2, times sin^2(w b / 2) in
+    the damped form, with S(w) = sum_j a_j e^{i w x_j}: the density
+    (1 + w^2)^-tau has its poles at +-i, and the rest is a sum of
+    e^{i nu w} with |nu| <= kappa = diam(X) + |b|.  ``_fourier_zones`` lays
+    out three zones of equal panels.  The core [-c, c], c = ``FOURIER_CORE``
+    = 16, has panels of at most a quarter period of the phase and at most one
+    unit (``_fourier_panel_width``), where the poles are near.  The outer
+    zones [-L, -c] and [c, L] share the width W = max(core width,
+    min(c, 2 ``OUTER_PHASE`` / kappa)), ``OUTER_PHASE`` = 8, so an outer
+    panel's half-width h has h <= c / 2 and kappa h <= 8 (the core width
+    keeps kappa h below 3 pi / 8).  On a panel w = m + h t, t in [-1, 1], an
+    ORDER-point Gauss rule errs by at most (64 / 15) M rho^(-2 ORDER) /
+    (rho^2 - 1) for an integrand analytic and bounded by M inside the
+    Bernstein ellipse E_rho of t, |t - 1| + |t + 1| < rho + 1/rho
+    (Trefethen, SIAM Review 50, 2008, Thm 4.5).  An outer panel ends at
+    least c >= 2h from the origin, so |m| >= 3h, and a pole
+    t = (+-i - m) / h has |t - 1| + |t + 1| >= 2 |m| / h >= 6: the poles lie
+    outside E_rho up to rho = 3 + sqrt 8, where rho^-40 = 2e-31.  On E_rho,
+    |Im w| <= h (rho - 1/rho) / 2, so the phase terms grow by at most
+    e^(kappa h (rho - 1/rho) / 2); at rho = 4 that is e^15, and the bound is
+    about e^15 4^-40 = 3e-18 times the density's bound on E_4, a modest
+    multiple of its size on the panel.  The outer panels are thus up to
+    16 / 0.8 = 20 times as wide as the core's at no loss of accuracy: about
+    160 panels on [-1000, 1000] in place of 2000 to 2500 for a set of
+    diameter 0.8 to 1.
+
+    Phase split.  A zone's P panels share the half-width h, so every node is
     w = m_p + h xi_k for a panel midpoint m_p and a reference Gauss node xi_k,
-    and S(w) = sum_j a_j e^{i w x_j} splits as
+    and S splits as
 
         S(m_p + h xi_k) = sum_j e^{i m_p x_j} (a_j e^{i h xi_k x_j}),
 
-    one complex matrix product of a (panels x n) and an (n x ORDER) factor.
-    That takes P n + ORDER n complex exponentials in place of cos and sin at
-    all P ORDER n node-point pairs.  The rounding matches the direct form's:
-    there the phase w x_j is rounded once, with an error of about
-    ulp(L |x_j|), and here m_p x_j carries the same error, h xi_k x_j a much
-    smaller one, and the product of the two unit factors a few ulp.  Nodes,
-    weights and the density and sin^2(w b / 2) factors are those of
-    ``panel_grid`` as before.  Panels are summed in chunks whose
-    (panels x n) and (panels x ORDER) arrays hold at most 2^16 entries each,
-    so the workspace is a few MB for any cutoff and point count.  A form of
-    more than ``FOURIER_NODE_BUDGET`` nodes raises ``QuadratureError`` before
-    any work, a cutoff too large for an integer panel count included.
+    one complex matrix product of a (panels x n) and an (n x ORDER) factor
+    (``_zone_sums``, once per zone).  That takes P n + ORDER n complex
+    exponentials in place of cos and sin at all P ORDER n node-point pairs.
+    The rounding matches the direct form's: there the phase w x_j is rounded
+    once, with an error of about ulp(L |x_j|), and here m_p x_j carries the
+    same error, h xi_k x_j a much smaller one, and the product of the two
+    unit factors a few ulp.  Nodes, weights and the density and
+    sin^2(w b / 2) factors are those of ``panel_grid``.  Panels are summed in
+    chunks whose (panels x n) and (panels x ORDER) arrays hold at most 2^16
+    entries each, so the workspace is a few MB for any cutoff and point
+    count.  A form of more than ``FOURIER_NODE_BUDGET`` nodes, counted over
+    all zones, raises ``QuadratureError`` before any work, a cutoff too large
+    for an integer panel count included.
     """
     if X.dim != 1:
         raise ValueError("fourier quadratic forms are 1-D only")
@@ -210,35 +293,21 @@ def fourier_quadratic_form(
             f"fourier_cutoff {cutoff} too small; increase it to at least 1", target=1.0
         )
     x = X.points[:, 0]
-    width = _fourier_panel_width(float(x.max() - x.min()), float(b))
-    # counted in floats: a huge cutoff has no integer panel count
-    panels = max(1.0, np.ceil(2.0 * cutoff / width))
-    if panels * ORDER > FOURIER_NODE_BUDGET:
+    zones = _fourier_zones(float(x.max() - x.min()), float(b), cutoff)
+    nodes = ORDER * sum(panels for _, _, panels in zones)
+    if nodes > FOURIER_NODE_BUDGET:
         raise QuadratureError(
-            f"fourier_cutoff {cutoff:g} needs {panels * ORDER:.3g} nodes, more than the "
+            f"fourier_cutoff {cutoff:g} needs {nodes:.3g} nodes, more than the "
             f"budget of {FOURIER_NODE_BUDGET}; lower it"
         )
-    panels = int(panels)
     tail = float(np.abs(alpha).sum()) ** 2 * density.tail_mass_bound(cutoff)
 
-    # a_j e^{i h xi_k x_j}, (points x ORDER), the factor all panels share
-    half_nodes = (cutoff / panels) * gauss_legendre(ORDER).nodes
-    node_factor = np.exp(np.multiply.outer(x, 1j * half_nodes))
-    node_factor *= alpha[:, None]
     full = 0.0
     damped = 0.0
-    # chunks of panels keep the (panels x points) and (panels x ORDER) arrays
-    # at 2^16 entries each
-    chunk = max(1, 65536 // max(len(X), ORDER))
-    edges = np.linspace(-cutoff, cutoff, panels + 1)
-    for start in range(0, panels, chunk):
-        e = edges[start : start + chunk + 1]
-        om, w = panel_grid(e, ORDER)
-        mid = e[:-1] + 0.5 * (e[1:] - e[:-1])
-        s = (np.exp(np.multiply.outer(1j * mid, x)) @ node_factor).ravel()
-        f = w * density(om) * (s.real * s.real + s.imag * s.imag)
-        full += float(np.sum(f))
-        damped += float(np.sum(f * np.sin(0.5 * om * b) ** 2))
+    for lo, hi, panels in zones:
+        zone_full, zone_damped = _zone_sums(density, x, alpha, b, lo, hi, int(panels))
+        full += zone_full
+        damped += zone_damped
 
     if tail > 0.25 * (full + tail):
         raise QuadratureError(

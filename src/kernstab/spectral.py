@@ -174,10 +174,12 @@ def whitened_spectrum(gram, shifted) -> np.ndarray:
     two above the floor accepts A.  Otherwise, or if Cholesky breaks down,
     ``gram`` is called again and the test runs on ``eigh(A)``, the
     eigenvalues ``inv_sqrt`` tests, so a rejection and its message are those
-    of ``inv_sqrt``; an accepted A whose Cholesky broke down is whitened by
-    G = diag(w^-1/2) Q^T, for which G A G^T = I as for L^-1.  That fallback
-    holds the rebuilt A, its eigenvectors and ``eigh``'s workspace at once,
-    and L^-1 beside them where Cholesky succeeded.
+    of ``inv_sqrt``.  L^-1 is freed before that ``eigh``, and an accepted A
+    whose Cholesky succeeded is built and factored again once the
+    eigenvectors are freed, so the fallback holds the rebuilt A, its
+    eigenvectors and ``eigh``'s workspace at once, and never L^-1 beside
+    them.  An accepted A whose Cholesky broke down is whitened by
+    G = diag(w^-1/2) Q^T, for which G A G^T = I as for L^-1.
 
     The products go over G's diagonal blocks I = start:stop, from the last
     up: the ``_leaves`` of ``_inverse_cholesky`` for L^-1, and one block of
@@ -202,12 +204,16 @@ def whitened_spectrum(gram, shifted) -> np.ndarray:
     del A
     # written as "not below", so a NaN in the inverse also falls back
     if G is None or not _SPD_FLOOR * upper * np.vdot(G, G) < 1.0:
+        factored, G = G is not None, None  # L^-1 is freed before eigh
         w, Q = np.linalg.eigh(_check_symmetric(gram()))
         _require_spd(w)
-        if G is None:
+        if factored:
+            del Q
+            G = _inverse_cholesky(_check_symmetric(gram()))
+        else:
             Q /= np.sqrt(w)
             G, blocks = Q.T, [(0, len(Q))]  # full, like no leaf
-        del Q
+            del Q
     B = shifted()
     if np.shape(B) != G.shape:
         raise ValueError("A and B must have equal size")

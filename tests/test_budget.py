@@ -45,7 +45,10 @@ print(json.dumps(
 # were built over their distance matrices; its wall budget leaves about 5x
 # room, as eigen-scaling's does.
 # identity took 17.6 s and 59.4 MB before the Fourier-side phase was split
-# per panel.  eigen-scaling at its defaults (30 sizes up to n = 1000) took
+# per panel, 1.4 to 1.65 s and 40 MB on the 2-core VM with the split on
+# panels of one width, and 0.35 to 0.38 s and 40 MB once the panels beyond
+# |w| = 16 were widened to the graded outer zones; its wall budget leaves
+# about 5x room, as heatmap's does.  eigen-scaling at its defaults (30 sizes up to n = 1000) took
 # 0.63 to 0.75 s warm (1.6 s on a cold first run) and 70.2 MB on the 2-core
 # VM; its wall budget leaves room for a loaded machine, its RSS budget is
 # far below the 1.6 GB that conv_gram peaked at before its closed form.
@@ -65,7 +68,7 @@ BUDGETS = {
     HEATMAP_1000: (10, 130),
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): (12, 125),
     ("identity", "--kernel", "matern-basic", "--n", "400", "--trials", "2",
-     "--fourier-cutoff", "1e4"): (8, 50),
+     "--fourier-cutoff", "1e4"): (2, 50),
     ("eigen-scaling", "--kernel", "matern-linear"): (4, 90),
 }
 

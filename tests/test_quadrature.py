@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -17,9 +18,16 @@ from kernstab import (
     integrate,
     spectral_density_1d,
 )
-from kernstab.experiments import ExperimentConfig
+from kernstab.experiments import ExperimentConfig, run
 from kernstab.geometry import PointSet
-from kernstab.quadrature import ORDER, _fourier_panel_width, panel_grid
+from kernstab.kernels import SpectralDensity
+from kernstab.quadrature import (
+    FOURIER_CORE,
+    ORDER,
+    OUTER_PHASE,
+    _fourier_zones,
+    panel_grid,
+)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -201,7 +209,7 @@ def test_fourier_form_panel_doubling_converges():
     density = spectral_density_1d(BASIC)
     b = 0.5 * X.separation
     base = fourier_quadratic_form(density, X, alpha, b)
-    # the same panels with a finer rule
+    # equal panels of the core width over all of [-L, L], with a finer rule
     [(full, damped)] = _direct_integrals([density], X, alpha, [b], 24, 1000.0).values()
     assert base.full_integral == pytest.approx(full, rel=1e-10)
     assert base.damped_integral == pytest.approx(damped, rel=1e-10)
@@ -231,15 +239,27 @@ def test_fourier_form_cutoff_guard():
         fourier_quadratic_form(density, tight, [1.0, -1.0], 0.0)
 
 
+def _uniform_width(diameter, shift):
+    # one panel width for all of [-L, L]: a quarter period of the phase, at
+    # most one unit, as the core zone of the graded layout has
+    width = 1.0
+    if diameter > 0:
+        width = min(width, math.pi / (4.0 * diameter))
+    if shift != 0:
+        width = min(width, math.pi / (2.0 * abs(shift)))
+    return width
+
+
 def _direct_integrals(densities, X, alpha, shifts, order, cutoff):
     """{(density, b): (full, damped)} from cos and sin of every node's phase.
 
-    This is the chunk loop that the phase split replaced, run once for all
-    densities and shifts, which must give one panel width: it is the oracle
-    of ``fourier_quadratic_form``.
+    This is the chunk loop that the phase split replaced, on equal panels of
+    the core zone's width over all of [-L, L] (not the graded zones), run
+    once for all densities and shifts, which must give one panel width: it
+    is the oracle of ``fourier_quadratic_form``.
     """
     x = X.points[:, 0]
-    (width,) = {_fourier_panel_width(float(x.max() - x.min()), float(b)) for b in shifts}
+    (width,) = {_uniform_width(float(x.max() - x.min()), float(b)) for b in shifts}
     panels = max(1, math.ceil(2.0 * cutoff / width))
     sums = {(d, b): [0.0, 0.0] for d in densities for b in shifts}
     chunk = max(1, 65536 // max(len(X), 1))
@@ -304,3 +324,45 @@ def test_fourier_form_workspace_stays_small(n, cutoff):
     finally:
         tracemalloc.stop()
     assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_identity_takes_few_density_nodes(monkeypatch):
+    # the seed-0 identity run of the verifiers workload: equal panels of the
+    # core width over all of [-1000, 1000] took 2,074,900 nodes, the graded
+    # zones 157,440
+    calls = []
+    density = SpectralDensity.__call__
+
+    def counted(self, omega):
+        calls.append(np.size(omega))
+        return density(self, omega)
+
+    monkeypatch.setattr(SpectralDensity, "__call__", counted)
+    cfg = ExperimentConfig(command="identity", kernel="matern-basic", n=6, trials=50, seed=0)
+    assert not run(cfg).failed_reliable_checks
+    assert 0 < sum(calls) <= 200_000
+
+
+def test_fourier_zones_keep_the_error_bound_of_their_panels():
+    for diameter, shift, cutoff in itertools.product(
+        [0.0, 1e-3, 0.3, 0.99, 1.0, 5.0, 40.0],
+        [0.0, 1e-4, 0.05, 1.0, 30.0],
+        [1.0, 10.0, 16.0, 16.5, 1e3, 1e5],
+    ):
+        zones = _fourier_zones(diameter, shift, cutoff)
+        edges = [lo for lo, _, _ in zones] + [zones[-1][1]]
+        assert edges[0] == -cutoff and edges[-1] == cutoff
+        assert all(lo < hi for lo, hi in zip(edges, edges[1:]))
+        # the core keeps the width of equal panels over all of [-L, L]
+        core = min(cutoff, FOURIER_CORE)
+        (middle,) = [zone for zone in zones if zone[:2] == (-core, core)]
+        assert 2 * core / middle[2] <= _uniform_width(diameter, shift)
+        outer = [zone for zone in zones if zone is not middle]
+        assert len(outer) == (2 if cutoff > FOURIER_CORE else 0)
+        kappa = diameter + abs(shift)
+        for lo, hi, panels in outer:
+            h = (hi - lo) / (2 * panels)
+            # the density's poles and the phase's growth stay outside the
+            # Bernstein ellipses of the docstring's bound
+            assert min(abs(lo), abs(hi)) >= FOURIER_CORE >= 2 * h
+            assert kappa * h <= OUTER_PHASE

@@ -258,6 +258,30 @@ def test_floor_decides_where_cholesky_succeeds():
     assert by_cholesky.value.lambda_min == by_eigh.value.lambda_min
 
 
+def test_eigh_fallback_frees_the_factor_first(monkeypatch):
+    # at condition 4e12 Cholesky succeeds and the norm bounds cannot decide,
+    # so the floor test takes one eigh: L^-1 is freed before it and built
+    # again after it, and up to the call for B the whitening holds the
+    # rebuilt A and its eigenvectors, not L^-1 beside them (3.0 n^2 floats)
+    n = 1000
+    A = _graded(4e12, n)
+    eigh, calls, peaks = np.linalg.eigh, [], []
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(len(M)) or eigh(M))
+
+    def shifted():
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return A.copy()
+
+    tracemalloc.start()
+    try:
+        w = whitened_spectrum(A.copy, shifted)
+    finally:
+        tracemalloc.stop()
+    assert calls == [n]
+    assert peaks[0] <= 2.2 * n**2 * 8, f"peak {peaks[0] / (8 * n**2):.2f} n^2 floats"
+    np.testing.assert_allclose(w, 1.0, atol=1e-2)
+
+
 def test_indefinite_matrix_is_singular_not_a_linalg_error():
     # LinAlgError is a ValueError, which the CLI reports as a usage error
     A = np.diag([1.0, 0.5, -1e-3])
