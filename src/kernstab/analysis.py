@@ -265,20 +265,17 @@ class FittedLaw:
 MIN_FIT_SAMPLES = 3
 
 
-def _fit_support(samples: Sequence[tuple[float, float]]) -> list:
-    """The ``(q, value)`` samples a power-law fit keeps: positive, finite values."""
-    return [(float(q), float(v)) for q, v in samples if v > 0 and math.isfinite(v)]
-
-
 def fit_power_law(samples: Sequence[tuple[float, float]]) -> FittedLaw:
     """Fit log(value) = exponent * log(q) + log_constant.
 
-    Nonpositive values (precision-floor artifacts) are excluded; fewer than
-    ``MIN_FIT_SAMPLES`` surviving samples is an error.
+    Nonpositive and nonfinite values (precision-floor artifacts) are
+    excluded; the survivors are the law's ``support``.  With fewer than
+    ``MIN_FIT_SAMPLES`` of them there is no fit: the law has NaN exponent,
+    log-constant and r^2, and keeps its support.
     """
-    kept = _fit_support(samples)
+    kept = tuple((float(q), float(v)) for q, v in samples if v > 0 and math.isfinite(v))
     if len(kept) < MIN_FIT_SAMPLES:
-        raise ValueError(f"need at least {MIN_FIT_SAMPLES} positive samples, have {len(kept)}")
+        return FittedLaw(math.nan, math.nan, math.nan, kept)
     logq = np.log([q for q, _ in kept])
     logv = np.log([v for _, v in kept])
     design = np.column_stack([logq, np.ones_like(logq)])
@@ -290,5 +287,5 @@ def fit_power_law(samples: Sequence[tuple[float, float]]) -> FittedLaw:
         exponent=float(exponent),
         log_constant=float(log_constant),
         r_squared=r_squared,
-        support=tuple(kept),
+        support=kept,
     )

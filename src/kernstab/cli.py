@@ -5,7 +5,9 @@ of ``experiments.COMMANDS`` lists, named after the field (``n_min`` is
 ``--n-min``) and with its default, so the CLI and the library run the same
 experiment for the same options; ``--kernel`` offers every ``Family``.  A
 flag must be spelled in full: a prefix of one is rejected.  Artifacts
-default to ``<command>.csv`` and ``<command>.svg`` in the working directory.
+default to ``<command>.csv`` and ``<command>.svg`` in the working directory,
+each sidecar table beside the CSV, and the path of every file written is
+printed.
 
 Exit codes: 0 all checks satisfied, 1 at least one reliable check failed,
 2 usage error (also a checking command that ran no checks, a size whose
@@ -83,8 +85,8 @@ def main(argv=None) -> int:
 
     out_csv = cfg.out_csv if cfg.out_csv is not None else f"{cfg.command}.csv"
     try:
-        report.write_csv(out_csv)
-        print(f"wrote {out_csv}")
+        for path in report.write_csv(out_csv):
+            print(f"wrote {path}")
         if report.svg is not None:
             out_svg = cfg.out_svg if cfg.out_svg is not None else f"{cfg.command}.svg"
             report.write_svg(out_svg)

@@ -61,7 +61,6 @@ COMMANDS = {
     "identity": Command((*_RANDOMIZED, "shift_factor", "fourier_cutoff"), n=6),
     "sin2": Command((*_RANDOMIZED, "endpoints", "eps", "c_min"), n=20),
     "thm41": Command((*_RANDOMIZED, "layout", "endpoints", "shift_factor", "c_conv"), n=20),
-    "fit": Command(_SCALING),
 }
 
 
@@ -172,10 +171,14 @@ class ExperimentReport:
     def failed_reliable_checks(self) -> list:
         return [c for c in self.checks if c.reliable and not c.satisfied]
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path) -> list:
+        """Write the table and its sidecars; return their paths, the table's first."""
+        written = [path]
         _write_rows(path, self.config_hash, self.columns, self.rows)
         for suffix, cols, rows in self.sidecars:
-            _write_rows(_with_suffix(path, suffix), self.config_hash, cols, rows)
+            written.append(_with_suffix(path, suffix))
+            _write_rows(written[-1], self.config_hash, cols, rows)
+        return written
 
     def write_svg(self, path) -> None:
         if self.svg is None:
@@ -321,7 +324,16 @@ def _scaling_samples(cfg: ExperimentConfig, spec: KernelSpec) -> tuple:
 
 def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     """Smallest eigenvalues of the plain and convolved Gram matrices over a
-    geometric grid of sample sizes, with the fitted lower-bound curves."""
+    geometric grid of sample sizes, plotted with the fitted lower-bound curves.
+
+    The checks ``fit-lambda_min_sym`` and ``fit-lambda_min_conv`` fit a
+    power law to each series' samples above the precision floor and hold its
+    exponent to the decay target, ``2 tau - 1`` within 0.15 and ``4 tau - 1``
+    within 0.30; the ``fit`` sidecar has one row per law.  A series with
+    fewer than ``analysis.MIN_FIT_SAMPLES`` such samples (k* of
+    matern-quadratic on the default grid has none) gets a NaN row and an
+    unreliable check, which cannot fail the run.
+    """
     spec = KernelSpec(cfg.kernel, dim=1)
     tau = smoothness(spec)
     samples, sym, conv = _scaling_samples(cfg, spec)
@@ -352,6 +364,25 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
         xlabel="#points",
         ylabel="lambda_min",
     )
+
+    fit_rows, checks = [], []
+    for name, series, target, tol in (
+        ("lambda_min_sym", sym, 2 * tau - 1, 0.15),
+        ("lambda_min_conv", conv, 4 * tau - 1, 0.30),
+    ):
+        law = analysis.fit_power_law(series)
+        reliable = len(law.support) >= analysis.MIN_FIT_SAMPLES
+        checks.append(
+            analysis._check(f"fit-{name}", abs(law.exponent - target), tol, reliable=reliable)
+        )
+        fit_rows.append([
+            name, law.exponent, law.log_constant, law.r_squared,
+            len(law.support), target, tol, checks[-1].satisfied,
+        ])
+    fit_columns = [
+        "series", "exponent", "log_constant", "r_squared",
+        "samples", "target", "tolerance", "satisfied",
+    ]
     return ExperimentReport(
         command=cfg.command,
         config_hash=cfg.config_hash(),
@@ -360,7 +391,9 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
             "bound_sym", "bound_conv", "reliable_sym", "reliable_conv",
         ],
         rows=rows,
+        checks=checks,
         svg=svg,
+        sidecars=[("fit", fit_columns, fit_rows)],
     )
 
 
@@ -484,51 +517,6 @@ def run_conv_chain(cfg: ExperimentConfig) -> ExperimentReport:
     return _check_report(cfg, per_trial)
 
 
-def run_fit(cfg: ExperimentConfig) -> ExperimentReport:
-    """Power-law fits of the eigenvalue scaling data against the decay targets.
-
-    A series with fewer than ``analysis.MIN_FIT_SAMPLES`` reliable samples
-    (all of k*'s for matern-quadratic on the default grid lie below the
-    precision floor) gets a row of NaN exponent, log-constant and r^2 and an
-    unreliable check, which is reported and cannot fail the run.
-    """
-    spec = KernelSpec(cfg.kernel, dim=1)
-    tau = smoothness(spec)
-    _, sym_samples, conv_samples = _scaling_samples(cfg, spec)
-    targets = [
-        ("lambda_min_sym", sym_samples, 2 * tau - 1, 0.15),
-        ("lambda_min_conv", conv_samples, 4 * tau - 1, 0.30),
-    ]
-    rows, checks = [], []
-    for name, samples, target, tol in targets:
-        support = analysis._fit_support(samples)
-        fitted = len(support) >= analysis.MIN_FIT_SAMPLES
-        if fitted:
-            law = analysis.fit_power_law(support)
-        else:
-            law = analysis.FittedLaw(math.nan, math.nan, math.nan, tuple(support))
-        check = analysis._check(
-            f"fit-{name}", abs(law.exponent - target), tol, reliable=fitted
-        )
-        checks.append(check)
-        rows.append(
-            [
-                name, law.exponent, law.log_constant, law.r_squared,
-                len(law.support), target, tol, check.satisfied,
-            ]
-        )
-    return ExperimentReport(
-        command=cfg.command,
-        config_hash=cfg.config_hash(),
-        columns=[
-            "series", "exponent", "log_constant", "r_squared",
-            "samples", "target", "tolerance", "satisfied",
-        ],
-        rows=rows,
-        checks=checks,
-    )
-
-
 _RUNNERS = {
     "eigen-scaling": run_eigen_scaling,
     "heatmap": run_heatmap,
@@ -536,7 +524,6 @@ _RUNNERS = {
     "identity": run_identity,
     "sin2": run_sin2,
     "thm41": run_conv_chain,
-    "fit": run_fit,
 }
 
 

@@ -21,7 +21,7 @@ PANELS_PER_UNIT = 4
 FOURIER_CUTOFF = 1000.0
 #: most nodes (panels x order) one Fourier-side form may take
 FOURIER_NODE_BUDGET = 2 ** 24
-#: half-width c of the core [-c, c] of the Fourier-side panels, and the most
+#: width c of the core [0, c] of the Fourier-side panels, and the most
 #: phase kappa h (kappa = diam(X) + |b|) over the half-width h of a panel
 #: outside it; ``fourier_quadratic_form`` derives both
 FOURIER_CORE = 16.0
@@ -179,22 +179,21 @@ def _panel_count(length: float, width: float) -> float:
 
 
 def _fourier_zones(diameter: float, shift: float, cutoff: float) -> list:
-    """``(lo, hi, panels)`` of each zone of equal panels on [-cutoff, cutoff],
-    left to right: the core [-c, c] (c = ``FOURIER_CORE``, or the cutoff if
-    smaller) at ``_fourier_panel_width``, and beyond it the outer zones
-    [-cutoff, -c] and [c, cutoff] at the common width
-    W = max(core width, min(c, 2 ``OUTER_PHASE`` / kappa)), kappa =
-    diameter + |shift|.  Panel counts are floats (``_panel_count``)."""
+    """``(lo, hi, panels)`` of each zone of equal panels on [0, cutoff],
+    left to right: the core [0, c] (c = ``FOURIER_CORE``, or the cutoff if
+    smaller) at ``_fourier_panel_width``, and beyond it the outer zone
+    [c, cutoff] at the width W = max(core width, min(c, 2 ``OUTER_PHASE`` /
+    kappa)), kappa = diameter + |shift|.  Panel counts are floats
+    (``_panel_count``)."""
     width = _fourier_panel_width(diameter, shift)
     core = min(cutoff, FOURIER_CORE)
-    zones = [(-core, core, _panel_count(2.0 * core, width))]
+    zones = [(0.0, core, _panel_count(core, width))]
     if cutoff > core:
         kappa = diameter + abs(shift)
         outer = FOURIER_CORE
         if kappa * FOURIER_CORE > 2.0 * OUTER_PHASE:
             outer = 2.0 * OUTER_PHASE / kappa
-        panels = _panel_count(cutoff - core, max(width, outer))
-        zones = [(-cutoff, -core, panels), *zones, (core, cutoff, panels)]
+        zones.append((core, cutoff, _panel_count(cutoff - core, max(width, outer))))
     return zones
 
 
@@ -234,16 +233,18 @@ def fourier_quadratic_form(
 
     Both integrals run over [-L, L] with L = fourier_cutoff; the tail bound
     uses the closed form density envelope and the crude estimate
-    |sum_j a_j e^{i w x_j}|^2 <= (sum_j |a_j|)^2.
+    |sum_j a_j e^{i w x_j}|^2 <= (sum_j |a_j|)^2.  The coefficients are
+    real, so S(-w) is the conjugate of S(w) and the integrand is even: each
+    integral is twice its half over [0, L], and only that half is summed.
 
     Panels.  The integrand is density(w) |S(w)|^2, times sin^2(w b / 2) in
     the damped form, with S(w) = sum_j a_j e^{i w x_j}: the density
     (1 + w^2)^-tau has its poles at +-i, and the rest is a sum of
     e^{i nu w} with |nu| <= kappa = diam(X) + |b|.  ``_fourier_zones`` lays
-    out three zones of equal panels.  The core [-c, c], c = ``FOURIER_CORE``
-    = 16, has panels of at most a quarter period of the phase and at most one
-    unit (``_fourier_panel_width``), where the poles are near.  The outer
-    zones [-L, -c] and [c, L] share the width W = max(core width,
+    out two zones of equal panels on [0, L].  The core [0, c], c =
+    ``FOURIER_CORE`` = 16, has panels of at most a quarter period of the
+    phase and at most one unit (``_fourier_panel_width``), where the poles
+    are near.  The outer zone [c, L] has the width W = max(core width,
     min(c, 2 ``OUTER_PHASE`` / kappa)), ``OUTER_PHASE`` = 8, so an outer
     panel's half-width h has h <= c / 2 and kappa h <= 8 (the core width
     keeps kappa h below 3 pi / 8).  On a panel w = m + h t, t in [-1, 1], an
@@ -259,8 +260,8 @@ def fourier_quadratic_form(
     about e^15 4^-40 = 3e-18 times the density's bound on E_4, a modest
     multiple of its size on the panel.  The outer panels are thus up to
     16 / 0.8 = 20 times as wide as the core's at no loss of accuracy: about
-    160 panels on [-1000, 1000] in place of 2000 to 2500 for a set of
-    diameter 0.8 to 1.
+    80 panels on [16, 1000] in place of 1000 to 1250 for a set of diameter
+    0.8 to 1.
 
     Phase split.  A zone's P panels share the half-width h, so every node is
     w = m_p + h xi_k for a panel midpoint m_p and a reference Gauss node xi_k,
@@ -308,6 +309,9 @@ def fourier_quadratic_form(
         zone_full, zone_damped = _zone_sums(density, x, alpha, b, lo, hi, int(panels))
         full += zone_full
         damped += zone_damped
+    # the integrand is even: [-L, L] is twice [0, L]
+    full *= 2.0
+    damped *= 2.0
 
     if tail > 0.25 * (full + tail):
         raise QuadratureError(

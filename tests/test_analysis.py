@@ -364,8 +364,10 @@ def test_fit_power_law_excludes_nonpositive():
     law = fit_power_law(samples)
     assert law.exponent == pytest.approx(2.0, abs=1e-10)
     assert len(law.support) == 4
-    with pytest.raises(ValueError):
-        fit_power_law([(1e-2, 1.0), (1e-3, -1.0), (1e-4, 0.0)])
+    # fewer than three positive samples: no fit, a NaN law on what survived
+    short = fit_power_law([(1e-2, 1.0), (1e-3, -1.0), (1e-4, 0.0), (1e-5, math.nan)])
+    assert all(math.isnan(v) for v in (short.exponent, short.log_constant, short.r_squared))
+    assert short.support == ((1e-2, 1.0),)
 
 
 def test_eigenvalue_decay_is_monotone():

@@ -89,6 +89,8 @@ def test_equivalence_command(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "equivalence-lower" in result.stdout
+    # every artifact written is named, the sidecar included
+    assert "wrote equivalence.csv\nwrote equivalence.spectrum.csv\n" in result.stdout
     lines = (tmp_path / "equivalence.csv").read_text().splitlines()
     assert lines[0] == "config,version,trial,name,lhs,rhs,slack,satisfied,reliable"
     assert len(lines) == 3
@@ -134,12 +136,15 @@ def test_thm41_command(tmp_path):
 
 
 def test_fit_command(tmp_path):
+    # eigen-scaling fits its two series and writes the fits beside its table
     result = run_cli(
-        ["fit", "--kernel", "matern-basic", "--n-max", "200"],
+        ["eigen-scaling", "--kernel", "matern-basic", "--n-max", "200"],
         tmp_path,
     )
     assert result.returncode == 0, result.stderr
-    rows = (tmp_path / "fit.csv").read_text().splitlines()
+    assert "checks: 2 total, 0 failed (reliable)" in result.stdout
+    assert "wrote eigen-scaling.fit.csv\n" in result.stdout
+    rows = (tmp_path / "eigen-scaling.fit.csv").read_text().splitlines()
     assert rows[0].endswith("series,exponent,log_constant,r_squared,samples,target,tolerance,satisfied")
     sym = rows[1].split(",")
     assert abs(float(sym[3]) - 1.0) <= 0.15
@@ -148,15 +153,29 @@ def test_fit_command(tmp_path):
 def test_fit_without_enough_reliable_samples_reports_an_unreliable_row(tmp_path):
     # every lambda_min(k*) of matern-quadratic on the default grid lies below
     # the precision floor: that series has no fit, which is no usage error
-    result = run_cli(["fit", "--kernel", "matern-quadratic"], tmp_path)
+    result = run_cli(["eigen-scaling", "--kernel", "matern-quadratic"], tmp_path)
     assert result.returncode == 0, result.stderr
     assert "fit-lambda_min_conv: lhs=nan rhs=3.000000e-01 unreliable" in result.stdout
-    rows = [line.split(",") for line in (tmp_path / "fit.csv").read_text().splitlines()[1:]]
+    fit_csv = (tmp_path / "eigen-scaling.fit.csv").read_text()
+    rows = [line.split(",") for line in fit_csv.splitlines()[1:]]
     sym, conv = rows
     assert sym[2] == "lambda_min_sym" and abs(float(sym[3]) - 5.0) <= 0.15
     assert sym[-1] == "true"
     assert conv[2:8] == ["lambda_min_conv", "nan", "nan", "nan", "0", "11"]
     assert conv[-1] == "false"
+
+
+@pytest.mark.parametrize("args", [["--layout", "halton"], ["--endpoints", "false"]])
+def test_eigen_scaling_fails_the_conv_slope_off_the_equispaced_grid(args, tmp_path):
+    # the exponent fitted to lambda_min(k*) of matern-linear misses 4 tau - 1 = 7
+    # by 1.18 on Halton points and by 0.458 on equispaced points without the
+    # endpoints, against a tolerance of 0.30: a reliable failure, exit 1.
+    # Only its 7 samples at n <= 25 lie above the precision floor
+    result = run_cli(["eigen-scaling", "--kernel", "matern-linear", *args], tmp_path)
+    assert result.returncode == 1, result.stderr
+    assert re.search(r"^  fit-lambda_min_sym: .* ok$", result.stdout, re.M)
+    assert re.search(r"^  fit-lambda_min_conv: .* FAIL$", result.stdout, re.M)
+    assert "checks: 2 total, 1 failed (reliable)" in result.stdout
 
 
 def test_heatmap_command(tmp_path):
@@ -240,7 +259,16 @@ def test_heatmap_command(tmp_path):
 # widened to the graded outer zones (13x fewer nodes): full_integral moved
 # by at most 2.2e-15 of itself and damped_integral by 7.6e-18 of
 # full_integral over these ten sets, so only roundoff digits of the lhs and
-# slack columns moved (by at most 7.1e-15, 2.4e-13 of rhs), never a verdict
+# slack columns moved (by at most 7.1e-15, 2.4e-13 of rhs), never a verdict.
+# identity was re-recorded again when the Fourier-side form came to sum the
+# even integrand over [0, L] alone and double it (half the nodes): both sums
+# moved by at most 2.5e-16 of full_integral over the three families, n up to
+# 200 and cutoffs 10 and 1e3, and the lhs column by at most 1.8e-15 (6.8e-14
+# of rhs) over these ten sets, never a verdict.
+# The fit entry left when fit became eigen-scaling's slope checks: the
+# eigen-scaling entry gained the eigen-scaling.fit.csv digest, a table that,
+# config column dropped, is byte for byte the fit.csv of the same options,
+# and kept its CSV and SVG digests.
 GOLDEN_DIGESTS = {
     ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "60"): {
         "heatmap.csv": "a0c23d34c38b478b70d2714ef8f4c260d1eac3df9047cd5d0209e2bfcbbf4012",
@@ -268,20 +296,18 @@ GOLDEN_DIGESTS = {
         },
     },
     ("identity", "--kernel", "matern-basic", "--n", "6"): {
-        "identity.csv": "4dc7b71d7c4a45187c19258d1df53b7cc2e3af7ccffb29ded69085ded415eff7",
+        "identity.csv": "7e5fb7b953ba4f54349c0b4ac4f1748e6a7f4866bad1f63814cd3a461aee9ee2",
     },
     ("sin2", "--kernel", "matern-linear", "--n", "10", "--trials", "2"): {
         "sin2.csv": "ca82183f620f893306c9a6ed6e1702e5dacf64a765d89dba9ca4c8bd86b83d0c",
     },
     ("eigen-scaling", "--kernel", "matern-linear", "--n-max", "40", "--n-count", "8"): {
         "eigen-scaling.csv": "913b6ff32f0582334c5cd3254c088bf02cb4f27572decaf7543e96e8d4a1e7c0",
+        "eigen-scaling.fit.csv": "b015a1cc0bba853b44bc44ce104b468d0ca2110d7543af3b4ccbbac4dc11ece4",
         "eigen-scaling.svg": "6d9c28dd98d8d2549abae6f17b0a973059aa142d236a4de6fb6c769246da257a",
     },
     ("thm41", "--kernel", "matern-basic", "--n", "20", "--shift-factor", "0.5"): {
         "thm41.csv": "ec8649925eab7ef870e2aa22a94183c7c699fa614c3bd368f5f48ed7cc3e6f08",
-    },
-    ("fit", "--kernel", "matern-basic", "--n-max", "40", "--n-count", "8"): {
-        "fit.csv": "73bea4495cee748ff4652d06d89f76a2c3edc72caa03dcfc2bd9ec1802151456",
     },
 }
 
@@ -312,7 +338,7 @@ def test_wall_clock_covers_artifact_writes(tmp_path, monkeypatch, capsys):
 
     def slow_write_csv(self, path):
         time.sleep(0.3)
-        write_csv(self, path)
+        return write_csv(self, path)
 
     monkeypatch.setattr(ExperimentReport, "write_csv", slow_write_csv)
     out = tmp_path / "identity.csv"
@@ -337,8 +363,8 @@ def test_constant_overrides_enable_quadratic_family(tmp_path):
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     # in-process through cli.main, in tmp_path; the last case runs the module
     monkeypatch.chdir(tmp_path)
-    # an argument argparse rejects, or none at all
-    for args in (["eigen-scaling", "--kernel", "bogus"], []):
+    # an argument argparse rejects, or none at all; fit is eigen-scaling's now
+    for args in (["eigen-scaling", "--kernel", "bogus"], [], ["fit"]):
         with pytest.raises(SystemExit) as info:
             cli.main(args)
         assert info.value.code == 2, args
@@ -433,7 +459,7 @@ def test_flags_are_exactly_the_table_rows():
             assert action.option_strings == ["--" + name.replace("_", "-")]
             assert action.default == defaults[name], (command, name)
         assert actions["kernel"].choices == [f.value for f in Family], command
-    assert sum(len(p._actions) - 1 for p in parsers.values()) == 58
+    assert sum(len(p._actions) - 1 for p in parsers.values()) == 50
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -491,7 +517,6 @@ _SMALL = {
     "identity": {"n": 4, "trials": 1},
     "sin2": {"n": 6, "trials": 1},
     "thm41": {"n": 8, "trials": 1, "shift_factor": 0.5},
-    "fit": {"n_max": 40, "n_count": 8},
 }
 
 
