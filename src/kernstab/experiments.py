@@ -18,6 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import analysis
+from ._floattext import format_floats
 from ._version import __version__
 from .assembly import conv_gram, gram, shifted_gram
 from .geometry import PointSet, equispaced, halton
@@ -153,7 +154,9 @@ class ExperimentReport:
     """Rows, checks and plot of one run, and the writers of its artifacts.
 
     ``rows`` (and the rows of each sidecar) is a list or a re-iterable row
-    source with a length, such as ``_GridRows``; ``svg`` is the plot's text
+    source with a length, such as ``_GridRows``; ``_write_rows`` formats
+    their floats as ``'%.17g' %`` does, by ``format_floats`` over whole
+    arrays or blocks of rows.  ``svg`` is the plot's text
     as a re-iterable source of chunks, the list ``loglog_plot_svg`` returns
     or the row-by-row source of ``heatmap_svg``.  Each write iterates its
     source afresh, so a report written twice writes identical files.
@@ -200,6 +203,7 @@ _CODE_BY_TYPE = {
     int: "%d",
     str: "%s",
 }
+_FLOAT_TYPES = (float, np.float64)
 
 
 def _format_value(value) -> str:
@@ -211,25 +215,57 @@ def _format_value(value) -> str:
         raise TypeError(f"cannot write a {type(value)} value to CSV") from None
 
 
+def _format_rows(block: list) -> list:
+    """The CSV text of each row of ``block``, a list of value sequences,
+    its floats formatted in one call of ``format_floats``."""
+    if not block:
+        return []
+    floats = [v for row in block for v in row if type(v) in _FLOAT_TYPES]
+    texts = iter(format_floats(np.array(floats, dtype=np.float64).reshape(-1, 1)))
+    return [
+        ",".join([next(texts) if type(v) in _FLOAT_TYPES else _format_value(v) for v in row])
+        for row in block
+    ]
+
+
+_BLOCK_ROWS = 1024  # rows of a table formatted together
+
+
+def _lines(rows):
+    """The CSV text of each row, in order: a ``str`` row as it is, and the
+    others formatted by ``_format_rows`` up to ``_BLOCK_ROWS`` at a time."""
+    block = []
+    for row in rows:
+        if type(row) is str:
+            yield from _format_rows(block)
+            block = []
+            yield row
+        else:
+            block.append(row)
+            if len(block) == _BLOCK_ROWS:
+                yield from _format_rows(block)
+                block = []
+    yield from _format_rows(block)
+
+
 def _write_rows(path, config_hash, columns, rows) -> None:
     """One CSV line per row, prefixed by the config hash and the version.
 
-    ``rows`` is iterated once, one row at a time, so a row source that builds
-    its rows on demand is never held whole.  A row is either a sequence of
-    values or one ``str``: the row's values already formatted by these rules
-    and joined by commas, as ``_GridRows`` yields them, which is written as
-    it is after the prefix.  A row holds at least one value, each formatted
-    by ``_format_value``: a ``bool`` as ``true``/``false``, a ``float``,
-    ``np.float64``, ``int`` or ``str`` by its ``%``-code, and any other type
-    raises ``TypeError``.
+    ``rows`` is iterated once, and at most ``_BLOCK_ROWS`` of its rows are
+    held at a time, so a row source that builds its rows on demand is never
+    held whole.  A row is either a sequence of values or one ``str``: the
+    row's values already formatted by these rules and joined by commas, as
+    ``_GridRows`` yields them, which is written as it is after the prefix.
+    A row holds at least one value: a ``float`` or ``np.float64`` is written
+    as ``'%.17g' %`` writes it, by ``format_floats`` over the floats of up
+    to ``_BLOCK_ROWS`` rows at once; a ``bool`` as ``true``/``false``; an
+    ``int`` or ``str`` by its ``%``-code; any other type raises
+    ``TypeError``.
     """
     head = f"{config_hash},{__version__},"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(["config", "version", *columns]) + "\n")
-        for row in rows:
-            if type(row) is not str:
-                row = ",".join(map(_format_value, row))
-            fh.write(f"{head}{row}\n")
+        fh.writelines(f"{head}{line}\n" for line in _lines(rows))
 
 
 def _check_report(cfg: ExperimentConfig, per_trial, sidecars=()) -> ExperimentReport:
@@ -397,25 +433,19 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-class _GridRows:
-    """The CSV rows of a bitwise symmetric matrix, row ``i`` as the text
-    ``i,grid[i, 0],grid[i, 1],...`` that ``_write_rows`` writes as it is,
-    built one at a time on each pass, so the grid is never copied into a list.
+_CHUNK_VALUES = 2**13  # grid cells formatted together by _GridRows
 
-    Each of the n (n + 1) / 2 distinct values is formatted once, by the
-    writer's own float code: row ``i`` formats ``grid[i, i:]`` with one
-    ``%``-format and takes its first ``i`` cells from the strings that rows
-    ``0 .. i-1`` formatted for column ``i``.  Those are dropped once row
-    ``i`` is written, so at most about n^2 / 4 strings are held.  A grid
-    whose entries (i, j) and (j, i) differ in any bit (``-0.0`` against
-    ``0.0`` included) is rejected with ``ValueError`` here, before a line
-    is written.
+
+class _GridRows:
+    """The CSV rows of a float64 matrix, row ``i`` as the text
+    ``i,grid[i, 0],grid[i, 1],...`` that ``_write_rows`` writes as it is.
+
+    Each pass formats every cell afresh by ``format_floats``, in chunks
+    of ``_CHUNK_VALUES // n`` rows (one row at least), so the grid is never
+    copied into a list and a chunk's temporaries stay near 2 MB.
     """
 
     def __init__(self, grid: np.ndarray):
-        bits = grid.view(np.uint64)
-        if bits.ndim != 2 or not np.array_equal(bits, bits.T):
-            raise ValueError("heatmap grid is not bitwise symmetric")
         self.grid = grid
 
     def __len__(self) -> int:
@@ -423,24 +453,18 @@ class _GridRows:
 
     def __iter__(self):
         n = len(self.grid)
-        code = _CODE_BY_TYPE[float] + ","
-        formats = code * n  # its first k * len(code) - 1 characters format k values
-        cells = np.empty((n, n), dtype=object)  # cells[j, i]: the text of grid[j, i], j <= i
-        for i, values in enumerate(self.grid):
-            upper = formats[: len(code) * (n - i) - 1] % tuple(values[i:].tolist())
-            cells[i, i:] = upper.split(",")
-            yield f"{i},{','.join(cells[:i, i])},{upper}" if i else f"0,{upper}"
-            cells[: i + 1, i] = None
+        step = max(1, _CHUNK_VALUES // n)
+        for start in range(0, n, step):
+            for i, text in enumerate(format_floats(self.grid[start : start + step]), start):
+                yield f"{i},{text}"
 
 
 def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
     """Entrywise magnitudes and spectrum of the whitened shifted matrix.
 
-    The report keeps the magnitude grid alone; its CSV rows and SVG lines
-    are produced one grid row at a time while they are written.  ``whiten``
-    returns ``0.5 * (M + M^T)``, whose (i, j) and (j, i) entries are the
-    same double, so the CSV rows format each distinct value once
-    (``_GridRows``).
+    The report keeps the magnitude grid alone; its CSV rows (``_GridRows``)
+    and SVG lines are produced a few grid rows at a time while they are
+    written.
     """
     if cfg.dim not in (2, 3):
         raise ValueError("heatmap runs use dim 2 or 3")

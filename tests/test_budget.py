@@ -10,11 +10,14 @@ high-water mark across ``exec``, so a trivial child of a 320 MB parent reads
 about 330 MB, while the child of a small launcher reads its own peak.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+
+from conftest import BLAS_THREADS
 
 TIMEOUT_S = 120
 
@@ -43,7 +46,9 @@ print(json.dumps(
 # once (1.85 to 2.35 s and 87.6 MB before; the added peak is the text of
 # the columns still to be written), and at 88 MB once its kernel matrices
 # were built over their distance matrices; its wall budget leaves about 5x
-# room, as eigen-scaling's does.
+# room, as eigen-scaling's does.  It took 0.85 to 1.0 s and peaked at 89 MB
+# once its CSV was written by the array formatter (every cell formatted,
+# none mirrored), and its budgets were tightened from 10 s and 130 MB.
 # identity took 17.6 s and 59.4 MB before the Fourier-side phase was split
 # per panel, 1.4 to 1.65 s and 40 MB on the 2-core VM with the split on
 # panels of one width, and 0.35 to 0.38 s and 40 MB once the panels beyond
@@ -65,7 +70,7 @@ print(json.dumps(
 # leaves about 5x room, as heatmap's does
 HEATMAP_1000 = ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "1000")
 BUDGETS = {
-    HEATMAP_1000: (10, 130),
+    HEATMAP_1000: (5, 100),
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): (12, 125),
     ("identity", "--kernel", "matern-basic", "--n", "400", "--trials", "2",
      "--fourier-cutoff", "1e4"): (2, 50),
@@ -77,6 +82,17 @@ BUDGETS = {
 # grid row became one <rect> (2.34 MB)
 FILE_BUDGETS = {
     HEATMAP_1000: {"heatmap.svg": 4e6},
+}
+
+# command -> {artifact: {BLAS threads: SHA-256}}: the bytes at scale, recorded
+# before the CSV cells were formatted as arrays
+FILE_DIGESTS = {
+    HEATMAP_1000: {
+        "heatmap.csv": {
+            1: "4c4ab70d27e56cef074317f1649ce1a7c89932df9dea86f49eb5d6c301d68717",
+            2: "c451dcc3e192a50419d87d3ea77b53ff4286fa911816335811116ec3be506aba",
+        },
+    },
 }
 
 
@@ -98,3 +114,6 @@ def test_command_stays_within_its_budget(args, tmp_path):
     for name, size_budget in FILE_BUDGETS.get(args, {}).items():
         size = (tmp_path / name).stat().st_size
         assert size <= size_budget, f"{name} has {size} bytes"
+    for name, digests in FILE_DIGESTS.get(args, {}).items():
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == digests[BLAS_THREADS], f"{name} changed: {digest}"

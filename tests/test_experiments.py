@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatmap_reference import assert_decodes_to_loop_colors, loop_color_indices, run_count
 from kernstab import (
@@ -19,6 +22,8 @@ from kernstab import (
     quadrature,
     sample_grid,
 )
+from kernstab import _floattext
+from kernstab._floattext import format_floats
 from kernstab.experiments import (
     ExperimentConfig,
     _GridRows,
@@ -89,11 +94,19 @@ def test_write_rows_rejects_a_type_outside_the_table(tmp_path, value):
         _written_fields(tmp_path, [[1, value, "x"]])
 
 
-# values at the edges of '%.17g': the smallest subnormal, 1e-4 and the double
-# just below it (where it turns to exponent notation), 1e16 and 1e17 (where
-# the exponent comes back), and signed zero, inf and nan
+# values at the edges of '%.17g': the smallest subnormal, the smallest
+# normal and the largest double; 1e-4 and the double just below it (where it
+# turns to exponent notation); 1e16, 1e17 and the doubles just below them
+# (where the exponent comes back); the doubles nearest 1e-304, whose digits
+# are 9.9999999999999997e-305 one decade down, and nearest 1e-14, below it
+# too but written 1e-14; the exact ties 1000000000000000.25 and .75, rounded
+# to even; and signed zero, inf, nan and a nan with its sign bit set
+# (written nan)
 GRID_VALUES = [
-    0.0, 5e-324, 1e-4, np.nextafter(1e-4, 0.0), 1e16, 1e17, 1 / 3, math.inf, -0.0, math.nan,
+    0.0, 5e-324, 2.0**-1022, 1.7976931348623157e308, 1e-4, np.nextafter(1e-4, 0.0),
+    1e16, np.nextafter(1e16, 0.0), 1e17, np.nextafter(1e17, 0.0), 1e-304, 1e-14,
+    1000000000000000.25, 1000000000000000.75, 1 / 3, math.inf, -0.0, math.nan,
+    -math.nan,
 ]
 
 
@@ -120,13 +133,111 @@ def test_grid_rows_write_the_per_row_format(tmp_path, n):
 @pytest.mark.parametrize(
     "value, mirror", [(0.25, np.nextafter(0.25, 1.0)), (0.0, -0.0)], ids=["last-bit", "signed-zero"]
 )
-def test_grid_rows_reject_an_asymmetric_grid(tmp_path, value, mirror):
-    grid = np.full((5, 5), 0.5)  # no nan, which a value comparison would also reject
+def test_grid_rows_write_an_asymmetric_grid_cell_by_cell(tmp_path, value, mirror):
+    # every cell is formatted, none is copied from its mirror image
+    grid = np.full((5, 5), 0.5)
     grid[1, 3], grid[3, 1] = value, mirror
     path = tmp_path / "grid.csv"
-    with pytest.raises(ValueError, match="not bitwise symmetric"):
-        _write_rows(path, "abc", [f"c{j}" for j in range(5)], _GridRows(grid))
-    assert not path.exists()
+    _write_rows(path, "abc", [f"c{j}" for j in range(5)], _GridRows(grid))
+    lines = path.read_text().splitlines()
+    assert lines[2].split(",")[6] == "%.17g" % value
+    assert lines[4].split(",")[4] == "%.17g" % mirror
+
+
+def _printf_rows(values):
+    return [",".join("%.17g" % v for v in row) for row in values.tolist()]
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1))
+def test_format_floats_writes_what_printf_writes(values):
+    row = np.array(values, dtype=np.float64)
+    assert format_floats(row[None]) == _printf_rows(row[None])
+    assert format_floats(row[:, None]) == _printf_rows(row[:, None])
+
+
+def test_format_floats_matches_printf_on_random_bit_patterns():
+    # 10^6 uniformly random 64-bit patterns: every exponent, both signs,
+    # subnormals, infs and nans with any payload
+    bits = np.random.default_rng(2025).integers(0, 2**64, size=(1000, 1000), dtype=np.uint64)
+    values = bits.view(np.float64)
+    code = ",".join(["%.17g"] * 1000)
+    expected = [code % row for row in map(tuple, values.tolist())]
+    written = [
+        text for start in range(0, 1000, 8) for text in format_floats(values[start : start + 8])
+    ]
+    assert written == expected
+
+
+@pytest.fixture
+def printed(monkeypatch):
+    """The values that ``format_floats`` hands to its ``'%'`` fallback."""
+    values = []
+    printf = _floattext.printf_floats
+
+    def counted(batch):
+        values.extend(batch)
+        return printf(batch)
+
+    monkeypatch.setattr(_floattext, "printf_floats", counted)
+    return values
+
+
+def test_format_floats_certifies_without_printf(printed):
+    # a formatter that fell back to '%' everywhere would pass every byte test
+    values = 10.0 ** np.random.default_rng(7).uniform(-12, 0, size=(100, 1000))
+    written = [text for row in values for text in format_floats(row[None])]
+    assert written == _printf_rows(values)
+    assert len(printed) <= 0.1 * values.size
+
+
+def _near_ties(k):
+    """Doubles ``v = M 2^-(s+k)``, ``2^52 <= M < 2^53``, whose ``v 10^k`` in
+    ``[1e16, 1e17)`` lies within about ``2^-51`` of a half-integer: lattice
+    points ``(M, M 5^k mod 2^s)`` near ``(3 2^51, 2^(s-1))``, by Lagrange
+    reduction of the lattice and rounding in its reduced basis."""
+    s = math.floor(math.log2(2**52 * 5**k / 1e16))
+    m = 2**s
+    w, r = max(1, m >> 102), max(1, 2**102 // m)  # scales that make the box square
+    b1, b2 = (w, 5**k % m * r), (0, m * r)
+    while True:
+        if b1[0] ** 2 + b1[1] ** 2 > b2[0] ** 2 + b2[1] ** 2:
+            b1, b2 = b2, b1
+        mu = round(Fraction(b1[0] * b2[0] + b1[1] * b2[1], b1[0] ** 2 + b1[1] ** 2))
+        if mu == 0:
+            break
+        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
+    tx, ty = 3 * 2**51 * w, m // 2 * r
+    det = b1[0] * b2[1] - b1[1] * b2[0]
+    x = round(Fraction(tx * b2[1] - ty * b2[0], det))
+    y = round(Fraction(b1[0] * ty - b1[1] * tx, det))
+    ms = [((x + i) * b1[0] + (y + j) * b2[0]) // w for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    return [math.ldexp(M, -s - k) for M in ms if 2**52 <= M < 2**53]
+
+
+def test_format_floats_prints_near_ties(printed):
+    # within 2^-46 of a tie the computed fraction cannot be trusted: each
+    # such value must go through '%'
+    ties = [(v, k) for k in range(17, 60) for v in _near_ties(k)]
+    values = np.array([v for v, _ in ties])
+    assert format_floats(values[:, None]) == _printf_rows(values[:, None])
+    near = {v for v, k in ties if abs(Fraction(v) * 10**k % 1 - Fraction(1, 2)) < 2**-46}
+    assert len(near) >= 100
+    assert near <= set(printed)
+
+
+def test_write_rows_formats_tables_longer_than_a_block(tmp_path):
+    # blocks of rows are formatted together; a str row is written as it is,
+    # in its place
+    rows = [[i, i / 7, f"r{i}", i % 3 == 0, np.float64(-i) * 1e-300] for i in range(2500)]
+    rows[1500] = "1500,text,as,it,is"
+    path = tmp_path / "rows.csv"
+    _write_rows(path, "abc", ["a", "b", "c", "d", "e"], iter(rows))
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        fields = row.split(",") if type(row) is str else [_fmt_chain(v) for v in row]
+        assert line.split(",")[2:] == fields
 
 
 def test_library_heatmap_runs_with_its_command_defaults(tmp_path, capsys):
