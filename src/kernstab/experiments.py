@@ -18,7 +18,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import analysis
-from ._floattext import format_floats
 from ._version import __version__
 from .assembly import conv_gram, gram, shifted_gram
 from .geometry import PointSet, equispaced, halton
@@ -40,7 +39,9 @@ class Command:
     """One row of ``COMMANDS``: the config fields a command takes (those its
     runner reads, the output paths the CLI reads, and ``seed``, taken by
     every command so that one seed can be passed to any), and its defaults
-    of ``dim`` and ``n``.  Every command runs every kernel family."""
+    of ``dim`` and ``n``.  Every command runs every kernel family, but
+    ``sin2`` and ``thm41`` ship no bound constant for matern-quadratic and
+    run it only with ``c_min`` or ``c_conv`` given."""
 
     options: tuple
     dim: int = 1
@@ -125,6 +126,8 @@ class ExperimentConfig:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
         if not math.isfinite(self.shift_factor):
             raise ValueError(f"shift_factor must be finite, got {self.shift_factor}")
+        if not 0 < self.eps < 1:
+            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
         cutoff = self.fourier_cutoff
         if not (math.isfinite(cutoff) and cutoff >= 1):
             raise ValueError(f"fourier_cutoff must be finite and at least 1, got {cutoff}")
@@ -153,19 +156,17 @@ class ExperimentConfig:
 class ExperimentReport:
     """Rows, checks and plot of one run, and the writers of its artifacts.
 
-    ``rows`` (and the rows of each sidecar) is a list or a re-iterable row
-    source with a length, such as ``_GridRows``; ``_write_rows`` formats
-    their floats as ``'%.17g' %`` does, by ``format_floats`` over whole
-    arrays or blocks of rows.  ``svg`` is the plot's text
-    as a re-iterable source of chunks, the list ``loglog_plot_svg`` returns
-    or the row-by-row source of ``heatmap_svg``.  Each write iterates its
+    ``rows`` (and the rows of each sidecar) is a list of rows, each a list
+    of values that ``_write_rows`` formats.  ``svg`` is the plot's text as a
+    re-iterable source of chunks, the list ``loglog_plot_svg`` returns or
+    the row-by-row source of ``heatmap_svg``.  Each write iterates its
     source afresh, so a report written twice writes identical files.
     """
 
     command: str
     config_hash: str
     columns: list
-    rows: Iterable
+    rows: list
     checks: list = field(default_factory=list)
     svg: Optional[Iterable[str]] = None
     sidecars: list = field(default_factory=list)  # (path suffix, columns, rows)
@@ -203,7 +204,6 @@ _CODE_BY_TYPE = {
     int: "%d",
     str: "%s",
 }
-_FLOAT_TYPES = (float, np.float64)
 
 
 def _format_value(value) -> str:
@@ -215,57 +215,18 @@ def _format_value(value) -> str:
         raise TypeError(f"cannot write a {type(value)} value to CSV") from None
 
 
-def _format_rows(block: list) -> list:
-    """The CSV text of each row of ``block``, a list of value sequences,
-    its floats formatted in one call of ``format_floats``."""
-    if not block:
-        return []
-    floats = [v for row in block for v in row if type(v) in _FLOAT_TYPES]
-    texts = iter(format_floats(np.array(floats, dtype=np.float64).reshape(-1, 1)))
-    return [
-        ",".join([next(texts) if type(v) in _FLOAT_TYPES else _format_value(v) for v in row])
-        for row in block
-    ]
-
-
-_BLOCK_ROWS = 1024  # rows of a table formatted together
-
-
-def _lines(rows):
-    """The CSV text of each row, in order: a ``str`` row as it is, and the
-    others formatted by ``_format_rows`` up to ``_BLOCK_ROWS`` at a time."""
-    block = []
-    for row in rows:
-        if type(row) is str:
-            yield from _format_rows(block)
-            block = []
-            yield row
-        else:
-            block.append(row)
-            if len(block) == _BLOCK_ROWS:
-                yield from _format_rows(block)
-                block = []
-    yield from _format_rows(block)
-
-
 def _write_rows(path, config_hash, columns, rows) -> None:
     """One CSV line per row, prefixed by the config hash and the version.
 
-    ``rows`` is iterated once, and at most ``_BLOCK_ROWS`` of its rows are
-    held at a time, so a row source that builds its rows on demand is never
-    held whole.  A row is either a sequence of values or one ``str``: the
-    row's values already formatted by these rules and joined by commas, as
-    ``_GridRows`` yields them, which is written as it is after the prefix.
-    A row holds at least one value: a ``float`` or ``np.float64`` is written
-    as ``'%.17g' %`` writes it, by ``format_floats`` over the floats of up
-    to ``_BLOCK_ROWS`` rows at once; a ``bool`` as ``true``/``false``; an
-    ``int`` or ``str`` by its ``%``-code; any other type raises
-    ``TypeError``.
+    A row is a sequence of at least one value: a ``float`` or
+    ``np.float64`` is written as ``'%.17g' %`` writes it; a ``bool`` as
+    ``true``/``false``; an ``int`` or ``str`` by its ``%``-code; any other
+    type raises ``TypeError``.
     """
     head = f"{config_hash},{__version__},"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(["config", "version", *columns]) + "\n")
-        fh.writelines(f"{head}{line}\n" for line in _lines(rows))
+        fh.writelines(f"{head}{','.join(map(_format_value, row))}\n" for row in rows)
 
 
 def _check_report(cfg: ExperimentConfig, per_trial, sidecars=()) -> ExperimentReport:
@@ -433,38 +394,12 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-_CHUNK_VALUES = 2**13  # grid cells formatted together by _GridRows
-
-
-class _GridRows:
-    """The CSV rows of a float64 matrix, row ``i`` as the text
-    ``i,grid[i, 0],grid[i, 1],...`` that ``_write_rows`` writes as it is.
-
-    Each pass formats every cell afresh by ``format_floats``, in chunks
-    of ``_CHUNK_VALUES // n`` rows (one row at least), so the grid is never
-    copied into a list and a chunk's temporaries stay near 2 MB.
-    """
-
-    def __init__(self, grid: np.ndarray):
-        self.grid = grid
-
-    def __len__(self) -> int:
-        return len(self.grid)
-
-    def __iter__(self):
-        n = len(self.grid)
-        step = max(1, _CHUNK_VALUES // n)
-        for start in range(0, n, step):
-            for i, text in enumerate(format_floats(self.grid[start : start + step]), start):
-                yield f"{i},{text}"
-
-
 def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
-    """Entrywise magnitudes and spectrum of the whitened shifted matrix.
+    """Spectrum and entrywise magnitudes of the whitened shifted matrix.
 
-    The report keeps the magnitude grid alone; its CSV rows (``_GridRows``)
-    and SVG lines are produced a few grid rows at a time while they are
-    written.
+    The table is the spectrum; the plot is the magnitude grid, the one
+    ``n x n`` matrix the report keeps, drawn a few grid rows at a time
+    while it is written.
     """
     if cfg.dim not in (2, 3):
         raise ValueError("heatmap runs use dim 2 or 3")
@@ -473,16 +408,12 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
     b = _diagonal_shift(cfg.dim, cfg.shift_factor * X.separation)
     M = whiten(gram(spec, X), shifted_gram(spec, X, b))
     spectrum = np.linalg.eigvalsh(M)
-    grid = np.abs(M, out=M)
     return ExperimentReport(
         command=cfg.command,
         config_hash=cfg.config_hash(),
-        columns=["row", *[f"c{j}" for j in range(len(X))]],
-        rows=_GridRows(grid),
-        svg=heatmap_svg(grid),
-        sidecars=[
-            ("spectrum", ["index", "eigenvalue"], [[i, v] for i, v in enumerate(spectrum)])
-        ],
+        columns=["index", "eigenvalue"],
+        rows=[[i, v] for i, v in enumerate(spectrum)],
+        svg=heatmap_svg(np.abs(M, out=M)),
     )
 
 

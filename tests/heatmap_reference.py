@@ -1,4 +1,5 @@
-"""Scalar references for the heatmap SVG: per-cell colors, run merge, decoder.
+"""Scalar references for the heatmap SVG: per-cell colors, run merge, decoder,
+and the whitened matrix the heatmap command draws.
 
 ``heatmap_svg`` must give every cell the color of the per-cell
 ``math.log10`` loop and draw each maximal run of one color in a row as one
@@ -13,6 +14,7 @@ import re
 
 import numpy as np
 
+from kernstab import Family, KernelSpec, gram, halton, shifted_gram, whiten
 from kernstab.svgplot import color_ramp
 
 MARGIN = 20
@@ -126,3 +128,13 @@ def assert_decodes_to_loop_colors(svg, values):
     expected = [[ramp[k] for k in row] for row in loop_color_indices(values)]
     decoded = decode_heatmap(svg, np.shape(values))
     assert decoded.tolist() == expected
+
+
+def heatmap_matrix(kernel, n, dim=2, shift_factor=0.1):
+    """The whitened shifted matrix ``M`` of ``kernstab heatmap``, built from
+    the command's own Halton points ``X`` and diagonal shift ``b``; its
+    SVG draws ``|M|`` and its CSV lists ``eigvalsh(M)``."""
+    spec = KernelSpec(Family(kernel), dim=dim)
+    X = halton(n, dim)
+    b = shift_factor * X.separation * np.ones(dim) / math.sqrt(dim)
+    return whiten(gram(spec, X), shifted_gram(spec, X, b))

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from conftest import BLAS_THREADS
-from heatmap_reference import assert_decodes_to_loop_colors, loop_color_indices, run_count
+from heatmap_reference import (
+    assert_decodes_to_loop_colors,
+    heatmap_matrix,
+    loop_color_indices,
+    run_count,
+)
 from kernstab import Family, QuadratureError, SingularMatrixError, cli
 from kernstab.experiments import COMMANDS, ExperimentConfig, ExperimentReport, run
 
@@ -184,18 +189,20 @@ def test_heatmap_command(tmp_path):
         tmp_path,
     )
     assert result.returncode == 0, result.stderr
-    grid_lines = (tmp_path / "heatmap.csv").read_text().splitlines()
-    assert len(grid_lines) == 51
-    grid = np.array([[float(v) for v in line.split(",")[3:]] for line in grid_lines[1:]])
+    assert result.stdout.startswith("wrote heatmap.csv\nwrote heatmap.svg\n")
+    lines = (tmp_path / "heatmap.csv").read_text().splitlines()
+    assert lines[0] == "config,version,index,eigenvalue"
+    assert len(lines) == 51
+    values = np.array([float(line.split(",")[3]) for line in lines[1:]])
+    assert values.min() >= 0.75 and values.max() < 1.0
+    M = heatmap_matrix("matern-linear", 50)
+    np.testing.assert_allclose(values, np.linalg.eigvalsh(M), rtol=0, atol=1e-13)
+    grid = np.abs(M)
     diag = np.diag(grid)
     assert np.all((0.9 <= diag) & (diag <= 1.0))
     off = grid - np.diag(diag)
     assert np.abs(off).max() <= 1e-1
-    spectrum_lines = (tmp_path / "heatmap.spectrum.csv").read_text().splitlines()
-    values = np.array([float(line.split(",")[3]) for line in spectrum_lines[1:]])
-    assert values.min() >= 0.75 and values.max() < 1.0
-    # one rect per run of one color in a grid row, plus background and frame;
-    # the CSV's '%.17g' values read back exactly, so they give the same colors
+    # one rect per run of one color in a grid row, plus background and frame
     svg = (tmp_path / "heatmap.svg").read_text()
     assert svg.count("<rect") == run_count(loop_color_indices(grid)) + 2
     assert_decodes_to_loop_colors(svg, grid)
@@ -269,10 +276,13 @@ def test_heatmap_command(tmp_path):
 # eigen-scaling entry gained the eigen-scaling.fit.csv digest, a table that,
 # config column dropped, is byte for byte the fit.csv of the same options,
 # and kept its CSV and SVG digests.
+# heatmap.csv took the digest of heatmap.spectrum.csv when the spectrum
+# became heatmap's table and the n x n grid of |M| was no longer written
+# (the SVG draws it): the same bytes under the table's name, and the SVG
+# kept its digest.
 GOLDEN_DIGESTS = {
     ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "60"): {
-        "heatmap.csv": "a0c23d34c38b478b70d2714ef8f4c260d1eac3df9047cd5d0209e2bfcbbf4012",
-        "heatmap.spectrum.csv": "83b7442915bd1968e03114874ae645a7514416e16753521ad453cdc15b27e85d",
+        "heatmap.csv": "83b7442915bd1968e03114874ae645a7514416e16753521ad453cdc15b27e85d",
         "heatmap.svg": "8334a3abe6e9dd69207b9a6840534866bf2552b7ef3ca8f01ef0ef3fabd6333c",
     },
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "200"): {
@@ -399,6 +409,10 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     ):
         assert cli.main(args) == 2, args
         assert "usage error" in capsys.readouterr().err
+    # an eps outside (0, 1) is refused before sin2 takes its square root
+    for eps in ("-1", "-inf", "0", "1", "nan"):
+        assert cli.main(["sin2", f"--eps={eps}"]) == 2, eps
+        assert "usage error: eps must lie in (0, 1)" in capsys.readouterr().err
     # an unwritable output path is a usage error, not a failed check; an
     # empty one names no file, for the plot as for the table
     missing = tmp_path / "no-such-dir"
@@ -421,14 +435,19 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in result.stderr
 
 
-@pytest.mark.parametrize("command", ["heatmap", "equivalence"])
-def test_sidecar_sits_beside_a_csv_in_a_dotted_directory(command, tmp_path):
+@pytest.mark.parametrize(
+    "args, sidecar",
+    [(["eigen-scaling", "--n-max", "20", "--n-count", "3"], "fit"),
+     (["equivalence", "--n", "10"], "spectrum")],
+    ids=["eigen-scaling", "equivalence"],
+)
+def test_sidecar_sits_beside_a_csv_in_a_dotted_directory(args, sidecar, tmp_path):
     # the sidecar name splits the file name alone, never a dot of a directory
     out = tmp_path / "a.b"
     out.mkdir()
-    result = run_cli([command, "--n", "10", "--out-csv", str(out / "heat")], tmp_path)
+    result = run_cli([*args, "--out-csv", str(out / "heat")], tmp_path)
     assert result.returncode == 0, result.stderr
-    assert sorted(path.name for path in out.iterdir()) == ["heat", "heat.spectrum"]
+    assert sorted(path.name for path in out.iterdir()) == ["heat", f"heat.{sidecar}"]
 
 
 def test_random_point_sets_near_capacity_finish(tmp_path):

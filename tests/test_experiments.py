@@ -1,13 +1,15 @@
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from heatmap_reference import assert_decodes_to_loop_colors, loop_color_indices, run_count
+from heatmap_reference import (
+    assert_decodes_to_loop_colors,
+    heatmap_matrix,
+    loop_color_indices,
+    run_count,
+)
 from kernstab import (
     Family,
     KernelSpec,
@@ -22,11 +24,8 @@ from kernstab import (
     quadrature,
     sample_grid,
 )
-from kernstab import _floattext
-from kernstab._floattext import format_floats
 from kernstab.experiments import (
     ExperimentConfig,
-    _GridRows,
     _random_interval_set,
     _scaling_samples,
     _write_rows,
@@ -119,11 +118,16 @@ def _symmetric_grid(n):
     return np.where(np.tri(n, k=-1, dtype=bool), upper.T, upper)
 
 
+def _grid_rows(grid):
+    return [[i, *row] for i, row in enumerate(grid)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 300])
 def test_grid_rows_write_the_per_row_format(tmp_path, n):
+    # the rows i, grid[i, 0], ..., of np.float64 cells at every edge of '%.17g'
     grid = _symmetric_grid(n)
     path = tmp_path / "grid.csv"
-    _write_rows(path, "abc", [f"c{j}" for j in range(n)], _GridRows(grid))
+    _write_rows(path, "abc", [f"c{j}" for j in range(n)], _grid_rows(grid))
     row_format = ",".join(["%d"] + ["%.17g"] * n)
     expected = [",".join(["config", "version", *[f"c{j}" for j in range(n)]])]
     expected += [f"abc,{__version__}," + row_format % (i, *row) for i, row in enumerate(grid)]
@@ -138,125 +142,43 @@ def test_grid_rows_write_an_asymmetric_grid_cell_by_cell(tmp_path, value, mirror
     grid = np.full((5, 5), 0.5)
     grid[1, 3], grid[3, 1] = value, mirror
     path = tmp_path / "grid.csv"
-    _write_rows(path, "abc", [f"c{j}" for j in range(5)], _GridRows(grid))
+    _write_rows(path, "abc", [f"c{j}" for j in range(5)], _grid_rows(grid))
     lines = path.read_text().splitlines()
     assert lines[2].split(",")[6] == "%.17g" % value
     assert lines[4].split(",")[4] == "%.17g" % mirror
 
 
-def _printf_rows(values):
-    return [",".join("%.17g" % v for v in row) for row in values.tolist()]
-
-
-@settings(deadline=None)
-@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1))
-def test_format_floats_writes_what_printf_writes(values):
-    row = np.array(values, dtype=np.float64)
-    assert format_floats(row[None]) == _printf_rows(row[None])
-    assert format_floats(row[:, None]) == _printf_rows(row[:, None])
-
-
-def test_format_floats_matches_printf_on_random_bit_patterns():
-    # 10^6 uniformly random 64-bit patterns: every exponent, both signs,
-    # subnormals, infs and nans with any payload
-    bits = np.random.default_rng(2025).integers(0, 2**64, size=(1000, 1000), dtype=np.uint64)
-    values = bits.view(np.float64)
-    code = ",".join(["%.17g"] * 1000)
-    expected = [code % row for row in map(tuple, values.tolist())]
-    written = [
-        text for start in range(0, 1000, 8) for text in format_floats(values[start : start + 8])
-    ]
-    assert written == expected
-
-
-@pytest.fixture
-def printed(monkeypatch):
-    """The values that ``format_floats`` hands to its ``'%'`` fallback."""
-    values = []
-    printf = _floattext.printf_floats
-
-    def counted(batch):
-        values.extend(batch)
-        return printf(batch)
-
-    monkeypatch.setattr(_floattext, "printf_floats", counted)
-    return values
-
-
-def test_format_floats_certifies_without_printf(printed):
-    # a formatter that fell back to '%' everywhere would pass every byte test
-    values = 10.0 ** np.random.default_rng(7).uniform(-12, 0, size=(100, 1000))
-    written = [text for row in values for text in format_floats(row[None])]
-    assert written == _printf_rows(values)
-    assert len(printed) <= 0.1 * values.size
-
-
-def _near_ties(k):
-    """Doubles ``v = M 2^-(s+k)``, ``2^52 <= M < 2^53``, whose ``v 10^k`` in
-    ``[1e16, 1e17)`` lies within about ``2^-51`` of a half-integer: lattice
-    points ``(M, M 5^k mod 2^s)`` near ``(3 2^51, 2^(s-1))``, by Lagrange
-    reduction of the lattice and rounding in its reduced basis."""
-    s = math.floor(math.log2(2**52 * 5**k / 1e16))
-    m = 2**s
-    w, r = max(1, m >> 102), max(1, 2**102 // m)  # scales that make the box square
-    b1, b2 = (w, 5**k % m * r), (0, m * r)
-    while True:
-        if b1[0] ** 2 + b1[1] ** 2 > b2[0] ** 2 + b2[1] ** 2:
-            b1, b2 = b2, b1
-        mu = round(Fraction(b1[0] * b2[0] + b1[1] * b2[1], b1[0] ** 2 + b1[1] ** 2))
-        if mu == 0:
-            break
-        b2 = (b2[0] - mu * b1[0], b2[1] - mu * b1[1])
-    tx, ty = 3 * 2**51 * w, m // 2 * r
-    det = b1[0] * b2[1] - b1[1] * b2[0]
-    x = round(Fraction(tx * b2[1] - ty * b2[0], det))
-    y = round(Fraction(b1[0] * ty - b1[1] * tx, det))
-    ms = [((x + i) * b1[0] + (y + j) * b2[0]) // w for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    return [math.ldexp(M, -s - k) for M in ms if 2**52 <= M < 2**53]
-
-
-def test_format_floats_prints_near_ties(printed):
-    # within 2^-46 of a tie the computed fraction cannot be trusted: each
-    # such value must go through '%'
-    ties = [(v, k) for k in range(17, 60) for v in _near_ties(k)]
-    values = np.array([v for v, _ in ties])
-    assert format_floats(values[:, None]) == _printf_rows(values[:, None])
-    near = {v for v, k in ties if abs(Fraction(v) * 10**k % 1 - Fraction(1, 2)) < 2**-46}
-    assert len(near) >= 100
-    assert near <= set(printed)
-
-
 def test_write_rows_formats_tables_longer_than_a_block(tmp_path):
-    # blocks of rows are formatted together; a str row is written as it is,
-    # in its place
+    # a long table given as an iterator is written whole, row by row in order
     rows = [[i, i / 7, f"r{i}", i % 3 == 0, np.float64(-i) * 1e-300] for i in range(2500)]
-    rows[1500] = "1500,text,as,it,is"
     path = tmp_path / "rows.csv"
     _write_rows(path, "abc", ["a", "b", "c", "d", "e"], iter(rows))
     lines = path.read_text().splitlines()[1:]
     assert len(lines) == len(rows)
     for line, row in zip(lines, rows):
-        fields = row.split(",") if type(row) is str else [_fmt_chain(v) for v in row]
-        assert line.split(",")[2:] == fields
+        assert line.split(",")[2:] == [_fmt_chain(v) for v in row]
+
+
+def _spectrum_rows(M):
+    return [[i, v] for i, v in enumerate(np.linalg.eigvalsh(M))]
 
 
 def test_library_heatmap_runs_with_its_command_defaults(tmp_path, capsys):
     # dim 2 and the halton layout come from the config itself, not the CLI
     report = run(ExperimentConfig(command="heatmap", n=30))
-    assert len(report.rows) == 30
+    assert report.rows == _spectrum_rows(heatmap_matrix("matern-basic", 30))
     report.write_csv(tmp_path / "library.csv")
-    cli_csv = tmp_path / "cli.csv"
-    args = ["heatmap", "--n", "30", "--out-csv", str(cli_csv), "--out-svg", str(tmp_path / "h.svg")]
+    report.write_svg(tmp_path / "library.svg")
+    cli_csv, cli_svg = tmp_path / "cli.csv", tmp_path / "cli.svg"
+    args = ["heatmap", "--n", "30", "--out-csv", str(cli_csv), "--out-svg", str(cli_svg)]
     assert cli.main(args) == 0
     assert cli_csv.read_bytes() == (tmp_path / "library.csv").read_bytes()
-    assert (tmp_path / "cli.spectrum.csv").read_bytes() == (
-        tmp_path / "library.spectrum.csv"
-    ).read_bytes()
+    assert cli_svg.read_bytes() == (tmp_path / "library.svg").read_bytes()
 
 
 def test_heatmap_report_streams_its_artifacts(tmp_path):
-    # the report keeps the n x n grid alone: no list of row values and no
-    # full SVG text, so run and writes stay a few n x n float64 matrices
+    # the report keeps the n x n grid and its n eigenvalues alone: no full
+    # SVG text, so run and writes stay a few n x n float64 matrices
     cfg = ExperimentConfig(command="heatmap", kernel="matern-linear", n=400)
     tracemalloc.start()
     try:
@@ -275,12 +197,16 @@ def test_heatmap_report_written_twice_writes_the_same_files(tmp_path):
     for name in ("first", "second"):
         report.write_csv(tmp_path / f"{name}.csv")
         report.write_svg(tmp_path / f"{name}.svg")
-    for suffix in (".csv", ".spectrum.csv", ".svg"):
+    for suffix in (".csv", ".svg"):
         first = (tmp_path / f"first{suffix}").read_bytes()
         assert first == (tmp_path / f"second{suffix}").read_bytes()
-    csv_lines = (tmp_path / "first.csv").read_text().splitlines()
-    assert len(csv_lines) == 41
-    grid = np.array([[float(v) for v in line.split(",")[3:]] for line in csv_lines[1:]])
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "first.csv", "first.svg", "second.csv", "second.svg",
+    ]
+    M = heatmap_matrix("matern-basic", 40)
+    assert report.rows == _spectrum_rows(M)
+    assert len((tmp_path / "first.csv").read_text().splitlines()) == 41
+    grid = np.abs(M)
     svg = first.decode()
     assert svg.count("<rect") == run_count(loop_color_indices(grid)) + 2
     assert_decodes_to_loop_colors(svg, grid)

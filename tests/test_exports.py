@@ -6,6 +6,10 @@ the name's own definition do not count), be imported by the acceptance
 suite, or be a span that ``bench/run.py`` expects.  Library API with none of
 these users is wired into a command or deleted.
 
+Every module of the package is imported by another of its modules (the
+package's ``__init__`` and ``__main__`` count), so a module left behind by
+the code that used it fails here.
+
 Likewise each default of a public function's parameter or of a public
 dataclass field must be passed some other value, by position, by keyword
 or through ``*``/``**``, by at least one call in the package or the
@@ -77,6 +81,43 @@ def test_every_export_has_a_user():
     assert UNUSED_BY_DESIGN <= exports
     used = _package_references() | _acceptance_imports() | _span_parts()
     assert sorted(exports - used - UNUSED_BY_DESIGN) == []
+
+
+# the entry points: the package itself and ``python -m kernstab``
+ENTRY_MODULES = {"__init__", "__main__"}
+
+
+def _imported_modules(path: Path) -> set:
+    """The package's modules that ``path`` imports, relatively or by the
+    package's name (``from . import x`` counts every name it imports)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "kernstab":
+                    continue
+                module = module[len("kernstab"):].lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("kernstab.")
+            }
+    return found
+
+
+def test_every_module_is_imported_by_another():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        imported |= _imported_modules(path) - {path.stem}
+    assert ENTRY_MODULES <= modules
+    assert sorted(modules - imported - ENTRY_MODULES) == []
 
 
 # a settable default that every caller leaves alone is a constant in disguise
