@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import QuadratureError
 from .geometry import _BLOCK_ENTRIES, PointSet, _squared_distance_blocks
-from .kernels import Family, KernelSpec, phi
+from .kernels import PROFILES, KernelSpec, phi
 from .quadrature import conv_value
 
 
@@ -88,18 +88,9 @@ def antisymmetric_part(A) -> np.ndarray:
     return 0.5 * (A - A.T)
 
 
-# half-integer Matern families as np.polyval coefficients (highest degree
-# first): the profile phi(r) = p(r) e^(-r) and its whole-line
-# self-convolution Int_R phi(|x - y|) phi(|y - z|) dy = Q(|x - z|) e^(-|x - z|)
-_CONV_POLYNOMIALS = {
-    Family.MATERN_BASIC: ([1.0], [1.0, 1.0]),
-    Family.MATERN_LINEAR: ([1.0, 1.0], [1 / 6, 1.0, 2.5, 2.5]),
-    Family.MATERN_QUADRATIC: ([1.0, 3.0, 3.0], [1 / 30, 0.5, 3.5, 14.0, 31.5, 31.5]),
-}
-
-
 def _tail_factor(p, t: np.ndarray) -> np.ndarray:
-    """Rows W_i with W_i . W_j = Int_0^inf phi(t_i + s) phi(t_j + s) ds.
+    """Rows W_i with W_i . W_j = Int_0^inf phi(t_i + s) phi(t_j + s) ds,
+    for the profile polynomial p with coefficients from degree 0 up.
 
     Taylor expansion gives p(t + s) = sum_k c_k(t) s^k with c_k = p^(k)/k!,
     and the moments Int_0^inf s^(k+l) e^(-2s) ds = (k+l)!/2^(k+l+1) form a
@@ -108,7 +99,7 @@ def _tail_factor(p, t: np.ndarray) -> np.ndarray:
     m = len(p)
     moments = [[math.factorial(k + l) / 2.0 ** (k + l + 1) for l in range(m)] for k in range(m)]
     taylor = np.stack(
-        [np.polyval(np.polyder(p, k), t) / math.factorial(k) for k in range(m)], axis=1
+        [np.polyval(np.polyder(p[::-1], k), t) / math.factorial(k) for k in range(m)], axis=1
     )
     return (np.exp(-t)[:, None] * taylor) @ np.linalg.cholesky(moments)
 
@@ -116,16 +107,16 @@ def _tail_factor(p, t: np.ndarray) -> np.ndarray:
 def _conv_closed_form(spec: KernelSpec, x: np.ndarray, a: float, b: float) -> np.ndarray:
     # relative to a, Int_a^b = Int_R minus the half-line tails beyond a and
     # beyond b, each a separable rank-(m+1) term
-    p, q = _CONV_POLYNOMIALS[spec.family]
+    profile = PROFILES[spec.family]
     t = x - a
     # Q(r) e^(-r) - W W^T, symmetrized, bit for bit as that expression with
     # np.polyval, but in two n x n buffers: each temporary is written over
     # one that is dead by then
-    W = np.hstack([_tail_factor(p, t), _tail_factor(p, (b - a) - t)])
+    W = np.hstack([_tail_factor(profile.p, t), _tail_factor(profile.p, (b - a) - t)])
     r = np.subtract.outer(t, t)
     np.abs(r, out=r)
     K = np.zeros_like(r)
-    for c in q:  # np.polyval's Horner steps
+    for c in reversed(profile.Q):  # np.polyval's Horner steps on Q
         K *= r
         K += c
     np.negative(r, out=r)

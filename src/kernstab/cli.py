@@ -4,7 +4,9 @@ Each subcommand takes one flag per ``ExperimentConfig`` field that its row
 of ``experiments.COMMANDS`` lists, named after the field (``n_min`` is
 ``--n-min``) and with its default, so the CLI and the library run the same
 experiment for the same options; ``--kernel`` offers every ``Family``.  A
-flag must be spelled in full: a prefix of one is rejected.  Artifacts
+flag must be spelled in full: a prefix of one is rejected.  A negative value
+may follow its flag in any form ``float`` reads (``--eps -inf``,
+``--shift-factor -1e-3``), not only as ``-1`` or ``-0.5``.  Artifacts
 default to ``<command>.csv`` and ``<command>.svg`` in the working directory,
 each sidecar table beside the CSV, and the path of every file written is
 printed.
@@ -52,6 +54,10 @@ _FLAG_OPTIONS = {
 }
 
 
+def _flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kernstab",
@@ -66,13 +72,39 @@ def build_parser() -> argparse.ArgumentParser:
             if f.name not in row.options:
                 continue
             options = _FLAG_OPTIONS.get(f.name, {"type": type(f.default)})
-            p.add_argument("--" + f.name.replace("_", "-"), default=f.default, **options)
+            p.add_argument(_flag(f.name), default=f.default, **options)
     return parser
+
+
+# every flag but --help and --version takes one value
+_VALUE_FLAGS = {_flag(f.name) for f in fields(ExperimentConfig)}
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined_negative_values(argv: list) -> list:
+    """``argv`` with each negative number that follows a flag joined to it,
+    ``--eps -inf`` as ``--eps=-inf``: argparse reads only the forms ``-1``
+    and ``-0.5`` as values, and ``-1e-3``, ``-inf`` or ``-nan`` as flags."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _VALUE_FLAGS and token.startswith("-") and _is_number(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def main(argv=None) -> int:
     start = time.perf_counter()
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_joined_negative_values(argv))
     try:
         cfg = ExperimentConfig(**vars(args))
         report = run(cfg)

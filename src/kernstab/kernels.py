@@ -4,8 +4,8 @@ A kernel here is k(x, z) = phi(||x - z||) for one of three half-integer
 Matern profiles p(r) e^(-r), at unit length scale, where the paper's bounds
 and the fitted constants are stated (points at another scale are rescaled
 instead).  Each is finitely smooth: its Fourier transform decays
-algebraically, with decay exponent tau = 1, 2, 3.  Every table keyed by
-``Family`` covers all of its members.
+algebraically, with decay exponent tau = nu + d/2 (1, 2, 3 in 1-D).  The
+facts of each family sit in one table, ``PROFILES``.
 """
 
 from __future__ import annotations
@@ -23,18 +23,30 @@ class Family(str, Enum):
     MATERN_QUADRATIC = "matern-quadratic"
 
 
-#: decay exponent of the Fourier transform per family
-FAMILY_SMOOTHNESS = {
-    Family.MATERN_BASIC: 1.0,
-    Family.MATERN_LINEAR: 2.0,
-    Family.MATERN_QUADRATIC: 3.0,
-}
+@dataclass(frozen=True)
+class Profile:
+    """One family's facts, polynomials as coefficients from degree 0 up.
 
-#: 1-D density amplitude c with density(w) = c * (1 + w^2)^(-tau), unit scale
-_DENSITY_AMPLITUDE = {
-    Family.MATERN_BASIC: math.sqrt(2.0 / math.pi),
-    Family.MATERN_LINEAR: 2.0 * math.sqrt(2.0 / math.pi),
-    Family.MATERN_QUADRATIC: 8.0 * math.sqrt(2.0 / math.pi),
+    ``p`` is the profile polynomial, phi(r) = p(r) e^(-r); ``Q`` the
+    whole-line self-convolution, Int_R phi(|x - y|) phi(|y - z|) dy =
+    Q(|x - z|) e^(-|x - z|); ``nu`` the Matern order; ``amplitude`` the c of
+    the 1-D density c (1 + w^2)^(-tau).
+    """
+
+    p: tuple
+    Q: tuple
+    nu: float
+    amplitude: float
+
+
+PROFILES = {
+    Family.MATERN_BASIC: Profile((1.0,), (1.0, 1.0), 0.5, math.sqrt(2.0 / math.pi)),
+    Family.MATERN_LINEAR: Profile(
+        (1.0, 1.0), (2.5, 2.5, 1.0, 1 / 6), 1.5, 2.0 * math.sqrt(2.0 / math.pi)
+    ),
+    Family.MATERN_QUADRATIC: Profile(
+        (3.0, 3.0, 1.0), (31.5, 31.5, 14.0, 3.5, 0.5, 1 / 30), 2.5, 8.0 * math.sqrt(2.0 / math.pi)
+    ),
 }
 
 
@@ -63,14 +75,16 @@ def phi(spec: KernelSpec, r, out=None):
     itself is never written, unless it is passed as ``out``: a C-contiguous
     float64 array of r's shape that receives the values and is returned, as
     ``gram`` and ``shifted_gram`` write the profile over their distance
-    matrix.  The arithmetic runs in place on the output, in the operation
-    order of the textbook expressions (``(1 + u) * exp(-u)`` and so on), so
-    every value is bitwise theirs, a block of ``_PHI_BLOCK`` entries at a
-    time with two block-sized temporaries: an n x n argument and its profile
-    peak at about two n x n arrays, and one written over its argument at
-    one.  ``u`` is capped at 1e3: every profile is 0 from ``u = 746`` on, so
-    no value moves, and the quadratic profile stays at 0, its limit, where
-    ``u * u`` would overflow and the expression gives ``inf * 0``.
+    matrix.  The arithmetic runs in place on the output: ``p`` of the
+    family's ``PROFILES`` row as the ascending power sum ``p0 + p1 u +
+    p2 (u u)``, times ``exp(-u)``, which is the operation order of the
+    textbook expressions (``(3 + 3 u + u u) exp(-u)`` and so on), so every
+    value is bitwise theirs.  It runs a block of ``_PHI_BLOCK`` entries at a
+    time with three block-sized temporaries: an n x n argument and its
+    profile peak at about two n x n arrays, and one written over its
+    argument at one.  ``u`` is capped at 1e3: ``exp(-u)`` is 0 from
+    ``u = 746`` on, so no value moves, and the powers of ``u`` stay finite,
+    so the profile there is 0, its limit, not ``inf * 0``.
     """
     r = np.asarray(r, dtype=float)
     # a NaN makes both extremes NaN; no n x n mask is built
@@ -88,30 +102,24 @@ def phi(spec: KernelSpec, r, out=None):
         raise ValueError("out must be a C-contiguous float64 array of the argument's shape")
     # flat (copied only if r is not contiguous); a 0-d argument is one entry
     src, flat = r.reshape(-1), out.reshape(-1)
-    temporaries = np.empty((2, min(src.size, _PHI_BLOCK)))
+    p = PROFILES[spec.family].p
+    temporaries = np.empty((3, min(src.size, _PHI_BLOCK)))
     for start in range(0, src.size, _PHI_BLOCK):
         u = flat[start : start + _PHI_BLOCK]
-        decay, poly = temporaries[:, : u.size]
+        decay, sums, powers = temporaries[:, : u.size]
         np.minimum(src[start : start + _PHI_BLOCK], 1e3, out=u)
-        if spec.family is Family.MATERN_BASIC:
-            np.exp(np.negative(u, out=u), out=u)
-        elif spec.family is Family.MATERN_LINEAR:
-            np.negative(u, out=decay)
-            u += 1.0
-            u *= np.exp(decay, out=decay)
-        else:
-            np.negative(u, out=decay)
-            np.multiply(u, 3.0, out=poly)
-            poly += 3.0
-            u *= u
-            poly += u
-            np.multiply(poly, np.exp(decay, out=decay), out=u)
+        poly = p[0]
+        for k, c in enumerate(p[1:]):  # p0 + p1 u + p2 (u u)
+            power = u if k == 0 else np.multiply(power, u, out=powers)
+            poly = np.add(poly, np.multiply(power, c, out=decay), out=sums)
+        np.exp(np.negative(u, out=decay), out=decay)
+        np.multiply(poly, decay, out=u)
     return out if r.ndim else float(out)
 
 
 def smoothness(spec: KernelSpec) -> float:
-    """Decay exponent tau of the kernel's Fourier transform."""
-    return FAMILY_SMOOTHNESS[spec.family]
+    """Decay exponent tau = nu + d/2 of the kernel's Fourier transform."""
+    return PROFILES[spec.family].nu + spec.dim / 2
 
 
 @dataclass(frozen=True)
@@ -149,6 +157,6 @@ def spectral_density_1d(spec: KernelSpec) -> SpectralDensity:
         raise ValueError("closed-form spectral densities are 1-D only")
     return SpectralDensity(
         kernel=spec,
-        amplitude=_DENSITY_AMPLITUDE[spec.family],
-        tau=FAMILY_SMOOTHNESS[spec.family],
+        amplitude=PROFILES[spec.family].amplitude,
+        tau=smoothness(spec),
     )

@@ -24,8 +24,9 @@ from kernstab import (
 )
 import oracle
 from kernstab import assembly, cli
-from kernstab.assembly import _CONV_POLYNOMIALS, _conv_closed_form, _distance_matrix, _tail_factor
+from kernstab.assembly import _conv_closed_form, _distance_matrix, _tail_factor
 from kernstab.geometry import PointSet
+from kernstab.kernels import PROFILES
 from kernstab.quadrature import ORDER, PANELS_PER_UNIT, _segments, panel_grid
 
 BASIC = KernelSpec(Family.MATERN_BASIC, dim=1)
@@ -310,11 +311,11 @@ def test_conv_gram_closed_form_matches_quadrature(family, scale, points):
 
 def _conv_closed_form_expression(spec, x, a, b):
     # the out-of-place form the in-place _conv_closed_form replaced: its bitwise oracle
-    p, q = _CONV_POLYNOMIALS[spec.family]
+    profile = PROFILES[spec.family]
     t = x - a
-    W = np.hstack([_tail_factor(p, t), _tail_factor(p, (b - a) - t)])
+    W = np.hstack([_tail_factor(profile.p, t), _tail_factor(profile.p, (b - a) - t)])
     r = np.abs(t[:, None] - t[None, :])
-    K = np.polyval(q, r) * np.exp(-r) - W @ W.T
+    K = np.polyval(profile.Q[::-1], r) * np.exp(-r) - W @ W.T
     return 0.5 * (K + K.T)
 
 

@@ -370,6 +370,26 @@ def test_constant_overrides_enable_quadratic_family(tmp_path):
     assert run_cli([*chain, "--c-conv", "0.01"], tmp_path).returncode == 0
 
 
+def test_negative_values_in_any_float_form(tmp_path, monkeypatch, capsys):
+    # argparse alone reads -1e-3 and -inf after a flag as unknown flags
+    spellings = {"spaced": ["--shift-factor", "-1e-3"], "joined": ["--shift-factor=-1e-3"]}
+    for name, shift in spellings.items():
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert cli.main(["equivalence", "--n", "10", *shift]) == 0
+    for table in ("equivalence.csv", "equivalence.spectrum.csv"):
+        spaced, joined = ((tmp_path / name / table).read_bytes() for name in ("spaced", "joined"))
+        assert spaced == joined, table
+    capsys.readouterr()
+    for eps in ("-inf", "-1e-3", "-nan"):
+        assert cli.main(["sin2", "--eps", eps]) == 2, eps
+        assert "usage error: eps must lie in (0, 1)" in capsys.readouterr().err, eps
+    # a flag that takes no value is left alone
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--version", "-1e-3"])
+    assert info.value.code == 0
+
+
 def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     # in-process through cli.main, in tmp_path; the last case runs the module
     monkeypatch.chdir(tmp_path)

@@ -14,6 +14,10 @@ Likewise each default of a public function's parameter or of a public
 dataclass field must be passed some other value, by position, by keyword
 or through ``*``/``**``, by at least one call in the package or the
 acceptance suite; a default that no caller changes is made a constant.
+
+The facts of a kernel family live in one table, ``kernels.PROFILES``: no
+module compares a value with a ``Family`` member, and no other
+module-level dict is keyed by bare members.
 """
 
 import ast
@@ -122,7 +126,7 @@ def test_every_module_is_imported_by_another():
 
 # a settable default that every caller leaves alone is a constant in disguise
 UNSET_BY_DESIGN = {
-    "main(argv)": "the console entry point: argparse reads sys.argv when it is None",
+    "main(argv)": "the console entry point: it reads sys.argv when it is None",
 }
 
 
@@ -205,3 +209,42 @@ def test_every_default_is_set_by_some_caller():
     assert set(UNSET_BY_DESIGN) <= declared
     unset = sorted(declared - set_somewhere - set(UNSET_BY_DESIGN))
     assert not unset, f"defaults that no caller changes: {unset}"
+
+
+def _is_family_member(node) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "Family"
+    )
+
+
+def _package_trees():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
+def test_no_module_branches_on_a_family():
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+            elif isinstance(node, ast.MatchValue):
+                operands = [node.value]
+            else:
+                continue
+            if any(_is_family_member(n) for op in operands for n in ast.walk(op)):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_profiles_is_the_only_table_keyed_by_family():
+    found = []
+    for name, tree in _package_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(_is_family_member(key) for key in node.value.keys):
+                    found += [f"{name}:{ast.unparse(t)}" for t in targets]
+    assert found == ["kernels.py:PROFILES"]

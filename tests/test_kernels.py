@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,9 +12,10 @@ from kernstab import (
     phi,
     smoothness,
     spectral_density_1d,
+    symmetric_lower_bound,
 )
 import oracle
-from kernstab import assembly, kernels
+from kernstab import kernels
 from kernstab.geometry import PointSet
 
 
@@ -75,19 +77,39 @@ def test_smoothness_values():
     assert smoothness(KernelSpec(Family.MATERN_BASIC)) == 1.0
     assert smoothness(KernelSpec(Family.MATERN_LINEAR)) == 2.0
     assert smoothness(KernelSpec(Family.MATERN_QUADRATIC)) == 3.0
+    # tau = nu + d/2: the 3-D e^(-r) kernel has tau = 2, so the symmetric
+    # bound, which needs tau > d/2, is defined for it
+    spec = KernelSpec(Family.MATERN_BASIC, dim=3)
+    assert smoothness(spec) == 2.0
+    assert smoothness(KernelSpec(Family.MATERN_QUADRATIC, dim=2)) == 3.5
+    assert symmetric_lower_bound(smoothness(spec), 3, 0.1, 1.0) == pytest.approx(0.1)
 
 
-def test_every_family_table_covers_every_family():
-    # a family is added to every table at once, or not at all
-    for table in (
-        kernels.FAMILY_SMOOTHNESS,
-        kernels._DENSITY_AMPLITUDE,
-        assembly._CONV_POLYNOMIALS,
-        oracle._PROFILE,
-    ):
-        assert set(table) == set(Family)
-    for family in Family:
-        assert math.isfinite(phi(KernelSpec(family), 0.5))
+def test_profiles_cover_every_family_and_match_the_oracle():
+    # the oracle keeps its own copy of p, the independent reference
+    assert set(kernels.PROFILES) == set(Family) == set(oracle._PROFILE)
+    for family, profile in kernels.PROFILES.items():
+        assert profile.p == oracle._PROFILE[family]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_profile_convolution_is_the_oracles_whole_line_integral(family):
+    profile = kernels.PROFILES[family]
+    with mpmath.workdps(oracle.DIGITS):
+        p = [mpmath.mpf(c) for c in oracle._PROFILE[family]]
+        for d in (0.0, 0.3, 1.0, 2.5, 7.0):
+            expected = float(oracle._conv_entry(p, mpmath.mpf(d), 200, 200))
+            got = sum(c * d**k for k, c in enumerate(profile.Q)) * math.exp(-d)
+            assert got == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+def test_density_amplitude_is_the_gamma_ratio():
+    # the 1-D transform of p(r) e^(-r): p(0) sqrt(2) Gamma(tau) / Gamma(tau - 1/2)
+    for family, profile in kernels.PROFILES.items():
+        tau = smoothness(KernelSpec(family))
+        expected = profile.p[0] * math.sqrt(2.0) * math.gamma(tau) / math.gamma(tau - 0.5)
+        assert profile.amplitude == pytest.approx(expected, rel=1e-15, abs=0)
+        assert spectral_density_1d(KernelSpec(family)).amplitude == profile.amplitude
 
 
 def test_positive_definiteness_witness():
