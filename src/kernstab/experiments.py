@@ -13,7 +13,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -157,10 +157,9 @@ class ExperimentReport:
     """Rows, checks and plot of one run, and the writers of its artifacts.
 
     ``rows`` (and the rows of each sidecar) is a list of rows, each a list
-    of values that ``_write_rows`` formats.  ``svg`` is the plot's text as a
-    re-iterable source of chunks, the list ``loglog_plot_svg`` returns or
-    the row-by-row source of ``heatmap_svg``.  Each write iterates its
-    source afresh, so a report written twice writes identical files.
+    of values that ``_write_rows`` formats.  ``svg`` is the plot's text, as
+    ``loglog_plot_svg`` or ``heatmap_svg`` returns it, or None for a
+    command without a plot.  A report written twice writes identical files.
     """
 
     command: str
@@ -168,7 +167,7 @@ class ExperimentReport:
     columns: list
     rows: list
     checks: list = field(default_factory=list)
-    svg: Optional[Iterable[str]] = None
+    svg: Optional[str] = None
     sidecars: list = field(default_factory=list)  # (path suffix, columns, rows)
 
     @property
@@ -188,7 +187,7 @@ class ExperimentReport:
         if self.svg is None:
             raise ValueError(f"{self.command} produces no plot")
         with open(path, "w", newline="\n") as fh:
-            fh.writelines(self.svg)
+            fh.write(self.svg)
 
 
 def _with_suffix(path, suffix: str) -> str:
@@ -397,9 +396,8 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
 def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
     """Spectrum and entrywise magnitudes of the whitened shifted matrix.
 
-    The table is the spectrum; the plot is the magnitude grid, the one
-    ``n x n`` matrix the report keeps, drawn a few grid rows at a time
-    while it is written.
+    The table is the spectrum; the plot is the magnitude grid, drawn as
+    one embedded PNG, so the report keeps no ``n x n`` matrix.
     """
     if cfg.dim not in (2, 3):
         raise ValueError("heatmap runs use dim 2 or 3")

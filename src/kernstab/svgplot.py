@@ -2,16 +2,20 @@
 
 Both emitters are pure functions of their inputs and format coordinates with
 fixed precision, so regenerating a plot from the same report data yields a
-byte-identical file.  A heatmap row is drawn as runs of one color, one
-``<rect>`` per run rather than per cell, which keeps a mostly uniform
-1000 x 1000 grid at a few MB of text.
+byte-identical file.  A heatmap's cells are one embedded palette PNG of
+one pixel per cell, deflated by the standard library's ``zlib``: at most
+about 1.34 bytes of text per cell whatever the values, and some 56 kB for
+the 1000 x 1000 grid of ``kernstab heatmap``.
 """
 
 from __future__ import annotations
 
+import base64
 import math
+import struct
+import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,12 +66,8 @@ def _decade_span(values):
     return d0, d1
 
 
-def loglog_plot_svg(series: Sequence[Series], xlabel: str = "", ylabel: str = "") -> list[str]:
-    """Log-log line plot; points with nonpositive ordinate are dropped.
-
-    Returns the SVG text as a list of lines, each ending in a newline, like
-    the chunks of ``heatmap_svg``: ``"".join(...)`` is the whole document.
-    """
+def loglog_plot_svg(series: Sequence[Series], xlabel: str = "", ylabel: str = "") -> str:
+    """Log-log line plot, as SVG text; points with nonpositive ordinate are dropped."""
     width, height = 720, 540
     ml, mr, mt, mb = 80, 24, 24, 64
     plotted = [
@@ -150,7 +150,7 @@ def loglog_plot_svg(series: Sequence[Series], xlabel: str = "", ylabel: str = ""
         )
         ly += 16
     parts.append("</svg>")
-    return [part + "\n" for part in parts]
+    return "\n".join(parts) + "\n"
 
 
 def _color_index(value: float) -> int:
@@ -160,66 +160,47 @@ def _color_index(value: float) -> int:
     return round(t * (_RAMP_STEPS - 1))
 
 
-class _HeatmapLines:
-    """The text of a heatmap SVG, re-iterable: each pass yields the header,
-    then the ``<rect>`` lines of one grid row per chunk, then the frame and
-    the closing tag.  ``index`` holds the ramp index of every cell, drawn as
-    a square of ``cell`` pixels; each maximal run of equal indices in a row
-    is drawn as one ``<rect>`` of ``run * cell`` by ``cell`` pixels, so every
-    cell is painted exactly once, in its own color."""
-
-    def __init__(self, index: np.ndarray, ramp: list[str], cell: int):
-        self.index = index
-        self.ramp = ramp
-        self.cell = cell
-
-    def __iter__(self):
-        n_rows, n_cols = self.index.shape
-        cell = self.cell
-        margin = 20
-        width = n_cols * cell + 2 * margin
-        height = n_rows * cell + 2 * margin
-        yield (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">\n'
-            f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
-        )
-        heads = [f'<rect x="{margin + j * cell}" y="' for j in range(n_cols)]
-        # indexed by run length: widths[0] is never used
-        widths = [f'" width="{run * cell}" height="{cell}" fill="' for run in range(n_cols + 1)]
-        tails = [f'{color}"/>\n' for color in self.ramp]
-        # a run starts at column 0 and wherever the index differs from its left neighbour
-        changed = np.ones(n_cols, dtype=bool)
-        # a grid without columns has no cells, hence no (empty) row lines either
-        for i, row in enumerate(self.index if n_cols else ()):
-            np.not_equal(row[1:], row[:-1], out=changed[1:])
-            starts = np.flatnonzero(changed)
-            runs = np.diff(starts, append=n_cols)
-            y = str(margin + i * cell)
-            yield "".join([
-                heads[j] + y + widths[run] + tails[k]
-                for j, run, k in zip(starts.tolist(), runs.tolist(), row[starts].tolist())
-            ])
-        yield (
-            f'<rect x="{margin}" y="{margin}" width="{n_cols * cell}" height="{n_rows * cell}" '
-            f'fill="none" stroke="black" stroke-width="1"/>\n'
-            "</svg>\n"
-        )
+def _png_chunk(kind: bytes, data: bytes) -> bytes:
+    """One PNG chunk: length, type, data and the CRC-32 of type and data."""
+    return struct.pack(">I", len(data)) + kind + data + struct.pack(">I", zlib.crc32(kind + data))
 
 
-def heatmap_svg(values) -> Iterable[str]:
+def _indexed_png(index: np.ndarray, ramp: list[str]) -> bytes:
+    """Palette PNG (color type 3, bit depth 8) of one pixel per entry of
+    ``index``, whose palette is ``ramp``: every scanline is filter byte 0
+    (none) then the row's indices, and the scanlines are deflated at zlib
+    level 6 into one ``IDAT``."""
+    n_rows, n_cols = index.shape
+    header = struct.pack(">IIBBBBB", n_cols, n_rows, 8, 3, 0, 0, 0)
+    palette = bytes.fromhex("".join(color[1:] for color in ramp))
+    scanlines = np.pad(index, ((0, 0), (1, 0))).tobytes()
+    return b"".join([
+        b"\x89PNG\r\n\x1a\n",
+        _png_chunk(b"IHDR", header),
+        _png_chunk(b"PLTE", palette),
+        _png_chunk(b"IDAT", zlib.compress(scanlines, 6)),
+        _png_chunk(b"IEND", b""),
+    ])
+
+
+def heatmap_svg(values) -> str:
     """Heatmap of |values| on a log color scale clipped to the decades 1e-5 .. 1.
 
-    Returns the SVG text as a re-iterable source of chunks, one per grid row
-    (``"".join(heatmap_svg(values))`` is the whole document), so a writer
-    never holds the full text.  Each row is drawn as one ``<rect>`` per
-    maximal run of equal color (``_HeatmapLines``).  Color indices are
-    computed here, for the whole grid at once, and kept as one byte per cell;
-    a NaN cell raises ``ValueError`` from this call, before any text is
-    produced.  Every cell gets the color of the per-cell ``math.log10`` loop:
-    ``np.log10`` may differ from ``math.log10`` in the last bit, which moves
-    a color only when the scaled level lies next to a half-integer, so every
-    cell within 1e-9 of one is recomputed with the scalar expression
+    Returns the SVG text.  The grid is one ``<image>``: a palette PNG of one
+    pixel per cell (``_indexed_png``), embedded as base64 and stretched to
+    squares of ``cell`` pixels with ``preserveAspectRatio="none"`` and
+    pixelated rendering, so cells stay crisp.  A grid without rows or
+    columns draws no image, since a PNG cannot be empty.  Whatever the
+    values, the deflated scanlines take at most their ``n_rows * (n_cols +
+    1)`` bytes plus 5 bytes per 64 kB stored block, and base64 writes 4
+    bytes for 3, so the document stays below ``1.34 * n_rows * (n_cols + 1)``
+    bytes plus about 1.5 kB (palette, chunk headers and markup).
+
+    Color indices are computed for the whole grid at once; a NaN cell raises
+    ``ValueError``.  Every cell gets the color of the per-cell ``math.log10``
+    loop: ``np.log10`` may differ from ``math.log10`` in the last bit, which
+    moves a color only when the scaled level lies next to a half-integer, so
+    every cell within 1e-9 of one is recomputed with the scalar expression
     (``_color_index``).  ``np.rint`` and ``round`` both round half to even.
     """
     values = np.asarray(values, dtype=float)
@@ -243,4 +224,25 @@ def heatmap_svg(values) -> Iterable[str]:
     index = np.rint(scaled, out=scaled).astype(np.uint8)
     for i, j in zip(*np.nonzero(near_half)):
         index[i, j] = _color_index(abs(values[i, j]))
-    return _HeatmapLines(index, color_ramp(), cell)
+
+    margin = 20
+    width = n_cols * cell + 2 * margin
+    height = n_rows * cell + 2 * margin
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+    ]
+    if index.size:
+        png = base64.b64encode(_indexed_png(index, color_ramp())).decode("ascii")
+        parts.append(
+            f'<image x="{margin}" y="{margin}" width="{n_cols * cell}" height="{n_rows * cell}" '
+            f'preserveAspectRatio="none" image-rendering="optimizeSpeed" '
+            f'style="image-rendering:pixelated" href="data:image/png;base64,{png}"/>'
+        )
+    parts.append(
+        f'<rect x="{margin}" y="{margin}" width="{n_cols * cell}" height="{n_rows * cell}" '
+        f'fill="none" stroke="black" stroke-width="1"/>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

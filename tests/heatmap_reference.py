@@ -1,16 +1,19 @@
-"""Scalar references for the heatmap SVG: per-cell colors, run merge, decoder,
+"""Scalar references for the heatmap SVG: per-cell colors, a PNG reader,
 and the whitened matrix the heatmap command draws.
 
 ``heatmap_svg`` must give every cell the color of the per-cell
-``math.log10`` loop and draw each maximal run of one color in a row as one
-``<rect>``.  ``heatmap_svg_loop`` builds that document with plain Python
-loops, and ``decode_heatmap`` reads any heatmap document back to one color
-per cell, checking that the rects inside the frame cover each cell exactly
-once.
+``math.log10`` loop.  ``decode_heatmap`` reads a heatmap document back to
+one color per cell: it checks the markup around the grid, then reads the
+embedded PNG chunk by chunk (signature, CRC-32 of every chunk, header
+fields, palette, filter byte of every scanline) with nothing but the PNG
+format and ``zlib``.
 """
 
+import base64
 import math
 import re
+import struct
+import zlib
 
 import numpy as np
 
@@ -21,8 +24,11 @@ MARGIN = 20
 # the decades of |value| the color scale spans
 FLOOR_LOG10, CEIL_LOG10 = -5.0, 0.0
 
-_CELL_RECT = re.compile(
-    r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="(\d+)" fill="(#[0-9a-f]{6})"/>'
+PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+_IMAGE = re.compile(
+    r'<image x="(\d+)" y="(\d+)" width="(\d+)" height="(\d+)" '
+    r'preserveAspectRatio="none" image-rendering="optimizeSpeed" '
+    r'style="image-rendering:pixelated" href="data:image/png;base64,([A-Za-z0-9+/=]+)"/>'
 )
 
 
@@ -47,83 +53,81 @@ def loop_color_indices(values):
     return indices
 
 
-def row_runs(row):
-    """(start, length, index) of each maximal run of equal indices."""
-    runs = []
-    for j, k in enumerate(row):
-        if runs and runs[-1][2] == k:
-            start, length, _ = runs[-1]
-            runs[-1] = (start, length + 1, k)
-        else:
-            runs.append((j, 1, k))
-    return runs
+def read_png_chunks(png):
+    """(type, data) of every chunk of a PNG, each CRC-32 checked."""
+    assert png[:8] == PNG_SIGNATURE
+    chunks, pos = [], 8
+    while pos < len(png):
+        (length,) = struct.unpack(">I", png[pos:pos + 4])
+        kind, data = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + length]
+        (crc,) = struct.unpack(">I", png[pos + 8 + length:pos + 12 + length])
+        assert len(data) == length and crc == zlib.crc32(kind + data), kind
+        chunks.append((kind, data))
+        pos += 12 + length
+    assert pos == len(png)
+    return chunks
 
 
-def run_count(indices):
-    return sum(len(row_runs(row)) for row in indices)
-
-
-def heatmap_svg_loop(values):
-    """The document ``heatmap_svg`` must reproduce byte for byte."""
-    indices = loop_color_indices(values)
-    n_rows, n_cols = np.shape(values)
-    ramp = color_ramp()
-    cell = cell_size((n_rows, n_cols))
-    width = n_cols * cell + 2 * MARGIN
-    height = n_rows * cell + 2 * MARGIN
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-    ]
-    for i, row in enumerate(indices):
-        for start, length, k in row_runs(row):
-            parts.append(
-                f'<rect x="{MARGIN + start * cell}" y="{MARGIN + i * cell}" '
-                f'width="{length * cell}" height="{cell}" fill="{ramp[k]}"/>'
-            )
-    parts.append(
-        f'<rect x="{MARGIN}" y="{MARGIN}" width="{n_cols * cell}" height="{n_rows * cell}" '
-        f'fill="none" stroke="black" stroke-width="1"/>'
+def decode_png_colors(png):
+    """'#rrggbb' of every pixel of an 8-bit palette PNG without filters."""
+    chunks = read_png_chunks(png)
+    kinds = [kind for kind, _ in chunks]
+    assert kinds[:2] == [b"IHDR", b"PLTE"] and kinds[-1] == b"IEND", kinds
+    assert set(kinds[2:-1]) == {b"IDAT"} and chunks[-1][1] == b"", kinds
+    width, height, depth, color_type, compression, filtering, interlace = struct.unpack(
+        ">IIBBBBB", chunks[0][1]
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    assert (depth, color_type, compression, filtering, interlace) == (8, 3, 0, 0, 0)
+    palette = chunks[1][1]
+    ramp = ["#" + palette[k:k + 3].hex() for k in range(0, len(palette), 3)]
+    assert ramp == color_ramp()
+    raw = zlib.decompress(b"".join(data for kind, data in chunks if kind == b"IDAT"))
+    assert len(raw) == height * (width + 1)
+    colors = []
+    for i in range(height):
+        line = raw[i * (width + 1):(i + 1) * (width + 1)]
+        assert line[0] == 0, f"row {i} has filter {line[0]}"
+        colors.append([ramp[k] for k in line[1:]])
+    return colors
 
 
 def decode_heatmap(svg, shape):
     """Color of every cell of a heatmap document of the given grid shape.
 
-    Every line between the white background and the frame must be one
-    colored ``<rect>`` that spans whole cells of one grid row; the function
-    asserts that together they cover each cell exactly once.
+    The document must be the white background, one ``<image>`` stretched
+    over the grid's box, and the frame; the image is a palette PNG of one
+    pixel per cell.  A grid without cells has no image.
     """
     n_rows, n_cols = shape
     cell = cell_size(shape)
+    width, height = n_cols * cell + 2 * MARGIN, n_rows * cell + 2 * MARGIN
     lines = svg.splitlines()
-    assert lines[1].endswith('fill="white"/>')
+    assert svg.endswith("\n")
+    assert lines[0] == (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+    )
+    assert lines[1] == f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>'
     assert lines[-2] == (
         f'<rect x="{MARGIN}" y="{MARGIN}" width="{n_cols * cell}" height="{n_rows * cell}" '
         f'fill="none" stroke="black" stroke-width="1"/>'
     )
     assert lines[-1] == "</svg>"
-    colors = np.full(shape, None, dtype=object)
-    for line in lines[2:-2]:
-        match = _CELL_RECT.fullmatch(line)
-        assert match, line
-        x, y, width, height = (int(v) for v in match.groups()[:4])
-        assert height == cell and width > 0 and width % cell == 0, line
-        assert (x - MARGIN) % cell == 0 and (y - MARGIN) % cell == 0, line
-        i, j = (y - MARGIN) // cell, (x - MARGIN) // cell
-        assert 0 <= i < n_rows and 0 <= j and j + width // cell <= n_cols, line
-        cells = colors[i, j:j + width // cell]
-        assert all(c is None for c in cells), f"cell painted twice: {line}"
-        colors[i, j:j + width // cell] = match.group(5)
-    assert all(c is not None for c in colors.flat), "cell left unpainted"
-    return colors
+    if n_rows == 0 or n_cols == 0:
+        assert len(lines) == 4 and "<image" not in svg
+        return np.empty(shape, dtype=object)
+    assert len(lines) == 5
+    match = _IMAGE.fullmatch(lines[2])
+    assert match, lines[2][:300]
+    box = tuple(int(v) for v in match.groups()[:4])
+    assert box == (MARGIN, MARGIN, n_cols * cell, n_rows * cell)
+    colors = decode_png_colors(base64.b64decode(match.group(5), validate=True))
+    assert len(colors) == n_rows and all(len(row) == n_cols for row in colors)
+    return np.array(colors, dtype=object)
 
 
 def assert_decodes_to_loop_colors(svg, values):
-    """Each cell of ``svg`` is painted once, in the per-cell loop's color."""
+    """Each cell of ``svg`` is decoded to the per-cell loop's color."""
     ramp = color_ramp()
     expected = [[ramp[k] for k in row] for row in loop_color_indices(values)]
     decoded = decode_heatmap(svg, np.shape(values))

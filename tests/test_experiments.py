@@ -4,12 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heatmap_reference import (
-    assert_decodes_to_loop_colors,
-    heatmap_matrix,
-    loop_color_indices,
-    run_count,
-)
+from heatmap_reference import assert_decodes_to_loop_colors, heatmap_matrix
 from kernstab import (
     Family,
     KernelSpec,
@@ -177,8 +172,8 @@ def test_library_heatmap_runs_with_its_command_defaults(tmp_path, capsys):
 
 
 def test_heatmap_report_streams_its_artifacts(tmp_path):
-    # the report keeps the n x n grid and its n eigenvalues alone: no full
-    # SVG text, so run and writes stay a few n x n float64 matrices
+    # the report keeps its n eigenvalues and the SVG text, one deflated PNG
+    # of a byte per cell, so run and writes stay a few n x n float64 matrices
     cfg = ExperimentConfig(command="heatmap", kernel="matern-linear", n=400)
     tracemalloc.start()
     try:
@@ -208,7 +203,6 @@ def test_heatmap_report_written_twice_writes_the_same_files(tmp_path):
     assert len((tmp_path / "first.csv").read_text().splitlines()) == 41
     grid = np.abs(M)
     svg = first.decode()
-    assert svg.count("<rect") == run_count(loop_color_indices(grid)) + 2
     assert_decodes_to_loop_colors(svg, grid)
 
 

@@ -1,19 +1,13 @@
 import numpy as np
 import pytest
 
-from heatmap_reference import (
-    assert_decodes_to_loop_colors,
-    heatmap_svg_loop,
-    loop_color_indices,
-)
+from heatmap_reference import assert_decodes_to_loop_colors, loop_color_indices
 from kernstab.svgplot import Series, color_ramp, heatmap_svg, loglog_plot_svg
 
 
 def _check_heatmap(grid):
-    # byte for byte the scalar run merge of the per-cell loop, and decoded
-    # back, every cell painted once in the loop's color
-    svg = "".join(heatmap_svg(grid))
-    assert svg == heatmap_svg_loop(grid)
+    # decoded back, every cell has the per-cell loop's color
+    svg = heatmap_svg(grid)
     assert_decodes_to_loop_colors(svg, grid)
     return svg
 
@@ -58,20 +52,29 @@ def test_heatmap_nan_cell_raises():
         heatmap_svg(grid)
 
 
-def test_heatmap_draws_a_constant_row_as_one_rect():
+def test_heatmap_encodes_a_constant_grid():
     svg = _check_heatmap(np.full((7, 9), 0.01))
-    assert svg.count("<rect") == 7 + 2
+    assert svg.count("<rect") == 2 and svg.count("<image") == 1
 
 
-def test_heatmap_draws_an_alternating_row_one_rect_per_cell():
-    # the worst case: no two neighbours in a row share a color
+def test_heatmap_encodes_an_alternating_grid():
+    # no two neighbours share a color: one rect per cell in a run-length drawing
     grid = np.where(np.indices((6, 11)).sum(axis=0) % 2 == 0, 1.0, 1e-5)
     svg = _check_heatmap(grid)
-    assert svg.count("<rect") == 6 * 11 + 2
+    assert svg.count("<rect") == 2 and svg.count("<image") == 1
+
+
+def test_heatmap_stays_within_its_worst_case_size():
+    # independent uniform ramp indices leave deflate nothing to find
+    n = 300
+    rng = np.random.default_rng(3)
+    grid = 10.0 ** rng.uniform(-5.0, 0.0, size=(n, n))
+    svg = _check_heatmap(grid)
+    assert len(svg) <= 1.4 * n * n + 2000
 
 
 def test_loglog_plot_smoke():
-    chunks = loglog_plot_svg(
+    svg = loglog_plot_svg(
         [
             Series("a", [(10, 1e-2), (100, 1e-4), (1000, 0.0)]),
             Series("b", [(10, 1e-3), (1000, 1e-7)], color="#000000", dashed=True),
@@ -80,9 +83,6 @@ def test_loglog_plot_smoke():
         xlabel="#points",
         ylabel="lambda_min",
     )
-    # one chunk per line, as ExperimentReport.write_svg writes them
-    assert all(chunk.endswith("\n") and chunk.count("\n") == 1 for chunk in chunks)
-    svg = "".join(chunks)
     assert svg.startswith("<svg") and svg.endswith("</svg>\n")
     assert svg.count("<polyline") == 2
     assert 'stroke-dasharray="6,4"' in svg
