@@ -12,7 +12,7 @@ each sidecar table beside the CSV, and the path of every file written is
 printed.
 
 Exit codes: 0 all checks satisfied, 1 at least one reliable check failed,
-2 usage error (also a checking command that ran no checks, a size whose
+2 usage error (also a command that ran no checks, a size whose
 matrix exceeds physical memory or a run that does, and an output path that
 cannot be written), 3 numerical failure (SPD, or quadrature that misses
 its accuracy target or needs more nodes than its budget).
@@ -127,18 +127,17 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 
-    if report.checks:
-        for check in report.checks:
-            if check.satisfied:
-                status = "ok"
-            else:
-                status = "FAIL" if check.reliable else "unreliable"
-            print(f"  {check.name}: lhs={check.lhs:.6e} rhs={check.rhs:.6e} {status}")
-        failed = report.failed_reliable_checks
-        print(f"checks: {len(report.checks)} total, {len(failed)} failed (reliable)")
+    for check in report.checks:
+        if check.satisfied:
+            status = "ok"
+        else:
+            status = "FAIL" if check.reliable else "unreliable"
+        print(f"  {check.name}: lhs={check.lhs:.6e} rhs={check.rhs:.6e} {status}")
+    failed = report.failed_reliable_checks
+    print(f"checks: {len(report.checks)} total, {len(failed)} failed (reliable)")
     # the whole command, CSV and SVG writes included
     print(f"wall clock: {time.perf_counter() - start:.3f} s")
-    return 1 if report.failed_reliable_checks else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

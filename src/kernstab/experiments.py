@@ -1,10 +1,12 @@
-"""Experiment drivers behind the CLI: eigenvalue scaling, whitened-matrix
-heatmaps, and the randomized verifier suites.
+"""Experiment drivers behind the CLI: eigenvalue scaling, the whitened
+spectrum (``equivalence``, and ``heatmap``, which also draws the whitened
+matrix), and the randomized verifier suites.
 
-Each driver consumes an ExperimentConfig and returns an ExperimentReport whose
-CSV serialization is a pure function of config and seed: identical invocations
-produce byte-identical files.  The CLI reports the wall-clock time of a
-whole command on stdout; no timing is written into an artifact.
+Each driver consumes an ExperimentConfig and returns an ExperimentReport
+whose checks, at least one, are its verdict, and whose CSV serialization is
+a pure function of config and seed: identical invocations produce
+byte-identical files.  The CLI reports the wall-clock time of a whole
+command on stdout; no timing is written into an artifact.
 """
 
 from __future__ import annotations
@@ -156,6 +158,7 @@ class ExperimentConfig:
 class ExperimentReport:
     """Rows, checks and plot of one run, and the writers of its artifacts.
 
+    ``checks`` is the run's verdict, never empty once ``run`` returns it.
     ``rows`` (and the rows of each sidecar) is a list of rows, each a list
     of values that ``_write_rows`` formats.  ``svg`` is the plot's text, as
     ``loglog_plot_svg`` or ``heatmap_svg`` returns it, or None for a
@@ -266,8 +269,8 @@ def _make_points(cfg: ExperimentConfig, n: int, dim: int = 1) -> PointSet:
     return equispaced(n, 0.0, 1.0, include_endpoints=cfg.endpoints)
 
 
-def _diagonal_shift(dim: int, magnitude: float) -> np.ndarray:
-    return magnitude * np.ones(dim) / math.sqrt(dim)
+def _diagonal_shift(cfg: ExperimentConfig, X: PointSet) -> np.ndarray:
+    return cfg.shift_factor * X.separation * np.ones(cfg.dim) / math.sqrt(cfg.dim)
 
 
 def _random_interval_set(rng: SplitMix64, n: int, min_separation: float = 1e-3) -> PointSet:
@@ -393,35 +396,29 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
-    """Spectrum and entrywise magnitudes of the whitened shifted matrix.
-
-    The table is the spectrum; the plot is the magnitude grid, drawn as
-    one embedded PNG, so the report keeps no ``n x n`` matrix.
-    """
-    if cfg.dim not in (2, 3):
-        raise ValueError("heatmap runs use dim 2 or 3")
+def _equivalence_report(cfg: ExperimentConfig, X: PointSet) -> ExperimentReport:
+    """``verify_equivalence``'s checks on ``X`` under the diagonal shift of
+    ``shift_factor`` separations, the spectrum as the ``spectrum`` sidecar."""
     spec = KernelSpec(cfg.kernel, dim=cfg.dim)
+    result = analysis.verify_equivalence(spec, X, _diagonal_shift(cfg, X))
+    spectrum = [[i, v] for i, v in enumerate(result.spectrum)]
+    return _check_report(cfg, [result.checks], [("spectrum", ["index", "eigenvalue"], spectrum)])
+
+
+def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
+    """``run_equivalence`` on Halton points, plus a plot: the entrywise
+    magnitudes of ``whiten``'s matrix, drawn as one embedded PNG once the
+    spectrum's matrices are freed."""
     X = halton(cfg.n, cfg.dim)
-    b = _diagonal_shift(cfg.dim, cfg.shift_factor * X.separation)
-    M = whiten(gram(spec, X), shifted_gram(spec, X, b))
-    spectrum = np.linalg.eigvalsh(M)
-    return ExperimentReport(
-        command=cfg.command,
-        config_hash=cfg.config_hash(),
-        columns=["index", "eigenvalue"],
-        rows=[[i, v] for i, v in enumerate(spectrum)],
-        svg=heatmap_svg(np.abs(M, out=M)),
-    )
+    report = _equivalence_report(cfg, X)
+    spec = KernelSpec(cfg.kernel, dim=cfg.dim)
+    M = whiten(gram(spec, X), shifted_gram(spec, X, _diagonal_shift(cfg, X)))
+    report.svg = heatmap_svg(np.abs(M, out=M))
+    return report
 
 
 def run_equivalence(cfg: ExperimentConfig) -> ExperimentReport:
-    spec = KernelSpec(cfg.kernel, dim=cfg.dim)
-    X = _make_points(cfg, cfg.n, cfg.dim)
-    b = _diagonal_shift(cfg.dim, cfg.shift_factor * X.separation)
-    result = analysis.verify_equivalence(spec, X, b)
-    spectrum = [[i, v] for i, v in enumerate(result.spectrum)]
-    return _check_report(cfg, [result.checks], [("spectrum", ["index", "eigenvalue"], spectrum)])
+    return _equivalence_report(cfg, _make_points(cfg, cfg.n, cfg.dim))
 
 
 def run_identity(cfg: ExperimentConfig) -> ExperimentReport:
@@ -481,8 +478,8 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
+    """The report of ``cfg``'s command; a run with no checks has no verdict."""
     report = _RUNNERS[cfg.command](cfg)
-    # a command's verdict is its plot or its checks
-    if report.svg is None and not report.checks:
+    if not report.checks:
         raise ValueError(f"{cfg.command} ran no checks, so it has no verdict")
     return report

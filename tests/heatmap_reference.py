@@ -1,5 +1,5 @@
 """Scalar references for the heatmap SVG: per-cell colors, a PNG reader,
-and the whitened matrix the heatmap command draws.
+and the whitened matrix the heatmap command draws and the spectrum it lists.
 
 ``heatmap_svg`` must give every cell the color of the per-cell
 ``math.log10`` loop.  ``decode_heatmap`` reads a heatmap document back to
@@ -17,7 +17,9 @@ import zlib
 
 import numpy as np
 
-from kernstab import Family, KernelSpec, gram, halton, shifted_gram, whiten
+from kernstab import (
+    Family, KernelSpec, gram, halton, shifted_gram, whiten, whitened_spectrum,
+)
 from kernstab.svgplot import color_ramp
 
 MARGIN = 20
@@ -134,11 +136,22 @@ def assert_decodes_to_loop_colors(svg, values):
     assert decoded.tolist() == expected
 
 
-def heatmap_matrix(kernel, n, dim=2, shift_factor=0.1):
-    """The whitened shifted matrix ``M`` of ``kernstab heatmap``, built from
-    the command's own Halton points ``X`` and diagonal shift ``b``; its
-    SVG draws ``|M|`` and its CSV lists ``eigvalsh(M)``."""
+def _heatmap_pencil(kernel, n, dim, shift_factor):
+    # the command's own Halton points X and diagonal shift b
     spec = KernelSpec(Family(kernel), dim=dim)
     X = halton(n, dim)
     b = shift_factor * X.separation * np.ones(dim) / math.sqrt(dim)
-    return whiten(gram(spec, X), shifted_gram(spec, X, b))
+    return lambda: gram(spec, X), lambda: shifted_gram(spec, X, b)
+
+
+def heatmap_matrix(kernel, n, dim=2, shift_factor=0.1):
+    """The whitened shifted matrix ``M`` of ``kernstab heatmap``; its SVG
+    draws ``|M|``."""
+    A, B = _heatmap_pencil(kernel, n, dim, shift_factor)
+    return whiten(A(), B())
+
+
+def heatmap_spectrum(kernel, n, dim=2, shift_factor=0.1):
+    """The spectrum of ``M`` that ``kernstab heatmap`` lists in its
+    ``spectrum`` sidecar: ``whitened_spectrum`` of the same pencil."""
+    return whitened_spectrum(*_heatmap_pencil(kernel, n, dim, shift_factor))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import BLAS_THREADS
-from heatmap_reference import assert_decodes_to_loop_colors, heatmap_matrix
+from heatmap_reference import assert_decodes_to_loop_colors, heatmap_matrix, heatmap_spectrum
 from kernstab import Family, QuadratureError, SingularMatrixError, cli
 from kernstab.experiments import COMMANDS, ExperimentConfig, ExperimentReport, run
 
@@ -184,14 +184,22 @@ def test_heatmap_command(tmp_path):
         tmp_path,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("wrote heatmap.csv\nwrote heatmap.svg\n")
+    assert result.stdout.startswith(
+        "wrote heatmap.csv\nwrote heatmap.spectrum.csv\nwrote heatmap.svg\n"
+    )
+    assert "checks: 2 total, 0 failed (reliable)" in result.stdout
     lines = (tmp_path / "heatmap.csv").read_text().splitlines()
+    assert lines[0] == "config,version,trial,name,lhs,rhs,slack,satisfied,reliable"
+    assert [line.split(",")[3] for line in lines[1:]] == [
+        "equivalence-lower", "equivalence-upper",
+    ]
+    lines = (tmp_path / "heatmap.spectrum.csv").read_text().splitlines()
     assert lines[0] == "config,version,index,eigenvalue"
     assert len(lines) == 51
     values = np.array([float(line.split(",")[3]) for line in lines[1:]])
     assert values.min() >= 0.75 and values.max() < 1.0
+    assert values.tobytes() == heatmap_spectrum("matern-linear", 50).tobytes()
     M = heatmap_matrix("matern-linear", 50)
-    np.testing.assert_allclose(values, np.linalg.eigvalsh(M), rtol=0, atol=1e-13)
     grid = np.abs(M)
     diag = np.diag(grid)
     assert np.all((0.9 <= diag) & (diag <= 1.0))
@@ -200,6 +208,47 @@ def test_heatmap_command(tmp_path):
     # decoded, every cell has the per-cell loop's color
     svg = (tmp_path / "heatmap.svg").read_text()
     assert_decodes_to_loop_colors(svg, grid)
+
+
+def _without_config_column(path):
+    return [line.split(",", 1)[1] for line in path.read_text().splitlines()]
+
+
+def test_heatmap_tables_are_those_of_equivalence_on_halton_points(tmp_path):
+    # one whitened-spectrum route: heatmap's check rows and spectrum are
+    # equivalence's on the same Halton points, byte for byte but the config
+    options = ["--kernel", "matern-linear", "--dim", "2", "--n", "60"]
+    for args in (["heatmap", *options], ["equivalence", *options, "--layout", "halton"]):
+        result = run_cli(args, tmp_path)
+        assert result.returncode == 0, result.stderr
+    for table in ("csv", "spectrum.csv"):
+        heatmap = _without_config_column(tmp_path / f"heatmap.{table}")
+        assert heatmap == _without_config_column(tmp_path / f"equivalence.{table}")
+    assert len(heatmap) == 61
+
+
+def test_heatmap_fails_the_lower_check_at_a_large_shift(tmp_path):
+    # a shift of one separation takes w_min to 0.4109, far below 3/4: a
+    # reliable failure, exit 1, and the picture is still drawn
+    result = run_cli(
+        ["heatmap", "--kernel", "matern-basic", "--dim", "2", "--n", "50",
+         "--shift-factor", "1.0"],
+        tmp_path,
+    )
+    assert result.returncode == 1, result.stderr
+    assert re.search(r"^  equivalence-lower: lhs=7.500000e-01 rhs=4\.1085\d\de-01 FAIL$",
+                     result.stdout, re.M)
+    assert "checks: 2 total, 1 failed (reliable)" in result.stdout
+    assert (tmp_path / "heatmap.svg").is_file()
+
+
+def test_heatmap_runs_in_one_dimension(tmp_path):
+    result = run_cli(["heatmap", "--dim", "1", "--n", "30"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "heatmap.csv", "heatmap.spectrum.csv", "heatmap.svg",
+    ]
+    assert "checks: 2 total, 0 failed (reliable)" in result.stdout
 
 
 # SHA-256 of every artifact at --seed 0 (numpy 2.4 with OpenBLAS, x86-64):
@@ -279,9 +328,17 @@ def test_heatmap_command(tmp_path):
 # instead of 134078 here): decoded, every cell keeps its color, and every
 # other digest stayed.  The deflate bytes depend on the zlib build; this one
 # was recorded with zlib.ZLIB_RUNTIME_VERSION 1.2.13.
+# heatmap.csv was re-recorded and heatmap.spectrum.csv added when heatmap's
+# spectrum came from equivalence's Cholesky congruence in place of eigvalsh
+# of the whitened matrix, and its table became the two equivalence checks:
+# config column dropped, both are byte for byte the tables of equivalence
+# --layout halton with the same options, at 1 BLAS thread as at 2 (before
+# the change, the two spectra differed by at most 3.83e-7 at n = 1000).
+# heatmap.svg kept its digest.
 GOLDEN_DIGESTS = {
     ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "60"): {
-        "heatmap.csv": "83b7442915bd1968e03114874ae645a7514416e16753521ad453cdc15b27e85d",
+        "heatmap.csv": "6fd48c801310945f821449c31b9a4992159cba4adfadf7eeb2013ff354a5febc",
+        "heatmap.spectrum.csv": "7e9f49f9913947aa1a04f567b9204c903ce9f11df2265e53a14f6a0ea8afb80a",
         "heatmap.svg": "16d361a2f7dc15b1043d93144f712c751e41a03fb9e488f49981e9cad7cc08e3",
     },
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "200"): {

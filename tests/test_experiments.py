@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from heatmap_reference import assert_decodes_to_loop_colors, heatmap_matrix
+from heatmap_reference import assert_decodes_to_loop_colors, heatmap_matrix, heatmap_spectrum
 from kernstab import (
     Family,
     KernelSpec,
@@ -154,26 +154,30 @@ def test_write_rows_formats_tables_longer_than_a_block(tmp_path):
         assert line.split(",")[2:] == [_fmt_chain(v) for v in row]
 
 
-def _spectrum_rows(M):
-    return [[i, v] for i, v in enumerate(np.linalg.eigvalsh(M))]
+def _spectrum_sidecar(kernel, n):
+    rows = [[i, v] for i, v in enumerate(heatmap_spectrum(kernel, n))]
+    return ("spectrum", ["index", "eigenvalue"], rows)
 
 
 def test_library_heatmap_runs_with_its_command_defaults(tmp_path, capsys):
     # dim 2 and the halton layout come from the config itself, not the CLI
     report = run(ExperimentConfig(command="heatmap", n=30))
-    assert report.rows == _spectrum_rows(heatmap_matrix("matern-basic", 30))
+    assert [check.name for check in report.checks] == ["equivalence-lower", "equivalence-upper"]
+    assert report.sidecars == [_spectrum_sidecar("matern-basic", 30)]
     report.write_csv(tmp_path / "library.csv")
     report.write_svg(tmp_path / "library.svg")
     cli_csv, cli_svg = tmp_path / "cli.csv", tmp_path / "cli.svg"
     args = ["heatmap", "--n", "30", "--out-csv", str(cli_csv), "--out-svg", str(cli_svg)]
     assert cli.main(args) == 0
-    assert cli_csv.read_bytes() == (tmp_path / "library.csv").read_bytes()
-    assert cli_svg.read_bytes() == (tmp_path / "library.svg").read_bytes()
+    for suffix in (".csv", ".spectrum.csv", ".svg"):
+        library = (tmp_path / f"library{suffix}").read_bytes()
+        assert (tmp_path / f"cli{suffix}").read_bytes() == library
 
 
 def test_heatmap_report_streams_its_artifacts(tmp_path):
-    # the report keeps its n eigenvalues and the SVG text, one deflated PNG
-    # of a byte per cell, so run and writes stay a few n x n float64 matrices
+    # the report keeps its two checks, its n eigenvalues and the SVG text,
+    # one deflated PNG of a byte per cell, so run and writes stay a few
+    # n x n float64 matrices
     cfg = ExperimentConfig(command="heatmap", kernel="matern-linear", n=400)
     tracemalloc.start()
     try:
@@ -184,7 +188,8 @@ def test_heatmap_report_streams_its_artifacts(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 10e6
-    assert len(report.rows) == 400
+    assert len(report.rows) == 2
+    assert len(report.sidecars[0][2]) == 400
 
 
 def test_heatmap_report_written_twice_writes_the_same_files(tmp_path):
@@ -192,16 +197,17 @@ def test_heatmap_report_written_twice_writes_the_same_files(tmp_path):
     for name in ("first", "second"):
         report.write_csv(tmp_path / f"{name}.csv")
         report.write_svg(tmp_path / f"{name}.svg")
-    for suffix in (".csv", ".svg"):
+    for suffix in (".csv", ".spectrum.csv", ".svg"):
         first = (tmp_path / f"first{suffix}").read_bytes()
         assert first == (tmp_path / f"second{suffix}").read_bytes()
     assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "first.csv", "first.svg", "second.csv", "second.svg",
+        "first.csv", "first.spectrum.csv", "first.svg",
+        "second.csv", "second.spectrum.csv", "second.svg",
     ]
-    M = heatmap_matrix("matern-basic", 40)
-    assert report.rows == _spectrum_rows(M)
-    assert len((tmp_path / "first.csv").read_text().splitlines()) == 41
-    grid = np.abs(M)
+    assert report.sidecars == [_spectrum_sidecar("matern-basic", 40)]
+    assert len((tmp_path / "first.csv").read_text().splitlines()) == 3
+    assert len((tmp_path / "first.spectrum.csv").read_text().splitlines()) == 41
+    grid = np.abs(heatmap_matrix("matern-basic", 40))
     svg = first.decode()
     assert_decodes_to_loop_colors(svg, grid)
 
