@@ -104,27 +104,49 @@ def _tail_factor(p, t: np.ndarray) -> np.ndarray:
     return (np.exp(-t)[:, None] * taylor) @ np.linalg.cholesky(moments)
 
 
+def _overwrite_with_profile(Q, t: np.ndarray, K: np.ndarray) -> None:
+    """Overwrite ``K`` with ``Q(r) e^(-r) - K``, ``r = |t_i - t_j|``, by row blocks.
+
+    ``Q`` holds the coefficients from degree 0 up, evaluated by
+    ``np.polyval``'s Horner steps, so every entry is bitwise that expression.
+    The scratch is two row blocks: one holds r and then e^(-r), the other
+    the polynomial.  Together they hold at most ``_BLOCK_ENTRIES`` entries,
+    and from n = 16 on at most an eighth of K's, so that for small n too they
+    are a small part of K.
+    """
+    n = len(t)
+    rows = max(1, min(_BLOCK_ENTRIES // max(1, 2 * n), n // 16))
+    r_rows, q_rows = np.empty((2, min(rows, n), n))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        r, q = r_rows[: stop - start], q_rows[: stop - start]
+        np.subtract(t[start:stop, None], t, out=r)
+        np.abs(r, out=r)
+        q[...] = 0.0
+        for c in reversed(Q):
+            q *= r
+            q += c
+        np.negative(r, out=r)
+        q *= np.exp(r, out=r)
+        np.subtract(q, K[start:stop], out=K[start:stop])
+
+
 def _conv_closed_form(spec: KernelSpec, x: np.ndarray, a: float, b: float) -> np.ndarray:
-    # relative to a, Int_a^b = Int_R minus the half-line tails beyond a and
-    # beyond b, each a separable rank-(m+1) term
+    """Q(r) e^(-r) - W W^T, symmetrized, in one n x n matrix.
+
+    Relative to a, Int_a^b = Int_R minus the half-line tails beyond a and
+    beyond b, each a separable rank-(m+1) term, the rows of W.  The matrix
+    starts as W W^T, is overwritten row block by row block with the
+    whole-line term minus itself, and is symmetrized in place, so every
+    entry is bitwise ``0.5 (K + K^T)`` of ``K = np.polyval(Q, r) e^(-r) - W W^T``
+    and the scratch is a few row blocks.
+    """
     profile = PROFILES[spec.family]
     t = x - a
-    # Q(r) e^(-r) - W W^T, symmetrized, bit for bit as that expression with
-    # np.polyval, but in two n x n buffers: each temporary is written over
-    # one that is dead by then
     W = np.hstack([_tail_factor(profile.p, t), _tail_factor(profile.p, (b - a) - t)])
-    r = np.subtract.outer(t, t)
-    np.abs(r, out=r)
-    K = np.zeros_like(r)
-    for c in reversed(profile.Q):  # np.polyval's Horner steps on Q
-        K *= r
-        K += c
-    np.negative(r, out=r)
-    K *= np.exp(r, out=r)
-    K -= np.matmul(W, W.T, out=r)
-    np.add(K, K.T, out=r)
-    r *= 0.5
-    return r
+    K = W @ W.T
+    _overwrite_with_profile(profile.Q, t, K)
+    return _symmetrize(K)
 
 
 #: largest relative deviation of conv_gram's closed form from its spot check
@@ -138,7 +160,8 @@ def _spot_check(spec: KernelSpec, x: np.ndarray, domain, K: np.ndarray) -> float
         abs(K[i, j] - conv_value(spec, x[i], x[j], domain))
         for i, j in combinations_with_replacement(idx, 2)
     )
-    return worst / float(np.max(np.abs(K)))
+    # max |K| without an n x n |K|
+    return worst / float(max(K.max(), -K.min()))
 
 
 def conv_gram(spec: KernelSpec, X: PointSet) -> np.ndarray:
@@ -150,7 +173,8 @@ def conv_gram(spec: KernelSpec, X: PointSet) -> np.ndarray:
     each.  The closed form is spot-checked against ``conv_value`` on the
     entries {0, n//2, n-1}^2, which raises QuadratureError with the achieved
     deviation when it exceeds ``SPOT_CHECK_TOL``.  The result is
-    symmetrized, so it is exactly symmetric.
+    symmetrized, so it is exactly symmetric.  It is the only n x n array
+    built: the closed form is assembled over it in row blocks.
     """
     if X.dim != 1 or spec.dim != 1:
         raise ValueError("convolution Gram matrices are 1-D only")

@@ -231,9 +231,70 @@ def whitened_spectrum(gram, shifted) -> np.ndarray:
     return np.linalg.eigvalsh(S)
 
 
-def centrosymmetric_eigvalsh(A) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric A that commutes with the exchange
-    matrix J (``J A J = A[::-1, ::-1] = A``), from two half-size ``eigvalsh``.
+def _reflection_defect(A: np.ndarray) -> float:
+    """``||A - J A J||_1`` of a symmetric A, by row blocks of the top
+    ceil(n/2) rows, so no n x n difference is made: A - J A J is symmetric,
+    so its 1-norm is its largest row sum, and rows i and n-1-i hold the same
+    magnitudes, reversed.  A is read, never written."""
+    n, half = len(A), len(A) - len(A) // 2
+    mirror = A[::-1, ::-1]  # J A J, a view
+    rows = max(1, _BLOCK_ENTRIES // n)
+    work = np.empty((min(rows, half), n))
+    sums = []
+    for start in range(0, half, rows):
+        stop = min(start + rows, half)
+        block = np.subtract(A[start:stop], mirror[start:stop], out=work[: stop - start])
+        sums.append(np.max(np.sum(np.abs(block, out=block), axis=1)))
+    return float(np.max(sums))  # np.max, so a NaN is kept
+
+
+def _fold(A: np.ndarray) -> None:
+    """Overwrite A with its two centrosymmetric blocks: ``A[:n-m, :n-m]``
+    with the reflection-even one and ``A[n-m:, n-m:][::-1, ::-1]`` with the
+    reflection-odd one, m = n // 2.
+
+    With ``top = A[:m] + (J A J)[:m]``, twice the top rows of
+    ``S = (A + J A J) / 2``, its left block ``L = top[:, :m]`` and
+    ``R = top[:, ::-1][:, :m]`` are 2 S11 and 2 S12 J; the blocks are
+    ``(L + R) / 2`` and ``(L - R) / 2``, and for odd n the even one is
+    bordered by ``top[:, m] / sqrt(2)`` and ``A[m, m]``.  Entry (i, j) of L
+    and R reads the quartet (i, j), (i, n-1-j), (n-1-i, j), (n-1-i, n-1-j),
+    and each entry off the middle row and column is in exactly one quartet,
+    so the blocks are written over the quartets' first and last entries
+    once all four are read, by row blocks of i.  Every value is bitwise
+    that of the same operations on separate arrays.
+    """
+    n, m = len(A), len(A) // 2
+    mirror = A[::-1, ::-1]
+    if n > 2 * m:
+        border = np.add(A[:m, m], mirror[:m, m])
+        border *= 0.5 * np.sqrt(2.0)
+        A[:m, m] = A[m, :m] = border
+    rows = max(1, _BLOCK_ENTRIES // n)
+    left_rows, right_rows = np.empty((2, min(rows, m), m))
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        left, right = left_rows[: stop - start], right_rows[: stop - start]
+        top, bottom = A[start:stop], mirror[start:stop]
+        np.add(top[:, :m], bottom[:, :m], out=left)
+        np.add(top[:, ::-1][:, :m], bottom[:, ::-1][:, :m], out=right)
+        even, odd = top[:, :m], bottom[:, :m]
+        np.add(left, right, out=even)
+        even *= 0.5
+        np.subtract(left, right, out=odd)
+        odd *= 0.5
+
+
+def centrosymmetric_eigvalsh(build) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric ``A = build()`` that commutes with
+    the exchange matrix J (``J A J = A[::-1, ::-1] = A``), from two half-size
+    ``eigvalsh``.
+
+    ``build`` is a zero-argument builder, and what it returns is owned and
+    overwritten, as in ``whitened_spectrum``: the two blocks are written into
+    A's top-left and bottom-right quadrants (``_fold``), so the peak is A and
+    ``eigvalsh``'s copy of one block, 1.25 n x n matrices (two for a matrix
+    rejected before the split, which ``eigvalsh`` copies whole).
 
     For n = 2m, ``Q = [[I, I], [J, -J]] / sqrt(2)`` is orthogonal and
     ``Q^T A Q = diag(A11 + A12 J, A11 - A12 J)`` with A11, A12 the top m x m
@@ -258,39 +319,27 @@ def centrosymmetric_eigvalsh(A) -> np.ndarray:
     eps ||A|| that the factor n of the floor absorbs as it does LAPACK's own
     reduction.  A matrix whose delta is not below the threshold with
     ||A||_F >= lambda_max in place of lambda_max is rejected before any
-    eigensolve; a rejected matrix, at either test, gets
-    ``np.linalg.eigvalsh(A)`` itself, bit for bit.  A is read, never written.
+    eigensolve and gets ``np.linalg.eigvalsh(A)``; one rejected after the
+    split, when A has been overwritten, is freed and built again for
+    ``np.linalg.eigvalsh(build())``.  A rejected matrix, at either test,
+    gets those eigenvalues bit for bit.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asarray(build(), dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or len(A) < 2:
         return np.linalg.eigvalsh(A)
     n, m = len(A), len(A) // 2
-    mirror = A[::-1, ::-1]  # J A J, a view
-    # A - J A J is symmetric, so its 1-norm is its largest row sum, and rows
-    # i and n-1-i hold the same magnitudes, reversed
-    half = np.subtract(A[: n - m], mirror[: n - m])
-    delta = 0.5 * float(np.max(np.sum(np.abs(half, out=half), axis=1)))
+    delta = 0.5 * _reflection_defect(A)
     # written as "not below", so a NaN also falls back
     if not delta < m * np.finfo(float).eps * np.linalg.norm(A):
         return np.linalg.eigvalsh(A)
-    top = np.add(A[:m], mirror[:m], out=half[:m])  # 2 S[:m], over dead rows
-    del half
-    left, right = top[:, :m], top[:, ::-1][:, :m]  # 2 S11 and 2 S12 J
-    block = np.subtract(left, right)
-    block *= 0.5
-    odd = np.linalg.eigvalsh(block)  # the reflection-odd half, then the even
-    del block
-    even = np.empty((n - m, n - m))
-    np.add(left, right, out=even[:m, :m])
-    even[:m, :m] *= 0.5
-    if n > 2 * m:
-        even[:m, m] = even[m, :m] = top[:, m] * (0.5 * np.sqrt(2.0))
-        even[m, m] = A[m, m]
-    del top, left, right
-    w = np.concatenate([odd, np.linalg.eigvalsh(even)])
+    _fold(A)
+    # the reflection-odd half, then the even
+    odd = np.linalg.eigvalsh(A[n - m :, n - m :][::-1, ::-1])
+    w = np.concatenate([odd, np.linalg.eigvalsh(A[: n - m, : n - m])])
+    del A
     w.sort()
     if not delta < m / n * precision_floor(w):
-        return np.linalg.eigvalsh(A)
+        return np.linalg.eigvalsh(build())
     return w
 
 

@@ -54,9 +54,11 @@ print(json.dumps(
 # panels of one width, and 0.35 to 0.38 s and 40 MB once the panels beyond
 # |w| = 16 were widened to the graded outer zones; its wall budget leaves
 # about 5x room, as heatmap's does.  eigen-scaling at its defaults (30 sizes up to n = 1000) took
-# 0.63 to 0.75 s warm (1.6 s on a cold first run) and 70.2 MB on the 2-core
-# VM; its wall budget leaves room for a loaded machine, its RSS budget is
-# far below the 1.6 GB that conv_gram peaked at before its closed form.
+# 0.63 to 0.75 s warm (1.6 s on a cold first run) on the 2-core VM; it
+# peaked at 53.4 MB while conv_gram and the centrosymmetric split each held
+# two n x n matrices, and at 47.4 to 47.6 MB once every stage held one
+# matrix and row blocks and the sizes ran largest first; its wall budget
+# leaves room for a loaded machine.
 # equivalence at n = 2000 peaked at 236 MB while it whitened by a full
 # eigendecomposition, and at 170 MB with its Cholesky congruence while the
 # shifted matrix was built before the Gram matrix was factored, and at
@@ -74,7 +76,7 @@ BUDGETS = {
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): (12, 125),
     ("identity", "--kernel", "matern-basic", "--n", "400", "--trials", "2",
      "--fourier-cutoff", "1e4"): (2, 50),
-    ("eigen-scaling", "--kernel", "matern-linear"): (4, 90),
+    ("eigen-scaling", "--kernel", "matern-linear"): (4, 60),
 }
 
 # command -> {artifact: size budget in bytes}.  The heatmap SVG drew one

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -272,17 +273,51 @@ def test_split_spectra_keep_the_scaling_flags(family, endpoints):
     spec = KernelSpec(family, dim=1)
     for n in [n for n in sample_grid(10, 1000, 30) if n <= 300]:
         X = equispaced(n, 0.0, 1.0, include_endpoints=endpoints)
-        for A in (gram(spec, X), conv_gram(spec, X)):
-            full, split = np.linalg.eigvalsh(A), centrosymmetric_eigvalsh(A)
+        for build in (functools.partial(gram, spec, X), functools.partial(conv_gram, spec, X)):
+            full, split = np.linalg.eigvalsh(build()), centrosymmetric_eigvalsh(build)
             assert np.max(np.abs(split - full)) <= precision_floor(full)
             assert below_precision_floor(split)[0] == below_precision_floor(full)[0]
 
 
-def test_halton_scaling_samples_are_eigvalsh_bitwise():
+def _count_builds(monkeypatch):
+    # how many times each split of eigen-scaling calls its builder
+    builds, split = [], experiments.centrosymmetric_eigvalsh
+
+    def counted_split(build):
+        calls = []
+
+        def counted():
+            calls.append(None)
+            return build()
+
+        w = split(counted)
+        builds.append(len(calls))
+        return w
+
+    monkeypatch.setattr(experiments, "centrosymmetric_eigvalsh", counted_split)
+    return builds
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("endpoints", [True, False])
+def test_scaling_samples_build_each_matrix_once(family, endpoints, monkeypatch):
+    # the split owns what its builder returns and builds it again only when
+    # the split is rejected after its solves, which no matrix of the
+    # default grid is
+    built = _count_builds(monkeypatch)
+    cfg = ExperimentConfig(command="eigen-scaling", kernel=family, endpoints=endpoints)
+    _scaling_samples(cfg, KernelSpec(family, dim=1))
+    assert built == [1] * (2 * len(sample_grid(cfg.n_min, cfg.n_max, cfg.n_count)))
+
+
+def test_halton_scaling_samples_are_eigvalsh_bitwise(monkeypatch):
     cfg = ExperimentConfig(command="eigen-scaling", kernel=Family.MATERN_LINEAR, n_min=10,
                            n_max=200, n_count=4, layout="halton")
     spec = KernelSpec(cfg.kernel, dim=1)
+    built = _count_builds(monkeypatch)
     samples, _, _ = _scaling_samples(cfg, spec)
+    # rejected before the split, each matrix is solved whole where it was built
+    assert built == [1] * (2 * len(samples))
     for n, q, lam_sym, lam_conv, flag_sym, flag_conv in samples:
         X = halton(n, 1)
         w_sym = np.linalg.eigvalsh(gram(spec, X))
@@ -293,10 +328,11 @@ def test_halton_scaling_samples_are_eigvalsh_bitwise():
 
 def test_scaling_samples_hold_one_matrix_at_a_time(monkeypatch):
     # each matrix is dead before the next is built: nothing n x n is alive
-    # when gram or conv_gram starts, and only the one it solves when the
-    # eigensolve starts (keeping k(X, X) through conv_gram raised the
-    # scaling benchmark's peak RSS by 8 MB)
-    n = 600
+    # when the split, gram or conv_gram starts (keeping k(X, X) through
+    # conv_gram raised the scaling benchmark's peak RSS by 8 MB).  At
+    # n = 1000 a 512 KB row block of scratch is 0.065 of a matrix; at
+    # n = 600 it is 0.18, and gram alone peaks at 1.23 matrices
+    n = 1000
     live = {}
 
     def entered(name, fn):
@@ -319,7 +355,9 @@ def test_scaling_samples_hold_one_matrix_at_a_time(monkeypatch):
     assert len(live["gram"]) == len(live["conv_gram"]) == 1
     assert max(live["gram"] + live["conv_gram"]) < 0.5 * matrix
     assert len(live["centrosymmetric_eigvalsh"]) == 2
-    assert max(live["centrosymmetric_eigvalsh"]) < 1.5 * matrix
-    # the largest stages hold two matrices: gram's distances and profile,
-    # and conv_gram's two buffers
-    assert peak <= 2.2 * matrix
+    assert max(live["centrosymmetric_eigvalsh"]) < 0.5 * matrix
+    # every stage holds one matrix and row blocks: gram writes its profile
+    # over its distances, conv_gram overwrites W W^T, and the split folds
+    # its blocks into the matrix it owns (eigvalsh's copy of a block is
+    # allocated by LAPACK's wrapper, which tracemalloc does not see)
+    assert peak <= 1.15 * matrix

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -441,18 +442,25 @@ def test_centrosymmetric_split_is_the_spectrum(n, monkeypatch):
     kept = A.copy()
     full = np.linalg.eigvalsh(A)
     sizes = _counted_eigvalsh(monkeypatch)
-    w = centrosymmetric_eigvalsh(A)
+    # the split overwrites what its builder returns: give it copies
+    w = centrosymmetric_eigvalsh(A.copy)
     assert sizes == [n // 2, n - n // 2]
     assert np.all(np.diff(w) >= 0)
     assert np.max(np.abs(w - full)) <= precision_floor(full)
     np.testing.assert_array_equal(A, kept)
 
 
-def _bitwise_eigvalsh(A, monkeypatch, sizes):
+def _bitwise_eigvalsh(A, monkeypatch, sizes, builds=1):
     expected = np.linalg.eigvalsh(A)
-    solves = _counted_eigvalsh(monkeypatch)
-    w = centrosymmetric_eigvalsh(A)
+    solves, built = _counted_eigvalsh(monkeypatch), []
+
+    def build():
+        built.append(len(A))
+        return A.copy()
+
+    w = centrosymmetric_eigvalsh(build)
     assert solves == sizes
+    assert len(built) == builds
     assert w.tobytes() == expected.tobytes()
 
 
@@ -472,11 +480,12 @@ def test_split_only_below_its_threshold(n, factor, split, monkeypatch):
     A[0, 0] += 2 * factor * threshold
     if split:
         sizes = _counted_eigvalsh(monkeypatch)
-        w = centrosymmetric_eigvalsh(A)
+        w = centrosymmetric_eigvalsh(A.copy)
         assert sizes == [n // 2, n - n // 2]
         assert w.tobytes() != np.linalg.eigvalsh(A).tobytes()
     else:
-        _bitwise_eigvalsh(A, monkeypatch, [n // 2, n - n // 2, n])
+        # past the pre-check, rejected after the split: built again
+        _bitwise_eigvalsh(A, monkeypatch, [n // 2, n - n // 2, n], builds=2)
 
 
 def test_unsplittable_input_goes_to_eigvalsh(monkeypatch):
@@ -486,7 +495,7 @@ def test_unsplittable_input_goes_to_eigvalsh(monkeypatch):
     A[2, 3] = A[3, 2] = np.nan
     sizes = _counted_eigvalsh(monkeypatch)
     with pytest.raises(np.linalg.LinAlgError):
-        centrosymmetric_eigvalsh(A)
+        centrosymmetric_eigvalsh(A.copy)
     assert sizes == [6]
 
 
@@ -503,10 +512,10 @@ SPLIT_ORACLE_CASES = [
 def test_centrosymmetric_split_against_oracle(family, n, matrix):
     spec = KernelSpec(family, dim=1)
     X = equispaced(n, 0, 1)
-    A = {"gram": gram, "conv_gram": conv_gram}[matrix](spec, X)
+    build = functools.partial({"gram": gram, "conv_gram": conv_gram}[matrix], spec, X)
     exact = oracle.spectrum(getattr(oracle, matrix)(spec, X))
-    full = np.abs(np.linalg.eigvalsh(A) - exact)
-    split = np.abs(centrosymmetric_eigvalsh(A) - exact)
+    full = np.abs(np.linalg.eigvalsh(build()) - exact)
+    split = np.abs(centrosymmetric_eigvalsh(build) - exact)
     # no worse than the full solve, at lambda_min and over the spectrum, to
     # a few ulps of lambda_max
     ulps = 4 * np.finfo(float).eps * exact[-1]
