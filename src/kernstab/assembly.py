@@ -156,10 +156,11 @@ SPOT_CHECK_TOL = 1e-10
 def _spot_check(spec: KernelSpec, x: np.ndarray, domain, K: np.ndarray) -> float:
     # relative deviation from conv_value on the corner and middle entries
     idx = sorted({0, len(x) // 2, len(x) - 1})
-    worst = max(
+    deviations = [
         abs(K[i, j] - conv_value(spec, x[i], x[j], domain))
         for i, j in combinations_with_replacement(idx, 2)
-    )
+    ]
+    worst = float(np.max(deviations))  # np.max, so a NaN is kept
     # max |K| without an n x n |K|
     return worst / float(max(K.max(), -K.min()))
 
@@ -182,7 +183,8 @@ def conv_gram(spec: KernelSpec, X: PointSet) -> np.ndarray:
     x = X.points[:, 0]
     K = _conv_closed_form(spec, x, a, b)
     achieved = _spot_check(spec, x, (a, b), K)
-    if achieved > SPOT_CHECK_TOL:
+    # written as "not below", so a NaN deviation fails too
+    if not achieved <= SPOT_CHECK_TOL:
         raise QuadratureError(
             f"convolution quadrature reached {achieved:.3e}, "
             f"target {SPOT_CHECK_TOL:.1e}; the closed form disagrees with its quadrature",

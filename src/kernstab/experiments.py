@@ -11,7 +11,6 @@ command on stdout; no timing is written into an artifact.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -28,6 +27,14 @@ from .quadrature import FOURIER_CUTOFF
 from .rng import SplitMix64
 from .spectral import below_precision_floor, centrosymmetric_eigvalsh, sym_eigen, whiten
 from .svgplot import Series, heatmap_svg, loglog_plot_svg
+
+try:  # the interpreter's own SHA-256, which hashlib falls back to without OpenSSL
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 LAYOUTS = ("halton", "equispaced")
 
@@ -151,7 +158,13 @@ class ExperimentConfig:
         return ";".join(parts)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_string().encode()).hexdigest()[:12]
+        """First 12 hex digits of SHA-256 of ``canonical_string``.
+
+        The digest is taken with the interpreter's built-in SHA-256, not
+        ``hashlib``: importing ``hashlib`` loads OpenSSL's libcrypto, about
+        3.5 MiB of resident memory in every command, for one ~250-byte string.
+        """
+        return sha256(self.canonical_string().encode()).hexdigest()[:12]
 
 
 @dataclass

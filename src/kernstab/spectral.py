@@ -147,8 +147,10 @@ def _norm_1(A: np.ndarray) -> float:
     infinity norm, bitwise ``np.linalg.norm(A, np.inf)``), by row blocks of
     ``_BLOCK_ENTRIES``, so no n x n ``|A|`` is made."""
     rows = max(1, _BLOCK_ENTRIES // max(1, len(A)))
-    sums = (np.abs(A[start : start + rows]).sum(axis=1) for start in range(0, len(A), rows))
-    return max((float(s.max()) for s in sums), default=0.0)
+    maxima = [
+        np.abs(A[start : start + rows]).sum(axis=1).max() for start in range(0, len(A), rows)
+    ]
+    return float(np.max(maxima, initial=0.0))  # np.max, so a NaN is kept
 
 
 def whitened_spectrum(gram, shifted) -> np.ndarray:

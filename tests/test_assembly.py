@@ -409,18 +409,39 @@ def test_conv_gram_exactly_symmetric():
     np.testing.assert_array_equal(K, K.T)
 
 
+def _wrong_conv_value(exact, nan_calls):
+    """``exact`` off by 1e-6 at every call for no ``nan_calls``, else NaN at
+    the calls it numbers (from 1) and exact elsewhere."""
+    calls = []
+
+    def conv_value(*args):
+        calls.append(args)
+        if not nan_calls:
+            return exact(*args) + 1e-6
+        return math.nan if len(calls) in nan_calls else exact(*args)
+
+    return conv_value
+
+
 def test_conv_gram_reports_quadrature_failure(monkeypatch, tmp_path, capsys):
-    # a spot check that disagrees by 1e-6 with the closed form
+    # a spot check that disagrees by 1e-6 with the closed form, then ones that
+    # are NaN at the first spot entry, at a later one only and at all six
+    # (one conv_value call each on three points)
     exact = assembly.conv_value
-    monkeypatch.setattr(assembly, "conv_value", lambda *args: exact(*args) + 1e-6)
-    with pytest.raises(QuadratureError) as info:
-        conv_gram(BASIC, equispaced(3, 0, 1))
-    assert info.value.achieved is not None
-    assert info.value.achieved > info.value.target
-    # through the CLI it is a numerical failure
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["thm41", "--n", "8", "--trials", "1"]) == 3
-    assert "numerical failure: convolution quadrature" in capsys.readouterr().err
+    for nan_calls in [(), (1,), (4,), range(1, 7)]:
+        monkeypatch.setattr(assembly, "conv_value", _wrong_conv_value(exact, nan_calls))
+        with pytest.raises(QuadratureError) as info:
+            conv_gram(BASIC, equispaced(3, 0, 1))
+        assert info.value.achieved is not None
+        if nan_calls:
+            assert math.isnan(info.value.achieved)
+        else:
+            assert info.value.achieved > info.value.target
+        # through the CLI it is a numerical failure
+        monkeypatch.setattr(assembly, "conv_value", _wrong_conv_value(exact, nan_calls))
+        assert cli.main(["thm41", "--n", "8", "--trials", "1"]) == 3
+        assert "numerical failure: convolution quadrature" in capsys.readouterr().err
 
 
 def test_conv_gram_is_one_dimensional_only():

@@ -69,14 +69,23 @@ print(json.dumps(
 # takes 1.5 to 1.65 s on the 2-core VM, against 1.8 s for the three-matrix
 # version measured beside it (recorded at 2.0 to 2.1 s once the congruence
 # skipped the zero blocks of L^-1, 2.2 to 2.65 s before); its wall budget
-# leaves about 5x room, as heatmap's does
+# leaves about 5x room, as heatmap's does.
+# thm41 at n = 200 sets the peak of the bench's verifiers workload.  Every
+# command mapped OpenSSL's libcrypto, about 3.5 MiB, while the config hash
+# imported hashlib: thm41 peaked at 38.8 to 39.0 MB, identity at 39.5 to
+# 40.0 MB, eigen-scaling at 47.4 to 47.6 MB and equivalence at 109.5 to
+# 110.8 MB at 1 and 2 BLAS threads on the 2-core VM, and at 35.3 to 35.5,
+# 36.7 to 37.0, 43.7 to 44.1 and 105.7 to 107.0 MB once it took the
+# interpreter's built-in SHA-256; those four RSS budgets, 60 to 125 MB
+# before, leave 1.5 to 2 MB of room over the latter
 HEATMAP_1000 = ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "1000")
 BUDGETS = {
     HEATMAP_1000: (5, 100),
-    ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): (12, 125),
+    ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): (12, 108.5),
     ("identity", "--kernel", "matern-basic", "--n", "400", "--trials", "2",
-     "--fourier-cutoff", "1e4"): (2, 50),
-    ("eigen-scaling", "--kernel", "matern-linear"): (4, 60),
+     "--fourier-cutoff", "1e4"): (2, 38.5),
+    ("eigen-scaling", "--kernel", "matern-linear"): (4, 46),
+    ("thm41", "--kernel", "matern-basic", "--n", "200", "--shift-factor", "0.5"): (2, 37),
 }
 
 # command -> {artifact: size budget in bytes}.  The heatmap SVG drew one

@@ -399,6 +399,42 @@ def test_artifacts_match_golden_digests(args, tmp_path):
     assert digests == expected
 
 
+# one small run of every command, each exiting 0
+SMALL_RUNS = [
+    ["identity", "--n", "3", "--trials", "1"],
+    ["sin2", "--n", "5", "--trials", "1"],
+    ["thm41", "--n", "20", "--trials", "1", "--shift-factor", "0.5"],
+    ["equivalence", "--n", "30"],
+    ["heatmap", "--n", "30"],
+    ["eigen-scaling", "--n-max", "40", "--n-count", "4"],
+]
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # hashlib imports _hashlib, which maps OpenSSL's libcrypto (about 3.5 MiB
+    # of resident memory) into every process that imports it
+    script = (
+        "import sys\n"
+        "from kernstab import cli\n"
+        f"codes = [cli.main(argv) for argv in {SMALL_RUNS!r}]\n"
+        "print(codes, sorted({'_hashlib', '_ssl'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"{[0] * len(SMALL_RUNS)} []"
+
+
+@pytest.mark.parametrize(
+    "args", [[command] for command in COMMANDS] + SMALL_RUNS + list(GOLDEN_DIGESTS)
+)
+def test_config_hash_is_sha256_of_the_canonical_string(args):
+    cfg = ExperimentConfig(**vars(cli.build_parser().parse_args(list(args))))
+    expected = hashlib.sha256(cfg.canonical_string().encode()).hexdigest()[:12]
+    assert cfg.config_hash() == expected
+
+
 def test_wall_clock_covers_artifact_writes(tmp_path, monkeypatch, capsys):
     write_csv = ExperimentReport.write_csv
 

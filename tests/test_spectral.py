@@ -344,6 +344,15 @@ def test_norm_bound_is_bitwise_the_infinity_norm():
     assert _norm_1(A) == np.linalg.norm(A, np.inf) == pytest.approx(np.linalg.norm(A, 1), rel=1e-14)
 
 
+@pytest.mark.parametrize("where", [0, -1])
+def test_norm_bound_keeps_a_nan_in_any_row_block(where):
+    # 300 rows span two row blocks: the NaN sits in the first or the last
+    A = np.eye(300)
+    A[where, where] = np.nan
+    assert np.isnan(np.linalg.norm(A, np.inf))
+    assert np.isnan(_norm_1(A))
+
+
 @pytest.mark.parametrize("n", [300, 600, 1100])
 def test_blocks_above_the_leaves_are_never_read(monkeypatch, n):
     A, B = _shift_pair(Family.MATERN_BASIC, 3, n)
