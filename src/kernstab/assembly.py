@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import QuadratureError
-from .geometry import _BLOCK_ENTRIES, PointSet, _squared_distance_blocks
+from .geometry import _BLOCK_ENTRIES, PointSet, _squared_distance_blocks, _squared_distances
 from .kernels import PROFILES, KernelSpec, phi
 from .quadrature import conv_value
 
@@ -26,7 +26,43 @@ def _kernel_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray
     return phi(spec, D, out=D)
 
 
-def gram(spec: KernelSpec, X: PointSet) -> np.ndarray:
+def _mirrored_pairs(n: int):
+    """Row ranges ``(start, stop)`` of an n-row matrix in mirrored pairs: a
+    block ``[s, e)`` of the top ``n // 2`` rows with ``[n - e, n - s)``, top
+    down, and for odd n the middle row alone, last.  A pair holds at most
+    ``_BLOCK_ENTRIES`` entries of an n-column matrix."""
+    m, rows = n // 2, max(1, _BLOCK_ENTRIES // (2 * n))
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        yield (start, stop), (n - stop, n - start)
+    if n % 2:
+        yield ((m, m + 1),)
+
+
+def _stream_rows(n: int, out, rows_into, work: int):
+    """Write an n x n matrix into ``out`` as ``out[start:stop] = rows``, in the
+    order of ``_mirrored_pairs``, and return ``out``.
+
+    ``rows_into(indices, dest, *scratch)`` writes the rows ``indices`` into
+    ``dest``, with ``work`` scratch arrays of its shape; it is called once per
+    pair, with the rows of both blocks, so the scratch is a few pairs of row
+    blocks, sized by the first pair, the largest.
+    """
+    blocks = None
+    for pair in _mirrored_pairs(n):
+        indices = np.concatenate([np.arange(start, stop) for start, stop in pair])
+        if blocks is None:
+            blocks = np.empty((1 + work, len(indices), n))
+        dest, *scratch = blocks[:, : len(indices)]
+        rows_into(indices, dest, *scratch)
+        (start, stop), *mirror = pair
+        out[start:stop] = dest[: stop - start]
+        for low, high in mirror:
+            out[low:high] = dest[stop - start :]
+    return out
+
+
+def gram(spec: KernelSpec, X: PointSet, out=None) -> np.ndarray:
     """Pairwise kernel matrix on X; exactly symmetric, diagonal phi(0).
 
     Each distance is built from the coordinate differences, which change only
@@ -35,10 +71,23 @@ def gram(spec: KernelSpec, X: PointSet) -> np.ndarray:
     for bit with an exact 0 diagonal; no mirroring pass is needed.  The
     profile is written over the distance matrix, so the result is the only
     n x n array built.
+
+    With ``out``, no n x n array is built: the rows are written as
+    ``out[start:stop] = rows`` in the mirrored pairs of ``_mirrored_pairs``,
+    from pairs of row blocks of scratch (``_stream_rows``), and ``out`` is
+    returned.  Every entry is bitwise the one of the whole matrix.
     """
     if X.dim != spec.dim:
         raise ValueError(f"point set dimension {X.dim} != kernel dimension {spec.dim}")
-    return _kernel_matrix(spec, X.points, X.points)
+    if out is None:
+        return _kernel_matrix(spec, X.points, X.points)
+    P = X.points
+
+    def rows_into(indices, dest, tmp):
+        _squared_distances(P[indices], P, dest, tmp)
+        phi(spec, np.sqrt(dest, out=dest), out=dest)
+
+    return _stream_rows(len(X), out, rows_into, work=1)
 
 
 def shifted_gram(spec: KernelSpec, X: PointSet, b) -> np.ndarray:
@@ -104,49 +153,31 @@ def _tail_factor(p, t: np.ndarray) -> np.ndarray:
     return (np.exp(-t)[:, None] * taylor) @ np.linalg.cholesky(moments)
 
 
-def _overwrite_with_profile(Q, t: np.ndarray, K: np.ndarray) -> None:
-    """Overwrite ``K`` with ``Q(r) e^(-r) - K``, ``r = |t_i - t_j|``, by row blocks.
+def _conv_rows(Q, t: np.ndarray, Wt: np.ndarray, rows, out: np.ndarray, work) -> None:
+    """The rows of indices ``rows`` of ``Q(r) e^(-r) - sum_l w_l w_l^T``,
+    ``r = |t_i - t_j|``, into ``out``, with ``w_l`` the rows of ``Wt``.
 
     ``Q`` holds the coefficients from degree 0 up, evaluated by
-    ``np.polyval``'s Horner steps, so every entry is bitwise that expression.
-    The scratch is two row blocks: one holds r and then e^(-r), the other
-    the polynomial.  Together they hold at most ``_BLOCK_ENTRIES`` entries,
-    and from n = 16 on at most an eighth of K's, so that for small n too they
-    are a small part of K.
+    ``np.polyval``'s Horner steps; the tail term is the column sum in the
+    order of ``l``, each product ``w_il w_jl`` rounded once, so entry (i, j)
+    is bitwise entry (j, i) and neither depends on which other rows are
+    formed with it.  ``work`` is two scratch arrays of ``out``'s shape.
     """
-    n = len(t)
-    rows = max(1, min(_BLOCK_ENTRIES // max(1, 2 * n), n // 16))
-    r_rows, q_rows = np.empty((2, min(rows, n), n))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        r, q = r_rows[: stop - start], q_rows[: stop - start]
-        np.subtract(t[start:stop, None], t, out=r)
-        np.abs(r, out=r)
-        q[...] = 0.0
-        for c in reversed(Q):
-            q *= r
-            q += c
-        np.negative(r, out=r)
-        q *= np.exp(r, out=r)
-        np.subtract(q, K[start:stop], out=K[start:stop])
-
-
-def _conv_closed_form(spec: KernelSpec, x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Q(r) e^(-r) - W W^T, symmetrized, in one n x n matrix.
-
-    Relative to a, Int_a^b = Int_R minus the half-line tails beyond a and
-    beyond b, each a separable rank-(m+1) term, the rows of W.  The matrix
-    starts as W W^T, is overwritten row block by row block with the
-    whole-line term minus itself, and is symmetrized in place, so every
-    entry is bitwise ``0.5 (K + K^T)`` of ``K = np.polyval(Q, r) e^(-r) - W W^T``
-    and the scratch is a few row blocks.
-    """
-    profile = PROFILES[spec.family]
-    t = x - a
-    W = np.hstack([_tail_factor(profile.p, t), _tail_factor(profile.p, (b - a) - t)])
-    K = W @ W.T
-    _overwrite_with_profile(profile.Q, t, K)
-    return _symmetrize(K)
+    r, term = work
+    np.subtract.outer(t[rows], t, out=r)
+    np.abs(r, out=r)
+    # Horner from the leading coefficient: (0 r + c) r is c r, bit for bit
+    np.multiply(r, Q[-1], out=out)
+    out += Q[-2]
+    for c in reversed(Q[:-2]):
+        out *= r
+        out += c
+    out *= np.exp(np.negative(r, out=r), out=r)
+    Wr = Wt[:, rows]
+    np.multiply.outer(Wr[0], Wt[0], out=r)
+    for w_rows, w in zip(Wr[1:], Wt[1:]):
+        r += np.multiply.outer(w_rows, w, out=term)
+    out -= r
 
 
 #: largest relative deviation of conv_gram's closed form from its spot check
@@ -154,41 +185,74 @@ SPOT_CHECK_TOL = 1e-10
 
 
 def _spot_check(spec: KernelSpec, x: np.ndarray, domain, K: np.ndarray) -> float:
-    # relative deviation from conv_value on the corner and middle entries
-    idx = sorted({0, len(x) // 2, len(x) - 1})
-    deviations = [
-        abs(K[i, j] - conv_value(spec, x[i], x[j], domain))
-        for i, j in combinations_with_replacement(idx, 2)
-    ]
-    worst = float(np.max(deviations))  # np.max, so a NaN is kept
-    # max |K| without an n x n |K|
-    return worst / float(max(K.max(), -K.min()))
+    """Largest deviation of ``K[k, l]`` from ``conv_value`` at ``(x[k], x[l])``,
+    over the upper triangle; np.max, so a NaN is kept."""
+    return float(np.max([
+        abs(K[k, l] - conv_value(spec, x[k], x[l], domain))
+        for k, l in combinations_with_replacement(range(len(x)), 2)
+    ]))
 
 
-def conv_gram(spec: KernelSpec, X: PointSet) -> np.ndarray:
+def conv_gram(spec: KernelSpec, X: PointSet, out=None) -> np.ndarray:
     """Gram matrix of the domain-convolved kernel over the 1-D domain box of X.
 
     Entry (i, j) is Int_a^b k(x_i, y) k(y, x_j) dy, assembled in closed
-    form in O(n^2): the whole-line self-convolution
-    Q(r) e^(-r) minus two separable half-line tails, of rank at most three
-    each.  The closed form is spot-checked against ``conv_value`` on the
-    entries {0, n//2, n-1}^2, which raises QuadratureError with the achieved
-    deviation when it exceeds ``SPOT_CHECK_TOL``.  The result is
-    symmetrized, so it is exactly symmetric.  It is the only n x n array
-    built: the closed form is assembled over it in row blocks.
+    form in O(n^2): the whole-line self-convolution Q(r) e^(-r) minus the
+    half-line tails beyond a and beyond b, each a separable term of rank at
+    most three, the columns of W.  The tail term ``W W^T`` is summed column
+    by column in a fixed order (``_conv_rows``), not by BLAS's ``W @ W.T``,
+    whose rows ``W[I] @ W.T`` differ in the last bit from those of the whole
+    product for most block heights: so each row is the same bits whichever
+    rows are built with it, and the matrix is exactly symmetric without a
+    symmetrizing pass.  The tail factor is built once per call.
+
+    The closed form is spot-checked against ``conv_value`` on the entries
+    {0, n//2, n-1}^2, relative to the largest diagonal entry, which bounds
+    every ``|K_ij|`` of a positive semidefinite matrix; a deviation that is
+    not below ``SPOT_CHECK_TOL`` raises QuadratureError with the achieved
+    deviation.  The matrix is written row block by row block in place, so
+    it is the only n x n array built; with ``out``, none is: the rows are
+    written as ``out[start:stop] = rows`` in the mirrored pairs of
+    ``_mirrored_pairs``, from pairs of row blocks of scratch
+    (``_stream_rows``), and ``out`` is returned once the spot check has
+    passed.
     """
     if X.dim != 1 or spec.dim != 1:
         raise ValueError("convolution Gram matrices are 1-D only")
     a, b = float(X.domain[0, 0]), float(X.domain[0, 1])
-    x = X.points[:, 0]
-    K = _conv_closed_form(spec, x, a, b)
-    achieved = _spot_check(spec, x, (a, b), K)
+    x, n = X.points[:, 0], len(X)
+    profile = PROFILES[spec.family]
+    t = x - a
+    Wt = np.concatenate([_tail_factor(profile.p, t).T, _tail_factor(profile.p, (b - a) - t).T])
+    diagonal = []
+
+    def rows_into(indices, dest, *work):
+        _conv_rows(profile.Q, t, Wt, indices, dest, work)
+        diagonal.append(np.max(dest[np.arange(len(indices)), indices]))
+
+    if out is None:
+        out = np.empty((n, n))
+        # at most an eighth of the matrix from n = 16 on, so that for small
+        # n too the two scratch blocks are a small part of it
+        rows = max(1, min(_BLOCK_ENTRIES // max(1, 2 * n), n // 16))
+        work = np.empty((2, min(rows, n), n))
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            rows_into(np.arange(start, stop), out[start:stop], *work[:, : stop - start])
+    else:
+        _stream_rows(n, out, rows_into, work=2)
+    # the spot rows again, bitwise those of the matrix
+    idx = np.array(sorted({0, n // 2, n - 1}))
+    spot = np.empty((len(idx), n))
+    _conv_rows(profile.Q, t, Wt, idx, spot, np.empty((2, len(idx), n)))
+    # np.max, so a NaN is kept
+    achieved = _spot_check(spec, x[idx], (a, b), spot[:, idx]) / np.max(diagonal)
     # written as "not below", so a NaN deviation fails too
     if not achieved <= SPOT_CHECK_TOL:
         raise QuadratureError(
             f"convolution quadrature reached {achieved:.3e}, "
             f"target {SPOT_CHECK_TOL:.1e}; the closed form disagrees with its quadrature",
-            achieved=achieved,
+            achieved=float(achieved),
             target=SPOT_CHECK_TOL,
         )
-    return K
+    return out

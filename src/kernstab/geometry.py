@@ -8,8 +8,9 @@ _HALTON_BASES = (2, 3, 5)
 
 
 # entries of one row block of a pass over an n x m matrix, and of its
-# scratch array (512 KB of float64 each): the distances here, and the
-# symmetrization and norm of assembly and spectral
+# scratch array (512 KB of float64 each): the distances here, the
+# symmetrization and norm of assembly and spectral, and each mirrored pair
+# of row blocks that assembly streams
 _BLOCK_ENTRIES = 1 << 16
 
 

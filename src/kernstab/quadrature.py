@@ -105,13 +105,15 @@ def integrate(f, a: float, b: float, kinks=()) -> float:
     """
     if not a < b:
         raise ValueError("need a < b")
-    panel_sums = []
-    for lo, hi in _segments(a, b, kinks):
-        panels = max(1, math.ceil((hi - lo) * PANELS_PER_UNIT))
-        y, w = panel_grid(np.linspace(lo, hi, panels + 1), ORDER)
-        vals = w * np.asarray(f(y), dtype=float)
-        panel_sums.append(vals.reshape(panels, ORDER).sum(axis=1))
-    return float(np.sum(np.concatenate(panel_sums)))
+    grids = [
+        panel_grid(np.linspace(lo, hi, max(1, math.ceil((hi - lo) * PANELS_PER_UNIT)) + 1), ORDER)
+        for lo, hi in _segments(a, b, kinks)
+    ]
+    # one call of the integrand on the nodes of every piece; each panel's sum
+    # is taken over its own ORDER nodes, as piece by piece
+    y, w = (np.concatenate(parts) for parts in zip(*grids))
+    vals = w * np.asarray(f(y), dtype=float)
+    return float(np.sum(vals.reshape(-1, ORDER).sum(axis=1)))
 
 
 def conv_value(spec: KernelSpec, x: float, z: float, domain) -> float:

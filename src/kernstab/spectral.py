@@ -22,7 +22,8 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
     work = np.abs(A)
     scale = np.max(work) if A.size else 0.0
     np.subtract(A, A.T, out=work)
-    if np.max(np.abs(work, out=work), initial=0.0) > 1e-12 * max(scale, 1e-300):
+    # written as "not below", so a NaN in either triangle fails too
+    if not np.max(np.abs(work, out=work), initial=0.0) <= 1e-12 * max(scale, 1e-300):
         raise ValueError("matrix is not symmetric to 1e-12 relative")
     return A
 
@@ -233,70 +234,119 @@ def whitened_spectrum(gram, shifted) -> np.ndarray:
     return np.linalg.eigvalsh(S)
 
 
-def _reflection_defect(A: np.ndarray) -> float:
-    """``||A - J A J||_1`` of a symmetric A, by row blocks of the top
-    ceil(n/2) rows, so no n x n difference is made: A - J A J is symmetric,
-    so its 1-norm is its largest row sum, and rows i and n-1-i hold the same
-    magnitudes, reversed.  A is read, never written."""
-    n, half = len(A), len(A) - len(A) // 2
-    mirror = A[::-1, ::-1]  # J A J, a view
-    rows = max(1, _BLOCK_ENTRIES // n)
-    work = np.empty((min(rows, half), n))
-    sums = []
-    for start in range(0, half, rows):
-        stop = min(start + rows, half)
-        block = np.subtract(A[start:stop], mirror[start:stop], out=work[: stop - start])
-        sums.append(np.max(np.sum(np.abs(block, out=block), axis=1)))
-    return float(np.max(sums))  # np.max, so a NaN is kept
+class _MirroredRows:
+    """The ``out`` that ``centrosymmetric_eigvalsh`` hands its builder: it takes
+    ``out[start:stop] = rows`` of a symmetric n x n A in mirrored pairs of row
+    blocks (``[s, e)`` of the top ``n // 2`` rows, then ``[n - e, n - s)``,
+    and for odd n the middle row last, as ``assembly._mirrored_pairs``
+    orders them) and folds each pair as it arrives, so A is never formed.
 
-
-def _fold(A: np.ndarray) -> None:
-    """Overwrite A with its two centrosymmetric blocks: ``A[:n-m, :n-m]``
-    with the reflection-even one and ``A[n-m:, n-m:][::-1, ::-1]`` with the
-    reflection-odd one, m = n // 2.
-
-    With ``top = A[:m] + (J A J)[:m]``, twice the top rows of
+    With ``top = A[s:e] + (J A J)[s:e]``, twice those rows of
     ``S = (A + J A J) / 2``, its left block ``L = top[:, :m]`` and
-    ``R = top[:, ::-1][:, :m]`` are 2 S11 and 2 S12 J; the blocks are
-    ``(L + R) / 2`` and ``(L - R) / 2``, and for odd n the even one is
-    bordered by ``top[:, m] / sqrt(2)`` and ``A[m, m]``.  Entry (i, j) of L
-    and R reads the quartet (i, j), (i, n-1-j), (n-1-i, j), (n-1-i, n-1-j),
-    and each entry off the middle row and column is in exactly one quartet,
-    so the blocks are written over the quartets' first and last entries
-    once all four are read, by row blocks of i.  Every value is bitwise
-    that of the same operations on separate arrays.
+    ``R = top[:, ::-1][:, :m]`` are 2 S11 and 2 S12 J, m = n // 2: the rows
+    of the reflection-even block are ``(L + R) / 2`` and those of the
+    reflection-odd one ``(L - R) / 2``, and for odd n the even one is
+    bordered by ``top[:, m] / sqrt(2)`` and ``A[m, m]``.  Each block is
+    symmetric bit for bit when A is, so only a triangle of each is kept, in
+    ``halves``, one ``(k + 1) x k`` array, k = n - m: the even block's lower
+    triangle is the lower triangle of ``halves[1:]``, and the odd block's
+    lower triangle, transposed, is the upper triangle of ``halves[:m, :m]``,
+    so ``halves[:m, :m].T`` holds it as a lower triangle.  The two share no
+    entry, and ``np.linalg.eigvalsh``, with its default ``UPLO='L'``, reads
+    no other.  Every kept value is bitwise that of the same operations on
+    the whole matrix.
+
+    Each pair adds its rows' share of ``||A - J A J||_1`` (A - J A J is
+    symmetric, so its 1-norm is its largest row sum, and rows i and n-1-i
+    hold the same magnitudes) to ``defects``, and the squares of the rows
+    of S it gives, ``||top||^2 / 2`` for rows i and n-1-i, to ``squares``.
+    If the first pair's rows are not centrosymmetric to the split's
+    threshold with their share of ``||S||_F``, as those of a point set that
+    is not its own mirror image are not, the rows are kept whole in
+    ``full`` instead, and no split is made.
     """
-    n, m = len(A), len(A) // 2
-    mirror = A[::-1, ::-1]
-    if n > 2 * m:
-        border = np.add(A[:m, m], mirror[:m, m])
-        border *= 0.5 * np.sqrt(2.0)
-        A[:m, m] = A[m, :m] = border
-    rows = max(1, _BLOCK_ENTRIES // n)
-    left_rows, right_rows = np.empty((2, min(rows, m), m))
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        left, right = left_rows[: stop - start], right_rows[: stop - start]
-        top, bottom = A[start:stop], mirror[start:stop]
-        np.add(top[:, :m], bottom[:, :m], out=left)
-        np.add(top[:, ::-1][:, :m], bottom[:, ::-1][:, :m], out=right)
-        even, odd = top[:, :m], bottom[:, :m]
-        np.add(left, right, out=even)
+
+    def __init__(self):
+        self.full = self.halves = self._pending = None
+        self.defects, self.squares = [], 0.0
+
+    def __setitem__(self, rows: slice, block: np.ndarray) -> None:
+        start, stop = rows.start, rows.stop
+        if self.full is not None:
+            self.full[start:stop] = block
+            return
+        if self._pending is None and self.halves is None:  # the first block
+            self.n, self.m = block.shape[1], block.shape[1] // 2
+            if self.n < 2:
+                self.full = np.empty((self.n, self.n))
+                self.full[start:stop] = block
+                return
+            self._top, self._sums = np.empty((2, *block.shape))
+            self._square = np.empty((len(block), len(block)))
+        n, m = self.n, self.m
+        if self._pending is None and stop <= m and stop - start <= len(self._top):
+            self._pending = (start, stop)
+            self._top[: stop - start] = block
+        elif self._pending == (n - stop, n - start):
+            self._fold(n - stop, n - start, self._top[: stop - start], block)
+            self._pending = None
+        elif self._pending is None and self.halves is not None and (start, stop) == (m, m + 1):
+            middle, total = block[0], block[0] + block[0, ::-1]
+            self.defects.append(np.sum(np.abs(middle - middle[::-1])))
+            self.squares += 0.25 * np.vdot(total, total)
+            self.halves[-1, m] = middle[m]
+        else:
+            raise ValueError("rows must arrive in mirrored pairs of row blocks")
+
+    def _fold(self, start: int, stop: int, top: np.ndarray, bottom: np.ndarray) -> None:
+        n, m, h = self.n, self.m, stop - start
+        mirror = bottom[::-1, ::-1]  # rows start:stop of J A J
+        diff = np.subtract(top, mirror, out=self._sums[:h])
+        defect = np.max(np.sum(np.abs(diff, out=diff), axis=1))
+        self.defects.append(defect)
+        total = np.add(top, mirror, out=self._sums[:h])
+        self.squares += 0.5 * np.vdot(total, total)
+        if self.halves is None:
+            # written as "not below", so a NaN also keeps the rows whole
+            if not 0.5 * defect < m * np.finfo(float).eps * np.sqrt(self.squares):
+                self.full = np.empty((n, n))
+                self.full[start:stop], self.full[n - stop : n - start] = top, bottom
+                self._top = self._sums = self._square = None
+                return
+            self.halves = np.empty((n - m + 1, n - m))
+            self._upper = ~np.tri(len(top), k=-1, dtype=bool)
+        H = self.halves
+        left, right = total[:, :m], total[:, ::-1][:, :m]
+        # the even rows, left of the block's stop, over the lower triangle
+        # of halves[1:]; that writes over odd entries in the block's columns,
+        # which the odd rows then write again
+        even = np.add(left[:, :stop], right[:, :stop], out=H[start + 1 : stop + 1, :stop])
         even *= 0.5
-        np.subtract(left, right, out=odd)
+        square = np.subtract(left[:, start:stop], right[:, start:stop], out=self._square[:h, :h])
+        square *= 0.5
+        np.copyto(H[start:stop, start:stop], square, where=self._upper[:h, :h])
+        odd = np.subtract(left[:, stop:], right[:, stop:], out=H[start:stop, stop:m])
         odd *= 0.5
+        if n > 2 * m:
+            np.multiply(total[:, m], 0.5 * np.sqrt(2.0), out=H[-1, start:stop])
 
 
 def centrosymmetric_eigvalsh(build) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric ``A = build()`` that commutes with
-    the exchange matrix J (``J A J = A[::-1, ::-1] = A``), from two half-size
-    ``eigvalsh``.
+    """Ascending eigenvalues of a symmetric A that commutes with the exchange
+    matrix J (``J A J = A[::-1, ::-1] = A``), from two half-size ``eigvalsh``.
 
-    ``build`` is a zero-argument builder, and what it returns is owned and
-    overwritten, as in ``whitened_spectrum``: the two blocks are written into
-    A's top-left and bottom-right quadrants (``_fold``), so the peak is A and
-    ``eigvalsh``'s copy of one block, 1.25 n x n matrices (two for a matrix
-    rejected before the split, which ``eigvalsh`` copies whole).
+    ``build`` is a builder of A as ``gram`` and ``conv_gram`` are, bound to
+    its arguments: ``build()`` returns A, and ``build(out=sink)`` writes its
+    rows as ``sink[start:stop] = rows`` in the mirrored pairs of
+    ``assembly._mirrored_pairs``.  The split calls the latter, and the sink
+    (``_MirroredRows``) folds each pair of row blocks into the two blocks as
+    it arrives.  It keeps only their lower triangles, in one ``(k + 1) x k``
+    array, k = n - n // 2: ``eigvalsh`` with its default ``UPLO='L'`` reads
+    nothing else, so the even block's triangle fills the lower triangle of
+    the array's last k rows and the odd block's, transposed, the upper
+    triangle of its first m rows, and neither solve reads the other's
+    entries.  The peak is that array plus ``eigvalsh``'s copy of one block,
+    about half an n x n matrix, and row blocks of scratch.
 
     For n = 2m, ``Q = [[I, I], [J, -J]] / sqrt(2)`` is orthogonal and
     ``Q^T A Q = diag(A11 + A12 J, A11 - A12 J)`` with A11, A12 the top m x m
@@ -320,25 +370,31 @@ def centrosymmetric_eigvalsh(build) -> np.ndarray:
     Forming the blocks rounds each entry once more, a backward error of order
     eps ||A|| that the factor n of the floor absorbs as it does LAPACK's own
     reduction.  A matrix whose delta is not below the threshold with
-    ||A||_F >= lambda_max in place of lambda_max is rejected before any
-    eigensolve and gets ``np.linalg.eigvalsh(A)``; one rejected after the
-    split, when A has been overwritten, is freed and built again for
-    ``np.linalg.eigvalsh(build())``.  A rejected matrix, at either test,
-    gets those eigenvalues bit for bit.
+    ||S||_F >= lambda_max(S) in place of the split's lambda_max is rejected
+    before any eigensolve, as the test after the split would reject it.
+    If its first pair of row blocks already fails that test,
+    as for a point set that is not its own mirror image, its rows are kept
+    whole as they arrive, and it gets ``np.linalg.eigvalsh(A)`` from that
+    one build; otherwise, and for a matrix rejected after the split, the
+    folded blocks are freed and A is built again for
+    ``np.linalg.eigvalsh(build())``.  A rejected matrix gets those
+    eigenvalues bit for bit.
     """
-    A = np.asarray(build(), dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or len(A) < 2:
-        return np.linalg.eigvalsh(A)
-    n, m = len(A), len(A) // 2
-    delta = 0.5 * _reflection_defect(A)
+    sink = _MirroredRows()
+    build(out=sink)
+    if sink.full is not None:
+        return np.linalg.eigvalsh(sink.full)
+    n, m, halves = sink.n, sink.m, sink.halves
+    delta = 0.5 * float(np.max(sink.defects))  # np.max, so a NaN is kept
     # written as "not below", so a NaN also falls back
-    if not delta < m * np.finfo(float).eps * np.linalg.norm(A):
-        return np.linalg.eigvalsh(A)
-    _fold(A)
+    if not delta < m * np.finfo(float).eps * np.sqrt(sink.squares):
+        sink = halves = None
+        return np.linalg.eigvalsh(build())
+    sink = None
     # the reflection-odd half, then the even
-    odd = np.linalg.eigvalsh(A[n - m :, n - m :][::-1, ::-1])
-    w = np.concatenate([odd, np.linalg.eigvalsh(A[: n - m, : n - m])])
-    del A
+    odd = np.linalg.eigvalsh(halves[:m, :m].T)
+    w = np.concatenate([odd, np.linalg.eigvalsh(halves[1:])])
+    del halves
     w.sort()
     if not delta < m / n * precision_floor(w):
         return np.linalg.eigvalsh(build())

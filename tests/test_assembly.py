@@ -24,7 +24,7 @@ from kernstab import (
 )
 import oracle
 from kernstab import assembly, cli
-from kernstab.assembly import _conv_closed_form, _distance_matrix, _tail_factor
+from kernstab.assembly import _distance_matrix, _mirrored_pairs, _tail_factor
 from kernstab.geometry import PointSet
 from kernstab.kernels import PROFILES
 from kernstab.quadrature import ORDER, PANELS_PER_UNIT, _segments, panel_grid
@@ -310,13 +310,14 @@ def test_conv_gram_closed_form_matches_quadrature(family, scale, points):
 
 
 def _conv_closed_form_expression(spec, x, a, b):
-    # the out-of-place form the in-place _conv_closed_form replaced: its bitwise oracle
+    # the closed form out of place, its tail term W W^T summed column by
+    # column in order: the bitwise oracle of conv_gram's rows
     profile = PROFILES[spec.family]
     t = x - a
     W = np.hstack([_tail_factor(profile.p, t), _tail_factor(profile.p, (b - a) - t)])
     r = np.abs(t[:, None] - t[None, :])
-    K = np.polyval(profile.Q[::-1], r) * np.exp(-r) - W @ W.T
-    return 0.5 * (K + K.T)
+    tail = sum((np.outer(w, w) for w in W.T[1:]), np.outer(W[:, 0], W[:, 0]))
+    return np.polyval(profile.Q[::-1], r) * np.exp(-r) - tail
 
 
 @pytest.mark.parametrize("family", ["matern-basic", "matern-linear", "matern-quadratic"])
@@ -330,9 +331,60 @@ def test_conv_closed_form_is_bitwise_its_expression(family, scale, points):
     spec = KernelSpec(Family(family), dim=1)
     points = _stretched(points, scale)
     (a, b), = points.domain
-    x = points.points[:, 0]
-    expected = _conv_closed_form_expression(spec, x, a, b)
-    assert _conv_closed_form(spec, x, a, b).tobytes() == expected.tobytes()
+    expected = _conv_closed_form_expression(spec, points.points[:, 0], a, b)
+    assert conv_gram(spec, points).tobytes() == expected.tobytes()
+
+
+class _RecordedRows:
+    # an ``out=`` that keeps the row blocks it is given, in their order
+    def __init__(self, n):
+        self.matrix, self.blocks = np.full((n, n), np.nan), []
+
+    def __setitem__(self, rows, block):
+        self.blocks.append((rows.start, rows.stop))
+        self.matrix[rows] = block
+
+
+@pytest.mark.parametrize("builder", [gram, conv_gram], ids=["gram", "conv_gram"])
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("endpoints", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 599, 600])
+def test_streamed_rows_are_the_matrix_for_any_row_blocks(builder, family, endpoints, n, monkeypatch):
+    # the rows in mirrored pairs of one row, of seven and of the default
+    # height, against the matrix built whole: bitwise the same, and that
+    # matrix exactly symmetric (conv_gram has no symmetrizing pass)
+    spec = KernelSpec(family, dim=1)
+    X = equispaced(n, 0, 1, include_endpoints=endpoints)
+    K = builder(spec, X)
+    assert K.tobytes() == K.T.copy().tobytes()
+    for entries in [1, 14 * n, assembly._BLOCK_ENTRIES]:
+        monkeypatch.setattr(assembly, "_BLOCK_ENTRIES", entries)
+        out = _RecordedRows(n)
+        assert builder(spec, X, out=out) is out
+        assert out.blocks == [block for pair in _mirrored_pairs(n) for block in pair]
+        assert out.matrix.tobytes() == K.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_streamed_gram_is_the_matrix_in_higher_dimensions(dim):
+    # the squared distances of two and three coordinates use gram's second
+    # scratch block
+    spec = KernelSpec(Family.MATERN_QUADRATIC, dim=dim)
+    X = halton(301, dim)
+    out = np.full((301, 301), np.nan)
+    assert gram(spec, X, out=out) is out
+    assert out.tobytes() == gram(spec, X).tobytes()
+
+
+def test_mirrored_pairs_pair_every_row_once():
+    for n in [1, 2, 3, 16, 17, 600, 601]:
+        pairs = list(_mirrored_pairs(n))
+        rows = [i for pair in pairs for start, stop in pair for i in range(start, stop)]
+        assert sorted(rows) == list(range(n))
+        if n % 2:
+            assert pairs.pop() == ((n // 2, n // 2 + 1),)
+        for (start, stop), (low, high) in pairs:
+            assert (low, high) == (n - stop, n - start) and stop <= n // 2
 
 
 @pytest.mark.parametrize("family", ["matern-basic", "matern-linear", "matern-quadratic"])
@@ -375,9 +427,9 @@ def test_quadrature_paths_match_pinned_digests():
 
 
 def test_conv_gram_memory_is_quadratic():
-    # the closed form in one n x n matrix, W W^T overwritten by row blocks
-    # of scratch, a 512 KB block being 0.065 of the matrix at n = 1000, and
-    # no n x O(n)-node quadrature temporaries
+    # the closed form in one n x n matrix, written in place by row blocks
+    # with two blocks of scratch, together 0.064 of the matrix at n = 1000,
+    # and no n x O(n)-node quadrature temporaries
     X = equispaced(1000, 0, 1)
     tracemalloc.start()
     try:
@@ -430,14 +482,16 @@ def test_conv_gram_reports_quadrature_failure(monkeypatch, tmp_path, capsys):
     exact = assembly.conv_value
     monkeypatch.chdir(tmp_path)
     for nan_calls in [(), (1,), (4,), range(1, 7)]:
-        monkeypatch.setattr(assembly, "conv_value", _wrong_conv_value(exact, nan_calls))
-        with pytest.raises(QuadratureError) as info:
-            conv_gram(BASIC, equispaced(3, 0, 1))
-        assert info.value.achieved is not None
-        if nan_calls:
-            assert math.isnan(info.value.achieved)
-        else:
-            assert info.value.achieved > info.value.target
+        # built whole, and streamed into out= as eigen-scaling builds it
+        for out in [None, np.empty((3, 3))]:
+            monkeypatch.setattr(assembly, "conv_value", _wrong_conv_value(exact, nan_calls))
+            with pytest.raises(QuadratureError) as info:
+                conv_gram(BASIC, equispaced(3, 0, 1), out=out)
+            assert info.value.achieved is not None
+            if nan_calls:
+                assert math.isnan(info.value.achieved)
+            else:
+                assert info.value.achieved > info.value.target
         # through the CLI it is a numerical failure
         monkeypatch.setattr(assembly, "conv_value", _wrong_conv_value(exact, nan_calls))
         assert cli.main(["thm41", "--n", "8", "--trials", "1"]) == 3

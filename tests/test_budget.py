@@ -77,14 +77,19 @@ print(json.dumps(
 # 110.8 MB at 1 and 2 BLAS threads on the 2-core VM, and at 35.3 to 35.5,
 # 36.7 to 37.0, 43.7 to 44.1 and 105.7 to 107.0 MB once it took the
 # interpreter's built-in SHA-256; those four RSS budgets, 60 to 125 MB
-# before, leave 1.5 to 2 MB of room over the latter
+# before, leave 1.5 to 2 MB of room over the latter.
+# eigen-scaling peaked at 37.4 to 37.7 MB at 1 and 2 BLAS threads once no
+# n x n matrix was formed (the builders stream mirrored pairs of row blocks
+# and the split keeps the lower triangles of its two half blocks, about
+# half an n x n matrix with eigvalsh's copy); its RSS budget, 46 MB
+# before, leaves 1.8 MB of room over that
 HEATMAP_1000 = ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "1000")
 BUDGETS = {
     HEATMAP_1000: (5, 100),
     ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): (12, 108.5),
     ("identity", "--kernel", "matern-basic", "--n", "400", "--trials", "2",
      "--fourier-cutoff", "1e4"): (2, 38.5),
-    ("eigen-scaling", "--kernel", "matern-linear"): (4, 46),
+    ("eigen-scaling", "--kernel", "matern-linear"): (4, 39.5),
     ("thm41", "--kernel", "matern-basic", "--n", "200", "--shift-factor", "0.5"): (2, 37),
 }
 

@@ -262,10 +262,28 @@ def test_thm41_builds_its_convolved_gram_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def _split_of_the_whole_matrix(A):
+    # the split written out of place on the whole matrix, the route of
+    # the in-place fold that the streamed one replaced: the even and odd
+    # blocks of (A + J A J) / 2, solved odd first
+    n, m = len(A), len(A) // 2
+    top = (A + A[::-1, ::-1])[:m]
+    left, right = top[:, :m], top[:, ::-1][:, :m]
+    even = np.empty((n - m, n - m))
+    even[:m, :m] = (left + right) * 0.5
+    if n > 2 * m:
+        even[:m, m] = even[m, :m] = top[:, m] * (0.5 * np.sqrt(2.0))
+        even[m, m] = A[m, m]
+    w = np.concatenate([np.linalg.eigvalsh((left - right) * 0.5), np.linalg.eigvalsh(even)])
+    w.sort()
+    return w
+
+
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("endpoints", [True, False])
 def test_split_spectra_keep_the_scaling_flags(family, endpoints):
-    # the default eigen-scaling grid up to n = 300: every split eigenvalue
+    # the default eigen-scaling grid up to n = 300: the streamed split of
+    # k(X, X) bitwise the split of the whole matrix; every split eigenvalue
     # within the precision floor of the full solve's, and the same flag on
     # lambda_min, the one eigen-scaling reports (an eigenvalue at the floor
     # itself, as lambda_2 of k* for matern-quadratic at n = 10 is, can be
@@ -273,6 +291,8 @@ def test_split_spectra_keep_the_scaling_flags(family, endpoints):
     spec = KernelSpec(family, dim=1)
     for n in [n for n in sample_grid(10, 1000, 30) if n <= 300]:
         X = equispaced(n, 0.0, 1.0, include_endpoints=endpoints)
+        split = centrosymmetric_eigvalsh(functools.partial(gram, spec, X))
+        assert split.tobytes() == _split_of_the_whole_matrix(gram(spec, X)).tobytes()
         for build in (functools.partial(gram, spec, X), functools.partial(conv_gram, spec, X)):
             full, split = np.linalg.eigvalsh(build()), centrosymmetric_eigvalsh(build)
             assert np.max(np.abs(split - full)) <= precision_floor(full)
@@ -286,9 +306,9 @@ def _count_builds(monkeypatch):
     def counted_split(build):
         calls = []
 
-        def counted():
+        def counted(**kwargs):
             calls.append(None)
-            return build()
+            return build(**kwargs)
 
         w = split(counted)
         builds.append(len(calls))
@@ -330,8 +350,7 @@ def test_scaling_samples_hold_one_matrix_at_a_time(monkeypatch):
     # each matrix is dead before the next is built: nothing n x n is alive
     # when the split, gram or conv_gram starts (keeping k(X, X) through
     # conv_gram raised the scaling benchmark's peak RSS by 8 MB).  At
-    # n = 1000 a 512 KB row block of scratch is 0.065 of a matrix; at
-    # n = 600 it is 0.18, and gram alone peaks at 1.23 matrices
+    # n = 1000 a 512 KB pair of row blocks is 0.065 of a matrix
     n = 1000
     live = {}
 
@@ -356,8 +375,11 @@ def test_scaling_samples_hold_one_matrix_at_a_time(monkeypatch):
     assert max(live["gram"] + live["conv_gram"]) < 0.5 * matrix
     assert len(live["centrosymmetric_eigvalsh"]) == 2
     assert max(live["centrosymmetric_eigvalsh"]) < 0.5 * matrix
-    # every stage holds one matrix and row blocks: gram writes its profile
-    # over its distances, conv_gram overwrites W W^T, and the split folds
-    # its blocks into the matrix it owns (eigvalsh's copy of a block is
-    # allocated by LAPACK's wrapper, which tracemalloc does not see)
-    assert peak <= 1.15 * matrix
+    # no stage holds an n x n matrix: the split keeps the triangles of its
+    # two blocks, a quarter of a matrix, and folds the rows of each mirrored
+    # pair into them as the builders stream them, with three pairs of row
+    # blocks of scratch in conv_gram and two row blocks in the split (0.54 of a
+    # matrix in all three families; 1.15 while the split folded a whole
+    # matrix in place; eigvalsh's copy of a block is allocated by LAPACK's
+    # wrapper, which tracemalloc does not see)
+    assert peak <= 0.55 * matrix

@@ -16,6 +16,7 @@ from kernstab import (
     gauss_legendre,
     gram,
     integrate,
+    phi,
     spectral_density_1d,
 )
 from kernstab.experiments import ExperimentConfig, run
@@ -25,7 +26,9 @@ from kernstab.quadrature import (
     FOURIER_CORE,
     ORDER,
     OUTER_PHASE,
+    PANELS_PER_UNIT,
     _fourier_zones,
+    _segments,
     panel_grid,
 )
 
@@ -102,6 +105,29 @@ def test_integrate_kink_declaration_matters():
     assert abs(declared - 1.01) <= 1e-15
     assert abs(undeclared - 1.01) > 1e-12
     assert abs(undeclared - 1.01) < 1e-2
+
+
+def _integrate_piece_by_piece(f, a, b, kinks=()):
+    # the integrand called once per piece between kinks: the bitwise
+    # oracle of integrate, which calls it once on every node
+    panel_sums = []
+    for lo, hi in _segments(a, b, kinks):
+        panels = max(1, math.ceil((hi - lo) * PANELS_PER_UNIT))
+        y, w = panel_grid(np.linspace(lo, hi, panels + 1), ORDER)
+        panel_sums.append((w * f(y)).reshape(panels, ORDER).sum(axis=1))
+    return float(np.sum(np.concatenate(panel_sums)))
+
+
+@pytest.mark.parametrize("kinks", [(), (0.1,), (0.25, 0.7), (0.7, 0.7), (0.5, 0.5, 0.95)])
+def test_integrate_is_bitwise_the_piece_by_piece_sum(kinks):
+    def f(y):
+        return np.exp(-np.abs(y - 0.3)) * (1.0 + np.abs(y - 0.7))
+
+    assert integrate(f, -0.2, 1.3, kinks=kinks) == _integrate_piece_by_piece(f, -0.2, 1.3, kinks)
+    x, z = 0.1, 0.85
+    assert conv_value(LINEAR, x, z, (0.0, 1.0)) == _integrate_piece_by_piece(
+        lambda y: phi(LINEAR, np.abs(x - y)) * phi(LINEAR, np.abs(y - z)), 0.0, 1.0, (x, z)
+    )
 
 
 def test_integrate_rejects_empty_interval():

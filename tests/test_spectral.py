@@ -24,7 +24,8 @@ from kernstab import (
     whiten,
     whitened_spectrum,
 )
-from kernstab import spectral
+from kernstab import assembly, spectral
+from kernstab.assembly import _mirrored_pairs
 from kernstab.spectral import _inverse_cholesky, _leaves, _norm_1
 
 
@@ -55,6 +56,15 @@ def test_reference_gram_eigenvalues():
 def test_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("where", [(0, 1), (1, 0)])
+def test_nan_off_the_diagonal_is_not_symmetric(where):
+    # eigh reads one triangle, so a NaN in the other would go unseen
+    A = np.eye(4)
+    A[where] = np.nan
+    with pytest.raises(ValueError, match="not symmetric to 1e-12 relative"):
+        sym_eigen(A)
 
 
 def test_symmetry_tolerance_is_1e_12_relative():
@@ -445,37 +455,83 @@ def _reflective(rng, n):
     return R + R[::-1, ::-1]
 
 
+def _builder(A, built=None):
+    """A builder of A as gram and conv_gram are: ``build()`` returns a copy,
+    and ``build(out=sink)`` writes A's rows into the sink in mirrored pairs;
+    the sizes of the calls go to ``built``."""
+
+    def build(out=None):
+        if built is not None:
+            built.append(len(A))
+        if out is None:
+            return A.copy()
+        for pair in _mirrored_pairs(len(A)):
+            for start, stop in pair:
+                out[start:stop] = A[start:stop]
+        return out
+
+    return build
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 40, 41, 300, 301])
 def test_centrosymmetric_split_is_the_spectrum(n, monkeypatch):
     A = _reflective(np.random.default_rng(n), n)
     kept = A.copy()
     full = np.linalg.eigvalsh(A)
     sizes = _counted_eigvalsh(monkeypatch)
-    # the split overwrites what its builder returns: give it copies
-    w = centrosymmetric_eigvalsh(A.copy)
+    # the split reads the rows it is given and writes none of them
+    w = centrosymmetric_eigvalsh(_builder(A))
     assert sizes == [n // 2, n - n // 2]
     assert np.all(np.diff(w) >= 0)
     assert np.max(np.abs(w - full)) <= precision_floor(full)
     np.testing.assert_array_equal(A, kept)
 
 
+@pytest.mark.parametrize("n", [2, 3, 40, 41, 300, 301])
+def test_split_does_not_depend_on_the_row_blocks(n, monkeypatch):
+    # one row, seven rows and the default height per block: the same bits
+    A = _reflective(np.random.default_rng(n), n)
+    expected = centrosymmetric_eigvalsh(_builder(A))
+    for entries in [1, 14 * n]:
+        monkeypatch.setattr(assembly, "_BLOCK_ENTRIES", entries)
+        assert centrosymmetric_eigvalsh(_builder(A)).tobytes() == expected.tobytes()
+
+
+def test_rows_out_of_mirrored_pairs_are_rejected():
+    A = _reflective(np.random.default_rng(2), 6)
+
+    def build(out=None):
+        for start, stop in [(0, 2), (2, 4), (4, 6)]:
+            out[start:stop] = A[start:stop]
+
+    with pytest.raises(ValueError, match="mirrored pairs"):
+        centrosymmetric_eigvalsh(build)
+
+
 def _bitwise_eigvalsh(A, monkeypatch, sizes, builds=1):
     expected = np.linalg.eigvalsh(A)
     solves, built = _counted_eigvalsh(monkeypatch), []
-
-    def build():
-        built.append(len(A))
-        return A.copy()
-
-    w = centrosymmetric_eigvalsh(build)
+    w = centrosymmetric_eigvalsh(_builder(A, built))
     assert solves == sizes
     assert len(built) == builds
     assert w.tobytes() == expected.tobytes()
 
 
 def test_non_reflective_input_is_eigvalsh_before_any_split(monkeypatch):
+    # its first pair of row blocks is not centrosymmetric: its rows are kept
+    # whole from the one build
     F = np.random.default_rng(5).standard_normal((300, 300))
     _bitwise_eigvalsh(F @ F.T, monkeypatch, [300])
+
+
+def test_split_rejected_after_its_first_pair_is_built_again(monkeypatch):
+    # blocks of ten rows: the first pair, rows 0 to 9 and 290 to 299, is
+    # centrosymmetric and row 100 is not, so the split is rejected once every
+    # row has arrived, before any solve
+    monkeypatch.setattr(assembly, "_BLOCK_ENTRIES", 2 * 10 * 300)
+    A = _reflective(np.random.default_rng(6), 300)
+    A[100, 100] += 1.0
+    _bitwise_eigvalsh(A, monkeypatch, [300], builds=2)
 
 
 @pytest.mark.parametrize("n", [40, 41])
@@ -489,11 +545,11 @@ def test_split_only_below_its_threshold(n, factor, split, monkeypatch):
     A[0, 0] += 2 * factor * threshold
     if split:
         sizes = _counted_eigvalsh(monkeypatch)
-        w = centrosymmetric_eigvalsh(A.copy)
+        w = centrosymmetric_eigvalsh(_builder(A))
         assert sizes == [n // 2, n - n // 2]
         assert w.tobytes() != np.linalg.eigvalsh(A).tobytes()
     else:
-        # past the pre-check, rejected after the split: built again
+        # past the pre-check, rejected after the split: built again once
         _bitwise_eigvalsh(A, monkeypatch, [n // 2, n - n // 2, n], builds=2)
 
 
@@ -504,7 +560,7 @@ def test_unsplittable_input_goes_to_eigvalsh(monkeypatch):
     A[2, 3] = A[3, 2] = np.nan
     sizes = _counted_eigvalsh(monkeypatch)
     with pytest.raises(np.linalg.LinAlgError):
-        centrosymmetric_eigvalsh(A.copy)
+        centrosymmetric_eigvalsh(_builder(A))
     assert sizes == [6]
 
 
