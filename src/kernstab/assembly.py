@@ -8,98 +8,72 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import QuadratureError
-from .geometry import _BLOCK_ENTRIES, PointSet, _squared_distance_blocks, _squared_distances
+from .geometry import PointSet, _row_blocks, _squared_distances
 from .kernels import PROFILES, KernelSpec, phi
 from .quadrature import conv_value
 
 
-def _distance_matrix(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    out = np.empty((P.shape[0], Q.shape[0]))
-    for block in _squared_distance_blocks(P, Q, out):
-        np.sqrt(block, out=block)
-    return out
-
-
-def _kernel_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    # the profile is written over the distance matrix: one n x m array
-    D = _distance_matrix(P, Q)
-    return phi(spec, D, out=D)
-
-
-def _mirrored_pairs(n: int):
-    """Row ranges ``(start, stop)`` of an n-row matrix in mirrored pairs: a
-    block ``[s, e)`` of the top ``n // 2`` rows with ``[n - e, n - s)``, top
-    down, and for odd n the middle row alone, last.  A pair holds at most
-    ``_BLOCK_ENTRIES`` entries of an n-column matrix."""
-    m, rows = n // 2, max(1, _BLOCK_ENTRIES // (2 * n))
-    for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        yield (start, stop), (n - stop, n - start)
-    if n % 2:
-        yield ((m, m + 1),)
-
-
-def _stream_rows(n: int, out, rows_into, work: int):
-    """Write an n x n matrix into ``out`` as ``out[start:stop] = rows``, in the
-    order of ``_mirrored_pairs``, and return ``out``.
+def _whole(n: int, rows_into, work: int) -> np.ndarray:
+    """The n x n matrix whose rows ``rows_into`` writes, built whole.
 
     ``rows_into(indices, dest, *scratch)`` writes the rows ``indices`` into
-    ``dest``, with ``work`` scratch arrays of its shape; it is called once per
-    pair, with the rows of both blocks, so the scratch is a few pairs of row
-    blocks, sized by the first pair, the largest.
+    ``dest``, with ``work`` scratch arrays of its shape.  It is called once
+    per row block of ``_row_blocks``, ``dest`` being the block of the
+    matrix, so the matrix is the only n x n array built; a block holds as
+    many rows as its ``work`` scratch blocks together hold at most
+    ``_BLOCK_ENTRIES`` entries.  This is the ``into`` of ``gram`` and
+    ``conv_gram`` by default.
     """
-    blocks = None
-    for pair in _mirrored_pairs(n):
-        indices = np.concatenate([np.arange(start, stop) for start, stop in pair])
-        if blocks is None:
-            blocks = np.empty((1 + work, len(indices), n))
-        dest, *scratch = blocks[:, : len(indices)]
-        rows_into(indices, dest, *scratch)
-        (start, stop), *mirror = pair
-        out[start:stop] = dest[: stop - start]
-        for low, high in mirror:
-            out[low:high] = dest[stop - start :]
+    out = np.empty((n, n))
+    blocks = _row_blocks(n, work * n)
+    scratch = np.empty((work, blocks[0][1], n))  # the first block is the tallest
+    for start, stop in blocks:
+        rows_into(np.arange(start, stop), out[start:stop], *scratch[:, : stop - start])
     return out
 
 
-def gram(spec: KernelSpec, X: PointSet, out=None) -> np.ndarray:
+def _kernel_rows(spec: KernelSpec, P: np.ndarray, Q: np.ndarray):
+    """The row function of the kernel matrix between P and Q (see
+    ``_whole``): each block of squared distances, then its square root and
+    the profile, written over the block."""
+
+    def rows_into(indices, dest, tmp):
+        _squared_distances(P[indices], Q, dest, tmp)
+        phi(spec, np.sqrt(dest, out=dest), out=dest)
+
+    return rows_into
+
+
+def gram(spec: KernelSpec, X: PointSet, into=_whole):
     """Pairwise kernel matrix on X; exactly symmetric, diagonal phi(0).
 
     Each distance is built from the coordinate differences, which change only
     sign when the two points swap and are exactly 0 for a point with itself,
     so the distance matrix, and with it the kernel matrix, is symmetric bit
-    for bit with an exact 0 diagonal; no mirroring pass is needed.  The
-    profile is written over the distance matrix, so the result is the only
-    n x n array built.
+    for bit with an exact 0 diagonal; no mirroring pass is needed.  Every
+    entry is bitwise the same whichever rows are built with it.
 
-    With ``out``, no n x n array is built: the rows are written as
-    ``out[start:stop] = rows`` in the mirrored pairs of ``_mirrored_pairs``,
-    from pairs of row blocks of scratch (``_stream_rows``), and ``out`` is
-    returned.  Every entry is bitwise the one of the whole matrix.
+    Returns ``into(n, rows_into, 1)`` for the row function ``rows_into``
+    of the matrix (see ``_whole``), which writes the profile over its block
+    of distances: by default the matrix, built whole by row blocks, the only
+    n x n array built.  ``centrosymmetric_eigvalsh`` passes its own
+    ``into``, which asks for the rows in mirrored pairs and folds them.
     """
     if X.dim != spec.dim:
         raise ValueError(f"point set dimension {X.dim} != kernel dimension {spec.dim}")
-    if out is None:
-        return _kernel_matrix(spec, X.points, X.points)
-    P = X.points
-
-    def rows_into(indices, dest, tmp):
-        _squared_distances(P[indices], P, dest, tmp)
-        phi(spec, np.sqrt(dest, out=dest), out=dest)
-
-    return _stream_rows(len(X), out, rows_into, work=1)
+    return into(len(X), _kernel_rows(spec, X.points, X.points), 1)
 
 
 def shifted_gram(spec: KernelSpec, X: PointSet, b) -> np.ndarray:
     """Kernel matrix between the translated set X + b and X; unsymmetric for b != 0.
 
-    Built over its distance matrix, as ``gram`` is."""
+    Built whole by row blocks, as ``gram`` is."""
     if X.dim != spec.dim:
         raise ValueError(f"point set dimension {X.dim} != kernel dimension {spec.dim}")
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if b.shape != (X.dim,):
         raise ValueError(f"shift vector must have dimension {X.dim}")
-    return _kernel_matrix(spec, X.points + b, X.points)
+    return _whole(len(X), _kernel_rows(spec, X.points + b, X.points), 1)
 
 
 def _symmetrize(B: np.ndarray) -> np.ndarray:
@@ -111,10 +85,9 @@ def _symmetrize(B: np.ndarray) -> np.ndarray:
     exactly.  The scratch is one row block, not a second n x n matrix.
     """
     n = len(B)
-    rows = max(1, _BLOCK_ENTRIES // max(1, n))
-    work = np.empty((min(rows, n), n))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+    blocks = _row_blocks(n, n)
+    work = np.empty((blocks[0][1] if blocks else 0, n))  # the first block is the tallest
+    for start, stop in blocks:
         lower, upper = B[start:stop, :stop], B[:stop, start:stop]
         pair = np.add(lower, upper.T, out=work[: stop - start, :stop])
         pair *= 0.5
@@ -193,7 +166,7 @@ def _spot_check(spec: KernelSpec, x: np.ndarray, domain, K: np.ndarray) -> float
     ]))
 
 
-def conv_gram(spec: KernelSpec, X: PointSet, out=None) -> np.ndarray:
+def conv_gram(spec: KernelSpec, X: PointSet, into=_whole):
     """Gram matrix of the domain-convolved kernel over the 1-D domain box of X.
 
     Entry (i, j) is Int_a^b k(x_i, y) k(y, x_j) dy, assembled in closed
@@ -210,12 +183,12 @@ def conv_gram(spec: KernelSpec, X: PointSet, out=None) -> np.ndarray:
     {0, n//2, n-1}^2, relative to the largest diagonal entry, which bounds
     every ``|K_ij|`` of a positive semidefinite matrix; a deviation that is
     not below ``SPOT_CHECK_TOL`` raises QuadratureError with the achieved
-    deviation.  The matrix is written row block by row block in place, so
-    it is the only n x n array built; with ``out``, none is: the rows are
-    written as ``out[start:stop] = rows`` in the mirrored pairs of
-    ``_mirrored_pairs``, from pairs of row blocks of scratch
-    (``_stream_rows``), and ``out`` is returned once the spot check has
-    passed.
+    deviation.
+
+    Returns ``into(n, rows_into, 2)`` for the row function of the matrix,
+    once the spot check has passed, as ``gram`` does: by default the
+    matrix, built whole by the row blocks of ``_whole``, the only n x n
+    array built.
     """
     if X.dim != 1 or spec.dim != 1:
         raise ValueError("convolution Gram matrices are 1-D only")
@@ -230,17 +203,7 @@ def conv_gram(spec: KernelSpec, X: PointSet, out=None) -> np.ndarray:
         _conv_rows(profile.Q, t, Wt, indices, dest, work)
         diagonal.append(np.max(dest[np.arange(len(indices)), indices]))
 
-    if out is None:
-        out = np.empty((n, n))
-        # at most an eighth of the matrix from n = 16 on, so that for small
-        # n too the two scratch blocks are a small part of it
-        rows = max(1, min(_BLOCK_ENTRIES // max(1, 2 * n), n // 16))
-        work = np.empty((2, min(rows, n), n))
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            rows_into(np.arange(start, stop), out[start:stop], *work[:, : stop - start])
-    else:
-        _stream_rows(n, out, rows_into, work=2)
+    built = into(n, rows_into, 2)
     # the spot rows again, bitwise those of the matrix
     idx = np.array(sorted({0, n // 2, n - 1}))
     spot = np.empty((len(idx), n))
@@ -255,4 +218,4 @@ def conv_gram(spec: KernelSpec, X: PointSet, out=None) -> np.ndarray:
             achieved=float(achieved),
             target=SPOT_CHECK_TOL,
         )
-    return out
+    return built

@@ -321,8 +321,8 @@ def _scaling_samples(cfg: ExperimentConfig, spec: KernelSpec) -> tuple:
         X = _make_points(cfg, n)
         q = X.separation
         # the split folds each matrix's rows as they are built
-        w_sym = centrosymmetric_eigvalsh(lambda out=None: gram(spec, X, out=out))
-        w_conv = centrosymmetric_eigvalsh(lambda out=None: conv_gram(spec, X, out=out))
+        w_sym = centrosymmetric_eigvalsh(lambda into: gram(spec, X, into=into))
+        w_conv = centrosymmetric_eigvalsh(lambda into: conv_gram(spec, X, into=into))
         samples.append(
             (
                 n,

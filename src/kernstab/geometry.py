@@ -7,11 +7,19 @@ import numpy as np
 _HALTON_BASES = (2, 3, 5)
 
 
-# entries of one row block of a pass over an n x m matrix, and of its
-# scratch array (512 KB of float64 each): the distances here, the
-# symmetrization and norm of assembly and spectral, and each mirrored pair
-# of row blocks that assembly streams
+# entries of one row block of a pass over a matrix, and of each of its
+# scratch arrays (512 KB of float64 each); read only by ``_row_blocks``
 _BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(rows: int, row_entries: int) -> list[tuple[int, int]]:
+    """Ranges ``(start, stop)`` that cut ``rows`` rows of ``row_entries``
+    entries each into blocks of at most ``_BLOCK_ENTRIES`` entries, top down,
+    and at least one row each.  The first block is the tallest, so it sizes
+    any scratch of a pass.  Every row-block pass of the package takes its
+    blocks from here."""
+    height = max(1, _BLOCK_ENTRIES // max(1, row_entries))
+    return [(start, min(start + height, rows)) for start in range(0, rows, height)]
 
 
 def _add_squares(p: np.ndarray, q: np.ndarray, coords, acc: np.ndarray, tmp: np.ndarray) -> None:
@@ -45,21 +53,6 @@ def _squared_distances(p: np.ndarray, q: np.ndarray, out: np.ndarray, tmp: np.nd
         out += odd
 
 
-def _squared_distance_blocks(P: np.ndarray, Q: np.ndarray, out: np.ndarray):
-    """Fill ``out[i, j] = |P[i] - Q[j]|^2`` by row blocks, yielding each one once written.
-
-    A block holds at most ``_BLOCK_ENTRIES`` entries, and so does the
-    scratch array of ``_squared_distances``, so no ``n x m x d`` temporary is
-    built; the entries are bitwise those of the unblocked computation.
-    """
-    rows = max(1, _BLOCK_ENTRIES // max(1, Q.shape[0]))
-    tmp = np.empty((min(rows, P.shape[0]), Q.shape[0]))
-    for start in range(0, P.shape[0], rows):
-        block = out[start : start + rows]
-        _squared_distances(P[start : start + rows], Q, block, tmp[: len(block)])
-        yield block
-
-
 def _pairwise_min_distance(points: np.ndarray) -> float:
     if points.shape[1] == 1:
         # rounding is monotone, so the closest pair is adjacent once sorted
@@ -68,11 +61,11 @@ def _pairwise_min_distance(points: np.ndarray) -> float:
     # each row block against the columns from its first row on: every pair
     # once, with the block's own diagonal masked
     n = len(points)
-    rows = max(1, _BLOCK_ENTRIES // n)
-    d2_buffer, tmp = np.empty((2, min(rows, n), n))
+    blocks = _row_blocks(n, n)
+    d2_buffer, tmp = np.empty((2, blocks[0][1], n))  # the first block is the tallest
     best = np.inf
-    for start in range(0, n, rows):
-        p, q = points[start : start + rows], points[start:]
+    for start, stop in blocks:
+        p, q = points[start:stop], points[start:]
         d2 = d2_buffer[: len(p), : len(q)]
         _squared_distances(p, q, d2, tmp[: len(p), : len(q)])
         diag = np.arange(len(p))

@@ -74,8 +74,8 @@ def phi(spec: KernelSpec, r, out=None):
     one.  An array argument gives a fresh array (a 0-d one a float); ``r``
     itself is never written, unless it is passed as ``out``: a C-contiguous
     float64 array of r's shape that receives the values and is returned, as
-    ``gram`` and ``shifted_gram`` write the profile over their distance
-    matrix.  The arithmetic runs in place on the output: ``p`` of the
+    the row function of ``gram`` and ``shifted_gram`` writes the profile
+    over each row block of distances.  The arithmetic runs in place on the output: ``p`` of the
     family's ``PROFILES`` row as the ascending power sum ``p0 + p1 u +
     p2 (u u)``, times ``exp(-u)``, which is the operation order of the
     textbook expressions (``(3 + 3 u + u u) exp(-u)`` and so on), so every

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureError
-from .geometry import PointSet
+from .geometry import PointSet, _row_blocks
 from .kernels import KernelSpec, SpectralDensity, phi
 
 #: the Gauss-Legendre rule of every panelized integral: its order, and its
@@ -209,12 +209,11 @@ def _zone_sums(density: SpectralDensity, x, alpha, b: float, lo: float, hi: floa
     node_factor *= alpha[:, None]
     full = 0.0
     damped = 0.0
-    # chunks of panels keep the (panels x points) and (panels x ORDER) arrays
+    # blocks of panels keep the (panels x points) and (panels x ORDER) arrays
     # at 2^16 entries each
-    chunk = max(1, 65536 // max(len(x), ORDER))
     edges = np.linspace(lo, hi, panels + 1)
-    for start in range(0, panels, chunk):
-        e = edges[start : start + chunk + 1]
+    for start, stop in _row_blocks(panels, max(len(x), ORDER)):
+        e = edges[start : stop + 1]
         om, w = panel_grid(e, ORDER)
         mid = e[:-1] + 0.5 * (e[1:] - e[:-1])
         s = (np.exp(np.multiply.outer(1j * mid, x)) @ node_factor).ravel()

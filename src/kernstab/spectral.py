@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .assembly import _symmetrize, symmetric_part
+from .assembly import _symmetrize, _whole, symmetric_part
 from .errors import SingularMatrixError
-from .geometry import _BLOCK_ENTRIES
+from .geometry import _row_blocks
 
 #: relative spread below which whitening output is roundoff noise
 _SPD_FLOOR = 1e3 * np.finfo(float).eps
@@ -145,11 +145,10 @@ def _inverse_cholesky(A: np.ndarray) -> np.ndarray:
 
 def _norm_1(A: np.ndarray) -> float:
     """``||A||_1`` of a symmetric A, as its largest absolute row sum (its
-    infinity norm, bitwise ``np.linalg.norm(A, np.inf)``), by row blocks of
-    ``_BLOCK_ENTRIES``, so no n x n ``|A|`` is made."""
-    rows = max(1, _BLOCK_ENTRIES // max(1, len(A)))
+    infinity norm, bitwise ``np.linalg.norm(A, np.inf)``), by the row blocks
+    of ``_row_blocks``, so no n x n ``|A|`` is made."""
     maxima = [
-        np.abs(A[start : start + rows]).sum(axis=1).max() for start in range(0, len(A), rows)
+        np.abs(A[start:stop]).sum(axis=1).max() for start, stop in _row_blocks(len(A), len(A))
     ]
     return float(np.max(maxima, initial=0.0))  # np.max, so a NaN is kept
 
@@ -161,9 +160,9 @@ def whitened_spectrum(gram, shifted) -> np.ndarray:
     Both are zero-argument builders, and what they return is owned and
     overwritten: A by ``L^-1`` (``_inverse_cholesky``), B by sym(B) and then
     by the congruence.  B is built only once A has been overwritten and
-    tested, so the peak is two n x n matrices: L^-1 and B (while B is
-    built, ``shifted_gram`` writes its profile over its distance matrix),
-    then B and ``eigvalsh``'s copy of it.
+    tested, so the peak is two n x n matrices: L^-1 and B (``shifted_gram``
+    builds B by row blocks, with no n x n scratch), then B and
+    ``eigvalsh``'s copy of it.
 
     With A = L L^T and W = L^-1 A^(1/2), W W^T = L^-1 A L^-T = I, so W is
     orthogonal and C = L^-1 sym(B) L^-T = W (A^(-1/2) sym(B) A^(-1/2)) W^T
@@ -234,12 +233,14 @@ def whitened_spectrum(gram, shifted) -> np.ndarray:
     return np.linalg.eigvalsh(S)
 
 
-class _MirroredRows:
-    """The ``out`` that ``centrosymmetric_eigvalsh`` hands its builder: it takes
-    ``out[start:stop] = rows`` of a symmetric n x n A in mirrored pairs of row
-    blocks (``[s, e)`` of the top ``n // 2`` rows, then ``[n - e, n - s)``,
-    and for odd n the middle row last, as ``assembly._mirrored_pairs``
-    orders them) and folds each pair as it arrives, so A is never formed.
+def _fold_pairs(n: int, rows_into, work: int):
+    """The ``into`` that ``centrosymmetric_eigvalsh`` hands its builder: it asks
+    ``rows_into`` (see ``assembly._whole``) for the rows of a symmetric n x n
+    A in mirrored pairs of row blocks, ``[s, e)`` of the top ``n // 2`` rows
+    with ``[n - e, n - s)`` in one call, top down, and for odd n the middle
+    row alone, last, and folds each pair as it arrives, so A is never
+    formed.  It returns ``(halves, m, delta, squares)``, or A, built whole
+    by ``_whole``, when no split is to be made.
 
     With ``top = A[s:e] + (J A J)[s:e]``, twice those rows of
     ``S = (A + J A J) / 2``, its left block ``L = top[:, :m]`` and
@@ -256,79 +257,63 @@ class _MirroredRows:
     no other.  Every kept value is bitwise that of the same operations on
     the whole matrix.
 
-    Each pair adds its rows' share of ``||A - J A J||_1`` (A - J A J is
-    symmetric, so its 1-norm is its largest row sum, and rows i and n-1-i
-    hold the same magnitudes) to ``defects``, and the squares of the rows
-    of S it gives, ``||top||^2 / 2`` for rows i and n-1-i, to ``squares``.
-    If the first pair's rows are not centrosymmetric to the split's
-    threshold with their share of ``||S||_F``, as those of a point set that
-    is not its own mirror image are not, the rows are kept whole in
-    ``full`` instead, and no split is made.
+    ``delta`` is ``||A - J A J||_1 / 2``: each pair gives its rows' share
+    (A - J A J is symmetric, so its 1-norm is its largest row sum, and rows
+    i and n-1-i hold the same magnitudes).  ``squares`` is ``||S||_F^2``,
+    summed as ``||top||^2 / 2`` for rows i and n-1-i.  If the first pair's
+    rows are not centrosymmetric to the split's threshold with their share
+    of ``||S||_F``, as those of a point set that is not its own mirror image
+    are not, A is built whole instead.
     """
-
-    def __init__(self):
-        self.full = self.halves = self._pending = None
-        self.defects, self.squares = [], 0.0
-
-    def __setitem__(self, rows: slice, block: np.ndarray) -> None:
-        start, stop = rows.start, rows.stop
-        if self.full is not None:
-            self.full[start:stop] = block
-            return
-        if self._pending is None and self.halves is None:  # the first block
-            self.n, self.m = block.shape[1], block.shape[1] // 2
-            if self.n < 2:
-                self.full = np.empty((self.n, self.n))
-                self.full[start:stop] = block
-                return
-            self._top, self._sums = np.empty((2, *block.shape))
-            self._square = np.empty((len(block), len(block)))
-        n, m = self.n, self.m
-        if self._pending is None and stop <= m and stop - start <= len(self._top):
-            self._pending = (start, stop)
-            self._top[: stop - start] = block
-        elif self._pending == (n - stop, n - start):
-            self._fold(n - stop, n - start, self._top[: stop - start], block)
-            self._pending = None
-        elif self._pending is None and self.halves is not None and (start, stop) == (m, m + 1):
-            middle, total = block[0], block[0] + block[0, ::-1]
-            self.defects.append(np.sum(np.abs(middle - middle[::-1])))
-            self.squares += 0.25 * np.vdot(total, total)
-            self.halves[-1, m] = middle[m]
-        else:
-            raise ValueError("rows must arrive in mirrored pairs of row blocks")
-
-    def _fold(self, start: int, stop: int, top: np.ndarray, bottom: np.ndarray) -> None:
-        n, m, h = self.n, self.m, stop - start
-        mirror = bottom[::-1, ::-1]  # rows start:stop of J A J
-        diff = np.subtract(top, mirror, out=self._sums[:h])
-        defect = np.max(np.sum(np.abs(diff, out=diff), axis=1))
-        self.defects.append(defect)
-        total = np.add(top, mirror, out=self._sums[:h])
-        self.squares += 0.5 * np.vdot(total, total)
-        if self.halves is None:
-            # written as "not below", so a NaN also keeps the rows whole
-            if not 0.5 * defect < m * np.finfo(float).eps * np.sqrt(self.squares):
-                self.full = np.empty((n, n))
-                self.full[start:stop], self.full[n - stop : n - start] = top, bottom
-                self._top = self._sums = self._square = None
-                return
-            self.halves = np.empty((n - m + 1, n - m))
-            self._upper = ~np.tri(len(top), k=-1, dtype=bool)
-        H = self.halves
+    m, k = n // 2, n - n // 2
+    if not m:
+        return _whole(n, rows_into, work)
+    # halves before the row-block scratch: at n = 1000 it is the size of
+    # eigvalsh's workspace, which sits at glibc's dynamic mmap threshold, and
+    # allocated after the scratch, at the first fold, it raised the
+    # eigen-scaling peak RSS from 37.5 to 39.2-39.4 MB
+    halves = np.empty((k + 1, k))
+    pairs = _row_blocks(m, 2 * n)
+    tallest = pairs[0][1]  # the first block is the tallest
+    blocks = np.empty((1 + work, 2 * tallest, n))
+    sums, square = np.empty((tallest, n)), np.empty((tallest, tallest))
+    upper = ~np.tri(tallest, k=-1, dtype=bool)
+    defects, squares = [], 0.0
+    for start, stop in pairs:
+        h = stop - start
+        dest, *scratch = blocks[:, : 2 * h]
+        rows_into(np.r_[start:stop, n - stop : n - start], dest, *scratch)
+        top, mirror = dest[:h], dest[h:][::-1, ::-1]  # rows start:stop of A and of J A J
+        diff = np.subtract(top, mirror, out=sums[:h])
+        defects.append(np.max(np.sum(np.abs(diff, out=diff), axis=1)))
+        total = np.add(top, mirror, out=sums[:h])
+        squares += 0.5 * np.vdot(total, total)
+        # the first pair decides; written as "not below", so a NaN also
+        # builds A whole
+        if not start and not 0.5 * defects[0] < m * np.finfo(float).eps * np.sqrt(squares):
+            halves = blocks = sums = None
+            return _whole(n, rows_into, work)
         left, right = total[:, :m], total[:, ::-1][:, :m]
         # the even rows, left of the block's stop, over the lower triangle
         # of halves[1:]; that writes over odd entries in the block's columns,
         # which the odd rows then write again
-        even = np.add(left[:, :stop], right[:, :stop], out=H[start + 1 : stop + 1, :stop])
+        even = np.add(left[:, :stop], right[:, :stop], out=halves[start + 1 : stop + 1, :stop])
         even *= 0.5
-        square = np.subtract(left[:, start:stop], right[:, start:stop], out=self._square[:h, :h])
-        square *= 0.5
-        np.copyto(H[start:stop, start:stop], square, where=self._upper[:h, :h])
-        odd = np.subtract(left[:, stop:], right[:, stop:], out=H[start:stop, stop:m])
+        diagonal = np.subtract(left[:, start:stop], right[:, start:stop], out=square[:h, :h])
+        diagonal *= 0.5
+        np.copyto(halves[start:stop, start:stop], diagonal, where=upper[:h, :h])
+        odd = np.subtract(left[:, stop:], right[:, stop:], out=halves[start:stop, stop:m])
         odd *= 0.5
-        if n > 2 * m:
-            np.multiply(total[:, m], 0.5 * np.sqrt(2.0), out=H[-1, start:stop])
+        if k > m:
+            np.multiply(total[:, m], 0.5 * np.sqrt(2.0), out=halves[-1, start:stop])
+    if k > m:
+        dest, *scratch = blocks[:, :1]
+        rows_into(np.array([m]), dest, *scratch)
+        middle, total = dest[0], dest[0] + dest[0, ::-1]
+        defects.append(np.sum(np.abs(middle - middle[::-1])))
+        squares += 0.25 * np.vdot(total, total)
+        halves[-1, m] = middle[m]
+    return halves, m, 0.5 * float(np.max(defects)), squares  # np.max, so a NaN is kept
 
 
 def centrosymmetric_eigvalsh(build) -> np.ndarray:
@@ -336,12 +321,12 @@ def centrosymmetric_eigvalsh(build) -> np.ndarray:
     matrix J (``J A J = A[::-1, ::-1] = A``), from two half-size ``eigvalsh``.
 
     ``build`` is a builder of A as ``gram`` and ``conv_gram`` are, bound to
-    its arguments: ``build()`` returns A, and ``build(out=sink)`` writes its
-    rows as ``sink[start:stop] = rows`` in the mirrored pairs of
-    ``assembly._mirrored_pairs``.  The split calls the latter, and the sink
-    (``_MirroredRows``) folds each pair of row blocks into the two blocks as
-    it arrives.  It keeps only their lower triangles, in one ``(k + 1) x k``
-    array, k = n - n // 2: ``eigvalsh`` with its default ``UPLO='L'`` reads
+    its arguments: ``build(into=into)`` returns ``into(n, rows_into, work)``
+    for the row function ``rows_into`` of A (see ``assembly._whole``).  The
+    split passes ``_fold_pairs``, which asks for A's rows in mirrored pairs
+    of row blocks and folds each pair into the two blocks as it arrives.
+    It keeps only their lower triangles, in one ``(k + 1) x k`` array,
+    k = n - n // 2: ``eigvalsh`` with its default ``UPLO='L'`` reads
     nothing else, so the even block's triangle fills the lower triangle of
     the array's last k rows and the odd block's, transposed, the upper
     triangle of its first m rows, and neither solve reads the other's
@@ -372,32 +357,30 @@ def centrosymmetric_eigvalsh(build) -> np.ndarray:
     reduction.  A matrix whose delta is not below the threshold with
     ||S||_F >= lambda_max(S) in place of the split's lambda_max is rejected
     before any eigensolve, as the test after the split would reject it.
-    If its first pair of row blocks already fails that test,
-    as for a point set that is not its own mirror image, its rows are kept
-    whole as they arrive, and it gets ``np.linalg.eigvalsh(A)`` from that
-    one build; otherwise, and for a matrix rejected after the split, the
-    folded blocks are freed and A is built again for
-    ``np.linalg.eigvalsh(build())``.  A rejected matrix gets those
-    eigenvalues bit for bit.
+    If its first pair of row blocks already fails that test, as for a point
+    set that is not its own mirror image, ``_fold_pairs`` builds A whole in
+    that same build, and it gets ``np.linalg.eigvalsh(A)``; otherwise, and
+    for a matrix rejected after the split, the folded blocks are freed and A
+    is built again for ``np.linalg.eigvalsh(build(into=_whole))``.  A
+    rejected matrix gets those eigenvalues bit for bit.
     """
-    sink = _MirroredRows()
-    build(out=sink)
-    if sink.full is not None:
-        return np.linalg.eigvalsh(sink.full)
-    n, m, halves = sink.n, sink.m, sink.halves
-    delta = 0.5 * float(np.max(sink.defects))  # np.max, so a NaN is kept
+    folded = build(into=_fold_pairs)
+    if isinstance(folded, np.ndarray):  # built whole: no split
+        return np.linalg.eigvalsh(folded)
+    halves, m, delta, squares = folded
+    del folded
+    n = m + halves.shape[1]
     # written as "not below", so a NaN also falls back
-    if not delta < m * np.finfo(float).eps * np.sqrt(sink.squares):
-        sink = halves = None
-        return np.linalg.eigvalsh(build())
-    sink = None
+    if not delta < m * np.finfo(float).eps * np.sqrt(squares):
+        halves = None
+        return np.linalg.eigvalsh(build(into=_whole))
     # the reflection-odd half, then the even
     odd = np.linalg.eigvalsh(halves[:m, :m].T)
     w = np.concatenate([odd, np.linalg.eigvalsh(halves[1:])])
     del halves
     w.sort()
     if not delta < m / n * precision_floor(w):
-        return np.linalg.eigvalsh(build())
+        return np.linalg.eigvalsh(build(into=_whole))
     return w
 
 

@@ -23,8 +23,8 @@ from kernstab import (
     symmetric_part,
 )
 import oracle
-from kernstab import assembly, cli
-from kernstab.assembly import _distance_matrix, _mirrored_pairs, _tail_factor
+from kernstab import assembly, cli, geometry, spectral
+from kernstab.assembly import _kernel_rows, _tail_factor
 from kernstab.geometry import PointSet
 from kernstab.kernels import PROFILES
 from kernstab.quadrature import ORDER, PANELS_PER_UNIT, _segments, panel_grid
@@ -59,14 +59,20 @@ def test_gram_two_dimensional_distance():
     assert A[0, 1] == A[1, 0] == pytest.approx(6.0 * math.exp(-5.0), rel=1e-15)
 
 
+def _kernel_matrix(spec, P, Q):
+    # the rows of the kernel matrix between P and Q, by gram's row function
+    # in one block
+    out, tmp = np.empty((2, len(P), len(Q)))
+    _kernel_rows(spec, P, Q)(np.arange(len(P)), out, tmp)
+    return out
+
+
 def test_kernel_values_symmetric_in_their_arguments():
     rng = np.random.default_rng(101)
     P, Q = rng.uniform(-2, 2, (250, 3)), rng.uniform(-2, 2, (250, 3))
     for family in Family:
         spec = KernelSpec(family, dim=3)
-        np.testing.assert_array_equal(
-            phi(spec, _distance_matrix(P, Q)), phi(spec, _distance_matrix(Q, P)).T
-        )
+        np.testing.assert_array_equal(_kernel_matrix(spec, P, Q), _kernel_matrix(spec, Q, P).T)
 
 
 def test_gram_reference_eigenvalue():
@@ -84,7 +90,7 @@ def test_gram_exactly_symmetric():
 def _gram_triu_mirror(spec, X):
     # the upper triangle mirrored, with phi(0) on the diagonal: the bitwise
     # oracle for gram's claim that its distances need no mirroring
-    vals = phi(spec, _distance_matrix(X.points, X.points))
+    vals = _kernel_matrix(spec, X.points, X.points)
     upper = np.triu(vals, 1)
     A = upper + upper.T
     np.fill_diagonal(A, phi(spec, 0.0))
@@ -154,19 +160,23 @@ def test_shifted_gram_values():
 
 
 @pytest.mark.parametrize("n, m, dim", [(300, 200, 1), (1200, 900, 2), (1200, 1000, 3)])
-def test_distance_matrix_bitwise_equals_einsum_reference(n, m, dim):
-    # row-blocked assembly keeps the per-entry formula of the unblocked one
-    rng = np.random.default_rng(dim)
-    P = rng.uniform(size=(n, dim))
-    Q = rng.uniform(size=(m, dim))
-    diff = P[:, None, :] - Q[None, :, :]
+def test_distance_matrix_bitwise_equals_einsum_reference(n, m, dim, monkeypatch):
+    # row-blocked assembly keeps the per-entry formula of the unblocked one:
+    # with the profile made the identity, gram on n random points (two or
+    # more row blocks) and shifted_gram on m Halton points return their
+    # distances
+    monkeypatch.setattr(assembly, "phi", lambda spec, r, out: r)
+    spec = KernelSpec(Family.MATERN_BASIC, dim=dim)
+    P = np.random.default_rng(dim).uniform(size=(n, dim))
+    X = PointSet(P, np.array([[0.0, 1.0]] * dim))
+    diff = P[:, None, :] - P[None, :, :]
     expected = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    assert _distance_matrix(P, Q).tobytes() == expected.tobytes()
-    X = halton(n, dim)
+    assert gram(spec, X).tobytes() == expected.tobytes()
+    X = halton(m, dim)
     b = np.full(dim, 0.1 * X.separation)
     diff = (X.points + b)[:, None, :] - X.points[None, :, :]
     expected = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    assert _distance_matrix(X.points + b, X.points).tobytes() == expected.tobytes()
+    assert shifted_gram(spec, X, b).tobytes() == expected.tobytes()
 
 
 def _einsum_distances(P, Q):
@@ -336,13 +346,26 @@ def test_conv_closed_form_is_bitwise_its_expression(family, scale, points):
 
 
 class _RecordedRows:
-    # an ``out=`` that keeps the row blocks it is given, in their order
-    def __init__(self, n):
-        self.matrix, self.blocks = np.full((n, n), np.nan), []
+    # an ``into`` that hands the row function on to ``inner`` and keeps the
+    # indices asked for and the rows written, in their order, and what
+    # ``inner`` returned
+    def __init__(self, inner):
+        self.inner, self.indices, self.rows = inner, [], []
 
-    def __setitem__(self, rows, block):
-        self.blocks.append((rows.start, rows.stop))
-        self.matrix[rows] = block
+    def __call__(self, n, rows_into, work):
+        def recorded(indices, dest, *scratch):
+            rows_into(indices, dest, *scratch)
+            self.indices.append(indices.copy())
+            self.rows.append(dest.copy())
+
+        self.returned = self.inner(n, recorded, work)
+        return self.returned
+
+    def assert_rows_of(self, K):
+        # every row asked for is bitwise K's, and every row is asked for
+        for indices, rows in zip(self.indices, self.rows):
+            assert rows.tobytes() == K[indices].tobytes()
+        assert set(np.concatenate(self.indices)) == set(range(len(K)))
 
 
 @pytest.mark.parametrize("builder", [gram, conv_gram], ids=["gram", "conv_gram"])
@@ -350,41 +373,43 @@ class _RecordedRows:
 @pytest.mark.parametrize("endpoints", [True, False])
 @pytest.mark.parametrize("n", [2, 3, 599, 600])
 def test_streamed_rows_are_the_matrix_for_any_row_blocks(builder, family, endpoints, n, monkeypatch):
-    # the rows in mirrored pairs of one row, of seven and of the default
-    # height, against the matrix built whole: bitwise the same, and that
-    # matrix exactly symmetric (conv_gram has no symmetrizing pass)
+    # the rows the split asks for in mirrored pairs of one row, of seven and
+    # of the default height, against the matrix built whole: bitwise the
+    # same, and that matrix exactly symmetric (conv_gram has no
+    # symmetrizing pass)
     spec = KernelSpec(family, dim=1)
     X = equispaced(n, 0, 1, include_endpoints=endpoints)
     K = builder(spec, X)
     assert K.tobytes() == K.T.copy().tobytes()
-    for entries in [1, 14 * n, assembly._BLOCK_ENTRIES]:
-        monkeypatch.setattr(assembly, "_BLOCK_ENTRIES", entries)
-        out = _RecordedRows(n)
-        assert builder(spec, X, out=out) is out
-        assert out.blocks == [block for pair in _mirrored_pairs(n) for block in pair]
-        assert out.matrix.tobytes() == K.tobytes()
+    for entries in [1, 14 * n, geometry._BLOCK_ENTRIES]:
+        monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", entries)
+        into = _RecordedRows(spectral._fold_pairs)
+        assert builder(spec, X, into=into) is into.returned
+        into.assert_rows_of(K)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_streamed_gram_is_the_matrix_in_higher_dimensions(dim):
     # the squared distances of two and three coordinates use gram's second
-    # scratch block
+    # scratch block; Halton points are not their own mirror image, so the
+    # split asks for the first pair and then for the whole matrix
     spec = KernelSpec(Family.MATERN_QUADRATIC, dim=dim)
     X = halton(301, dim)
-    out = np.full((301, 301), np.nan)
-    assert gram(spec, X, out=out) is out
-    assert out.tobytes() == gram(spec, X).tobytes()
+    into = _RecordedRows(spectral._fold_pairs)
+    assert gram(spec, X, into=into) is into.returned
+    assert into.returned.tobytes() == gram(spec, X).tobytes()
+    into.assert_rows_of(into.returned)
 
 
-def test_mirrored_pairs_pair_every_row_once():
-    for n in [1, 2, 3, 16, 17, 600, 601]:
-        pairs = list(_mirrored_pairs(n))
-        rows = [i for pair in pairs for start, stop in pair for i in range(start, stop)]
-        assert sorted(rows) == list(range(n))
-        if n % 2:
-            assert pairs.pop() == ((n // 2, n // 2 + 1),)
-        for (start, stop), (low, high) in pairs:
-            assert (low, high) == (n - stop, n - start) and stop <= n // 2
+def test_whole_conv_gram_takes_row_blocks_of_the_entry_budget():
+    # a whole conv_gram asks for blocks of _BLOCK_ENTRIES // (2 n) rows, as
+    # _whole sizes them beside two scratch blocks: thm41's default n = 20 is
+    # one call of the row function, not one per row
+    for n, calls in [(20, 1), (1000, 32)]:
+        into = _RecordedRows(assembly._whole)
+        K = conv_gram(LINEAR, equispaced(n, 0, 1), into=into)
+        assert len(into.indices) == calls
+        into.assert_rows_of(K)
 
 
 @pytest.mark.parametrize("family", ["matern-basic", "matern-linear", "matern-quadratic"])
@@ -482,11 +507,11 @@ def test_conv_gram_reports_quadrature_failure(monkeypatch, tmp_path, capsys):
     exact = assembly.conv_value
     monkeypatch.chdir(tmp_path)
     for nan_calls in [(), (1,), (4,), range(1, 7)]:
-        # built whole, and streamed into out= as eigen-scaling builds it
-        for out in [None, np.empty((3, 3))]:
+        # built whole, and folded in mirrored pairs as eigen-scaling builds it
+        for into in [assembly._whole, spectral._fold_pairs]:
             monkeypatch.setattr(assembly, "conv_value", _wrong_conv_value(exact, nan_calls))
             with pytest.raises(QuadratureError) as info:
-                conv_gram(BASIC, equispaced(3, 0, 1), out=out)
+                conv_gram(BASIC, equispaced(3, 0, 1), into=into)
             assert info.value.achieved is not None
             if nan_calls:
                 assert math.isnan(info.value.achieved)

@@ -82,7 +82,10 @@ print(json.dumps(
 # n x n matrix was formed (the builders stream mirrored pairs of row blocks
 # and the split keeps the lower triangles of its two half blocks, about
 # half an n x n matrix with eigvalsh's copy); its RSS budget, 46 MB
-# before, leaves 1.8 MB of room over that
+# before, leaves 1.8 MB of room over that.  Once the split asked the
+# builders' row functions for the mirrored pairs itself, it read 37.35 to
+# 37.45 MB at 1 BLAS thread and 37.5 to 37.65 MB at 2, against 37.45 to
+# 37.6 and 37.4 to 37.5 MB before, in alternating runs; no budget changed
 HEATMAP_1000 = ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "1000")
 BUDGETS = {
     HEATMAP_1000: (5, 100),

@@ -248,3 +248,29 @@ def test_profiles_is_the_only_table_keyed_by_family():
                 if any(_is_family_member(key) for key in node.value.keys):
                     found += [f"{name}:{ast.unparse(t)}" for t in targets]
     assert found == ["kernels.py:PROFILES"]
+
+
+def _block_budget_reads(node, where: str) -> set:
+    """The functions under ``node`` that read ``_BLOCK_ENTRIES``, as a name,
+    an attribute or an import, with ``where`` for reads outside any."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    found = set()
+    if (
+        isinstance(node, ast.Name) and node.id == "_BLOCK_ENTRIES" and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and node.attr == "_BLOCK_ENTRIES"
+        or isinstance(node, ast.alias) and node.name == "_BLOCK_ENTRIES"
+    ):
+        found.add(where)
+    for child in ast.iter_child_nodes(node):
+        found |= _block_budget_reads(child, where)
+    return found
+
+
+def test_only_row_blocks_reads_the_block_budget():
+    # one rule for the height of every row block, so each pass's blocks are
+    # those of geometry._row_blocks
+    found = []
+    for name, tree in _package_trees():
+        found += [f"{name}:{where}" for where in _block_budget_reads(tree, "<module>")]
+    assert sorted(found) == ["geometry.py:_row_blocks"]

@@ -24,8 +24,7 @@ from kernstab import (
     whiten,
     whitened_spectrum,
 )
-from kernstab import assembly, spectral
-from kernstab.assembly import _mirrored_pairs
+from kernstab import geometry, spectral
 from kernstab.spectral import _inverse_cholesky, _leaves, _norm_1
 
 
@@ -455,20 +454,21 @@ def _reflective(rng, n):
     return R + R[::-1, ::-1]
 
 
-def _builder(A, built=None):
-    """A builder of A as gram and conv_gram are: ``build()`` returns a copy,
-    and ``build(out=sink)`` writes A's rows into the sink in mirrored pairs;
-    the sizes of the calls go to ``built``."""
+def _builder(A, built=None, asked=None):
+    """A builder of A as gram and conv_gram are: ``build(into)`` returns
+    ``into(n, rows_into, 0)`` for a row function that copies A's rows; the
+    sizes of the calls go to ``built``, and the indices each call of the
+    row function is asked for to ``asked``."""
 
-    def build(out=None):
+    def rows_into(indices, dest):
+        if asked is not None:
+            asked.append(indices.tolist())
+        dest[...] = A[indices]
+
+    def build(into):
         if built is not None:
             built.append(len(A))
-        if out is None:
-            return A.copy()
-        for pair in _mirrored_pairs(len(A)):
-            for start, stop in pair:
-                out[start:stop] = A[start:stop]
-        return out
+        return into(len(A), rows_into, 0)
 
     return build
 
@@ -493,19 +493,25 @@ def test_split_does_not_depend_on_the_row_blocks(n, monkeypatch):
     A = _reflective(np.random.default_rng(n), n)
     expected = centrosymmetric_eigvalsh(_builder(A))
     for entries in [1, 14 * n]:
-        monkeypatch.setattr(assembly, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", entries)
         assert centrosymmetric_eigvalsh(_builder(A)).tobytes() == expected.tobytes()
 
 
-def test_rows_out_of_mirrored_pairs_are_rejected():
-    A = _reflective(np.random.default_rng(2), 6)
-
-    def build(out=None):
-        for start, stop in [(0, 2), (2, 4), (4, 6)]:
-            out[start:stop] = A[start:stop]
-
-    with pytest.raises(ValueError, match="mirrored pairs"):
-        centrosymmetric_eigvalsh(build)
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 600, 601])
+def test_split_asks_for_every_row_once_in_mirrored_pairs(n):
+    # a block of the top half with its mirror image in one call, top down,
+    # and for odd n the middle row alone, last
+    asked = []
+    centrosymmetric_eigvalsh(_builder(_reflective(np.random.default_rng(n), n), asked=asked))
+    assert sorted(i for rows in asked for i in rows) == list(range(n))
+    if n % 2:
+        assert asked.pop() == [n // 2]
+    tops = []
+    for rows in asked:
+        top, bottom = rows[: len(rows) // 2], rows[len(rows) // 2 :]
+        assert bottom == [n - 1 - i for i in reversed(top)]
+        tops += top
+    assert tops == list(range(n // 2))
 
 
 def _bitwise_eigvalsh(A, monkeypatch, sizes, builds=1):
@@ -528,7 +534,7 @@ def test_split_rejected_after_its_first_pair_is_built_again(monkeypatch):
     # blocks of ten rows: the first pair, rows 0 to 9 and 290 to 299, is
     # centrosymmetric and row 100 is not, so the split is rejected once every
     # row has arrived, before any solve
-    monkeypatch.setattr(assembly, "_BLOCK_ENTRIES", 2 * 10 * 300)
+    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 2 * 10 * 300)
     A = _reflective(np.random.default_rng(6), 300)
     A[100, 100] += 1.0
     _bitwise_eigvalsh(A, monkeypatch, [300], builds=2)
