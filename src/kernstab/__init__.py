@@ -3,10 +3,8 @@
 from ._version import __version__
 from .analysis import (
     BoundCheck,
-    CONV_BOUND_CONSTANTS,
     EquivalenceResult,
     FittedLaw,
-    SYMMETRIC_BOUND_CONSTANTS,
     cond_upper_bound,
     conv_lower_bound,
     conv_lower_bound_from_sym,

@@ -16,21 +16,11 @@ import numpy as np
 
 from .assembly import conv_gram, gram, shifted_gram, symmetric_part
 from .geometry import PointSet, boundary_distance
-from .kernels import Family, KernelSpec, SpectralDensity
+from .kernels import PROFILES, KernelSpec, SpectralDensity
 from .quadrature import FOURIER_CUTOFF, fourier_quadratic_form
 from .spectral import precision_floor, whitened_spectrum
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-#: constants fitted once against the dashed reference curves (d = 1)
-SYMMETRIC_BOUND_CONSTANTS = {
-    (Family.MATERN_BASIC, 1): 0.4,
-    (Family.MATERN_LINEAR, 1): 0.16,
-}
-CONV_BOUND_CONSTANTS = {
-    (Family.MATERN_BASIC, 1): 0.24,
-    (Family.MATERN_LINEAR, 1): 0.0896,
-}
 
 
 @dataclass(frozen=True)
@@ -174,7 +164,7 @@ def verify_damping_bound(
         )
     spec = density.kernel
     if density.tau > 1 and c_min is None:
-        c_min = SYMMETRIC_BOUND_CONSTANTS.get((spec.family, X.dim))
+        c_min = PROFILES[spec.family].c_sym
         if c_min is None:
             raise ValueError(
                 f"no fitted constant for {spec.family.value} in dimension {X.dim}; pass c_min"
@@ -213,10 +203,11 @@ def verify_conv_chain(
     fitted constant (``conv_lower_bound_from_sym``).  q is min(boundary
     distance, q_X) when positive and q_X otherwise; checks whose quadratic
     form sits below the precision floor of k* are flagged unreliable.  The
-    matrices are built once for all directions.  Each direction enters only
-    through quadratic forms, so negating it (in the same memory layout)
-    leaves every check bitwise unchanged; a zero direction is a
-    ``ValueError``.
+    matrices are built once for all directions, one at a time, each freed
+    once its forms are taken.  Each direction enters only through quadratic
+    forms, so negating it (in the same memory layout) leaves every check
+    bitwise unchanged; a zero direction is a ``ValueError``, raised before
+    any matrix is built.
     """
     q_x = X.separation
     q_b = boundary_distance(X)
@@ -224,29 +215,31 @@ def verify_conv_chain(
     if abs(b) > q * (1.0 + 1e-12):
         raise ValueError(f"shift {b} violates |b| <= q = {q:.3e}")
     if c is None:
-        c = CONV_BOUND_CONSTANTS.get((spec.family, X.dim))
+        c = PROFILES[spec.family].c_conv
     if c is None:
         raise ValueError(
             f"no fitted constant for {spec.family.value} in dimension {X.dim}; pass c"
         )
+    alphas = [np.asarray(alpha, dtype=float) for alpha in directions]
+    norms2 = [float(alpha @ alpha) for alpha in alphas]
+    if 0.0 in norms2:
+        raise ValueError("direction is the zero vector")
     K = conv_gram(spec, X)
-    A = gram(spec, X)
-    B = shifted_gram(spec, X, [b])
     floor = precision_floor(np.linalg.eigvalsh(K))
+    quad_conv = [float(alpha @ (K @ alpha)) for alpha in alphas]
+    del K
+    A = gram(spec, X)
+    quad_sym = [float(alpha @ (A @ alpha)) for alpha in alphas]
+    del A
+    B = shifted_gram(spec, X, [b])
+    pointwise = [q * float(np.sum((B @ alpha) ** 2)) for alpha in alphas]
     per_direction = []
-    for alpha in directions:
-        alpha = np.asarray(alpha, dtype=float)
-        norm2 = float(alpha @ alpha)
-        if norm2 == 0.0:
-            raise ValueError("direction is the zero vector")
-        quad_conv = float(alpha @ (K @ alpha))
-        reliable = quad_conv >= floor * norm2
-        pointwise = q * float(np.sum((B @ alpha) ** 2))
-        r_sym = float(alpha @ (A @ alpha)) / norm2
-        end_to_end = conv_lower_bound_from_sym(X.dim, q, r_sym, c)
+    for norm2, conv, sym, point in zip(norms2, quad_conv, quad_sym, pointwise):
+        reliable = conv >= floor * norm2
+        end_to_end = conv_lower_bound_from_sym(X.dim, q, sym / norm2, c)
         per_direction.append([
-            _check("conv-chain-pointwise", pointwise, quad_conv, reliable=reliable),
-            _check("conv-chain-end-to-end", end_to_end, quad_conv / norm2, reliable=reliable),
+            _check("conv-chain-pointwise", point, conv, reliable=reliable),
+            _check("conv-chain-end-to-end", end_to_end, conv / norm2, reliable=reliable),
         ])
     return per_direction
 

@@ -22,7 +22,8 @@ def _whole(n: int, rows_into, work: int) -> np.ndarray:
     matrix, so the matrix is the only n x n array built; a block holds as
     many rows as its ``work`` scratch blocks together hold at most
     ``_BLOCK_ENTRIES`` entries.  This is the ``into`` of ``gram`` and
-    ``conv_gram`` by default.
+    ``conv_gram`` by default, and ``centrosymmetric_eigvalsh`` builds a
+    matrix it does not split with it, from the row function it was handed.
     """
     out = np.empty((n, n))
     blocks = _row_blocks(n, work * n)
@@ -56,8 +57,9 @@ def gram(spec: KernelSpec, X: PointSet, into=_whole):
     Returns ``into(n, rows_into, 1)`` for the row function ``rows_into``
     of the matrix (see ``_whole``), which writes the profile over its block
     of distances: by default the matrix, built whole by row blocks, the only
-    n x n array built.  ``centrosymmetric_eigvalsh`` passes its own
-    ``into``, which asks for the rows in mirrored pairs and folds them.
+    n x n array built.  ``into=centrosymmetric_eigvalsh`` returns the
+    matrix's spectrum instead: it asks for the rows in mirrored pairs and
+    folds them.
     """
     if X.dim != spec.dim:
         raise ValueError(f"point set dimension {X.dim} != kernel dimension {spec.dim}")
@@ -157,13 +159,22 @@ def _conv_rows(Q, t: np.ndarray, Wt: np.ndarray, rows, out: np.ndarray, work) ->
 SPOT_CHECK_TOL = 1e-10
 
 
-def _spot_check(spec: KernelSpec, x: np.ndarray, domain, K: np.ndarray) -> float:
-    """Largest deviation of ``K[k, l]`` from ``conv_value`` at ``(x[k], x[l])``,
-    over the upper triangle; np.max, so a NaN is kept."""
-    return float(np.max([
-        abs(K[k, l] - conv_value(spec, x[k], x[l], domain))
-        for k, l in combinations_with_replacement(range(len(x)), 2)
-    ]))
+def _spot_check(spec: KernelSpec, x: np.ndarray, domain, rows_into) -> float:
+    """Largest deviation of the entries {0, n//2, n-1}^2 of the matrix whose
+    rows ``rows_into`` writes at the points ``x`` from ``conv_value``, over
+    the upper triangle, relative to their largest diagonal entry, which
+    bounds every one of them in a positive semidefinite matrix; np.max, so a
+    NaN is kept."""
+    n = len(x)
+    idx = np.array(sorted({0, n // 2, n - 1}))
+    rows = np.empty((3, len(idx), n))  # the spot rows and two scratch blocks
+    rows_into(idx, *rows)
+    K = rows[0][:, idx]
+    deviation = np.max([
+        abs(K[k, l] - conv_value(spec, x[idx[k]], x[idx[l]], domain))
+        for k, l in combinations_with_replacement(range(len(idx)), 2)
+    ])
+    return float(deviation / np.max(np.diagonal(K)))
 
 
 def conv_gram(spec: KernelSpec, X: PointSet, into=_whole):
@@ -179,16 +190,15 @@ def conv_gram(spec: KernelSpec, X: PointSet, into=_whole):
     rows are built with it, and the matrix is exactly symmetric without a
     symmetrizing pass.  The tail factor is built once per call.
 
-    The closed form is spot-checked against ``conv_value`` on the entries
-    {0, n//2, n-1}^2, relative to the largest diagonal entry, which bounds
-    every ``|K_ij|`` of a positive semidefinite matrix; a deviation that is
-    not below ``SPOT_CHECK_TOL`` raises QuadratureError with the achieved
-    deviation.
+    Before any other row is built, the closed form is spot-checked against
+    ``conv_value`` on the entries {0, n//2, n-1}^2 of its own rows
+    (``_spot_check``); a deviation that is not below ``SPOT_CHECK_TOL``
+    raises QuadratureError with the achieved deviation, and ``into`` is
+    never called.
 
-    Returns ``into(n, rows_into, 2)`` for the row function of the matrix,
-    once the spot check has passed, as ``gram`` does: by default the
-    matrix, built whole by the row blocks of ``_whole``, the only n x n
-    array built.
+    Returns ``into(n, rows_into, 2)`` for the row function of the matrix, as
+    ``gram`` does: by default the matrix, built whole by the row blocks of
+    ``_whole``, the only n x n array built.
     """
     if X.dim != 1 or spec.dim != 1:
         raise ValueError("convolution Gram matrices are 1-D only")
@@ -197,19 +207,11 @@ def conv_gram(spec: KernelSpec, X: PointSet, into=_whole):
     profile = PROFILES[spec.family]
     t = x - a
     Wt = np.concatenate([_tail_factor(profile.p, t).T, _tail_factor(profile.p, (b - a) - t).T])
-    diagonal = []
 
     def rows_into(indices, dest, *work):
         _conv_rows(profile.Q, t, Wt, indices, dest, work)
-        diagonal.append(np.max(dest[np.arange(len(indices)), indices]))
 
-    built = into(n, rows_into, 2)
-    # the spot rows again, bitwise those of the matrix
-    idx = np.array(sorted({0, n // 2, n - 1}))
-    spot = np.empty((len(idx), n))
-    _conv_rows(profile.Q, t, Wt, idx, spot, np.empty((2, len(idx), n)))
-    # np.max, so a NaN is kept
-    achieved = _spot_check(spec, x[idx], (a, b), spot[:, idx]) / np.max(diagonal)
+    achieved = _spot_check(spec, x, (a, b), rows_into)
     # written as "not below", so a NaN deviation fails too
     if not achieved <= SPOT_CHECK_TOL:
         raise QuadratureError(
@@ -218,4 +220,4 @@ def conv_gram(spec: KernelSpec, X: PointSet, into=_whole):
             achieved=float(achieved),
             target=SPOT_CHECK_TOL,
         )
-    return built
+    return into(n, rows_into, 2)

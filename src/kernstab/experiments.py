@@ -22,7 +22,7 @@ from . import analysis
 from ._version import __version__
 from .assembly import conv_gram, gram, shifted_gram
 from .geometry import PointSet, equispaced, halton
-from .kernels import Family, KernelSpec, smoothness, spectral_density_1d
+from .kernels import PROFILES, Family, KernelSpec, smoothness, spectral_density_1d
 from .quadrature import FOURIER_CUTOFF
 from .rng import SplitMix64
 from .spectral import below_precision_floor, centrosymmetric_eigvalsh, sym_eigen, whiten
@@ -321,8 +321,8 @@ def _scaling_samples(cfg: ExperimentConfig, spec: KernelSpec) -> tuple:
         X = _make_points(cfg, n)
         q = X.separation
         # the split folds each matrix's rows as they are built
-        w_sym = centrosymmetric_eigvalsh(lambda into: gram(spec, X, into=into))
-        w_conv = centrosymmetric_eigvalsh(lambda into: conv_gram(spec, X, into=into))
+        w_sym = gram(spec, X, into=centrosymmetric_eigvalsh)
+        w_conv = conv_gram(spec, X, into=centrosymmetric_eigvalsh)
         samples.append(
             (
                 n,
@@ -356,8 +356,8 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     samples, sym, conv = _scaling_samples(cfg, spec)
 
     # a given constant is positive, so `or` falls back only when none is given
-    c_sym = cfg.c_min or analysis.SYMMETRIC_BOUND_CONSTANTS.get((cfg.kernel, 1))
-    c_conv = cfg.c_conv or analysis.CONV_BOUND_CONSTANTS.get((cfg.kernel, 1))
+    c_sym = cfg.c_min or PROFILES[cfg.kernel].c_sym
+    c_conv = cfg.c_conv or PROFILES[cfg.kernel].c_conv
     if c_sym is None:
         c_sym = _intercept_fit(sym, 2 * tau - 1)
     if c_conv is None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -30,22 +31,28 @@ class Profile:
     ``p`` is the profile polynomial, phi(r) = p(r) e^(-r); ``Q`` the
     whole-line self-convolution, Int_R phi(|x - y|) phi(|y - z|) dy =
     Q(|x - z|) e^(-|x - z|); ``nu`` the Matern order; ``amplitude`` the c of
-    the 1-D density c (1 + w^2)^(-tau).
+    the 1-D density c (1 + w^2)^(-tau); ``c_sym`` and ``c_conv`` the
+    constants of the lower bounds on lambda_min of k(X, X) and of k*(X, X),
+    fitted once against the dashed reference curves in 1-D, or None where
+    none is fitted.
     """
 
     p: tuple
     Q: tuple
     nu: float
     amplitude: float
+    c_sym: Optional[float]
+    c_conv: Optional[float]
 
 
 PROFILES = {
-    Family.MATERN_BASIC: Profile((1.0,), (1.0, 1.0), 0.5, math.sqrt(2.0 / math.pi)),
+    Family.MATERN_BASIC: Profile((1.0,), (1.0, 1.0), 0.5, math.sqrt(2.0 / math.pi), 0.4, 0.24),
     Family.MATERN_LINEAR: Profile(
-        (1.0, 1.0), (2.5, 2.5, 1.0, 1 / 6), 1.5, 2.0 * math.sqrt(2.0 / math.pi)
+        (1.0, 1.0), (2.5, 2.5, 1.0, 1 / 6), 1.5, 2.0 * math.sqrt(2.0 / math.pi), 0.16, 0.0896
     ),
     Family.MATERN_QUADRATIC: Profile(
-        (3.0, 3.0, 1.0), (31.5, 31.5, 14.0, 3.5, 0.5, 1 / 30), 2.5, 8.0 * math.sqrt(2.0 / math.pi)
+        (3.0, 3.0, 1.0), (31.5, 31.5, 14.0, 3.5, 0.5, 1 / 30), 2.5, 8.0 * math.sqrt(2.0 / math.pi),
+        None, None,
     ),
 }
 

@@ -57,19 +57,17 @@ def inv_sqrt(A) -> np.ndarray:
     _require_spd(w)
     scaled = Q / np.sqrt(w)
     S = scaled @ Q.T
-    # 0.5 (S + S^T), written over the dead scaled eigenvectors
-    np.add(S, S.T, out=scaled)
-    scaled *= 0.5
-    return scaled
+    del scaled
+    return _symmetrize(S)
 
 
 def whiten(A, B) -> np.ndarray:
     """A^(-1/2) * sym(B) * A^(-1/2); symmetric by construction.
 
-    The product and its symmetrization are written over matrices that are
-    dead by then, so whitening holds at most three n x n matrices of its own
-    (besides the eigensolver's workspace) and every value is bitwise
-    ``0.5 * (M + M.T)`` of ``M = S @ sym(B) @ S``.
+    The product is written over sym(B), dead by then, and symmetrized in
+    place (``_symmetrize``), so whitening holds at most three n x n matrices
+    of its own (besides the eigensolver's workspace) and every value is
+    bitwise ``0.5 * (M + M.T)`` of ``M = S @ sym(B) @ S``.
     """
     S = inv_sqrt(A)
     B_sym = symmetric_part(B)
@@ -77,9 +75,8 @@ def whiten(A, B) -> np.ndarray:
         raise ValueError("A and B must have equal size")
     left = S @ B_sym
     M = np.matmul(left, S, out=B_sym)
-    np.add(M, M.T, out=left)
-    left *= 0.5
-    return left
+    del left
+    return _symmetrize(M)
 
 
 def _halve(n: int) -> int:
@@ -224,26 +221,23 @@ def whitened_spectrum(gram, shifted) -> np.ndarray:
     for start, stop in reversed(blocks):
         S[start:stop, :stop] = G[start:stop, :stop] @ S[:stop, :stop]
         S[start:, start:stop] = S[start:, :stop] @ G[start:stop, :stop].T
-        diagonal = S[start:stop, start:stop]
-        np.add(diagonal, diagonal.T, out=diagonal)
-        diagonal *= 0.5
+        _symmetrize(S[start:stop, start:stop])
     del G
     # the default UPLO="L" reads only the lower triangle: the blocks above
     # the diagonal ones still hold leftover entries of S and T
     return np.linalg.eigvalsh(S)
 
 
-def _fold_pairs(n: int, rows_into, work: int):
-    """The ``into`` that ``centrosymmetric_eigvalsh`` hands its builder: it asks
-    ``rows_into`` (see ``assembly._whole``) for the rows of a symmetric n x n
-    A in mirrored pairs of row blocks, ``[s, e)`` of the top ``n // 2`` rows
-    with ``[n - e, n - s)`` in one call, top down, and for odd n the middle
-    row alone, last, and folds each pair as it arrives, so A is never
-    formed.  It returns ``(halves, m, delta, squares)``, or A, built whole
-    by ``_whole``, when no split is to be made.
+def _fold(n: int, rows_into, work: int):
+    """The two blocks of the split of a symmetric n x n A, n >= 2, whose rows
+    ``rows_into`` writes (see ``assembly._whole``), as ``(halves, delta)``,
+    or None when A is not to be split.
 
-    With ``top = A[s:e] + (J A J)[s:e]``, twice those rows of
-    ``S = (A + J A J) / 2``, its left block ``L = top[:, :m]`` and
+    It asks for A's rows in mirrored pairs of row blocks, ``[s, e)`` of the
+    top ``n // 2`` rows with ``[n - e, n - s)`` in one call, top down, and
+    for odd n the middle row alone, last, and folds each pair as it arrives,
+    so A is never formed.  With ``top = A[s:e] + (J A J)[s:e]``, twice those
+    rows of ``S = (A + J A J) / 2``, its left block ``L = top[:, :m]`` and
     ``R = top[:, ::-1][:, :m]`` are 2 S11 and 2 S12 J, m = n // 2: the rows
     of the reflection-even block are ``(L + R) / 2`` and those of the
     reflection-odd one ``(L - R) / 2``, and for odd n the even one is
@@ -259,15 +253,13 @@ def _fold_pairs(n: int, rows_into, work: int):
 
     ``delta`` is ``||A - J A J||_1 / 2``: each pair gives its rows' share
     (A - J A J is symmetric, so its 1-norm is its largest row sum, and rows
-    i and n-1-i hold the same magnitudes).  ``squares`` is ``||S||_F^2``,
-    summed as ``||top||^2 / 2`` for rows i and n-1-i.  If the first pair's
-    rows are not centrosymmetric to the split's threshold with their share
-    of ``||S||_F``, as those of a point set that is not its own mirror image
-    are not, A is built whole instead.
+    i and n-1-i hold the same magnitudes).  If the first pair's rows are not
+    centrosymmetric to the split's threshold, with their share of ``||S||_F``
+    in place of lambda_max, as those of a point set that is not its own
+    mirror image are not, it returns None at once.  Its row-block scratch
+    dies with its frame, before any solve.
     """
     m, k = n // 2, n - n // 2
-    if not m:
-        return _whole(n, rows_into, work)
     # halves before the row-block scratch: at n = 1000 it is the size of
     # eigvalsh's workspace, which sits at glibc's dynamic mmap threshold, and
     # allocated after the scratch, at the first fold, it raised the
@@ -278,7 +270,7 @@ def _fold_pairs(n: int, rows_into, work: int):
     blocks = np.empty((1 + work, 2 * tallest, n))
     sums, square = np.empty((tallest, n)), np.empty((tallest, tallest))
     upper = ~np.tri(tallest, k=-1, dtype=bool)
-    defects, squares = [], 0.0
+    defects = []
     for start, stop in pairs:
         h = stop - start
         dest, *scratch = blocks[:, : 2 * h]
@@ -287,12 +279,12 @@ def _fold_pairs(n: int, rows_into, work: int):
         diff = np.subtract(top, mirror, out=sums[:h])
         defects.append(np.max(np.sum(np.abs(diff, out=diff), axis=1)))
         total = np.add(top, mirror, out=sums[:h])
-        squares += 0.5 * np.vdot(total, total)
-        # the first pair decides; written as "not below", so a NaN also
-        # builds A whole
-        if not start and not 0.5 * defects[0] < m * np.finfo(float).eps * np.sqrt(squares):
-            halves = blocks = sums = None
-            return _whole(n, rows_into, work)
+        # the first pair decides; written as "not below", so a NaN is not
+        # split either
+        if not start and not 0.5 * defects[0] < m * np.finfo(float).eps * np.sqrt(
+            0.5 * np.vdot(total, total)
+        ):
+            return None
         left, right = total[:, :m], total[:, ::-1][:, :m]
         # the even rows, left of the block's stop, over the lower triangle
         # of halves[1:]; that writes over odd entries in the block's columns,
@@ -309,29 +301,23 @@ def _fold_pairs(n: int, rows_into, work: int):
     if k > m:
         dest, *scratch = blocks[:, :1]
         rows_into(np.array([m]), dest, *scratch)
-        middle, total = dest[0], dest[0] + dest[0, ::-1]
+        middle = dest[0]
         defects.append(np.sum(np.abs(middle - middle[::-1])))
-        squares += 0.25 * np.vdot(total, total)
         halves[-1, m] = middle[m]
-    return halves, m, 0.5 * float(np.max(defects)), squares  # np.max, so a NaN is kept
+    return halves, 0.5 * float(np.max(defects))  # np.max, so a NaN is kept
 
 
-def centrosymmetric_eigvalsh(build) -> np.ndarray:
+def centrosymmetric_eigvalsh(n: int, rows_into, work: int) -> np.ndarray:
     """Ascending eigenvalues of a symmetric A that commutes with the exchange
     matrix J (``J A J = A[::-1, ::-1] = A``), from two half-size ``eigvalsh``.
 
-    ``build`` is a builder of A as ``gram`` and ``conv_gram`` are, bound to
-    its arguments: ``build(into=into)`` returns ``into(n, rows_into, work)``
-    for the row function ``rows_into`` of A (see ``assembly._whole``).  The
-    split passes ``_fold_pairs``, which asks for A's rows in mirrored pairs
-    of row blocks and folds each pair into the two blocks as it arrives.
-    It keeps only their lower triangles, in one ``(k + 1) x k`` array,
-    k = n - n // 2: ``eigvalsh`` with its default ``UPLO='L'`` reads
-    nothing else, so the even block's triangle fills the lower triangle of
-    the array's last k rows and the odd block's, transposed, the upper
-    triangle of its first m rows, and neither solve reads the other's
-    entries.  The peak is that array plus ``eigvalsh``'s copy of one block,
-    about half an n x n matrix, and row blocks of scratch.
+    An ``into`` of ``gram`` and ``conv_gram``: ``gram(spec, X,
+    into=centrosymmetric_eigvalsh)`` is the spectrum of ``gram(spec, X)``.
+    ``rows_into`` writes A's rows (see ``assembly._whole``); ``_fold`` asks
+    for them in mirrored pairs and folds them into the triangles of the two
+    blocks, one ``(k + 1) x k`` array, k = n - n // 2, so the peak is that
+    array plus ``eigvalsh``'s copy of one block, about half an n x n
+    matrix, and row blocks of scratch.
 
     For n = 2m, ``Q = [[I, I], [J, -J]] / sqrt(2)`` is orthogonal and
     ``Q^T A Q = diag(A11 + A12 J, A11 - A12 J)`` with A11, A12 the top m x m
@@ -354,33 +340,26 @@ def centrosymmetric_eigvalsh(build) -> np.ndarray:
     difference below n eps.
     Forming the blocks rounds each entry once more, a backward error of order
     eps ||A|| that the factor n of the floor absorbs as it does LAPACK's own
-    reduction.  A matrix whose delta is not below the threshold with
-    ||S||_F >= lambda_max(S) in place of the split's lambda_max is rejected
-    before any eigensolve, as the test after the split would reject it.
-    If its first pair of row blocks already fails that test, as for a point
-    set that is not its own mirror image, ``_fold_pairs`` builds A whole in
-    that same build, and it gets ``np.linalg.eigvalsh(A)``; otherwise, and
-    for a matrix rejected after the split, the folded blocks are freed and A
-    is built again for ``np.linalg.eigvalsh(build(into=_whole))``.  A
-    rejected matrix gets those eigenvalues bit for bit.
+    reduction.  A matrix that is not split, because its first pair of row
+    blocks already fails the threshold (a point set that is not its own
+    mirror image) or because the split fails it, is built whole from
+    ``rows_into`` for ``np.linalg.eigvalsh``, and gets those eigenvalues bit
+    for bit.
     """
-    folded = build(into=_fold_pairs)
-    if isinstance(folded, np.ndarray):  # built whole: no split
-        return np.linalg.eigvalsh(folded)
-    halves, m, delta, squares = folded
+    folded = _fold(n, rows_into, work) if n > 1 else None
+    if folded is None:
+        return np.linalg.eigvalsh(_whole(n, rows_into, work))
+    halves, delta = folded
     del folded
-    n = m + halves.shape[1]
-    # written as "not below", so a NaN also falls back
-    if not delta < m * np.finfo(float).eps * np.sqrt(squares):
-        halves = None
-        return np.linalg.eigvalsh(build(into=_whole))
+    m = n // 2
     # the reflection-odd half, then the even
     odd = np.linalg.eigvalsh(halves[:m, :m].T)
     w = np.concatenate([odd, np.linalg.eigvalsh(halves[1:])])
     del halves
     w.sort()
+    # written as "not below", so a NaN also falls back
     if not delta < m / n * precision_floor(w):
-        return np.linalg.eigvalsh(build(into=_whole))
+        return np.linalg.eigvalsh(_whole(n, rows_into, work))
     return w
 
 

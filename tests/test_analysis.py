@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from kernstab import (
     verify_shift_identity,
 )
 from kernstab.geometry import PointSet
+from kernstab.kernels import PROFILES
 from kernstab.quadrature import fourier_quadratic_form
 
 BASIC = KernelSpec(Family.MATERN_BASIC, dim=1)
@@ -109,9 +111,9 @@ def test_cond_upper_bound_fitted_on_observed_conditions():
 
 
 def test_default_constants():
-    assert analysis.SYMMETRIC_BOUND_CONSTANTS.get((Family.MATERN_BASIC, 1)) == 0.4
-    assert analysis.CONV_BOUND_CONSTANTS.get((Family.MATERN_LINEAR, 1)) == 0.0896
-    assert analysis.SYMMETRIC_BOUND_CONSTANTS.get((Family.MATERN_QUADRATIC, 1)) is None
+    assert PROFILES[Family.MATERN_BASIC].c_sym == 0.4
+    assert PROFILES[Family.MATERN_LINEAR].c_conv == 0.0896
+    assert PROFILES[Family.MATERN_QUADRATIC].c_sym is None
 
 
 def test_equivalence_zero_shift_is_marginal():
@@ -325,6 +327,20 @@ def test_conv_chain_rejects_a_zero_direction():
     X = equispaced(10, 0, 1)
     with pytest.raises(ValueError, match="zero vector"):
         verify_conv_chain(BASIC, X, [np.ones(10), np.zeros(10)], 0.5 * X.separation)
+
+
+def test_conv_chain_holds_one_matrix_at_a_time():
+    # k*, k and the shifted matrix are each freed once every direction's form
+    # on it is taken: 3.7 n x n matrices at once while all three were kept
+    n = 400
+    X = equispaced(n, 0, 1)
+    tracemalloc.start()
+    try:
+        verify_conv_chain(BASIC, X, [np.ones(n), np.linspace(-1, 1, n)], 0.5 * X.separation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 8
 
 
 def test_conv_chain_shift_guard():

@@ -23,9 +23,10 @@ from kernstab import (
     symmetric_part,
 )
 import oracle
-from kernstab import assembly, cli, geometry, spectral
+from kernstab import assembly, cli, geometry
 from kernstab.assembly import _kernel_rows, _tail_factor
 from kernstab.geometry import PointSet
+from kernstab.spectral import centrosymmetric_eigvalsh
 from kernstab.kernels import PROFILES
 from kernstab.quadrature import ORDER, PANELS_PER_UNIT, _segments, panel_grid
 
@@ -383,7 +384,7 @@ def test_streamed_rows_are_the_matrix_for_any_row_blocks(builder, family, endpoi
     assert K.tobytes() == K.T.copy().tobytes()
     for entries in [1, 14 * n, geometry._BLOCK_ENTRIES]:
         monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", entries)
-        into = _RecordedRows(spectral._fold_pairs)
+        into = _RecordedRows(centrosymmetric_eigvalsh)
         assert builder(spec, X, into=into) is into.returned
         into.assert_rows_of(K)
 
@@ -395,10 +396,11 @@ def test_streamed_gram_is_the_matrix_in_higher_dimensions(dim):
     # split asks for the first pair and then for the whole matrix
     spec = KernelSpec(Family.MATERN_QUADRATIC, dim=dim)
     X = halton(301, dim)
-    into = _RecordedRows(spectral._fold_pairs)
+    into = _RecordedRows(centrosymmetric_eigvalsh)
+    K = gram(spec, X)
     assert gram(spec, X, into=into) is into.returned
-    assert into.returned.tobytes() == gram(spec, X).tobytes()
-    into.assert_rows_of(into.returned)
+    assert into.returned.tobytes() == np.linalg.eigvalsh(K).tobytes()
+    into.assert_rows_of(K)
 
 
 def test_whole_conv_gram_takes_row_blocks_of_the_entry_budget():
@@ -507,11 +509,15 @@ def test_conv_gram_reports_quadrature_failure(monkeypatch, tmp_path, capsys):
     exact = assembly.conv_value
     monkeypatch.chdir(tmp_path)
     for nan_calls in [(), (1,), (4,), range(1, 7)]:
-        # built whole, and folded in mirrored pairs as eigen-scaling builds it
-        for into in [assembly._whole, spectral._fold_pairs]:
+        # built whole, and split as eigen-scaling solves it: the spot rows are
+        # checked before into is called, so into's row function is asked for
+        # no row
+        for into in [assembly._whole, centrosymmetric_eigvalsh]:
             monkeypatch.setattr(assembly, "conv_value", _wrong_conv_value(exact, nan_calls))
+            recorded = _RecordedRows(into)
             with pytest.raises(QuadratureError) as info:
-                conv_gram(BASIC, equispaced(3, 0, 1), into=into)
+                conv_gram(BASIC, equispaced(3, 0, 1), into=recorded)
+            assert recorded.indices == []
             assert info.value.achieved is not None
             if nan_calls:
                 assert math.isnan(info.value.achieved)

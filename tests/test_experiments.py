@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 
@@ -291,53 +290,61 @@ def test_split_spectra_keep_the_scaling_flags(family, endpoints):
     spec = KernelSpec(family, dim=1)
     for n in [n for n in sample_grid(10, 1000, 30) if n <= 300]:
         X = equispaced(n, 0.0, 1.0, include_endpoints=endpoints)
-        split = centrosymmetric_eigvalsh(functools.partial(gram, spec, X))
+        split = gram(spec, X, into=centrosymmetric_eigvalsh)
         assert split.tobytes() == _split_of_the_whole_matrix(gram(spec, X)).tobytes()
-        for build in (functools.partial(gram, spec, X), functools.partial(conv_gram, spec, X)):
-            full, split = np.linalg.eigvalsh(build()), centrosymmetric_eigvalsh(build)
+        for builder in (gram, conv_gram):
+            full = np.linalg.eigvalsh(builder(spec, X))
+            split = builder(spec, X, into=centrosymmetric_eigvalsh)
             assert np.max(np.abs(split - full)) <= precision_floor(full)
             assert below_precision_floor(split)[0] == below_precision_floor(full)[0]
 
 
-def _count_builds(monkeypatch):
-    # how many times each split of eigen-scaling calls its builder
-    builds, split = [], experiments.centrosymmetric_eigvalsh
+def _count_rows(monkeypatch):
+    # how many times each split of eigen-scaling asks for each row of its
+    # matrix, one count array per matrix
+    counts, split = [], experiments.centrosymmetric_eigvalsh
 
-    def counted_split(build):
-        calls = []
+    def counted_split(n, rows_into, work):
+        asked = np.zeros(n, dtype=int)
+        counts.append(asked)
 
-        def counted(**kwargs):
-            calls.append(None)
-            return build(**kwargs)
+        def counted(indices, dest, *scratch):
+            np.add.at(asked, indices, 1)
+            rows_into(indices, dest, *scratch)
 
-        w = split(counted)
-        builds.append(len(calls))
-        return w
+        return split(n, counted, work)
 
     monkeypatch.setattr(experiments, "centrosymmetric_eigvalsh", counted_split)
-    return builds
+    return counts
 
 
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("endpoints", [True, False])
 def test_scaling_samples_build_each_matrix_once(family, endpoints, monkeypatch):
-    # the split owns what its builder returns and builds it again only when
-    # the split is rejected after its solves, which no matrix of the
-    # default grid is
-    built = _count_builds(monkeypatch)
+    # the split asks for a row again only when it is rejected, which no
+    # matrix of the default grid is
+    counts = _count_rows(monkeypatch)
     cfg = ExperimentConfig(command="eigen-scaling", kernel=family, endpoints=endpoints)
     _scaling_samples(cfg, KernelSpec(family, dim=1))
-    assert built == [1] * (2 * len(sample_grid(cfg.n_min, cfg.n_max, cfg.n_count)))
+    assert len(counts) == 2 * len(sample_grid(cfg.n_min, cfg.n_max, cfg.n_count))
+    assert all(np.all(asked == 1) for asked in counts)
 
 
 def test_halton_scaling_samples_are_eigvalsh_bitwise(monkeypatch):
     cfg = ExperimentConfig(command="eigen-scaling", kernel=Family.MATERN_LINEAR, n_min=10,
                            n_max=200, n_count=4, layout="halton")
     spec = KernelSpec(cfg.kernel, dim=1)
-    built = _count_builds(monkeypatch)
+    counts = _count_rows(monkeypatch)
     samples, _, _ = _scaling_samples(cfg, spec)
-    # rejected before the split, each matrix is solved whole where it was built
-    assert built == [1] * (2 * len(samples))
+    # rejected at its first pair of row blocks, each matrix is built whole
+    # from the same row function: that pair's rows are asked for twice (all
+    # but the middle one up to n = 200), the others once
+    assert len(counts) == 2 * len(samples)
+    for asked in counts:
+        n, twice = len(asked), np.flatnonzero(asked == 2)
+        h = len(twice) // 2
+        assert h and twice.tolist() == [*range(h), *range(n - h, n)]
+        assert set(asked.tolist()) <= {1, 2}
     for n, q, lam_sym, lam_conv, flag_sym, flag_conv in samples:
         X = halton(n, 1)
         w_sym = np.linalg.eigvalsh(gram(spec, X))

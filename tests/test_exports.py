@@ -17,7 +17,7 @@ acceptance suite; a default that no caller changes is made a constant.
 
 The facts of a kernel family live in one table, ``kernels.PROFILES``: no
 module compares a value with a ``Family`` member, and no other
-module-level dict is keyed by bare members.
+module-level dict is keyed by members, bare or in a tuple.
 """
 
 import ast
@@ -239,15 +239,59 @@ def test_no_module_branches_on_a_family():
     assert found == []
 
 
+def _holds_family_member(key) -> bool:
+    """A bare member, or a tuple key that holds one, as ``(Family.X, 1)``."""
+    if isinstance(key, ast.Tuple):
+        return any(_is_family_member(item) for item in key.elts)
+    return _is_family_member(key)
+
+
 def test_profiles_is_the_only_table_keyed_by_family():
     found = []
     for name, tree in _package_trees():
         for node in tree.body:
             if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                if any(_is_family_member(key) for key in node.value.keys):
+                if any(_holds_family_member(key) for key in node.value.keys):
                     found += [f"{name}:{ast.unparse(t)}" for t in targets]
     assert found == ["kernels.py:PROFILES"]
+
+
+def _is_own_transpose(left, right) -> bool:
+    return (
+        isinstance(right, ast.Attribute) and right.attr == "T"
+        and ast.dump(right.value) == ast.dump(left)
+    )
+
+
+def _own_transpose_sums(node, where: str) -> set:
+    """The functions under ``node`` that add an array to its own transpose,
+    as ``np.add(M, M.T, ...)`` or ``M + M.T`` in either order."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    operands = None
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        operands = node.left, node.right
+    elif (
+        isinstance(node, ast.Call) and len(node.args) >= 2
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "add"
+    ):
+        operands = node.args[0], node.args[1]
+    found = set()
+    if operands and (_is_own_transpose(*operands) or _is_own_transpose(*operands[::-1])):
+        found.add(where)
+    for child in ast.iter_child_nodes(node):
+        found |= _own_transpose_sums(child, where)
+    return found
+
+
+def test_only_symmetrize_symmetrizes():
+    # 0.5 (M + M^T) is made one way, by assembly._symmetrize, in place by
+    # row blocks; it adds mirrored blocks, never a matrix to its transpose
+    found = []
+    for name, tree in _package_trees():
+        found += [f"{name}:{where}" for where in _own_transpose_sums(tree, "<module>")]
+    assert found == []
 
 
 def _block_budget_reads(node, where: str) -> set:

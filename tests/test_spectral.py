@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 
@@ -454,23 +453,17 @@ def _reflective(rng, n):
     return R + R[::-1, ::-1]
 
 
-def _builder(A, built=None, asked=None):
-    """A builder of A as gram and conv_gram are: ``build(into)`` returns
-    ``into(n, rows_into, 0)`` for a row function that copies A's rows; the
-    sizes of the calls go to ``built``, and the indices each call of the
-    row function is asked for to ``asked``."""
+def _split(A, asked=None):
+    """The split of A as gram and conv_gram hand it their rows: with a row
+    function that copies A's rows and no scratch; the indices each call of
+    the row function is asked for go to ``asked``."""
 
     def rows_into(indices, dest):
         if asked is not None:
             asked.append(indices.tolist())
         dest[...] = A[indices]
 
-    def build(into):
-        if built is not None:
-            built.append(len(A))
-        return into(len(A), rows_into, 0)
-
-    return build
+    return centrosymmetric_eigvalsh(len(A), rows_into, 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 40, 41, 300, 301])
@@ -480,7 +473,7 @@ def test_centrosymmetric_split_is_the_spectrum(n, monkeypatch):
     full = np.linalg.eigvalsh(A)
     sizes = _counted_eigvalsh(monkeypatch)
     # the split reads the rows it is given and writes none of them
-    w = centrosymmetric_eigvalsh(_builder(A))
+    w = _split(A)
     assert sizes == [n // 2, n - n // 2]
     assert np.all(np.diff(w) >= 0)
     assert np.max(np.abs(w - full)) <= precision_floor(full)
@@ -491,10 +484,10 @@ def test_centrosymmetric_split_is_the_spectrum(n, monkeypatch):
 def test_split_does_not_depend_on_the_row_blocks(n, monkeypatch):
     # one row, seven rows and the default height per block: the same bits
     A = _reflective(np.random.default_rng(n), n)
-    expected = centrosymmetric_eigvalsh(_builder(A))
+    expected = _split(A)
     for entries in [1, 14 * n]:
         monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", entries)
-        assert centrosymmetric_eigvalsh(_builder(A)).tobytes() == expected.tobytes()
+        assert _split(A).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 600, 601])
@@ -502,7 +495,7 @@ def test_split_asks_for_every_row_once_in_mirrored_pairs(n):
     # a block of the top half with its mirror image in one call, top down,
     # and for odd n the middle row alone, last
     asked = []
-    centrosymmetric_eigvalsh(_builder(_reflective(np.random.default_rng(n), n), asked=asked))
+    _split(_reflective(np.random.default_rng(n), n), asked=asked)
     assert sorted(i for rows in asked for i in rows) == list(range(n))
     if n % 2:
         assert asked.pop() == [n // 2]
@@ -514,30 +507,37 @@ def test_split_asks_for_every_row_once_in_mirrored_pairs(n):
     assert tops == list(range(n // 2))
 
 
-def _bitwise_eigvalsh(A, monkeypatch, sizes, builds=1):
+def _bitwise_eigvalsh(A, monkeypatch, sizes):
+    """Assert that the split of A is eigvalsh(A) bit for bit, by solves of
+    ``sizes`` rows, and return how many times each row was asked for."""
     expected = np.linalg.eigvalsh(A)
-    solves, built = _counted_eigvalsh(monkeypatch), []
-    w = centrosymmetric_eigvalsh(_builder(A, built))
+    solves, asked = _counted_eigvalsh(monkeypatch), []
+    w = _split(A, asked)
     assert solves == sizes
-    assert len(built) == builds
     assert w.tobytes() == expected.tobytes()
+    return np.bincount([i for rows in asked for i in rows], minlength=len(A))
 
 
 def test_non_reflective_input_is_eigvalsh_before_any_split(monkeypatch):
-    # its first pair of row blocks is not centrosymmetric: its rows are kept
-    # whole from the one build
+    # its first pair of row blocks is not centrosymmetric: A is built whole
+    # at once, so only that pair's rows are asked for twice
     F = np.random.default_rng(5).standard_normal((300, 300))
-    _bitwise_eigvalsh(F @ F.T, monkeypatch, [300])
+    asked = _bitwise_eigvalsh(F @ F.T, monkeypatch, [300])
+    twice = np.flatnonzero(asked == 2)
+    h = len(twice) // 2
+    assert h and twice.tolist() == [*range(h), *range(300 - h, 300)]
+    assert asked.min() == 1
 
 
 def test_split_rejected_after_its_first_pair_is_built_again(monkeypatch):
     # blocks of ten rows: the first pair, rows 0 to 9 and 290 to 299, is
-    # centrosymmetric and row 100 is not, so the split is rejected once every
-    # row has arrived, before any solve
+    # centrosymmetric and row 100 is not, so the split is rejected after its
+    # solves and A is built whole from the same row function
     monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 2 * 10 * 300)
     A = _reflective(np.random.default_rng(6), 300)
     A[100, 100] += 1.0
-    _bitwise_eigvalsh(A, monkeypatch, [300], builds=2)
+    asked = _bitwise_eigvalsh(A, monkeypatch, [150, 150, 300])
+    assert np.all(asked == 2)
 
 
 @pytest.mark.parametrize("n", [40, 41])
@@ -551,12 +551,13 @@ def test_split_only_below_its_threshold(n, factor, split, monkeypatch):
     A[0, 0] += 2 * factor * threshold
     if split:
         sizes = _counted_eigvalsh(monkeypatch)
-        w = centrosymmetric_eigvalsh(_builder(A))
+        w = _split(A)
         assert sizes == [n // 2, n - n // 2]
         assert w.tobytes() != np.linalg.eigvalsh(A).tobytes()
     else:
-        # past the pre-check, rejected after the split: built again once
-        _bitwise_eigvalsh(A, monkeypatch, [n // 2, n - n // 2, n], builds=2)
+        # rejected after the split: every row is asked for again
+        asked = _bitwise_eigvalsh(A, monkeypatch, [n // 2, n - n // 2, n])
+        assert np.all(asked == 2)
 
 
 def test_unsplittable_input_goes_to_eigvalsh(monkeypatch):
@@ -566,7 +567,7 @@ def test_unsplittable_input_goes_to_eigvalsh(monkeypatch):
     A[2, 3] = A[3, 2] = np.nan
     sizes = _counted_eigvalsh(monkeypatch)
     with pytest.raises(np.linalg.LinAlgError):
-        centrosymmetric_eigvalsh(_builder(A))
+        _split(A)
     assert sizes == [6]
 
 
@@ -583,10 +584,10 @@ SPLIT_ORACLE_CASES = [
 def test_centrosymmetric_split_against_oracle(family, n, matrix):
     spec = KernelSpec(family, dim=1)
     X = equispaced(n, 0, 1)
-    build = functools.partial({"gram": gram, "conv_gram": conv_gram}[matrix], spec, X)
+    builder = {"gram": gram, "conv_gram": conv_gram}[matrix]
     exact = oracle.spectrum(getattr(oracle, matrix)(spec, X))
-    full = np.abs(np.linalg.eigvalsh(build()) - exact)
-    split = np.abs(centrosymmetric_eigvalsh(build) - exact)
+    full = np.abs(np.linalg.eigvalsh(builder(spec, X)) - exact)
+    split = np.abs(builder(spec, X, into=centrosymmetric_eigvalsh) - exact)
     # no worse than the full solve, at lambda_min and over the spectrum, to
     # a few ulps of lambda_max
     ulps = 4 * np.finfo(float).eps * exact[-1]
