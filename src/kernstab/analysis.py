@@ -14,9 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assembly import conv_gram, gram, shifted_gram, symmetric_part
+from .assembly import _symmetrize, conv_gram, gram, shifted_gram
 from .geometry import PointSet, boundary_distance
-from .kernels import PROFILES, KernelSpec, SpectralDensity
+from .kernels import PROFILES, KernelSpec, smoothness, spectral_density_1d
 from .quadrature import FOURIER_CUTOFF, fourier_quadratic_form
 from .spectral import precision_floor, whitened_spectrum
 
@@ -109,11 +109,7 @@ def verify_equivalence(spec: KernelSpec, X: PointSet, b) -> EquivalenceResult:
 
 
 def verify_shift_identity(
-    density: SpectralDensity,
-    X: PointSet,
-    alpha,
-    b: float,
-    fourier_cutoff: float = FOURIER_CUTOFF,
+    spec: KernelSpec, X: PointSet, alpha, b: float, fourier_cutoff: float = FOURIER_CUTOFF
 ) -> BoundCheck:
     """Matrix side versus Fourier side of the symmetrized shifted form.
 
@@ -121,10 +117,12 @@ def verify_shift_identity(
     minus twice its damped companion; both sides are computed independently
     and must agree within the certified truncation budget (one tail for the
     full integral, two for the damped one) plus 1e-8 relative roundoff.
+    The Fourier side takes the 1-D spec's closed-form density, so any other
+    spec is a ``ValueError``, raised before a matrix is built.
     """
+    density = spectral_density_1d(spec)
     alpha = np.asarray(alpha, dtype=float)
-    spec = density.kernel
-    B_sym = symmetric_part(shifted_gram(spec, X, [b]))
+    B_sym = _symmetrize(shifted_gram(spec, X, [b]))
     lhs = _SQRT_2PI * float(alpha @ (B_sym @ alpha))
     form = fourier_quadratic_form(density, X, alpha, b, fourier_cutoff)
     rhs = form.full_integral - 2.0 * form.damped_integral
@@ -133,14 +131,10 @@ def verify_shift_identity(
 
 
 def verify_damping_bound(
-    density: SpectralDensity,
-    X: PointSet,
-    alpha,
-    b: float,
-    eps: float,
+    spec: KernelSpec, X: PointSet, alpha, shifts: Sequence[float], eps: float,
     c_min: Optional[float] = None,
 ) -> list[BoundCheck]:
-    """Damped spectral form against its shift-stability budget.
+    """Damped spectral form against its shift-stability budgets, at each shift.
 
     The damped form D(a) = (2 pi)^(-1/2) Int rho(w) sin^2(w b / 2) |S(w)|^2 dw,
     S(w) = sum_j a_j e^{i w x_j}, is computed exactly from the matrices.  By
@@ -153,37 +147,42 @@ def verify_damping_bound(
     2 eps c_min^(1/tau) R^(1-1/tau) q^(2-d/tau) ||a||^2 with the fitted constant
     c_min.  D(a) is a difference of O(||A|| ||a||^2) terms, so checks with D(a)
     below precision_floor(eig(A)) ||a||^2 are flagged unreliable.
+
+    The 1-D spec, ``eps``, every shift and the constant are checked before any
+    matrix is built; A, its floor, <A a, a> and ||a||^2 are taken once.  The
+    checks are one flat list: per shift, basic, then improved for tau > 1.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    alpha = np.asarray(alpha, dtype=float)
+    if spec.dim != 1:
+        raise ValueError(f"the damped form is checked in 1-D only, got dim={spec.dim}")
     q = X.separation
-    if abs(b) > math.sqrt(eps) * q * (1.0 + 1e-12):
-        raise ValueError(
-            f"shift {b} violates |b| <= sqrt(eps) * q_X = {math.sqrt(eps) * q:.3e}"
-        )
-    spec = density.kernel
-    if density.tau > 1 and c_min is None:
+    limit = math.sqrt(eps) * q
+    for b in shifts:
+        if abs(b) > limit * (1.0 + 1e-12):
+            raise ValueError(f"shift {b} violates |b| <= sqrt(eps) * q_X = {limit:.3e}")
+    tau = smoothness(spec)
+    if tau > 1 and c_min is None:
         c_min = PROFILES[spec.family].c_sym
         if c_min is None:
             raise ValueError(
                 f"no fitted constant for {spec.family.value} in dimension {X.dim}; pass c_min"
             )
+    alpha = np.asarray(alpha, dtype=float)
     A = gram(spec, X)
-    B_sym = symmetric_part(shifted_gram(spec, X, [b]))
-    lhs = 0.5 * float(alpha @ ((A - B_sym) @ alpha))
     quad_form = float(alpha @ (A @ alpha))
     norm2 = float(alpha @ alpha)
-    reliable = lhs >= precision_floor(np.linalg.eigvalsh(A)) * norm2
-    checks = [_check("damping-basic", lhs, 2.0 * eps * quad_form, reliable=reliable)]
-    if density.tau > 1:
-        r_sym = quad_form / norm2
-        rhs = (
-            2.0 * eps * c_min ** (1.0 / density.tau)
-            * r_sym ** (1.0 - 1.0 / density.tau)
-            * q ** (2.0 - X.dim / density.tau) * norm2
-        )
-        checks.append(_check("damping-improved", lhs, rhs, reliable=reliable))
+    floor = precision_floor(np.linalg.eigvalsh(A)) * norm2
+    budgets = [("damping-basic", 2.0 * eps * quad_form)]
+    if tau > 1:
+        ratio = (quad_form / norm2) ** (1.0 - 1.0 / tau)
+        improved = 2.0 * eps * c_min ** (1.0 / tau) * ratio * q ** (2.0 - X.dim / tau) * norm2
+        budgets.append(("damping-improved", improved))
+    checks = []
+    for b in shifts:
+        B_sym = _symmetrize(shifted_gram(spec, X, [b]))
+        lhs = 0.5 * float(alpha @ ((A - B_sym) @ alpha))
+        checks += [_check(name, lhs, rhs, reliable=lhs >= floor) for name, rhs in budgets]
     return checks
 
 

@@ -22,7 +22,7 @@ from . import analysis
 from ._version import __version__
 from .assembly import conv_gram, gram, shifted_gram
 from .geometry import PointSet, equispaced, halton
-from .kernels import PROFILES, Family, KernelSpec, smoothness, spectral_density_1d
+from .kernels import PROFILES, Family, KernelSpec, smoothness
 from .quadrature import FOURIER_CUTOFF
 from .rng import SplitMix64
 from .spectral import below_precision_floor, centrosymmetric_eigvalsh, sym_eigen, whiten
@@ -41,6 +41,9 @@ LAYOUTS = ("halton", "equispaced")
 _CHECK_COLUMNS = ["trial", "name", "lhs", "rhs", "slack", "satisfied", "reliable"]
 
 _PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+#: the random point sets keep their separation distance (half the smallest gap) above this
+_MIN_SEPARATION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -286,13 +289,13 @@ def _diagonal_shift(cfg: ExperimentConfig, X: PointSet) -> np.ndarray:
     return cfg.shift_factor * X.separation * np.ones(cfg.dim) / math.sqrt(cfg.dim)
 
 
-def _random_interval_set(rng: SplitMix64, n: int, min_separation: float = 1e-3) -> PointSet:
+def _random_interval_set(rng: SplitMix64, n: int) -> PointSet:
     # exact draw of n uniform points in [0, 1] given every gap > delta: the n + 1
     # spacings scaled by 1 - (n - 1) delta, plus delta on each interior gap (Devroye 1986)
-    delta = 2.0 * min_separation
+    delta = 2.0 * _MIN_SEPARATION
     if (n - 1) * delta >= 1.0:
         raise ValueError(
-            f"{n} random points in [0, 1] cannot keep separation above {min_separation:g}"
+            f"{n} random points in [0, 1] cannot keep separation above {_MIN_SEPARATION:g}"
         )
     spacings = np.diff(np.sort(rng.uniforms(n)), prepend=0.0, append=1.0)
     gaps = (1.0 - (n - 1) * delta) * spacings
@@ -441,31 +444,29 @@ def run_equivalence(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_identity(cfg: ExperimentConfig) -> ExperimentReport:
     """Randomized matrix-side versus Fourier-side identity checks."""
-    density = spectral_density_1d(KernelSpec(cfg.kernel, dim=1))
+    spec = KernelSpec(cfg.kernel, dim=1)
     rng = SplitMix64(cfg.seed)
     per_trial = []
     for _ in range(cfg.trials):
         X = _random_interval_set(rng, cfg.n)
         alpha = rng.symmetric(cfg.n)
         b = cfg.shift_factor * X.separation
-        check = analysis.verify_shift_identity(density, X, alpha, b, cfg.fourier_cutoff)
+        check = analysis.verify_shift_identity(spec, X, alpha, b, cfg.fourier_cutoff)
         per_trial.append([check])
     return _check_report(cfg, per_trial)
 
 
 def run_sin2(cfg: ExperimentConfig) -> ExperimentReport:
     """Damped-form stability sweep over shift fractions and point sets."""
-    density = spectral_density_1d(KernelSpec(cfg.kernel, dim=1))
+    spec = KernelSpec(cfg.kernel, dim=1)
     rng = SplitMix64(cfg.seed)
     sets = [equispaced(cfg.n, 0.0, 1.0, include_endpoints=cfg.endpoints)]
     sets += [_random_interval_set(rng, cfg.n) for _ in range(cfg.trials)]
     per_trial = []
     for X in sets:
         alpha = rng.symmetric(len(X))
-        checks = []
-        for kappa in (0.1, 0.5, 1.0):
-            b = math.sqrt(cfg.eps) * X.separation * kappa
-            checks += analysis.verify_damping_bound(density, X, alpha, b, cfg.eps, c_min=cfg.c_min)
+        shifts = [math.sqrt(cfg.eps) * X.separation * kappa for kappa in (0.1, 0.5, 1.0)]
+        checks = analysis.verify_damping_bound(spec, X, alpha, shifts, cfg.eps, c_min=cfg.c_min)
         per_trial.append(checks)
     return _check_report(cfg, per_trial)
 

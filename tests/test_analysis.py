@@ -168,52 +168,78 @@ def test_equivalence_builds_the_shifted_matrix_after_freeing_the_gram_matrix(mon
 
 
 def test_shift_identity_handpicked_and_random():
-    basic_density = spectral_density_1d(BASIC)
-    check = verify_shift_identity(
-        basic_density, _interval_set([0.2, 0.5, 0.9]), [1.0, -2.0, 1.0], 0.01
-    )
+    check = verify_shift_identity(BASIC, _interval_set([0.2, 0.5, 0.9]), [1.0, -2.0, 1.0], 0.01)
     assert check.satisfied
 
     rng = np.random.default_rng(6)
-    linear_density = spectral_density_1d(LINEAR)
     pts = np.sort(rng.uniform(0, 1, 6))
     X = _interval_set(pts)
-    check = verify_shift_identity(
-        linear_density, X, rng.uniform(-1, 1, 6), 0.1 * X.separation
-    )
+    check = verify_shift_identity(LINEAR, X, rng.uniform(-1, 1, 6), 0.1 * X.separation)
     assert check.satisfied
 
 
 def test_shift_identity_zero_shift_reduces_to_consistency():
-    density = spectral_density_1d(LINEAR)
     X = equispaced(6, 0, 1)
-    check = verify_shift_identity(density, X, np.ones(6), 0.0)
+    check = verify_shift_identity(LINEAR, X, np.ones(6), 0.0)
     assert check.satisfied
 
 
+def _no_matrix(*args, **kwargs):
+    raise AssertionError("a matrix was built")
+
+
+def test_verifiers_of_1d_forms_reject_other_specs_before_any_matrix(monkeypatch):
+    # the damped form and the Fourier side are 1-D; a 2-D spec is turned
+    # away before any Gram or shifted matrix is built
+    monkeypatch.setattr(analysis, "gram", _no_matrix)
+    monkeypatch.setattr(analysis, "shifted_gram", _no_matrix)
+    spec = KernelSpec(Family.MATERN_BASIC, dim=2)
+    X = halton(8, 2)
+    with pytest.raises(ValueError, match="1-D only"):
+        verify_damping_bound(spec, X, np.ones(8), [0.0], eps=0.25)
+    with pytest.raises(ValueError, match="1-D only"):
+        verify_shift_identity(spec, X, np.ones(8), 0.0)
+
+
 def test_damping_bound_zero_shift_trivial():
-    density = spectral_density_1d(BASIC)
     X = equispaced(8, 0, 1)
-    checks = verify_damping_bound(density, X, np.ones(8), 0.0, eps=0.25)
+    checks = verify_damping_bound(BASIC, X, np.ones(8), [0.0], eps=0.25)
     assert checks[0].lhs == 0.0 and checks[0].satisfied
 
 
-def test_damping_bound_hypothesis_guards():
-    density = spectral_density_1d(BASIC)
+def test_damping_bound_hypothesis_guards(monkeypatch):
     X = equispaced(8, 0, 1)
     with pytest.raises(ValueError):
-        verify_damping_bound(density, X, np.ones(8), X.separation, eps=0.25)
+        verify_damping_bound(BASIC, X, np.ones(8), [X.separation], eps=0.25)
     with pytest.raises(ValueError):
-        verify_damping_bound(density, X, np.ones(8), 0.0, eps=1.5)
+        verify_damping_bound(BASIC, X, np.ones(8), [0.0], eps=1.5)
+    # every shift is checked before the first one's matrices are built
+    monkeypatch.setattr(analysis, "gram", _no_matrix)
+    with pytest.raises(ValueError, match="violates"):
+        verify_damping_bound(BASIC, X, np.ones(8), [0.0, X.separation], eps=0.25)
+
+
+def test_damping_bound_takes_shifts_in_order():
+    # one call for several shifts gives the checks of one call per shift,
+    # bit for bit and in that order
+    rng = np.random.default_rng(8)
+    X = _interval_set(np.sort(rng.uniform(0, 1, 12)))
+    alpha = rng.uniform(-1, 1, 12)
+    shifts = [math.sqrt(0.25) * X.separation * kappa for kappa in (1.0, 0.1, 0.5)]
+    for spec in (BASIC, LINEAR):
+        one_by_one = [c for b in shifts for c in verify_damping_bound(spec, X, alpha, [b], 0.25)]
+        assert verify_damping_bound(spec, X, alpha, shifts, 0.25) == one_by_one
+    names = [c.name for c in verify_damping_bound(LINEAR, X, alpha, shifts, 0.25)]
+    assert names == ["damping-basic", "damping-improved"] * 3
 
 
 def test_damping_bound_improved_needs_constant():
-    density = spectral_density_1d(KernelSpec(Family.MATERN_QUADRATIC, dim=1))
+    spec = KernelSpec(Family.MATERN_QUADRATIC, dim=1)
     X = equispaced(8, 0, 1)
     b = 0.1 * X.separation
     with pytest.raises(ValueError):
-        verify_damping_bound(density, X, np.ones(8), b, eps=0.25)
-    checks = verify_damping_bound(density, X, np.ones(8), b, eps=0.25, c_min=0.1)
+        verify_damping_bound(spec, X, np.ones(8), [b], eps=0.25)
+    checks = verify_damping_bound(spec, X, np.ones(8), [b], eps=0.25, c_min=0.1)
     assert [c.name for c in checks] == ["damping-basic", "damping-improved"]
     assert all(c.satisfied for c in checks)
 
@@ -223,24 +249,22 @@ def test_damping_bound_missing_constant_fails_before_quadrature(monkeypatch):
         raise AssertionError("a matrix was built before the constant was resolved")
 
     monkeypatch.setattr(analysis, "gram", no_assembly)
-    density = spectral_density_1d(KernelSpec(Family.MATERN_QUADRATIC, dim=1))
+    spec = KernelSpec(Family.MATERN_QUADRATIC, dim=1)
     X = equispaced(8, 0, 1)
     with pytest.raises(ValueError, match="no fitted constant"):
-        verify_damping_bound(density, X, np.ones(8), 0.1 * X.separation, eps=0.25)
+        verify_damping_bound(spec, X, np.ones(8), [0.1 * X.separation], eps=0.25)
 
 
 def test_damping_bound_flags_floor_noise():
     # |b| <= sqrt(eps) q: at eps = 1e-14 the exact damped form is a difference
     # of O(||A|| ||a||^2) terms that cancel below the precision floor
-    density = spectral_density_1d(LINEAR)
     X = equispaced(20, 0, 1)
     rng = np.random.default_rng(3)
     for eps, reliable in ((1e-14, False), (0.25, True)):
         for alpha in (np.ones(20), rng.uniform(-1, 1, 20)):
-            for kappa in (0.1, 0.5, 1.0):
-                b = math.sqrt(eps) * X.separation * kappa
-                checks = verify_damping_bound(density, X, alpha, b, eps)
-                assert [c.reliable for c in checks] == [reliable, reliable]
+            shifts = [math.sqrt(eps) * X.separation * kappa for kappa in (0.1, 0.5, 1.0)]
+            checks = verify_damping_bound(LINEAR, X, alpha, shifts, eps)
+            assert [c.reliable for c in checks] == [reliable] * 6
 
 
 @pytest.mark.parametrize("spec", [LINEAR, KernelSpec(Family.MATERN_QUADRATIC, dim=1)],
@@ -253,7 +277,7 @@ def test_damping_lhs_matches_fourier_oracle(spec):
     for X in (equispaced(20, 0, 1), _interval_set(np.sort(rng.uniform(0, 1, 8)))):
         alpha = rng.uniform(-1, 1, len(X))
         for b in (0.05 * X.separation, 0.5 * X.separation):
-            lhs = verify_damping_bound(density, X, alpha, b, 0.25, c_min=0.1)[0].lhs
+            lhs = verify_damping_bound(spec, X, alpha, [b], 0.25, c_min=0.1)[0].lhs
             form = fourier_quadratic_form(density, X, alpha, b)
             assert abs(lhs - form.damped_integral / math.sqrt(2 * math.pi)) <= (
                 form.tail_bound / math.sqrt(2 * math.pi)
@@ -267,7 +291,7 @@ def test_damping_lhs_matches_fourier_oracle_basic():
     X = equispaced(6, 0, 1)
     alpha = np.random.default_rng(5).uniform(-1, 1, 6)
     b = 0.05 * X.separation
-    lhs = verify_damping_bound(density, X, alpha, b, 0.25)[0].lhs
+    lhs = verify_damping_bound(BASIC, X, alpha, [b], 0.25)[0].lhs
     form = fourier_quadratic_form(density, X, alpha, b, 1e5)
     assert form.damped_integral / math.sqrt(2 * math.pi) == pytest.approx(lhs, rel=0.01)
 

@@ -222,13 +222,14 @@ def test_random_interval_sets_keep_their_gaps():
         assert np.min(np.diff(x)) > 2e-3
 
 
-def test_random_interval_sets_match_rejection_sampling():
+def test_random_interval_sets_match_rejection_sampling(monkeypatch):
     # the exact sampler draws sorted uniforms conditioned on every gap > 0.2,
     # the law the rejection loop it replaced sampled
+    monkeypatch.setattr(experiments, "_MIN_SEPARATION", 0.1)
     raw = np.sort(np.random.default_rng(7).uniform(size=(200_000, 4)), axis=1)
     kept = raw[np.all(np.diff(raw, axis=1) > 0.2, axis=1)]
     exact = np.array([
-        _random_interval_set(SplitMix64(seed), 4, 0.1).points[:, 0] for seed in range(len(kept))
+        _random_interval_set(SplitMix64(seed), 4).points[:, 0] for seed in range(len(kept))
     ])
     stderr = np.sqrt((kept.var(axis=0) + exact.var(axis=0)) / len(kept))
     assert np.all(np.abs(kept.mean(axis=0) - exact.mean(axis=0)) < 4 * stderr)
@@ -259,6 +260,29 @@ def test_thm41_builds_its_convolved_gram_once(tmp_path, monkeypatch):
             "--out-csv", str(tmp_path / "thm41.csv")]
     assert cli.main(args) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family, checks", [
+    (Family.MATERN_BASIC, 33), (Family.MATERN_LINEAR, 66),
+])
+def test_sin2_builds_each_gram_matrix_once(monkeypatch, family, checks):
+    # k(X, X) and its eigensolve depend on the point set alone: one of each
+    # for each of the 11 sets (equispaced and 10 random), and one shifted
+    # matrix for each of a set's 3 shifts
+    calls = {"gram": 0, "eigvalsh": 0, "shifted_gram": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(analysis, "gram", counted("gram", analysis.gram))
+    monkeypatch.setattr(analysis, "shifted_gram", counted("shifted_gram", analysis.shifted_gram))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    report = run(ExperimentConfig(command="sin2", kernel=family))
+    assert calls == {"gram": 11, "eigvalsh": 11, "shifted_gram": 33}
+    assert len(report.checks) == len(report.rows) == checks
 
 
 def _split_of_the_whole_matrix(A):

@@ -318,3 +318,19 @@ def test_only_row_blocks_reads_the_block_budget():
     for name, tree in _package_trees():
         found += [f"{name}:{where}" for where in _block_budget_reads(tree, "<module>")]
     assert sorted(found) == ["geometry.py:_row_blocks"]
+
+
+def test_every_verifier_takes_the_kernel_spec():
+    # one verifier signature, verify_*(spec, X, ...): a verifier that needs
+    # the spectral density builds it from the spec, so no driver builds one
+    tree = ast.parse((PACKAGE / "analysis.py").read_text())
+    verifiers = {
+        node.name: [a.arg for a in node.args.posonlyargs + node.args.args][:2]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")
+    }
+    assert len(verifiers) == 4
+    assert {name: args for name, args in verifiers.items() if args != ["spec", "X"]} == {}
+    drivers = ast.parse((PACKAGE / "experiments.py").read_text())
+    imported = {node.name for node in ast.walk(drivers) if isinstance(node, ast.alias)}
+    assert "spectral_density_1d" not in _references(drivers) | imported
