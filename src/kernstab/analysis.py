@@ -25,7 +25,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """One evaluated inequality: satisfied iff lhs <= rhs (+ tolerance)."""
+    """One evaluated inequality: satisfied iff lhs <= rhs (lhs < rhs if strict)."""
 
     name: str
     lhs: float
@@ -35,9 +35,9 @@ class BoundCheck:
     reliable: bool = True
 
 
-def _check(name, lhs, rhs, tol=0.0, strict=False, reliable=True) -> BoundCheck:
+def _check(name, lhs, rhs, strict=False, reliable=True) -> BoundCheck:
     lhs, rhs = float(lhs), float(rhs)
-    ok = lhs < rhs if strict else lhs <= rhs + tol
+    ok = lhs < rhs if strict else lhs <= rhs
     # bool(): a flag from a numpy comparison is an np.bool_, which CSV
     # formatting would write as True/False
     return BoundCheck(

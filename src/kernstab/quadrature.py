@@ -32,7 +32,6 @@ OUTER_PHASE = 8.0
 class QuadratureRule:
     """Nodes and weights on the reference interval [-1, 1]."""
 
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -55,28 +54,25 @@ def gauss_legendre(order: int) -> QuadratureRule:
     """
     if not 1 <= order <= 64:
         raise ValueError("order must be in 1..64")
-    if order == 1:
-        nodes, weights = np.array([0.0]), np.array([2.0])
-    else:
-        k = np.arange(1, order + 1)
-        x = np.cos(np.pi * (4 * k - 1) / (4 * order + 2))
-        for _ in range(100):
-            p, dp = _legendre(order, x)
-            dx = p / dp
-            x -= dx
-            if np.max(np.abs(dx)) < 1e-15:
-                break
-        else:  # pragma: no cover - does not happen for order <= 64
-            raise AssertionError("Newton iteration for Legendre roots did not converge")
-        _, dp = _legendre(order, x)
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        idx = np.argsort(x)
-        x, w = x[idx], w[idx]
-        nodes = 0.5 * (x - x[::-1])
-        weights = 0.5 * (w + w[::-1])
+    k = np.arange(1, order + 1)
+    x = np.cos(np.pi * (4 * k - 1) / (4 * order + 2))
+    for _ in range(100):
+        p, dp = _legendre(order, x)
+        dx = p / dp
+        x -= dx
+        if np.max(np.abs(dx)) < 1e-15:
+            break
+    else:  # pragma: no cover - does not happen for order <= 64
+        raise AssertionError("Newton iteration for Legendre roots did not converge")
+    _, dp = _legendre(order, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    idx = np.argsort(x)
+    x, w = x[idx], w[idx]
+    nodes = 0.5 * (x - x[::-1])
+    weights = 0.5 * (w + w[::-1])
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(order=order, nodes=nodes, weights=weights)
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def panel_grid(edges: np.ndarray, order: int):

@@ -41,9 +41,8 @@ class SplitMix64:
         return (self.next_uint64() >> 11) * 2.0 ** -53
 
     def uniforms(self, *shape: int) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        out = np.array([self.uniform() for _ in range(n)])
-        return out.reshape(shape) if shape else out[0]
+        out = np.array([self.uniform() for _ in range(int(np.prod(shape)))])
+        return out.reshape(shape)
 
     def symmetric(self, *shape: int) -> np.ndarray:
         """Uniform draws in (-1, 1)."""

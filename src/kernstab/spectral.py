@@ -204,7 +204,7 @@ def whitened_spectrum(gram, shifted) -> np.ndarray:
     # written as "not below", so a NaN in the inverse also falls back
     if G is None or not _SPD_FLOOR * upper * np.vdot(G, G) < 1.0:
         factored, G = G is not None, None  # L^-1 is freed before eigh
-        w, Q = np.linalg.eigh(_check_symmetric(gram()))
+        w, Q = sym_eigen(gram())
         _require_spd(w)
         if factored:
             del Q
@@ -347,20 +347,19 @@ def centrosymmetric_eigvalsh(n: int, rows_into, work: int) -> np.ndarray:
     for bit.
     """
     folded = _fold(n, rows_into, work) if n > 1 else None
-    if folded is None:
-        return np.linalg.eigvalsh(_whole(n, rows_into, work))
-    halves, delta = folded
-    del folded
-    m = n // 2
-    # the reflection-odd half, then the even
-    odd = np.linalg.eigvalsh(halves[:m, :m].T)
-    w = np.concatenate([odd, np.linalg.eigvalsh(halves[1:])])
-    del halves
-    w.sort()
-    # written as "not below", so a NaN also falls back
-    if not delta < m / n * precision_floor(w):
-        return np.linalg.eigvalsh(_whole(n, rows_into, work))
-    return w
+    if folded is not None:
+        halves, delta = folded
+        del folded
+        m = n // 2
+        # the reflection-odd half, then the even
+        odd = np.linalg.eigvalsh(halves[:m, :m].T)
+        w = np.concatenate([odd, np.linalg.eigvalsh(halves[1:])])
+        del halves
+        w.sort()
+        # a NaN fails this test, so it falls back too
+        if delta < m / n * precision_floor(w):
+            return w
+    return np.linalg.eigvalsh(_whole(n, rows_into, work))
 
 
 def precision_floor(eigenvalues) -> float:

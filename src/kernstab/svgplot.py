@@ -66,7 +66,7 @@ def _decade_span(values):
     return d0, d1
 
 
-def loglog_plot_svg(series: Sequence[Series], xlabel: str = "", ylabel: str = "") -> str:
+def loglog_plot_svg(series: Sequence[Series], xlabel: str, ylabel: str) -> str:
     """Log-log line plot, as SVG text; points with nonpositive ordinate are dropped."""
     width, height = 720, 540
     ml, mr, mt, mb = 80, 24, 24, 64
@@ -124,17 +124,15 @@ def loglog_plot_svg(series: Sequence[Series], xlabel: str = "", ylabel: str = ""
             f'<polyline points="{coords}" fill="none" stroke="{s.color}" '
             f'stroke-width="1.5"{dash}/>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 16}" font-size="13" '
-            f'text-anchor="middle" font-family="sans-serif">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="18" y="{(mt + height - mb) / 2:.2f}" font-size="13" '
-            f'text-anchor="middle" font-family="sans-serif" '
-            f'transform="rotate(-90 18 {(mt + height - mb) / 2:.2f})">{ylabel}</text>'
-        )
+    parts.append(
+        f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 16}" font-size="13" '
+        f'text-anchor="middle" font-family="sans-serif">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="18" y="{(mt + height - mb) / 2:.2f}" font-size="13" '
+        f'text-anchor="middle" font-family="sans-serif" '
+        f'transform="rotate(-90 18 {(mt + height - mb) / 2:.2f})">{ylabel}</text>'
+    )
     ly = height - mb - 14 - 16 * len([s for s, p in plotted if p])
     for s, pts in plotted:
         if not pts:
@@ -205,7 +203,7 @@ def heatmap_svg(values) -> str:
     """
     values = np.asarray(values, dtype=float)
     n_rows, n_cols = values.shape
-    cell = max(4, 480 // max(n_rows, n_cols))
+    cell = max(4, 480 // max(n_rows, n_cols, 1))
 
     # clip((log10(max(|v|, tiny)) - floor) / span, 0, 1) * top, step by step in place
     scaled = np.abs(values)

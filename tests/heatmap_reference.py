@@ -35,7 +35,7 @@ _IMAGE = re.compile(
 
 
 def cell_size(shape):
-    return max(4, 480 // max(shape))
+    return max(4, 480 // max(*shape, 1))
 
 
 def loop_color_indices(values):

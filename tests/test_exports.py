@@ -1,4 +1,4 @@
-"""Every name the package exports, and every default it declares, has a user.
+"""Every name the package exports, and every default and field it declares, has a user.
 
 A name that ``kernstab/__init__.py`` exports must be referenced as code in
 another part of the package (an AST name or attribute, so docstrings and
@@ -10,10 +10,12 @@ Every module of the package is imported by another of its modules (the
 package's ``__init__`` and ``__main__`` count), so a module left behind by
 the code that used it fails here.
 
-Likewise each default of a public function's parameter or of a public
-dataclass field must be passed some other value, by position, by keyword
-or through ``*``/``**``, by at least one call in the package or the
-acceptance suite; a default that no caller changes is made a constant.
+Likewise each default of a module-level function's parameter, private or
+public, or of a public dataclass field must be passed some other value, by
+position, by keyword or through ``*``/``**``, by at least one call in the
+package or the acceptance suite; a default that no caller changes is made a
+constant.  And every field of a package dataclass is read by some code in
+the package or the acceptance suite; a field that nothing reads is deleted.
 
 The facts of a kernel family live in one table, ``kernels.PROFILES``: no
 module compares a value with a ``Family`` member, and no other
@@ -146,22 +148,29 @@ def _signature(fn: ast.FunctionDef, method: bool):
     return positional, defaults
 
 
+def _fields(node: ast.ClassDef) -> list:
+    """(name, default expression or None) of each field a dataclass declares."""
+    return [
+        (s.target.id, s.value)
+        for s in node.body
+        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+    ]
+
+
 def _knobs() -> dict:
     """Callable name -> (positional names, {parameter: default expression})
-    for every public function and public class of the package: a class
-    is called through its dataclass fields or its ``__init__``."""
+    for every module-level function, private ones too, and every public
+    class of the package: a class is called through its dataclass fields
+    or its ``__init__``."""
     found = {}
     for path in PACKAGE.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in found, f"two functions named {node.name}"
                 found[node.name] = _signature(node, method=False)
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 if _is_dataclass(node):
-                    fields = [
-                        (s.target.id, s.value)
-                        for s in node.body
-                        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-                    ]
+                    fields = _fields(node)
                     found[node.name] = (
                         [name for name, _ in fields],
                         {name: value for name, value in fields if value is not None},
@@ -209,6 +218,29 @@ def test_every_default_is_set_by_some_caller():
     assert set(UNSET_BY_DESIGN) <= declared
     unset = sorted(declared - set_somewhere - set(UNSET_BY_DESIGN))
     assert not unset, f"defaults that no caller changes: {unset}"
+
+
+def test_every_dataclass_field_is_read():
+    # a field is read when some code in the package or the acceptance suite
+    # loads an attribute of its name.  Names alone are matched, not types, so
+    # a field can hide behind another object's attribute of the same name:
+    # a ``kernel`` field of one class would pass by ``cfg.kernel`` of another
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), ACCEPTANCE]:
+        read |= {
+            node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    unread = sorted(
+        f"{node.name}.{name}"
+        for _, tree in _package_trees()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for name, _ in _fields(node)
+        if name not in read
+    )
+    assert not unread, f"fields that nothing reads: {unread}"
 
 
 def _is_family_member(node) -> bool:

@@ -18,7 +18,10 @@ def _log_uniform(shape, lo, hi, seed):
     return signs * 10.0 ** rng.uniform(lo, hi, size=shape)
 
 
-@pytest.mark.parametrize("shape", [(120, 120), (37, 53), (200, 9), (1, 1), (2, 0)])
+# a grid without cells draws the background and the frame alone
+@pytest.mark.parametrize(
+    "shape", [(120, 120), (37, 53), (200, 9), (1, 1), (2, 0), (0, 0), (0, 3), (3, 0)]
+)
 def test_heatmap_matches_per_cell_loop(shape):
     grid = _log_uniform(shape, -7.0, 0.5, seed=sum(shape))
     _check_heatmap(grid)
@@ -89,4 +92,4 @@ def test_loglog_plot_smoke():
     assert ">1e1<" in svg and ">1e3<" in svg and ">1e-7<" in svg
     assert ">#points<" in svg and ">lambda_min<" in svg
     with pytest.raises(ValueError):
-        loglog_plot_svg([Series("none", [(1, 0.0)])])
+        loglog_plot_svg([Series("none", [(1, 0.0)])], "x", "y")
