@@ -191,15 +191,15 @@ def verify_conv_chain(
     X: PointSet,
     directions,
     b: float,
-    c: Optional[float] = None,
+    c_conv: Optional[float] = None,
 ) -> list[list[BoundCheck]]:
     """Two links of the convolved-kernel lower-bound chain, for a given shift,
     along each coefficient vector a of ``directions`` (one check list each).
 
     (a) the convolved quadratic form dominates q * ||k(X+b, X) a||^2, a
     single-shift surrogate of the ball-averaging step, and (b) the end-to-end
-    statement <k* a, a> / ||a||^2 >= c q^d (<k a, a> / ||a||^2)^2 with the
-    fitted constant (``conv_lower_bound_from_sym``).  q is min(boundary
+    statement <k* a, a> / ||a||^2 >= c_conv q^d (<k a, a> / ||a||^2)^2 with
+    the fitted constant (``conv_lower_bound_from_sym``).  q is min(boundary
     distance, q_X) when positive and q_X otherwise; checks whose quadratic
     form sits below the precision floor of k* are flagged unreliable.  The
     matrices are built once for all directions, one at a time, each freed
@@ -213,11 +213,11 @@ def verify_conv_chain(
     q = min(q_b, q_x) if min(q_b, q_x) > 0 else q_x
     if abs(b) > q * (1.0 + 1e-12):
         raise ValueError(f"shift {b} violates |b| <= q = {q:.3e}")
-    if c is None:
-        c = PROFILES[spec.family].c_conv
-    if c is None:
+    if c_conv is None:
+        c_conv = PROFILES[spec.family].c_conv
+    if c_conv is None:
         raise ValueError(
-            f"no fitted constant for {spec.family.value} in dimension {X.dim}; pass c"
+            f"no fitted constant for {spec.family.value} in dimension {X.dim}; pass c_conv"
         )
     alphas = [np.asarray(alpha, dtype=float) for alpha in directions]
     norms2 = [float(alpha @ alpha) for alpha in alphas]
@@ -235,7 +235,7 @@ def verify_conv_chain(
     per_direction = []
     for norm2, conv, sym, point in zip(norms2, quad_conv, quad_sym, pointwise):
         reliable = conv >= floor * norm2
-        end_to_end = conv_lower_bound_from_sym(X.dim, q, sym / norm2, c)
+        end_to_end = conv_lower_bound_from_sym(X.dim, q, sym / norm2, c_conv)
         per_direction.append([
             _check("conv-chain-pointwise", point, conv, reliable=reliable),
             _check("conv-chain-end-to-end", end_to_end, conv / norm2, reliable=reliable),

@@ -47,8 +47,8 @@ _FLAG_OPTIONS = {
     "n": {"type": int},
     "layout": {"choices": LAYOUTS},
     "endpoints": {"type": _bool_flag},
-    "c_min": {"type": float, "help": "override the fitted plain-matrix bound constant"},
-    "c_conv": {"type": float, "help": "override the fitted convolved-matrix bound constant"},
+    "c_min": {"type": float, "help": "plain-matrix bound constant (default: the shipped one)"},
+    "c_conv": {"type": float, "help": "convolved-matrix bound constant (default: the shipped one)"},
     "out_csv": {"type": str},
     "out_svg": {"type": str},
 }

@@ -52,8 +52,9 @@ class Command:
     runner reads, the output paths the CLI reads, and ``seed``, taken by
     every command so that one seed can be passed to any), and its defaults
     of ``dim`` and ``n``.  Every command runs every kernel family, but
-    ``sin2`` and ``thm41`` ship no bound constant for matern-quadratic and
-    run it only with ``c_min`` or ``c_conv`` given."""
+    ``PROFILES`` ships no bound constant for matern-quadratic: ``sin2`` and
+    ``thm41`` run it only with ``c_min`` or ``c_conv`` given, and without
+    them ``eigen-scaling`` draws no bound curve for it."""
 
     options: tuple
     dim: int = 1
@@ -303,14 +304,6 @@ def _random_interval_set(rng: SplitMix64, n: int) -> PointSet:
     return PointSet(np.cumsum(gaps)[:n, None], np.array([[0.0, 1.0]]))
 
 
-def _intercept_fit(samples, exponent: float) -> Optional[float]:
-    kept = [(q, v) for q, v in samples if v > 0]
-    if not kept:
-        return None
-    logs = [math.log(v) - exponent * math.log(q) for q, v in kept]
-    return math.exp(sum(logs) / len(logs))
-
-
 def _scaling_samples(cfg: ExperimentConfig, spec: KernelSpec) -> tuple:
     """The rows ``(n, q, lambda_min(k), lambda_min(k*), flag(k), flag(k*))``
     at each size of the grid, the flags true below the precision floor, and
@@ -344,7 +337,12 @@ def _scaling_samples(cfg: ExperimentConfig, spec: KernelSpec) -> tuple:
 
 def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     """Smallest eigenvalues of the plain and convolved Gram matrices over a
-    geometric grid of sample sizes, plotted with the fitted lower-bound curves.
+    geometric grid of sample sizes, plotted with the lower-bound curves.
+
+    Each curve is drawn from a stated constant, ``c_min`` / ``c_conv`` or
+    else the family's ``PROFILES`` row, never from the samples it is drawn
+    over; a series with neither (both, for matern-quadratic) gets ``nan``
+    bounds and no curve.
 
     The checks ``fit-lambda_min_sym`` and ``fit-lambda_min_conv`` fit a
     power law to each series' samples above the precision floor and hold its
@@ -361,10 +359,6 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     # a given constant is positive, so `or` falls back only when none is given
     c_sym = cfg.c_min or PROFILES[cfg.kernel].c_sym
     c_conv = cfg.c_conv or PROFILES[cfg.kernel].c_conv
-    if c_sym is None:
-        c_sym = _intercept_fit(sym, 2 * tau - 1)
-    if c_conv is None:
-        c_conv = _intercept_fit(conv, 4 * tau - 1)
 
     rows = []
     for n, q, lam_sym, lam_conv, flag_sym, flag_conv in samples:
@@ -482,7 +476,7 @@ def run_conv_chain(cfg: ExperimentConfig) -> ExperimentReport:
     _, Q = sym_eigen(gram(spec, X))
     directions = [Q[:, 0], Q[:, -1]]
     directions += [rng.symmetric(len(X)) for _ in range(cfg.trials)]
-    per_trial = analysis.verify_conv_chain(spec, X, directions, b, c=cfg.c_conv)
+    per_trial = analysis.verify_conv_chain(spec, X, directions, b, c_conv=cfg.c_conv)
     return _check_report(cfg, per_trial)
 
 

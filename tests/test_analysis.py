@@ -378,7 +378,7 @@ def test_conv_chain_needs_constant_for_quadratic():
     X = equispaced(8, 0, 1)
     with pytest.raises(ValueError):
         verify_conv_chain(quad, X, [np.ones(8)], 0.1 * X.separation)
-    [checks] = verify_conv_chain(quad, X, [np.ones(8)], 0.1 * X.separation, c=0.01)
+    [checks] = verify_conv_chain(quad, X, [np.ones(8)], 0.1 * X.separation, c_conv=0.01)
     assert all(c.satisfied for c in checks)
 
 

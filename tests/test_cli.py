@@ -1,5 +1,7 @@
 import argparse
+import csv
 import hashlib
+import math
 import re
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from conftest import BLAS_THREADS
 from heatmap_reference import assert_decodes_to_loop_colors, heatmap_matrix, heatmap_spectrum
 from kernstab import Family, QuadratureError, SingularMatrixError, cli
 from kernstab.experiments import COMMANDS, ExperimentConfig, ExperimentReport, run
+from kernstab.kernels import PROFILES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -176,6 +179,53 @@ def test_eigen_scaling_fails_the_conv_slope_off_the_equispaced_grid(args, tmp_pa
     assert re.search(r"^  fit-lambda_min_sym: .* ok$", result.stdout, re.M)
     assert re.search(r"^  fit-lambda_min_conv: .* FAIL$", result.stdout, re.M)
     assert "checks: 2 total, 1 failed (reliable)" in result.stdout
+
+
+# SHA-256 of matern-quadratic's fit sidecar on the default grid, the same at
+# 1 and 2 BLAS threads: the bound constants enter no fit
+QUADRATIC_FIT_DIGEST = "4c91d135b39a76fe7120d99dfa3a77fefabcc6984d93c31bae755763830737fc"
+
+
+def _scaling_rows(path):
+    with open(path, newline="") as table:
+        return list(csv.DictReader(table))
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda family: family.value)
+def test_eigen_scaling_bounds_lie_below_every_reliable_sample(family, tmp_path):
+    # criterion 05 read from the command's own artifact: a bound column is
+    # finite exactly when its family states the constant, its dashed curve is
+    # drawn exactly then, and each finite bound lies at or below its row's
+    # lambda_min wherever that row is above the precision floor
+    result = run_cli(["eigen-scaling", "--kernel", family.value], tmp_path)
+    assert result.returncode == 0, result.stderr
+    rows = _scaling_rows(tmp_path / "eigen-scaling.csv")
+    svg = (tmp_path / "eigen-scaling.svg").read_text()
+    profile = PROFILES[family]
+    for series, constant, label in (
+        ("sym", profile.c_sym, "bound(k)<"),
+        ("conv", profile.c_conv, "bound(k*)<"),
+    ):
+        bounds = [float(row[f"bound_{series}"]) for row in rows]
+        above = [
+            row["n"]
+            for bound, row in zip(bounds, rows)
+            if row[f"reliable_{series}"] == "true" and bound > float(row[f"lambda_min_{series}"])
+        ]
+        assert above == [], series
+        assert [math.isfinite(bound) for bound in bounds] == [constant is not None] * len(rows)
+        assert (label in svg) == (constant is not None)
+    if profile.c_sym is None:
+        fit = (tmp_path / "eigen-scaling.fit.csv").read_bytes()
+        assert hashlib.sha256(fit).hexdigest() == QUADRATIC_FIT_DIGEST
+        # a constant given by flag is drawn, and only for its own series
+        result = run_cli(["eigen-scaling", "--kernel", family.value, "--c-min", "0.1"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        rows = _scaling_rows(tmp_path / "eigen-scaling.csv")
+        assert all(math.isfinite(float(row["bound_sym"])) for row in rows)
+        assert all(row["bound_conv"] == "nan" for row in rows)
+        svg = (tmp_path / "eigen-scaling.svg").read_text()
+        assert "bound(k)<" in svg and "bound(k*)<" not in svg
 
 
 def test_heatmap_command(tmp_path):
@@ -469,6 +519,17 @@ def test_constant_overrides_enable_quadratic_family(tmp_path):
     chain = ["thm41", "--kernel", "matern-quadratic", "--n", "8", "--trials", "1"]
     assert run_cli(chain, tmp_path).returncode == 2
     assert run_cli([*chain, "--c-conv", "0.01"], tmp_path).returncode == 0
+
+
+@pytest.mark.parametrize("command, field", [("thm41", "c_conv"), ("sin2", "c_min")])
+def test_missing_constant_error_names_the_option_that_supplies_it(command, field, tmp_path):
+    # the message names a config field, so its flag is one the command takes
+    result = run_cli([command, "--kernel", "matern-quadratic"], tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.rstrip().endswith(f"; pass {field}"), result.stderr
+    flag = "--" + field.replace("_", "-")
+    parsed = cli.build_parser().parse_args([command, flag, "0.01"])
+    assert getattr(parsed, field) == 0.01
 
 
 def test_negative_values_in_any_float_form(tmp_path, monkeypatch, capsys):

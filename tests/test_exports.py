@@ -17,15 +17,21 @@ package or the acceptance suite; a default that no caller changes is made a
 constant.  And every field of a package dataclass is read by some code in
 the package or the acceptance suite; a field that nothing reads is deleted.
 
+An error message that tells the user to ``pass <name>`` names a field of
+``ExperimentConfig``, so that its flag is one the CLI takes.
+
 The facts of a kernel family live in one table, ``kernels.PROFILES``: no
 module compares a value with a ``Family`` member, and no other
 module-level dict is keyed by members, bare or in a tuple.
 """
 
 import ast
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import kernstab
+from kernstab.experiments import ExperimentConfig
 from test_bench_spans import _expected_spans
 
 PACKAGE = Path(kernstab.__file__).resolve().parent
@@ -241,6 +247,29 @@ def test_every_dataclass_field_is_read():
         if name not in read
     )
     assert not unread, f"fields that nothing reads: {unread}"
+
+
+def _raised_text(tree) -> list:
+    # the string constants of every raised expression, f-string parts included
+    return [
+        part.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        for part in ast.walk(node.exc)
+        if isinstance(part, ast.Constant) and isinstance(part.value, str)
+    ]
+
+
+def test_every_named_option_is_a_config_field():
+    named = {
+        f"{name}:{option}"
+        for name, tree in _package_trees()
+        for text in _raised_text(tree)
+        for option in re.findall(r"\bpass (\w+)", text)
+    }
+    assert named, "no error message names an option"
+    config = {field.name for field in fields(ExperimentConfig)}
+    assert sorted(entry for entry in named if entry.split(":")[1] not in config) == []
 
 
 def _is_family_member(node) -> bool:
