@@ -94,9 +94,9 @@ def verify_equivalence(spec: KernelSpec, X: PointSet, b) -> EquivalenceResult:
 
     Whitening the symmetrized shifted matrix against the unshifted one must
     place the whole spectrum in [3/4, 1): the upper edge holds for every
-    shift, the 3/4 edge for shifts small against the separation distance
-    (caller's responsibility; both checks simply report).  The spectrum is
-    ``whitened_spectrum``'s Cholesky congruence, which never forms the
+    nonzero shift, the 3/4 edge for shifts small against the separation
+    distance (caller's responsibility; both checks simply report).  The
+    spectrum is ``whitened_spectrum``'s congruence, which never forms the
     whitened matrix; a Gram matrix too near singular to whiten raises
     ``SingularMatrixError``.  The Gram matrix is factored and inverted in
     place, and the shifted matrix is built only after that inverse has been

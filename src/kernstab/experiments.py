@@ -413,7 +413,10 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _equivalence_report(cfg: ExperimentConfig, X: PointSet) -> ExperimentReport:
     """``verify_equivalence``'s checks on ``X`` under the diagonal shift of
-    ``shift_factor`` separations, the spectrum as the ``spectrum`` sidecar."""
+    ``shift_factor`` separations, the spectrum as the ``spectrum`` sidecar.
+    A zero shift is refused before any matrix is built: there every w is 1."""
+    if cfg.shift_factor == 0:
+        raise ValueError("shift_factor must be nonzero: at b = 0 every whitened eigenvalue is 1")
     spec = KernelSpec(cfg.kernel, dim=cfg.dim)
     result = analysis.verify_equivalence(spec, X, _diagonal_shift(cfg, X))
     spectrum = [[i, v] for i, v in enumerate(result.spectrum)]

@@ -140,6 +140,20 @@ def test_equivalence_small_shift(family, dim, n):
     assert result.spectrum.max() < 1.0
 
 
+@pytest.mark.parametrize("n", [520, 610, 690, 700, 760, 780, 790])
+def test_equivalence_holds_where_the_norm_bound_cannot_decide(n, monkeypatch):
+    # 1-D equispaced matern-linear from n = 400 to 790 falls back to eigh(A),
+    # whose eigenpairs whiten: w_max < 1, the theorem for b != 0, and w_min
+    # at least 0.97, 1.6e-2 below the lattice value 0.9855
+    eigh, solves = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: solves.append(len(M)) or eigh(M))
+    X = equispaced(n, 0, 1)
+    result = verify_equivalence(LINEAR, X, [0.1 * X.separation])
+    assert solves == [n]
+    assert result.upper.satisfied and result.upper.reliable
+    assert result.spectrum[0] >= 0.97
+
+
 def test_equivalence_builds_the_shifted_matrix_after_freeing_the_gram_matrix(monkeypatch):
     # k(X,X) is built once and overwritten by its inverse Cholesky factor
     # before k(X+b,X) is built: its values are gone, and the one n x n

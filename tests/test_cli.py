@@ -14,7 +14,7 @@ import pytest
 
 from conftest import BLAS_THREADS
 from heatmap_reference import assert_decodes_to_loop_colors, heatmap_matrix, heatmap_spectrum
-from kernstab import Family, QuadratureError, SingularMatrixError, cli
+from kernstab import Family, QuadratureError, SingularMatrixError, analysis, cli
 from kernstab.experiments import COMMANDS, ExperimentConfig, ExperimentReport, run
 from kernstab.kernels import PROFILES
 
@@ -307,7 +307,8 @@ def test_heatmap_runs_in_one_dimension(tmp_path):
 # its matrix products, so they are recorded at 1 and at 2 threads, keyed by
 # that count, and the entry of the min(2, cores) threads that
 # tests/conftest.py gives every child is compared; every other digest holds
-# at both.
+# at both, for the sizes pinned here.  Larger runs need not: on the default
+# eigen-scaling grid lambda_min moves from n = 329 on, and fit.csv with it.
 # heatmap and equivalence were recorded before the heatmap, CSV and Halton
 # loops were vectorized; identity, sin2 and eigen-scaling before the Gram
 # matrices became plain arrays and the panel builders were merged into one;
@@ -615,6 +616,29 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, capsys):
     assert result.returncode == 2
     assert "usage error" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_zero_shift_is_a_usage_error(monkeypatch, capsys, tmp_path):
+    # at b = 0 every whitened eigenvalue is 1, and w_max < 1 holds only for
+    # b != 0: refused before any matrix is built, not a failed check
+    monkeypatch.chdir(tmp_path)
+
+    def unexpected(*args):
+        raise AssertionError("a Gram matrix was built")
+
+    monkeypatch.setattr(analysis, "gram", unexpected)
+    for command in ("equivalence", "heatmap"):
+        assert cli.main([command, "--n", "20", "--shift-factor", "0"]) == 2, command
+        assert "usage error: shift_factor must be nonzero" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_equivalence_upper_edge_holds_where_the_norm_bound_cannot_decide(tmp_path):
+    # 1-D equispaced matern-linear at n = 690 is whitened by the eigenpairs
+    # of A, the norm bound undecided; w_max < 1 at any BLAS thread count
+    result = run_cli(["equivalence", "--kernel", "matern-linear", "--n", "690"], tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "checks: 2 total, 0 failed (reliable)" in result.stdout
 
 
 @pytest.mark.parametrize(

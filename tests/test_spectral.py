@@ -269,13 +269,18 @@ def test_floor_decides_where_cholesky_succeeds():
 
 def test_eigh_fallback_frees_the_factor_first(monkeypatch):
     # at condition 4e12 Cholesky succeeds and the norm bounds cannot decide,
-    # so the floor test takes one eigh: L^-1 is freed before it and built
-    # again after it, and up to the call for B the whitening holds the
-    # rebuilt A and its eigenvectors, not L^-1 beside them (3.0 n^2 floats)
+    # so the floor test takes one eigh of A built a second time: L^-1 is
+    # freed before it, and up to the call for B the whitening holds that A
+    # and its eigenvectors, which then whiten, not L^-1 beside them (3.0 n^2
+    # floats)
     n = 1000
     A = _graded(4e12, n)
-    eigh, calls, peaks = np.linalg.eigh, [], []
+    eigh, calls, peaks, builds = np.linalg.eigh, [], [], []
     monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(len(M)) or eigh(M))
+
+    def gram():
+        builds.append(n)
+        return A.copy()
 
     def shifted():
         peaks.append(tracemalloc.get_traced_memory()[1])
@@ -283,11 +288,33 @@ def test_eigh_fallback_frees_the_factor_first(monkeypatch):
 
     tracemalloc.start()
     try:
-        w = whitened_spectrum(A.copy, shifted)
+        w = whitened_spectrum(gram, shifted)
     finally:
         tracemalloc.stop()
     assert calls == [n]
+    assert len(builds) == 2
     assert peaks[0] <= 2.2 * n**2 * 8, f"peak {peaks[0] / (8 * n**2):.2f} n^2 floats"
+    np.testing.assert_allclose(w, 1.0, atol=1e-2)
+
+
+def test_undecided_floor_whitens_by_the_eigenpairs_of_one_eigh(monkeypatch):
+    # Cholesky succeeds at condition 4e12 and the norm bounds cannot decide:
+    # A is built for the factor and once more for eigh, whose eigenpairs
+    # whiten, and it is never factored again
+    n = 300
+    A = _graded(4e12, n)
+    calls = {"gram": 0, "eigh": 0, "cholesky": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+    w = whitened_spectrum(counted("gram", A.copy), A.copy)
+    assert calls == {"gram": 2, "eigh": 1, "cholesky": len(_leaves(n))}
     np.testing.assert_allclose(w, 1.0, atol=1e-2)
 
 
@@ -375,8 +402,10 @@ def test_blocks_above_the_leaves_are_never_read(monkeypatch, n):
             G[start:stop, stop:] = np.nan
         return G
 
-    # the NaN also fails the norm bound, so eigh(A) decides, accepts A and
-    # leaves the product to run on the poisoned inverse
+    # the norm bound reads the NaN as the exact zero it stands for, so it
+    # accepts A and leaves the product to run on the poisoned inverse
+    vdot = np.vdot
+    monkeypatch.setattr(np, "vdot", lambda a, b: vdot(np.nan_to_num(a), np.nan_to_num(b)))
     monkeypatch.setattr(spectral, "_inverse_cholesky", poisoned)
     w = whitened_spectrum(A.copy, B.copy)
     assert np.all(np.isfinite(w))
@@ -403,11 +432,13 @@ def test_oracle_builds_the_program_matrices():
 ORACLE_ERRORS = {
     (Family.MATERN_QUADRATIC, 40): (1.2e-12, 5.5e-8, 6.4e-6),
     (Family.MATERN_LINEAR, 60): (6.0e-14, 1.2e-9, 1.2e-9),
+    # the norm bound cannot decide here, so A is whitened by its eigenpairs
+    (Family.MATERN_QUADRATIC, 50): (3.3e-13, 2.9e-5, 2.9e-5),
 }
 
 
 @pytest.mark.parametrize("family, n", list(ORACLE_ERRORS), ids=lambda v: getattr(v, "value", v))
-def test_whitened_spectrum_against_oracle(family, n):
+def test_whitened_spectrum_against_oracle(family, n, monkeypatch):
     spec = KernelSpec(family, dim=1)
     X = equispaced(n, 0, 1)
     b = 0.1 * X.separation
@@ -418,11 +449,15 @@ def test_whitened_spectrum_against_oracle(family, n):
         e = np.abs(w - exact)
         return e[-1], e[0], e.max()
 
+    eigh, solves = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: solves.append(len(M)) or eigh(M))
     congruence = errors(whitened_spectrum(A.copy, B.copy))
     # at least as accurate as recorded, at the two digits recorded
     assert all(float(f"{e:.1e}") <= r for e, r in zip(congruence, ORACLE_ERRORS[family, n]))
-    # and more accurate than the spectrum of the whitened matrix
-    assert all(c <= w for c, w in zip(congruence, errors(np.linalg.eigvalsh(whiten(A, B)))))
+    # and, by Cholesky, more accurate than the spectrum of the whitened
+    # matrix; the fallback whitens by the eigh that whiten runs itself
+    if not solves:
+        assert all(c <= w for c, w in zip(congruence, errors(np.linalg.eigvalsh(whiten(A, B)))))
 
 
 def test_precision_floor_flags():
