@@ -163,7 +163,7 @@ def verify_damping_bound(
             raise ValueError(f"shift {b} violates |b| <= sqrt(eps) * q_X = {limit:.3e}")
     tau = smoothness(spec)
     if tau > 1 and c_min is None:
-        c_min = PROFILES[spec.family].c_sym
+        c_min = PROFILES[spec.family].c_min
         if c_min is None:
             raise ValueError(
                 f"no fitted constant for {spec.family.value} in dimension {X.dim}; pass c_min"

@@ -248,19 +248,23 @@ def _write_rows(path, config_hash, columns, rows) -> None:
         fh.writelines(f"{head}{','.join(map(_format_value, row))}\n" for row in rows)
 
 
-def _check_report(cfg: ExperimentConfig, per_trial, sidecars=()) -> ExperimentReport:
-    """The report of a checking command: one verifier row per check, numbered
-    by its trial, the index of the point set or direction in ``per_trial``."""
-    rows = [
+def _check_rows(per_trial) -> list:
+    """One ``_CHECK_COLUMNS`` row per check, its trial the index of its list in ``per_trial``."""
+    return [
         [trial, c.name, c.lhs, c.rhs, c.slack, c.satisfied, c.reliable]
         for trial, checks in enumerate(per_trial)
         for c in checks
     ]
+
+
+def _check_report(cfg: ExperimentConfig, per_trial, sidecars=()) -> ExperimentReport:
+    """The report of a checking command: its table is ``_check_rows``, a
+    check's trial the index of its point set or direction in ``per_trial``."""
     return ExperimentReport(
         command=cfg.command,
         config_hash=cfg.config_hash(),
         columns=_CHECK_COLUMNS,
-        rows=rows,
+        rows=_check_rows(per_trial),
         checks=[c for checks in per_trial for c in checks],
         sidecars=list(sidecars),
     )
@@ -272,6 +276,8 @@ def sample_grid(n_min: int, n_max: int, count: int) -> list[int]:
         raise ValueError("need 2 <= n_min <= n_max and count >= 1")
     if n_min == n_max or count == 1:
         return [n_min]
+    # from the count whose top step is 1/2 on, every integer is hit: the same list
+    count = min(count, math.ceil(math.log(n_max / n_min) / math.log1p(0.5 / n_max)) + 1)
     expo = np.linspace(math.log10(n_min), math.log10(n_max), count)
     vals = 10.0 ** expo
     vals[0], vals[-1] = n_min, n_max
@@ -347,9 +353,10 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     The checks ``fit-lambda_min_sym`` and ``fit-lambda_min_conv`` fit a
     power law to each series' samples above the precision floor and hold its
     exponent to the decay target, ``2 tau - 1`` within 0.15 and ``4 tau - 1``
-    within 0.30; the ``fit`` sidecar has one row per law.  A series with
-    fewer than ``analysis.MIN_FIT_SAMPLES`` such samples (k* of
-    matern-quadratic on the default grid has none) gets a NaN row and an
+    within 0.30; the ``fit`` sidecar has one row per law, and the ``checks``
+    sidecar their ``_check_rows``, a check's trial its law's row.  A series
+    with fewer than ``analysis.MIN_FIT_SAMPLES`` such samples (k* of
+    matern-quadratic on the default grid has none) gets a NaN law and an
     unreliable check, which cannot fail the run.
     """
     spec = KernelSpec(cfg.kernel, dim=1)
@@ -357,12 +364,12 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     samples, sym, conv = _scaling_samples(cfg, spec)
 
     # a given constant is positive, so `or` falls back only when none is given
-    c_sym = cfg.c_min or PROFILES[cfg.kernel].c_sym
+    c_min = cfg.c_min or PROFILES[cfg.kernel].c_min
     c_conv = cfg.c_conv or PROFILES[cfg.kernel].c_conv
 
     rows = []
     for n, q, lam_sym, lam_conv, flag_sym, flag_conv in samples:
-        bound_sym = analysis.symmetric_lower_bound(tau, 1, q, c_sym) if c_sym else math.nan
+        bound_sym = analysis.symmetric_lower_bound(tau, 1, q, c_min) if c_min else math.nan
         bound_conv = analysis.conv_lower_bound(tau, 1, q, c_conv) if c_conv else math.nan
         rows.append(
             [n, q, lam_sym, lam_conv, bound_sym, bound_conv, not flag_sym, not flag_conv]
@@ -379,7 +386,7 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
         ylabel="lambda_min",
     )
 
-    fit_rows, checks = [], []
+    laws, checks = [], []
     for name, series, target, tol in (
         ("lambda_min_sym", sym, 2 * tau - 1, 0.15),
         ("lambda_min_conv", conv, 4 * tau - 1, 0.30),
@@ -389,14 +396,8 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
         checks.append(
             analysis._check(f"fit-{name}", abs(law.exponent - target), tol, reliable=reliable)
         )
-        fit_rows.append([
-            name, law.exponent, law.log_constant, law.r_squared,
-            len(law.support), target, tol, checks[-1].satisfied,
-        ])
-    fit_columns = [
-        "series", "exponent", "log_constant", "r_squared",
-        "samples", "target", "tolerance", "satisfied",
-    ]
+        laws.append([name, law.exponent, law.log_constant, law.r_squared, len(law.support), target])
+    law_columns = ["series", "exponent", "log_constant", "r_squared", "samples", "target"]
     return ExperimentReport(
         command=cfg.command,
         config_hash=cfg.config_hash(),
@@ -407,7 +408,10 @@ def run_eigen_scaling(cfg: ExperimentConfig) -> ExperimentReport:
         rows=rows,
         checks=checks,
         svg=svg,
-        sidecars=[("fit", fit_columns, fit_rows)],
+        sidecars=[
+            ("fit", law_columns, laws),
+            ("checks", _CHECK_COLUMNS, _check_rows([[check] for check in checks])),
+        ],
     )
 
 

@@ -31,7 +31,7 @@ class Profile:
     ``p`` is the profile polynomial, phi(r) = p(r) e^(-r); ``Q`` the
     whole-line self-convolution, Int_R phi(|x - y|) phi(|y - z|) dy =
     Q(|x - z|) e^(-|x - z|); ``nu`` the Matern order; ``amplitude`` the c of
-    the 1-D density c (1 + w^2)^(-tau); ``c_sym`` and ``c_conv`` the
+    the 1-D density c (1 + w^2)^(-tau); ``c_min`` and ``c_conv`` the
     constants of the lower bounds on lambda_min of k(X, X) and of k*(X, X),
     fitted once against the dashed reference curves in 1-D, or None where
     none is fitted.
@@ -41,7 +41,7 @@ class Profile:
     Q: tuple
     nu: float
     amplitude: float
-    c_sym: Optional[float]
+    c_min: Optional[float]
     c_conv: Optional[float]
 
 

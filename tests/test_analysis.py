@@ -111,9 +111,9 @@ def test_cond_upper_bound_fitted_on_observed_conditions():
 
 
 def test_default_constants():
-    assert PROFILES[Family.MATERN_BASIC].c_sym == 0.4
+    assert PROFILES[Family.MATERN_BASIC].c_min == 0.4
     assert PROFILES[Family.MATERN_LINEAR].c_conv == 0.0896
-    assert PROFILES[Family.MATERN_QUADRATIC].c_sym is None
+    assert PROFILES[Family.MATERN_QUADRATIC].c_min is None
 
 
 def test_equivalence_zero_shift_is_marginal():

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernstab import Family, KernelSpec, assembly
+from kernstab import Family, KernelSpec, assembly, experiments
 from kernstab.experiments import ExperimentConfig, _scaling_samples
 
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
@@ -91,3 +91,51 @@ def test_scaling_enters_each_builder_once_per_matrix(layout, monkeypatch):
     assert calls["assembly.gram"] == calls["assembly.conv_gram"] == len(samples) == 5
     # two half-size solves per split matrix, one per matrix solved whole
     assert calls["spectral.eigvalsh"] == (4 if layout == "equispaced" else 2) * len(samples)
+
+
+# one small run of each command, as ExperimentConfig fields
+SMALL_CONFIGS = {
+    "eigen-scaling": {"n_max": 20, "n_count": 3},
+    "heatmap": {"n": 30},
+    "equivalence": {"n": 30},
+    "identity": {"n": 3, "trials": 1},
+    "sin2": {"n": 5, "trials": 1},
+    "thm41": {"n": 20, "trials": 1, "shift_factor": 0.5},
+}
+
+
+def test_the_tracer_reaches_every_runner(monkeypatch):
+    # as bench/trace_child.py installs its wrappers: each public experiments
+    # function rebound in every kernstab namespace and in every dict one of
+    # them holds, so a runner kept anywhere else would record no span
+    calls = Counter()
+    wrappers = {}
+    for attr, obj in vars(experiments).items():
+        if (
+            not attr.startswith("_")
+            and callable(obj)
+            and not isinstance(obj, type)
+            and getattr(obj, "__module__", None) == experiments.__name__
+        ):
+            wrappers[id(obj)] = (obj, _traced(calls, f"experiments.{attr}", obj))
+    runners = {f"experiments.{runner.__name__}" for runner in experiments._RUNNERS.values()}
+    for module_name, module in list(sys.modules.items()):
+        if module_name != "kernstab" and not module_name.startswith("kernstab."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if id(value) in wrappers and wrappers[id(value)][0] is value:
+                monkeypatch.setattr(module, attr, wrappers[id(value)][1])
+            elif isinstance(value, dict):
+                for key, item in list(value.items()):
+                    if id(item) in wrappers and wrappers[id(item)][0] is item:
+                        monkeypatch.setitem(value, key, wrappers[id(item)][1])
+    assert sorted(SMALL_CONFIGS) == sorted(experiments.COMMANDS)
+    for command, options in SMALL_CONFIGS.items():
+        experiments.run(ExperimentConfig(command=command, **options))
+    expected = {
+        name for names in _expected_spans().values() for name in names
+        if name.startswith("experiments.run_")
+    }
+    assert expected and expected <= runners
+    assert {name: calls[name] for name in runners} == dict.fromkeys(runners, 1)
+    assert calls["experiments.run"] == len(SMALL_CONFIGS)

@@ -15,7 +15,7 @@ import pytest
 from conftest import BLAS_THREADS
 from heatmap_reference import assert_decodes_to_loop_colors, heatmap_matrix, heatmap_spectrum
 from kernstab import Family, QuadratureError, SingularMatrixError, analysis, cli
-from kernstab.experiments import COMMANDS, ExperimentConfig, ExperimentReport, run
+from kernstab.experiments import _CHECK_COLUMNS, COMMANDS, ExperimentConfig, ExperimentReport, run
 from kernstab.kernels import PROFILES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -148,7 +148,7 @@ def test_fit_command(tmp_path):
     assert "checks: 2 total, 0 failed (reliable)" in result.stdout
     assert "wrote eigen-scaling.fit.csv\n" in result.stdout
     rows = (tmp_path / "eigen-scaling.fit.csv").read_text().splitlines()
-    assert rows[0].endswith("series,exponent,log_constant,r_squared,samples,target,tolerance,satisfied")
+    assert rows[0].endswith(",series,exponent,log_constant,r_squared,samples,target")
     sym = rows[1].split(",")
     assert abs(float(sym[3]) - 1.0) <= 0.15
 
@@ -163,9 +163,14 @@ def test_fit_without_enough_reliable_samples_reports_an_unreliable_row(tmp_path)
     rows = [line.split(",") for line in fit_csv.splitlines()[1:]]
     sym, conv = rows
     assert sym[2] == "lambda_min_sym" and abs(float(sym[3]) - 5.0) <= 0.15
-    assert sym[-1] == "true"
     assert conv[2:8] == ["lambda_min_conv", "nan", "nan", "nan", "0", "11"]
-    assert conv[-1] == "false"
+    # each law's verdict is the checks table's row of the same trial
+    checks = _scaling_rows(tmp_path / "eigen-scaling.checks.csv")
+    assert [(row["trial"], row["name"]) for row in checks] == [
+        ("0", "fit-lambda_min_sym"), ("1", "fit-lambda_min_conv"),
+    ]
+    assert (checks[0]["satisfied"], checks[0]["reliable"]) == ("true", "true")
+    assert (checks[1]["satisfied"], checks[1]["reliable"]) == ("false", "false")
 
 
 @pytest.mark.parametrize("args", [["--layout", "halton"], ["--endpoints", "false"]])
@@ -182,8 +187,9 @@ def test_eigen_scaling_fails_the_conv_slope_off_the_equispaced_grid(args, tmp_pa
 
 
 # SHA-256 of matern-quadratic's fit sidecar on the default grid, the same at
-# 1 and 2 BLAS threads: the bound constants enter no fit
-QUADRATIC_FIT_DIGEST = "4c91d135b39a76fe7120d99dfa3a77fefabcc6984d93c31bae755763830737fc"
+# 1 and 2 BLAS threads: the bound constants enter no fit.  Re-recorded when
+# the law table lost its tolerance and satisfied columns to the checks table
+QUADRATIC_FIT_DIGEST = "a18cae9d642fb9ef534a6528b945e2fe87cc796a7fd22a1caa5304648368bdd0"
 
 
 def _scaling_rows(path):
@@ -203,7 +209,7 @@ def test_eigen_scaling_bounds_lie_below_every_reliable_sample(family, tmp_path):
     svg = (tmp_path / "eigen-scaling.svg").read_text()
     profile = PROFILES[family]
     for series, constant, label in (
-        ("sym", profile.c_sym, "bound(k)<"),
+        ("sym", profile.c_min, "bound(k)<"),
         ("conv", profile.c_conv, "bound(k*)<"),
     ):
         bounds = [float(row[f"bound_{series}"]) for row in rows]
@@ -215,7 +221,7 @@ def test_eigen_scaling_bounds_lie_below_every_reliable_sample(family, tmp_path):
         assert above == [], series
         assert [math.isfinite(bound) for bound in bounds] == [constant is not None] * len(rows)
         assert (label in svg) == (constant is not None)
-    if profile.c_sym is None:
+    if profile.c_min is None:
         fit = (tmp_path / "eigen-scaling.fit.csv").read_bytes()
         assert hashlib.sha256(fit).hexdigest() == QUADRATIC_FIT_DIGEST
         # a constant given by flag is drawn, and only for its own series
@@ -395,6 +401,12 @@ def test_heatmap_runs_in_one_dimension(tmp_path):
 # 7.225666; thm41's rhs and slack moved by at most 3.5e-12 relative, lhs
 # and every verdict stayed.  lambda_min_sym, reliable_sym and the SVG kept
 # their bytes, at 1 BLAS thread as at 2.
+# The eigen-scaling fit digest was re-recorded and eigen-scaling.checks.csv
+# added when the fit checks came to be written by the row builder of every
+# other command: fit.csv keeps the law alone, its tolerance and satisfied
+# columns gone (each of its rows is the old row less those two fields), and
+# checks.csv holds the two checks in the columns of every other check table.
+# The CSV and SVG kept their digests.
 GOLDEN_DIGESTS = {
     ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "60"): {
         "heatmap.csv": "6fd48c801310945f821449c31b9a4992159cba4adfadf7eeb2013ff354a5febc",
@@ -429,7 +441,8 @@ GOLDEN_DIGESTS = {
     },
     ("eigen-scaling", "--kernel", "matern-linear", "--n-max", "40", "--n-count", "8"): {
         "eigen-scaling.csv": "8e88db12c92c6a5b47e3e8078a1eed78c3dd825bab50904d897fe85a24c3e9d7",
-        "eigen-scaling.fit.csv": "6edbbf16889259e40c21a5149cdd57cba4dbf8ab62f68cc7a6fa74593a330ee4",
+        "eigen-scaling.checks.csv": "7801276778d311135418df8f27db9ab85d42b29108e6d1399724a7f28efac181",
+        "eigen-scaling.fit.csv": "43acb3402e1f388a953dce07c22b7859be7a014402af77138373b9d1fc170bbb",
         "eigen-scaling.svg": "6d9c28dd98d8d2549abae6f17b0a973059aa142d236a4de6fb6c769246da257a",
     },
     ("thm41", "--kernel", "matern-basic", "--n", "20", "--shift-factor", "0.5"): {
@@ -468,6 +481,39 @@ SMALL_RUNS = [
     ["heatmap", "--n", "30"],
     ["eigen-scaling", "--n-max", "40", "--n-count", "4"],
 ]
+
+
+# a check line as the CLI prints it, and the status it prints for each pair
+# of (satisfied, reliable) flags
+PRINTED_CHECK = re.compile(r"^  (\S+): lhs=(\S+) rhs=(\S+) (ok|FAIL|unreliable)$", re.M)
+STATUS = {("true", "true"): "ok", ("true", "false"): "ok",
+          ("false", "true"): "FAIL", ("false", "false"): "unreliable"}
+
+
+@pytest.mark.parametrize("args", SMALL_RUNS, ids=lambda args: args[0])
+def test_every_command_writes_its_verdict_in_one_check_table(args, tmp_path, monkeypatch, capsys):
+    # exactly one table in the check columns, row for row the printed checks,
+    # and no other table with a verdict column
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(args) == 0
+    printed = PRINTED_CHECK.findall(capsys.readouterr().out)
+    headers = {}
+    for path in sorted(tmp_path.glob("*.csv")):
+        with open(path, newline="") as table:
+            headers[path.name] = next(csv.reader(table))
+    check_header = ["config", "version", *_CHECK_COLUMNS]
+    [check_table] = [name for name, header in headers.items() if header == check_header]
+    verdicts = [
+        name for name, header in headers.items()
+        if name != check_table and {"satisfied", "reliable"} & set(header)
+    ]
+    assert verdicts == []
+    rows = _scaling_rows(tmp_path / check_table)
+    assert printed and [
+        (row["name"], "%.6e" % float(row["lhs"]), "%.6e" % float(row["rhs"]),
+         STATUS[row["satisfied"], row["reliable"]])
+        for row in rows
+    ] == printed
 
 
 def test_no_command_loads_openssl(tmp_path):
@@ -642,18 +688,18 @@ def test_equivalence_upper_edge_holds_where_the_norm_bound_cannot_decide(tmp_pat
 
 
 @pytest.mark.parametrize(
-    "args, sidecar",
-    [(["eigen-scaling", "--n-max", "20", "--n-count", "3"], "fit"),
-     (["equivalence", "--n", "10"], "spectrum")],
+    "args, sidecars",
+    [(["eigen-scaling", "--n-max", "20", "--n-count", "3"], ["checks", "fit"]),
+     (["equivalence", "--n", "10"], ["spectrum"])],
     ids=["eigen-scaling", "equivalence"],
 )
-def test_sidecar_sits_beside_a_csv_in_a_dotted_directory(args, sidecar, tmp_path):
+def test_sidecar_sits_beside_a_csv_in_a_dotted_directory(args, sidecars, tmp_path):
     # the sidecar name splits the file name alone, never a dot of a directory
     out = tmp_path / "a.b"
     out.mkdir()
     result = run_cli([*args, "--out-csv", str(out / "heat")], tmp_path)
     assert result.returncode == 0, result.stderr
-    assert sorted(path.name for path in out.iterdir()) == ["heat", f"heat.{sidecar}"]
+    assert sorted(path.name for path in out.iterdir()) == ["heat", *(f"heat.{s}" for s in sidecars)]
 
 
 def test_random_point_sets_near_capacity_finish(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -210,6 +211,39 @@ def test_heatmap_report_written_twice_writes_the_same_files(tmp_path):
     grid = np.abs(heatmap_matrix("matern-basic", 40))
     svg = first.decode()
     assert_decodes_to_loop_colors(svg, grid)
+
+
+def _unclamped_grid(n_min, n_max, count):
+    # sample_grid as it was before its count was clamped
+    if n_min == n_max or count == 1:
+        return [n_min]
+    vals = 10.0 ** np.linspace(math.log10(n_min), math.log10(n_max), count)
+    vals[0], vals[-1] = n_min, n_max
+    return sorted({int(v + 1e-9) for v in vals})
+
+
+def _full_range_count(n_min, n_max):
+    # the count from which the top step of the grid is at most 1/2
+    return math.ceil(math.log(n_max / n_min) / math.log1p(0.5 / n_max)) + 1
+
+
+def test_sample_grid_of_a_huge_count_is_the_whole_range():
+    # unclamped, a count of 1e12 asks numpy for two 8 TB arrays
+    start = time.perf_counter()
+    assert sample_grid(10, 1000, 10**12) == list(range(10, 1001))
+    assert sample_grid(2, 3, 10**15) == [2, 3]
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n_min, n_max", [(10, 1000), (2, 50), (10, 12), (2, 3), (10, 200)])
+def test_sample_grid_clamp_keeps_every_list(n_min, n_max):
+    clamp = _full_range_count(n_min, n_max)
+    counts = [*range(1, 40), *range(max(1, clamp - 50), clamp + 51), 3 * clamp]
+    for count in counts:
+        assert sample_grid(n_min, n_max, count) == _unclamped_grid(n_min, n_max, count), count
+    assert sample_grid(n_min, n_max, clamp) == list(range(n_min, n_max + 1))
+    # a quarter of the clamp count still skips sizes: the clamp is not too low
+    assert len(sample_grid(n_min, n_max, clamp // 4)) < n_max - n_min + 1
 
 
 def test_random_interval_sets_keep_their_gaps():
