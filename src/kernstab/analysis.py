@@ -204,9 +204,8 @@ def verify_conv_chain(
     form sits below the precision floor of k* are flagged unreliable.  The
     matrices are built once for all directions, one at a time, each freed
     once its forms are taken.  Each direction enters only through quadratic
-    forms, so negating it (in the same memory layout) leaves every check
-    bitwise unchanged; a zero direction is a ``ValueError``, raised before
-    any matrix is built.
+    forms, so negating it leaves every check bitwise unchanged; a zero
+    direction is a ``ValueError``, raised before any matrix is built.
     """
     q_x = X.separation
     q_b = boundary_distance(X)
@@ -219,7 +218,7 @@ def verify_conv_chain(
         raise ValueError(
             f"no fitted constant for {spec.family.value} in dimension {X.dim}; pass c_conv"
         )
-    alphas = [np.asarray(alpha, dtype=float) for alpha in directions]
+    alphas = np.array(directions, dtype=float)  # contiguous rows, whatever the inputs' layout
     norms2 = [float(alpha @ alpha) for alpha in alphas]
     if 0.0 in norms2:
         raise ValueError("direction is the zero vector")

@@ -39,6 +39,8 @@ def _bool_flag(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true or false, got {value!r}")
 
 
+_SHIPPED = "default: the shipped one; matern-quadratic ships none"
+
 # what a field's default cannot tell its flag: the other flags take the type
 # of their default
 _FLAG_OPTIONS = {
@@ -47,8 +49,8 @@ _FLAG_OPTIONS = {
     "n": {"type": int},
     "layout": {"choices": LAYOUTS},
     "endpoints": {"type": _bool_flag},
-    "c_min": {"type": float, "help": "plain-matrix bound constant (default: the shipped one)"},
-    "c_conv": {"type": float, "help": "convolved-matrix bound constant (default: the shipped one)"},
+    "c_min": {"type": float, "help": f"plain-matrix bound constant ({_SHIPPED})"},
+    "c_conv": {"type": float, "help": f"convolved-matrix bound constant ({_SHIPPED})"},
     "out_csv": {"type": str},
     "out_svg": {"type": str},
 }

@@ -127,6 +127,8 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, default)
             elif f.name not in row.options and value != default:
                 raise ValueError(f"{self.command} does not take {f.name} (given {value!r})")
+        if self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {self.dim}")
         size = max(self.n, self.n_max)
         if 8 * size * size > _PHYSICAL_MEMORY:
             raise ValueError(
@@ -435,7 +437,7 @@ def run_heatmap(cfg: ExperimentConfig) -> ExperimentReport:
     report = _equivalence_report(cfg, X)
     spec = KernelSpec(cfg.kernel, dim=cfg.dim)
     M = whiten(gram(spec, X), shifted_gram(spec, X, _diagonal_shift(cfg, X)))
-    report.svg = heatmap_svg(np.abs(M, out=M))
+    report.svg = heatmap_svg(M)
     return report
 
 
@@ -480,9 +482,8 @@ def run_conv_chain(cfg: ExperimentConfig) -> ExperimentReport:
     X = _make_points(cfg, cfg.n)
     q = X.separation
     b = cfg.shift_factor * q
-    _, Q = sym_eigen(gram(spec, X))
-    directions = [Q[:, 0], Q[:, -1]]
-    directions += [rng.symmetric(len(X)) for _ in range(cfg.trials)]
+    extremes = sym_eigen(gram(spec, X))[1][:, [0, -1]].T  # copied columns; Q is freed
+    directions = [*extremes, *(rng.symmetric(len(X)) for _ in range(cfg.trials))]
     per_trial = analysis.verify_conv_chain(spec, X, directions, b, c_conv=cfg.c_conv)
     return _check_report(cfg, per_trial)
 

@@ -18,12 +18,9 @@ def _check_symmetric(A: np.ndarray) -> np.ndarray:
         raise ValueError("need a square matrix")
     if np.array_equal(A, A.T):
         return A
-    # one scratch matrix holds |A|, then |A - A^T|
-    work = np.abs(A)
-    scale = np.max(work) if A.size else 0.0
-    np.subtract(A, A.T, out=work)
+    scale = np.max(np.abs(A))
     # written as "not below", so a NaN in either triangle fails too
-    if not np.max(np.abs(work, out=work), initial=0.0) <= 1e-12 * max(scale, 1e-300):
+    if not np.max(np.abs(A - A.T)) <= 1e-12 * max(scale, 1e-300):
         raise ValueError("matrix is not symmetric to 1e-12 relative")
     return A
 
@@ -140,16 +137,6 @@ def _inverse_cholesky(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _norm_1(A: np.ndarray) -> float:
-    """``||A||_1`` of a symmetric A, as its largest absolute row sum (its
-    infinity norm, bitwise ``np.linalg.norm(A, np.inf)``), by the row blocks
-    of ``_row_blocks``, so no n x n ``|A|`` is made."""
-    maxima = [
-        np.abs(A[start:stop]).sum(axis=1).max() for start, stop in _row_blocks(len(A), len(A))
-    ]
-    return float(np.max(maxima, initial=0.0))  # np.max, so a NaN is kept
-
-
 def whitened_spectrum(gram, shifted) -> np.ndarray:
     """Ascending eigenvalues of A^(-1/2) sym(B) A^(-1/2), by Cholesky congruence,
     with ``A = gram()`` and ``B = shifted()``.
@@ -193,7 +180,7 @@ def whitened_spectrum(gram, shifted) -> np.ndarray:
     shape than A is rejected once it is built.
     """
     A = _check_symmetric(gram())
-    upper = _norm_1(A)
+    upper = np.linalg.norm(A, np.inf)  # ||A||_1 of the symmetric A; its |A| is below the peak
     try:
         G, blocks = _inverse_cholesky(A), _leaves(len(A))
     except np.linalg.LinAlgError:

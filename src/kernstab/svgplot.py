@@ -205,21 +205,12 @@ def heatmap_svg(values) -> str:
     n_rows, n_cols = values.shape
     cell = max(4, 480 // max(n_rows, n_cols, 1))
 
-    # clip((log10(max(|v|, tiny)) - floor) / span, 0, 1) * top, step by step in place
-    scaled = np.abs(values)
-    np.maximum(scaled, _TINY, out=scaled)
-    np.log10(scaled, out=scaled)
-    scaled -= _FLOOR_LOG10
-    scaled /= _SPAN
-    np.clip(scaled, 0.0, 1.0, out=scaled)
-    scaled *= _RAMP_STEPS - 1
+    levels = (np.log10(np.maximum(np.abs(values), _TINY)) - _FLOOR_LOG10) / _SPAN
+    scaled = np.clip(levels, 0.0, 1.0) * (_RAMP_STEPS - 1)
     if np.isnan(scaled).any():
         raise ValueError("cannot convert float NaN to a color index")
-    offset = np.floor(scaled)
-    np.subtract(scaled, offset, out=offset)
-    offset -= 0.5
-    near_half = np.abs(offset, out=offset) <= 1e-9
-    index = np.rint(scaled, out=scaled).astype(np.uint8)
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-9
+    index = np.rint(scaled).astype(np.uint8)
     for i, j in zip(*np.nonzero(near_half)):
         index[i, j] = _color_index(abs(values[i, j]))
 

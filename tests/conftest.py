@@ -12,6 +12,15 @@ SRC = str(Path(kernstab.__file__).resolve().parent.parent)
 BLAS_THREADS = min(2, len(os.sched_getaffinity(0)))
 
 
+def command_ids(rows):
+    """pytest ids of rows of CLI arguments: the command's name, and for a
+    command's later rows the name and its ``--n``."""
+    def command_id(args):
+        first = next(row for row in rows if row[0] == args[0])
+        return args[0] if args == first else f"{args[0]}-n{args[args.index('--n') + 1]}"
+    return command_id
+
+
 @pytest.fixture(autouse=True)
 def _children_import_kernstab(monkeypatch):
     """Put the absolute source path first on PYTHONPATH, and pin BLAS threads.

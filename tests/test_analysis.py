@@ -315,7 +315,7 @@ def test_conv_chain_basic_extremes():
     A = gram(BASIC, X)
     _, Q = sym_eigen(A)
     b = 0.5 * X.separation
-    directions = [Q[:, 0], Q[:, -1]]
+    directions = [Q[:, 0].copy(), Q[:, -1].copy()]
     for alpha, checks in zip(directions, verify_conv_chain(BASIC, X, directions, b)):
         assert all(c.satisfied and c.reliable for c in checks)
         assert [c.name for c in checks] == [
@@ -359,6 +359,16 @@ def test_conv_chain_is_invariant_under_negated_directions(spec):
     N = -Q
     negated = verify_conv_chain(spec, X, [N[:, 0], N[:, -1], *[-r for r in randoms]], b)
     assert negated == checks
+
+
+def test_conv_chain_does_not_depend_on_the_memory_layout():
+    # BLAS may sum a strided vector and a contiguous copy of it in different
+    # orders; every direction is copied to contiguous rows first
+    X = equispaced(30, 0, 1)
+    _, Q = sym_eigen(gram(BASIC, X))
+    b = 0.5 * X.separation
+    strided = verify_conv_chain(BASIC, X, [Q[:, 0], Q[:, -1]], b)
+    assert verify_conv_chain(BASIC, X, [Q[:, 0].copy(), Q[:, -1].copy()], b) == strided
 
 
 def test_conv_chain_rejects_a_zero_direction():

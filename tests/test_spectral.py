@@ -24,7 +24,7 @@ from kernstab import (
     whitened_spectrum,
 )
 from kernstab import geometry, spectral
-from kernstab.spectral import _inverse_cholesky, _leaves, _norm_1
+from kernstab.spectral import _inverse_cholesky, _leaves
 
 
 def _random_symmetric(rng, n):
@@ -373,19 +373,19 @@ def test_whitened_spectrum_memory_is_two_matrices():
     assert peak <= 2.5 * n**2 * 8
 
 
-def test_norm_bound_is_bitwise_the_infinity_norm():
-    # 700 rows span several row blocks
-    A = _random_symmetric(np.random.default_rng(8), 700)
-    assert _norm_1(A) == np.linalg.norm(A, np.inf) == pytest.approx(np.linalg.norm(A, 1), rel=1e-14)
-
-
 @pytest.mark.parametrize("where", [0, -1])
-def test_norm_bound_keeps_a_nan_in_any_row_block(where):
-    # 300 rows span two row blocks: the NaN sits in the first or the last
+def test_whitened_spectrum_rejects_a_nan_in_any_row_block(monkeypatch, where):
+    # 300 rows span two row blocks of the whitening: the NaN sits in the
+    # first or the last, and is refused before A is factored or eigensolved
     A = np.eye(300)
     A[where, where] = np.nan
-    assert np.isnan(np.linalg.norm(A, np.inf))
-    assert np.isnan(_norm_1(A))
+    calls = []
+    for module, name in [(spectral, "_inverse_cholesky"), (np.linalg, "eigh")]:
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda M, f=f, name=name: calls.append(name) or f(M))
+    with pytest.raises(ValueError):
+        whitened_spectrum(A.copy, lambda: np.eye(300))
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [300, 600, 1100])
