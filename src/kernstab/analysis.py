@@ -100,7 +100,8 @@ def verify_equivalence(spec: KernelSpec, X: PointSet, b) -> EquivalenceResult:
     whitened matrix; a Gram matrix too near singular to whiten raises
     ``SingularMatrixError``.  The Gram matrix is factored and inverted in
     place, and the shifted matrix is built only after that inverse has been
-    tested, so at most two n x n matrices are alive at once.
+    tested, so at most two n x n matrices are alive at once, and no
+    temporary beside them exceeds one row block.
     """
     w = whitened_spectrum(lambda: gram(spec, X), lambda: shifted_gram(spec, X, b))
     lower = _check("equivalence-lower", 0.75, w[0])

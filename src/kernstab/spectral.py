@@ -12,24 +12,37 @@ from .geometry import _row_blocks
 _SPD_FLOOR = 1e3 * np.finfo(float).eps
 
 
-def _check_symmetric(A: np.ndarray) -> np.ndarray:
+def _check_symmetric(A) -> tuple[np.ndarray, float]:
+    """``(A, ||A||_1)`` of a square A that is finite and symmetric to 1e-12
+    relative, in one pass over its row blocks, each against its column
+    block: no temporary exceeds a row block.  The norm is the largest row
+    sum of ``|A|``, bitwise ``np.linalg.norm(A, np.inf)``.  A NaN or an
+    infinity raises ``SingularMatrixError``."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("need a square matrix")
-    if np.array_equal(A, A.T):
-        return A
-    scale = np.max(np.abs(A))
-    # written as "not below", so a NaN in either triangle fails too
-    if not np.max(np.abs(A - A.T)) <= 1e-12 * max(scale, 1e-300):
+    scale = norm = asymmetry = 0.0
+    for start, stop in _row_blocks(len(A), len(A)):
+        rows, mirror = A[start:stop], A[:, start:stop].T
+        magnitudes = np.abs(rows)
+        # np.max keeps a NaN, so this is finite only if every entry is
+        top = float(np.max(magnitudes))
+        if not np.isfinite(top):
+            raise SingularMatrixError("matrix has a non-finite entry")
+        scale = max(scale, top)
+        norm = max(norm, float(np.max(np.sum(magnitudes, axis=1))))
+        if not np.array_equal(rows, mirror):
+            asymmetry = max(asymmetry, float(np.max(np.abs(rows - mirror))))
+    if asymmetry > 1e-12 * max(scale, 1e-300):
         raise ValueError("matrix is not symmetric to 1e-12 relative")
-    return A
+    return A, norm
 
 
 def sym_eigen(A):
     """``(w, Q)`` of ``np.linalg.eigh``: ascending eigenvalues and orthonormal
     eigenvector columns, signed as LAPACK leaves them; no output reads a sign
     (``inv_sqrt`` and ``verify_conv_chain`` are bitwise sign-invariant)."""
-    return np.linalg.eigh(_check_symmetric(A))
+    return np.linalg.eigh(_check_symmetric(A)[0])
 
 
 def _require_spd(w) -> None:
@@ -93,18 +106,35 @@ def _leaves(n: int) -> list[tuple[int, int]]:
     return _leaves(h) + [(h + start, h + stop) for start, stop in _leaves(n - h)]
 
 
+def _matmul_into(out, a, b, by_rows: bool, subtract: bool = False) -> None:
+    """Write ``a @ b`` over ``out``, or subtract it from ``out``, by row
+    chunks of ``a`` and ``out`` or by column chunks of ``b`` and ``out``,
+    each of at most one row block.  A chunk is written once formed, so a
+    chunk of ``out`` may overlap the same chunk of ``a`` (by rows) or of
+    ``b`` (by columns), which no later chunk reads."""
+    rows, cols = out.shape
+    for start, stop in _row_blocks(rows, cols) if by_rows else _row_blocks(cols, rows):
+        chunk = np.s_[start:stop] if by_rows else np.s_[:, start:stop]
+        product = a[start:stop] @ b if by_rows else a @ b[:, start:stop]
+        if subtract:
+            out[chunk] -= product
+        else:
+            out[chunk] = product
+
+
 def _inverse_cholesky(A: np.ndarray) -> np.ndarray:
     """Overwrite the SPD ``A`` with ``L^-1``, ``A = L L^T``, and return it.
 
     By halves, with ``G = L^-1``: ``G11`` of ``A11``; ``L21 = A21 G11^T``;
     the Schur complement ``A22 - L21 L21^T``; its ``G22``; and the corner
     ``G21 = -G22 L21 G11``.  Each step is written over the block it
-    replaces, so no n x n matrix is made besides A, and every step but the
-    leaves is matrix products (numpy offers no triangular solve or
-    inverse).  Only the lower triangle of A is read.  Blocks of up to 256
-    rows, the ``_leaves``, are factored and inverted whole by
-    ``np.linalg.inv(np.linalg.cholesky(.))``, so up to 256 rows this is
-    bitwise that expression.  A leaf's inverse keeps the roundoff that LU
+    replaces, and every step but the leaves is matrix products (numpy offers
+    no triangular solve or inverse), formed in chunks of at most one row
+    block (``_matmul_into``): no n x n matrix is made besides A, and no
+    temporary but a leaf's exceeds a row block.  Only the lower triangle of
+    A is read.  Blocks of up to 256 rows, the ``_leaves``, are factored and
+    inverted whole by ``np.linalg.inv(np.linalg.cholesky(.))``, so up to 256
+    rows this is bitwise that expression.  A leaf's inverse keeps the roundoff that LU
     leaves above its diagonal: zeroing it made lambda_max of a whitened
     spectrum 300 times less accurate against the 50-digit oracle
     (matern-quadratic, n = 40).  Everything right of a leaf's stop is set to
@@ -121,19 +151,21 @@ def _inverse_cholesky(A: np.ndarray) -> np.ndarray:
     # L21 = A21 G11^T by the leaf columns J, right to left: G11^T is zero
     # below J's stop there, and no block left of J reads A21[:, J]
     for start, stop in reversed(upper):
-        A21[:, start:stop] = A21[:, :stop] @ G11[start:stop, :stop].T
+        _matmul_into(A21[:, start:stop], A21[:, :stop], G11[start:stop, :stop].T, by_rows=True)
     # the lower block triangle of A22 - L21 L21^T, the part its halves read
     for start, stop in lower:
-        A22[start:stop, :stop] -= A21[start:stop] @ A21[:stop].T
+        _matmul_into(A22[start:stop, :stop], A21[start:stop], A21[:stop].T, by_rows=False, subtract=True)
     G22 = _inverse_cholesky(A22)
     # L21 G11 by the leaf columns J of G11, left to right: they are zero
     # above J's start, and no block after J reads L21[:, J]
     for start, stop in upper:
-        A21[:, start:stop] = A21[:, start:] @ G11[start:, start:stop]
+        _matmul_into(A21[:, start:stop], A21[:, start:], G11[start:, start:stop], by_rows=True)
     # -G22 (.) by the leaf rows I of G22, bottom up: they are zero right of
     # I's stop, and no block after I reads row block I
     for start, stop in reversed(lower):
-        np.negative(G22[start:stop, :stop] @ A21[:stop], out=A21[start:stop])
+        corner = A21[start:stop]
+        _matmul_into(corner, G22[start:stop, :stop], A21[:stop], by_rows=False)
+        np.negative(corner, out=corner)
     return A
 
 
@@ -146,7 +178,11 @@ def whitened_spectrum(gram, shifted) -> np.ndarray:
     by the congruence.  B is built only once A has been overwritten and
     tested, so the peak is two n x n matrices: L^-1 and B (``shifted_gram``
     builds B by row blocks, with no n x n scratch), then B and
-    ``eigvalsh``'s copy of it.
+    ``eigvalsh``'s copy of it.  Every other pass runs by row blocks: A is
+    checked and its 1-norm taken in one (``_check_symmetric``), and every
+    product is formed in chunks of at most one row block
+    (``_matmul_into``), so no temporary beside the two matrices exceeds a
+    row block, on either route below.
 
     With A = L L^T and W = L^-1 A^(1/2), W W^T = L^-1 A L^-T = I, so W is
     orthogonal and C = L^-1 sym(B) L^-T = W (A^(-1/2) sym(B) A^(-1/2)) W^T
@@ -176,11 +212,11 @@ def whitened_spectrum(gram, shifted) -> np.ndarray:
     diagonal block.  Both are written over S: a block reads S only above its
     stop and T only left of its stop, where no block below it writes.  That is
     about a quarter of the flops of the two full products; for one block
-    it is those products and 0.5 (C + C^T), bit for bit.  A B of another
-    shape than A is rejected once it is built.
+    of at most 256 rows, one chunk of each product, it is those products
+    and 0.5 (C + C^T), bit for bit.  A B of another shape than A is
+    rejected once it is built.
     """
-    A = _check_symmetric(gram())
-    upper = np.linalg.norm(A, np.inf)  # ||A||_1 of the symmetric A; its |A| is below the peak
+    A, upper = _check_symmetric(gram())
     try:
         G, blocks = _inverse_cholesky(A), _leaves(len(A))
     except np.linalg.LinAlgError:
@@ -201,8 +237,8 @@ def whitened_spectrum(gram, shifted) -> np.ndarray:
     S = _symmetrize(np.asarray(B, dtype=float))
     del B
     for start, stop in reversed(blocks):
-        S[start:stop, :stop] = G[start:stop, :stop] @ S[:stop, :stop]
-        S[start:, start:stop] = S[start:, :stop] @ G[start:stop, :stop].T
+        _matmul_into(S[start:stop, :stop], G[start:stop, :stop], S[:stop, :stop], by_rows=False)
+        _matmul_into(S[start:, start:stop], S[start:, :stop], G[start:stop, :stop].T, by_rows=True)
         _symmetrize(S[start:stop, start:stop])
     del G
     # the default UPLO="L" reads only the lower triangle: the blocks above

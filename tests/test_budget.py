@@ -70,6 +70,13 @@ print(json.dumps(
 # version measured beside it (recorded at 2.0 to 2.1 s once the congruence
 # skipped the zero blocks of L^-1, 2.2 to 2.65 s before); its wall budget
 # leaves about 5x room, as heatmap's does.
+# equivalence peaked at 99.1 to 99.2 MB at 1 BLAS thread and 100.2 to 100.3 MB
+# at 2 on the 2-core VM, against 105.7 to 107.4 MB before, once the symmetry
+# check and the 1-norm of the Gram matrix took one pass by row blocks and
+# every product of the whitening was formed in chunks of at most one row
+# block: two n x n matrices, 64 MB, over about 33 MB of interpreter, numpy
+# and BLAS buffers, and no temporary of more than a row block.  Its RSS
+# budget, 108.5 MB before, leaves about 1.7 MB of room over that.
 # thm41 at n = 200 sets the peak of the bench's verifiers workload.  Every
 # command mapped OpenSSL's libcrypto, about 3.5 MiB, while the config hash
 # imported hashlib: thm41 peaked at 38.8 to 39.0 MB, identity at 39.5 to
@@ -93,7 +100,7 @@ print(json.dumps(
 HEATMAP_1000 = ("heatmap", "--kernel", "matern-linear", "--dim", "2", "--n", "1000")
 BUDGETS = {
     HEATMAP_1000: (5, 100),
-    ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): (12, 108.5),
+    ("equivalence", "--kernel", "matern-basic", "--dim", "3", "--n", "2000"): (12, 102),
     ("identity", "--kernel", "matern-basic", "--n", "400", "--trials", "2",
      "--fourier-cutoff", "1e4"): (2, 38.5),
     ("eigen-scaling", "--kernel", "matern-linear"): (4, 39.5),
@@ -117,16 +124,21 @@ FILE_BUDGETS = {
 # heatmap.spectrum.csv it had replaced) until heatmap's spectrum and checks
 # came from equivalence's Cholesky congruence: both tables were then pinned
 # from equivalence --layout halton with the same options, its config column
-# replaced by heatmap's, as recorded before the change
+# replaced by heatmap's, as recorded before the change.  Both were
+# re-recorded at 1 and 2 BLAS threads when the products of the whitening came
+# to be formed in chunks of at most one row block: the spectrum moved by at
+# most 3.5e-9 (1 thread) and 4.3e-9 (2 threads), against eps cond(A) = 4.8e-7
+# for this Gram matrix and 3.4e-8 between the two thread counts before; both
+# checks kept their verdicts and reliable flags, and the SVG its bytes
 FILE_DIGESTS = {
     HEATMAP_1000: {
         "heatmap.csv": {
-            1: "4868ac26118737e7a4f1c9f848015f84735bc22df48aca7647978c179732666d",
-            2: "b2a1ea13e66055d7756891add29943bcbdae75ac17447d131af026cb1e1ff7be",
+            1: "715acfea3414af52ea848b6a94dd7a23db20583b96809182490daa48b2111e58",
+            2: "6eb54daaf0b669f6734d0d5d6e384311ac02baf11c86defbcb2b85af3370983f",
         },
         "heatmap.spectrum.csv": {
-            1: "48c420ecce55dc3ab4b3c8907ef64bd77f092be4728bfa5598e048a8ba66505d",
-            2: "6b5f9ace7c9c7550bca5f99af7fc5256bdef48f477cd2c2a5722204ee0de944f",
+            1: "ee0dba43e981fa64c195f43143197897953c8b6116870d083a26cbd75ac8b237",
+            2: "bda81b6be4d4d18ef5ca3abb985c85bc4239a2e74784e9f9db8d23e1939d55f8",
         },
     },
 }

@@ -58,11 +58,23 @@ def test_rejects_asymmetric_input():
 
 @pytest.mark.parametrize("where", [(0, 1), (1, 0)])
 def test_nan_off_the_diagonal_is_not_symmetric(where):
-    # eigh reads one triangle, so a NaN in the other would go unseen
+    # eigh reads one triangle, so a NaN in the other would go unseen; it is
+    # refused as what it is, a numerical failure, not as an asymmetry
     A = np.eye(4)
     A[where] = np.nan
-    with pytest.raises(ValueError, match="not symmetric to 1e-12 relative"):
+    with pytest.raises(SingularMatrixError, match="non-finite entry"):
         sym_eigen(A)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_diagonal_is_a_numerical_failure(value):
+    # exactly symmetric, so only the finiteness test can refuse it
+    A = np.eye(4)
+    A[3, 3] = value
+    with pytest.raises(SingularMatrixError, match="non-finite entry"):
+        sym_eigen(A)
+    with pytest.raises(SingularMatrixError, match="non-finite entry"):
+        whitened_spectrum(A.copy, lambda: np.eye(4))
 
 
 def test_symmetry_tolerance_is_1e_12_relative():
@@ -74,6 +86,23 @@ def test_symmetry_tolerance_is_1e_12_relative():
     P[3, 17] = A[3, 17] + 1e-11 * np.max(np.abs(A))
     with pytest.raises(ValueError, match="not symmetric to 1e-12 relative"):
         sym_eigen(P)
+
+
+@pytest.mark.parametrize("where", [(3, 290), (290, 3), (250, 260)])
+def test_symmetry_and_norm_in_every_row_block(where):
+    # 300 rows span two row blocks of the check: the perturbed entry sits
+    # above or below the diagonal, in the first or the second block
+    A = _random_symmetric(np.random.default_rng(13), 300)
+    assert len(geometry._row_blocks(300, 300)) == 2
+    checked, norm = spectral._check_symmetric(A)
+    assert checked is A
+    assert norm == np.linalg.norm(A, np.inf)  # bitwise
+    P = A.copy()
+    P[where] += 1e-13 * np.max(np.abs(A))
+    spectral._check_symmetric(P)
+    P[where] = A[where] + 1e-11 * np.max(np.abs(A))
+    with pytest.raises(ValueError, match="not symmetric to 1e-12 relative"):
+        spectral._check_symmetric(P)
 
 
 def test_reconstruction_and_orthonormality():
@@ -354,23 +383,44 @@ def test_well_conditioned_input_takes_no_eigendecomposition(monkeypatch):
     np.testing.assert_allclose(whitened_spectrum(A.copy, B.copy), expected, rtol=0, atol=_roundoff(A))
 
 
+def _whitening_peak(gram, shifted):
+    tracemalloc.start()
+    try:
+        whitened_spectrum(gram, shifted)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# what whitened_spectrum may hold besides two n x n matrices: row blocks of
+# scratch and of product chunks, two measured on either route (4.3 on the
+# Cholesky route and a whole third matrix on the eigh route while each
+# product was formed whole)
+_ROW_BLOCK_ROOM = 3 * geometry._BLOCK_ENTRIES * 8
+
+
 def test_whitened_spectrum_memory_is_two_matrices():
     # the whole pipeline, both builds included: the Gram matrix (built over
-    # its distance matrix, then overwritten by L^-1) and B (built over its
-    # distance matrix, then overwritten by sym(B), by L^-1 sym(B) and by the
-    # lower triangle of the congruence), besides one leaf's rows of a
-    # product: never a third n x n matrix
+    # its distance matrix, checked by row blocks, then overwritten by L^-1)
+    # and B (built over its distance matrix, then overwritten by sym(B), by
+    # L^-1 sym(B) and by the lower triangle of the congruence), besides row
+    # blocks: never a third n x n matrix, nor a leaf's rows of a product
     n = 1500
     X = halton(n, 3)
     spec = KernelSpec(Family.MATERN_LINEAR, dim=3)
     b = np.full(3, 0.1 * X.separation / math.sqrt(3))
-    tracemalloc.start()
-    try:
-        whitened_spectrum(lambda: gram(spec, X), lambda: shifted_gram(spec, X, b))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * n**2 * 8
+    peak = _whitening_peak(lambda: gram(spec, X), lambda: shifted_gram(spec, X, b))
+    assert peak <= 2 * n**2 * 8 + _ROW_BLOCK_ROOM, f"{(peak - 2 * n**2 * 8) / 1e6:.2f} MB over"
+
+
+def test_eigh_fallback_memory_is_two_matrices():
+    # as test_undecided_floor_whitens_by_the_eigenpairs_of_one_eigh forces it:
+    # the full G of the eigenpairs is one block of all n rows, whose product
+    # rows are taken in chunks too
+    n = 1000
+    A = _graded(4e12, n)
+    peak = _whitening_peak(A.copy, A.copy)
+    assert peak <= 2 * n**2 * 8 + _ROW_BLOCK_ROOM, f"{(peak - 2 * n**2 * 8) / 1e6:.2f} MB over"
 
 
 @pytest.mark.parametrize("where", [0, -1])
@@ -383,9 +433,25 @@ def test_whitened_spectrum_rejects_a_nan_in_any_row_block(monkeypatch, where):
     for module, name in [(spectral, "_inverse_cholesky"), (np.linalg, "eigh")]:
         f = getattr(module, name)
         monkeypatch.setattr(module, name, lambda M, f=f, name=name: calls.append(name) or f(M))
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularMatrixError, match="non-finite entry"):
         whitened_spectrum(A.copy, lambda: np.eye(300))
     assert calls == []
+
+
+@pytest.mark.parametrize("breakdown", [False, True])
+def test_whitened_spectrum_does_not_depend_on_the_chunks(monkeypatch, breakdown):
+    # row blocks of a few rows cut every product into many chunks of uneven
+    # size, each written over what later chunks do not read; a Cholesky
+    # breakdown takes the route of the full G of the eigenpairs
+    A, B = _shift_pair(Family.MATERN_LINEAR, 2, 300)
+    if breakdown:
+        def breaks_down(A):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", breaks_down)
+    expected = whitened_spectrum(A.copy, B.copy)
+    monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 7 * 300 + 5)
+    np.testing.assert_allclose(whitened_spectrum(A.copy, B.copy), expected, rtol=0, atol=_roundoff(A))
 
 
 @pytest.mark.parametrize("n", [300, 600, 1100])
