@@ -17,7 +17,7 @@ import numpy as np
 from .assembly import _symmetrize, conv_gram, gram, shifted_gram
 from .geometry import PointSet, boundary_distance
 from .kernels import PROFILES, KernelSpec, smoothness, spectral_density_1d
-from .quadrature import FOURIER_CUTOFF, fourier_quadratic_form
+from .quadrature import fourier_quadratic_form
 from .spectral import precision_floor, whitened_spectrum
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -109,9 +109,7 @@ def verify_equivalence(spec: KernelSpec, X: PointSet, b) -> EquivalenceResult:
     return EquivalenceResult(lower=lower, upper=upper, spectrum=w)
 
 
-def verify_shift_identity(
-    spec: KernelSpec, X: PointSet, alpha, b: float, fourier_cutoff: float = FOURIER_CUTOFF
-) -> BoundCheck:
+def verify_shift_identity(spec: KernelSpec, X: PointSet, alpha, b: float) -> BoundCheck:
     """Matrix side versus Fourier side of the symmetrized shifted form.
 
     sqrt(2 pi) <sym(k(X+b, X)) a, a> equals the full Fourier-side integral
@@ -125,7 +123,7 @@ def verify_shift_identity(
     alpha = np.asarray(alpha, dtype=float)
     B_sym = _symmetrize(shifted_gram(spec, X, [b]))
     lhs = _SQRT_2PI * float(alpha @ (B_sym @ alpha))
-    form = fourier_quadratic_form(density, X, alpha, b, fourier_cutoff)
+    form = fourier_quadratic_form(density, X, alpha, b)
     rhs = form.full_integral - 2.0 * form.damped_integral
     tol = 3.0 * form.tail_bound + 1e-8 * abs(lhs)
     return _check("shift-identity", abs(lhs - rhs), tol)

@@ -69,12 +69,18 @@ def gram(spec: KernelSpec, X: PointSet, into=_whole):
 def shifted_gram(spec: KernelSpec, X: PointSet, b) -> np.ndarray:
     """Kernel matrix between the translated set X + b and X; unsymmetric for b != 0.
 
-    Built whole by row blocks, as ``gram`` is."""
+    Built whole by row blocks, as ``gram`` is.  A shift whose squared
+    coordinate differences could overflow is a ``ValueError``, raised before
+    any row is built."""
     if X.dim != spec.dim:
         raise ValueError(f"point set dimension {X.dim} != kernel dimension {spec.dim}")
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if b.shape != (X.dim,):
         raise ValueError(f"shift vector must have dimension {X.dim}")
+    # a coordinate difference is at most extent + |b_k|: below sqrt(max / 2d), d squares sum finite
+    if np.max(np.ptp(X.points, axis=0) + np.abs(b)) >= math.sqrt(np.finfo(float).max / (2 * X.dim)):
+        raise ValueError(f"the shift of size {np.max(np.abs(b)):.3g} is too large: the squared "
+                         "distances of X + b and X overflow; lower the shift (--shift-factor)")
     return _whole(len(X), _kernel_rows(spec, X.points + b, X.points), 1)
 
 

@@ -23,7 +23,6 @@ from ._version import __version__
 from .assembly import conv_gram, gram, shifted_gram
 from .geometry import PointSet, equispaced, halton
 from .kernels import PROFILES, Family, KernelSpec, smoothness
-from .quadrature import FOURIER_CUTOFF
 from .rng import SplitMix64
 from .spectral import below_precision_floor, centrosymmetric_eigvalsh, sym_eigen, whiten
 from .svgplot import Series, heatmap_svg, loglog_plot_svg
@@ -73,7 +72,7 @@ COMMANDS = {
     "eigen-scaling": Command((*_SCALING, "c_min", "c_conv", "out_svg")),
     "heatmap": Command((*_SHIFTED, "out_svg"), dim=2),
     "equivalence": Command((*_SHIFTED, "layout", "endpoints")),
-    "identity": Command((*_RANDOMIZED, "shift_factor", "fourier_cutoff"), n=6),
+    "identity": Command((*_RANDOMIZED, "shift_factor"), n=6),
     "sin2": Command((*_RANDOMIZED, "endpoints", "eps", "c_min"), n=20),
     "thm41": Command((*_RANDOMIZED, "layout", "endpoints", "shift_factor", "c_conv"), n=20),
 }
@@ -106,7 +105,6 @@ class ExperimentConfig:
     shift_factor: float = 0.1
     eps: float = 0.25
     trials: int = 10
-    fourier_cutoff: float = FOURIER_CUTOFF
     seed: int = 0
     c_min: Optional[float] = None
     c_conv: Optional[float] = None
@@ -143,9 +141,6 @@ class ExperimentConfig:
             raise ValueError(f"shift_factor must be finite, got {self.shift_factor}")
         if not 0 < self.eps < 1:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        cutoff = self.fourier_cutoff
-        if not (math.isfinite(cutoff) and cutoff >= 1):
-            raise ValueError(f"fourier_cutoff must be finite and at least 1, got {cutoff}")
         for name in ("c_min", "c_conv"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
@@ -454,7 +449,7 @@ def run_identity(cfg: ExperimentConfig) -> ExperimentReport:
         X = _random_interval_set(rng, cfg.n)
         alpha = rng.symmetric(cfg.n)
         b = cfg.shift_factor * X.separation
-        check = analysis.verify_shift_identity(spec, X, alpha, b, cfg.fourier_cutoff)
+        check = analysis.verify_shift_identity(spec, X, alpha, b)
         per_trial.append([check])
     return _check_report(cfg, per_trial)
 

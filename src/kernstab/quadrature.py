@@ -17,7 +17,8 @@ from .kernels import KernelSpec, SpectralDensity, phi
 #: panels per unit length in ``integrate``
 ORDER = 20
 PANELS_PER_UNIT = 4
-#: default truncation [-L, L] of the Fourier-side forms
+#: truncation [-L, L] of the Fourier-side forms, which the tail bound of
+#: ``fourier_quadratic_form`` lets serve every input
 FOURIER_CUTOFF = 1000.0
 #: most nodes (panels x order) one Fourier-side form may take
 FOURIER_NODE_BUDGET = 2 ** 24
@@ -149,7 +150,7 @@ class FourierFormResult:
     ``full_integral`` is Int_{-L}^{L} density(w) |sum_j a_j e^{i w x_j}|^2 dw,
     ``damped_integral`` the same integrand multiplied by sin(w b / 2)^2, and
     ``tail_bound`` a certified bound on the mass lost to truncation for either
-    integral (the damping factor is at most one pointwise).
+    integral, as ``fourier_quadratic_form`` derives it.
     """
 
     full_integral: float
@@ -220,28 +221,36 @@ def _zone_sums(density: SpectralDensity, x, alpha, b: float, lo: float, hi: floa
 
 
 def fourier_quadratic_form(
-    density: SpectralDensity,
-    X: PointSet,
-    alpha,
-    b: float,
-    fourier_cutoff: float = FOURIER_CUTOFF,
+    density: SpectralDensity, X: PointSet, alpha, b: float
 ) -> FourierFormResult:
     """Truncated Fourier-side form of a coefficient vector over a 1-D point set.
 
-    Both integrals run over [-L, L] with L = fourier_cutoff; the tail bound
-    uses the closed form density envelope and the crude estimate
-    |sum_j a_j e^{i w x_j}|^2 <= (sum_j |a_j|)^2.  The coefficients are
-    real, so S(-w) is the conjugate of S(w) and the integrand is even: each
-    integral is twice its half over [0, L], and only that half is summed.
+    Both integrals run over [-L, L], L = ``FOURIER_CUTOFF``, of density(w)
+    |S(w)|^2, S(w) = sum_j a_j e^{i w x_j}, times sin^2(w b / 2) in the
+    damped one.  The coefficients are real, so S(-w) is the conjugate of
+    S(w) and the integrand is even: each integral is twice its half over
+    [0, L].
 
-    Panels.  The integrand is density(w) |S(w)|^2, times sin^2(w b / 2) in
-    the damped form, with S(w) = sum_j a_j e^{i w x_j}: the density
-    (1 + w^2)^-tau has its poles at +-i, and the rest is a sum of
-    e^{i nu w} with |nu| <= kappa = diam(X) + |b|.  ``_fourier_zones`` lays
-    out two zones of equal panels on [0, L].  The core [0, c], c =
-    ``FOURIER_CORE`` = 16, has panels of at most a quarter period of the
-    phase and at most one unit (``_fourier_panel_width``), where the poles
-    are near.  The outer zone [c, L] has the width W = max(core width,
+    Tail.  |S(w)|^2 = ||a||^2 + sum_{j != k} a_j a_k cos(w (x_j - x_k)).
+    Beyond L the first term's mass is ||a||^2 m(L), m the density's
+    ``tail_mass_bound``; the density is nonnegative and decreasing there,
+    so by the second mean value theorem each cross term's is at most
+    4 density(L) / |x_j - x_k|.  The sorted points are |j - k| delta apart
+    at least, delta = 2 q_X, and Schur's test bounds sum_{j != k}
+    |a_j a_k| / (|j - k| delta) by 2 H_{n-1} ||a||^2 / delta (H_0 = 0).  The
+    tail is the smaller of ||a||^2 (m(L) + 8 density(L) H_{n-1} / delta)
+    and the crude (sum_j |a_j|)^2 m(L): it grows like ||a||^2 log n rather
+    than n ||a||^2 for a random direction, and one cutoff serves every input
+    drawn.  The damped integrand lies below the full one, so the bound
+    serves both; a tail over a quarter of integral plus tail raises
+    ``QuadratureError``.
+
+    Panels.  The density (1 + w^2)^-tau has its poles at +-i, and the rest
+    of the integrand is a sum of e^{i nu w}, |nu| <= kappa = diam(X) + |b|.
+    ``_fourier_zones`` lays out two zones of equal panels on [0, L].  The
+    core [0, c], c = ``FOURIER_CORE`` = 16, has panels of at most a quarter
+    period of the phase and at most one unit (``_fourier_panel_width``),
+    where the poles are near.  The outer zone [c, L] has the width W = max(core width,
     min(c, 2 ``OUTER_PHASE`` / kappa)), ``OUTER_PHASE`` = 8, so an outer
     panel's half-width h has h <= c / 2 and kappa h <= 8 (the core width
     keeps kappa h below 3 pi / 8).  On a panel w = m + h t, t in [-1, 1], an
@@ -275,9 +284,10 @@ def fourier_quadratic_form(
     unit factors a few ulp.  Nodes, weights and the density and
     sin^2(w b / 2) factors are those of ``panel_grid``.  Panels are summed in
     chunks whose (panels x n) and (panels x ORDER) arrays hold at most 2^16
-    entries each, so the workspace is a few MB for any cutoff and point
-    count.  A form of more than ``FOURIER_NODE_BUDGET`` nodes, counted over
-    all zones, raises ``QuadratureError`` before any work, a cutoff too large
+    entries each, so the workspace is a few MB for any shift and point
+    count.  The shift and the diameter set the panel widths, hence the node
+    count: a form of more than ``FOURIER_NODE_BUDGET`` nodes, counted over
+    all zones, raises ``QuadratureError`` before any work, a shift too large
     for an integer panel count included.
     """
     if X.dim != 1:
@@ -285,35 +295,25 @@ def fourier_quadratic_form(
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (len(X),):
         raise ValueError("alpha must have one coefficient per point")
-    cutoff = fourier_cutoff
-    if not cutoff >= 1.0:  # nan included
-        raise QuadratureError(
-            f"fourier_cutoff {cutoff} too small; increase it to at least 1", target=1.0
-        )
     x = X.points[:, 0]
-    zones = _fourier_zones(float(x.max() - x.min()), float(b), cutoff)
+    diameter = float(x.max() - x.min())
+    zones = _fourier_zones(diameter, float(b), FOURIER_CUTOFF)
     nodes = ORDER * sum(panels for _, _, panels in zones)
     if nodes > FOURIER_NODE_BUDGET:
         raise QuadratureError(
-            f"fourier_cutoff {cutoff:g} needs {nodes:.3g} nodes, more than the "
-            f"budget of {FOURIER_NODE_BUDGET}; lower it"
+            f"the shift b = {b:g} over points of diameter {diameter:.3g} needs {nodes:.3g} nodes, "
+            f"more than the budget of {FOURIER_NODE_BUDGET}; lower it (--shift-factor)"
         )
-    tail = float(np.abs(alpha).sum()) ** 2 * density.tail_mass_bound(cutoff)
+    mass = density.tail_mass_bound(FOURIER_CUTOFF)
+    harmonic = float(np.sum(1.0 / np.arange(1, len(x))))
+    cross = 8.0 * density(FOURIER_CUTOFF) * harmonic / (2.0 * X.separation) if harmonic else 0.0
+    tail = min(float(np.abs(alpha).sum()) ** 2 * mass, float(alpha @ alpha) * (mass + cross))
 
-    full = 0.0
-    damped = 0.0
-    for lo, hi, panels in zones:
-        zone_full, zone_damped = _zone_sums(density, x, alpha, b, lo, hi, int(panels))
-        full += zone_full
-        damped += zone_damped
     # the integrand is even: [-L, L] is twice [0, L]
-    full *= 2.0
-    damped *= 2.0
+    zone_sums = [_zone_sums(density, x, alpha, b, lo, hi, int(panels)) for lo, hi, panels in zones]
+    full, damped = (2.0 * sum(parts) for parts in zip(*zone_sums))
 
     if tail > 0.25 * (full + tail):
-        raise QuadratureError(
-            f"certified tail {tail:.3e} is not small against the integral "
-            f"{full:.3e}; increase fourier_cutoff beyond {cutoff:g}",
-            achieved=tail,
-        )
+        raise QuadratureError(f"certified tail {tail:.3e} beyond the cutoff {FOURIER_CUTOFF:g} is "
+                              f"not small against the integral {full:.3e}", achieved=tail)
     return FourierFormResult(full_integral=full, damped_integral=damped, tail_bound=tail)

@@ -26,6 +26,7 @@ from kernstab import (
     verify_equivalence,
     verify_shift_identity,
 )
+from kernstab import quadrature
 from kernstab.geometry import PointSet
 from kernstab.kernels import PROFILES
 from kernstab.quadrature import fourier_quadratic_form
@@ -298,15 +299,16 @@ def test_damping_lhs_matches_fourier_oracle(spec):
             )
 
 
-def test_damping_lhs_matches_fourier_oracle_basic():
+def test_damping_lhs_matches_fourier_oracle_basic(monkeypatch):
     # rho ~ w^-2 decays slowly: the default cutoff misses most of the damped
     # mass of the tau = 1 form, a cutoff of 1e5 leaves under 1 %
+    monkeypatch.setattr(quadrature, "FOURIER_CUTOFF", 1e5)
     density = spectral_density_1d(BASIC)
     X = equispaced(6, 0, 1)
     alpha = np.random.default_rng(5).uniform(-1, 1, 6)
     b = 0.05 * X.separation
     lhs = verify_damping_bound(BASIC, X, alpha, [b], 0.25)[0].lhs
-    form = fourier_quadratic_form(density, X, alpha, b, 1e5)
+    form = fourier_quadratic_form(density, X, alpha, b)
     assert form.damped_integral / math.sqrt(2 * math.pi) == pytest.approx(lhs, rel=0.01)
 
 

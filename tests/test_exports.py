@@ -18,7 +18,8 @@ constant.  And every field of a package dataclass is read by some code in
 the package or the acceptance suite; a field that nothing reads is deleted.
 
 An error message that tells the user to ``pass <name>`` names a field of
-``ExperimentConfig``, so that its flag is one the CLI takes.
+``ExperimentConfig``, so that its flag is one the CLI takes, and a flag
+``--<name>`` it names is the flag of such a field.
 
 The facts of a kernel family live in one table, ``kernels.PROFILES``: no
 module compares a value with a ``Family`` member, and no other
@@ -265,7 +266,10 @@ def test_every_named_option_is_a_config_field():
         f"{name}:{option}"
         for name, tree in _package_trees()
         for text in _raised_text(tree)
-        for option in re.findall(r"\bpass (\w+)", text)
+        for option in [
+            *re.findall(r"\bpass (\w+)", text),
+            *(flag.replace("-", "_") for flag in re.findall(r"--(\w[\w-]*)", text)),
+        ]
     }
     assert named, "no error message names an option"
     config = {field.name for field in fields(ExperimentConfig)}

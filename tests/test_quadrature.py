@@ -9,6 +9,7 @@ from kernstab import (
     Family,
     KernelSpec,
     QuadratureError,
+    SplitMix64,
     closed_form_conv_exp,
     conv_value,
     equispaced,
@@ -18,17 +19,21 @@ from kernstab import (
     integrate,
     phi,
     spectral_density_1d,
+    sym_eigen,
 )
-from kernstab.experiments import ExperimentConfig, run
+from kernstab import quadrature
+from kernstab.experiments import ExperimentConfig, _random_interval_set, run
 from kernstab.geometry import PointSet
 from kernstab.kernels import SpectralDensity
 from kernstab.quadrature import (
     FOURIER_CORE,
+    FOURIER_CUTOFF,
     ORDER,
     OUTER_PHASE,
     PANELS_PER_UNIT,
     _fourier_zones,
     _segments,
+    _zone_sums,
     panel_grid,
 )
 
@@ -72,15 +77,6 @@ def test_rule_rejects_bad_order():
         gauss_legendre(0)
     with pytest.raises(ValueError):
         gauss_legendre(65)
-
-
-@pytest.mark.parametrize("field", ["fourier_cutoff"])
-@pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan, 0.5])
-def test_config_rejects_values_that_are_not_finite_and_positive(field, value):
-    # the one quadrature option left, checked with the config before any
-    # work: the Fourier-side panels need a finite cutoff of at least 1
-    with pytest.raises(ValueError, match=f"{field} must be finite and at least 1, got {value}"):
-        ExperimentConfig(command="identity", **{field: value})
 
 
 def test_integrate_constant():
@@ -254,15 +250,57 @@ def test_fourier_form_damping_monotone_near_zero():
 
 
 def test_fourier_form_cutoff_guard():
-    density = spectral_density_1d(BASIC)
-    X = equispaced(4, 0, 1)
-    with pytest.raises(QuadratureError):
-        fourier_quadratic_form(density, X, np.ones(4), 0.0, 0.5)
     # oscillating coefficients on nearly coincident points leave almost all
     # mass beyond any moderate cutoff
+    density = spectral_density_1d(BASIC)
     tight = PointSet(np.array([[0.0], [1e-3]]), np.array([[0.0, 1.0]]))
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match="certified tail .* beyond the cutoff 1000"):
         fourier_quadratic_form(density, tight, [1.0, -1.0], 0.0)
+
+
+def _measured_tail(density, X, alpha, far):
+    # 2 Int_L^far density |S|^2 on the outer zone's panels: kappa h <= 8
+    x = X.points[:, 0]
+    panels = math.ceil((far - FOURIER_CUTOFF) * np.ptp(x) / (2 * OUTER_PHASE))
+    full, _ = _zone_sums(density, x, alpha, 0.0, FOURIER_CUTOFF, far, panels)
+    return 2.0 * full
+
+
+@pytest.mark.parametrize("n", [6, 50, 200, 500])
+@pytest.mark.parametrize("family", list(Family), ids=lambda family: family.value)
+def test_fourier_tail_bounds_the_mass_beyond_the_cutoff(family, n):
+    # identity's draws: a random set and direction, and the extreme
+    # eigenvectors of k(X, X), whose lowest one puts the most mass at high
+    # frequencies; 2 Int_L^1e5 is most of the tail even for tau = 1
+    spec = KernelSpec(family, dim=1)
+    density = spectral_density_1d(spec)
+    rng = SplitMix64(n)
+    X = _random_interval_set(rng, n)
+    extremes = sym_eigen(gram(spec, X))[1][:, [0, -1]].T
+    for alpha in (rng.symmetric(n), *extremes):
+        try:
+            tail = fourier_quadratic_form(density, X, alpha, 0.0).tail_bound
+        except QuadratureError as exc:  # a tail too large to certify the form
+            tail = exc.achieved
+        crude = np.abs(alpha).sum() ** 2 * density.tail_mass_bound(FOURIER_CUTOFF)
+        assert _measured_tail(density, X, alpha, 1e5) <= tail <= crude
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_identity_certifies_500_points_at_the_fixed_cutoff(seed):
+    # the crude tail (sum |a_j|)^2 m(L) grows like n ||a||^2 for random
+    # directions: at n = 500 it exceeded a quarter of the integral
+    cfg = ExperimentConfig(command="identity", kernel="matern-basic", n=500, trials=10, seed=seed)
+    assert not run(cfg).failed_reliable_checks
+
+
+def test_fourier_form_shift_beyond_any_panel_count_raises():
+    # the node count of b = 1e306 overflows to inf: refused before any
+    # work, naming the shift
+    X = equispaced(6, 0, 1)
+    density = spectral_density_1d(BASIC)
+    with pytest.raises(QuadratureError, match=r"shift b = 1e\+306 .* nodes.*\(--shift-factor\)"):
+        fourier_quadratic_form(density, X, np.ones(6), 1e306)
 
 
 def _uniform_width(diameter, shift):
@@ -313,7 +351,8 @@ def _direct_integrals(densities, X, alpha, shifts, order, cutoff):
     "n, cutoff",
     [(n, c) for n in (1, 2, 6, 200) for c in (10.0, 1e3, 1e5) if (n, c) != (200, 1e5)],
 )
-def test_fourier_form_phase_split_matches_direct_evaluation(n, cutoff):
+def test_fourier_form_phase_split_matches_direct_evaluation(n, cutoff, monkeypatch):
+    monkeypatch.setattr(quadrature, "FOURIER_CUTOFF", cutoff)
     rng = np.random.default_rng(n)
     families = [Family.MATERN_BASIC] if cutoff == 1e5 else list(Family)
     densities = [spectral_density_1d(KernelSpec(family, dim=1)) for family in families]
@@ -329,7 +368,7 @@ def test_fourier_form_phase_split_matches_direct_evaluation(n, cutoff):
     direct = _direct_integrals(densities, X, alpha, shifts, ORDER, cutoff)
     for density in densities:
         for b in shifts:
-            result = fourier_quadratic_form(density, X, alpha, b, cutoff)
+            result = fourier_quadratic_form(density, X, alpha, b)
             full, damped = direct[density, b]
             tol = 1e-12 * result.full_integral
             assert abs(result.full_integral - full) <= tol
@@ -339,13 +378,14 @@ def test_fourier_form_phase_split_matches_direct_evaluation(n, cutoff):
 
 
 @pytest.mark.parametrize("n, cutoff", [(6, 1e5), (200, 1e4), (1, 1e4)])
-def test_fourier_form_workspace_stays_small(n, cutoff):
+def test_fourier_form_workspace_stays_small(n, cutoff, monkeypatch):
     # the direct evaluation peaked at 33.5, 21.5 and 25.8 MB here
+    monkeypatch.setattr(quadrature, "FOURIER_CUTOFF", cutoff)
     X = equispaced(n, 0, 1) if n > 1 else PointSet(np.array([[0.4]]), np.array([[0.0, 1.0]]))
     density = spectral_density_1d(BASIC)
     tracemalloc.start()
     try:
-        fourier_quadratic_form(density, X, np.ones(n), 0.01, cutoff)
+        fourier_quadratic_form(density, X, np.ones(n), 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -630,6 +630,26 @@ def test_non_reflective_input_is_eigvalsh_before_any_split(monkeypatch):
     assert asked.min() == 1
 
 
+@pytest.mark.parametrize("n", [29, 30, 62, 100, 126, 254])
+def test_split_follows_the_data_on_halton_points(n, monkeypatch):
+    # n = 2^k - 2 Halton points are mirror images about (1 - 2^-k) / 2, with
+    # x_i + x_(n-1-i) exactly 1 - 2^-k, so the probe of the first mirrored
+    # pair splits k(X, X) into two half solves; k*(X, X) over the domain
+    # [0, 1], which is not mirrored about that centre, takes one full solve.
+    # Other sizes are not mirror images: each matrix is one full solve, and
+    # its first pair is built twice (the probe's price, 6.4 % of the rows at
+    # n = 1000)
+    spec = KernelSpec(Family.MATERN_LINEAR, dim=1)
+    X = halton(n, 1)
+    x = X.points[:, 0]
+    mirrored = n + 2 == 2 ** n.bit_length()
+    assert (np.ptp(x + x[::-1]) == 0.0) == mirrored
+    sizes = _counted_eigvalsh(monkeypatch)
+    gram(spec, X, into=centrosymmetric_eigvalsh)
+    conv_gram(spec, X, into=centrosymmetric_eigvalsh)
+    assert sizes == ([n // 2, n // 2] if mirrored else [n]) + [n]
+
+
 def test_split_rejected_after_its_first_pair_is_built_again(monkeypatch):
     # blocks of ten rows: the first pair, rows 0 to 9 and 290 to 299, is
     # centrosymmetric and row 100 is not, so the split is rejected after its
