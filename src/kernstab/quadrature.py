@@ -161,12 +161,14 @@ class FourierFormResult:
 def _fourier_panel_width(diameter: float, shift: float) -> float:
     # integrand frequency is bounded by diameter(X) + |shift|; a quarter period
     # per panel keeps the ORDER-point rule at machine precision, and the cap of
-    # one unit resolves the density's own variation near the origin
+    # one unit resolves the density's own variation near the origin; dividing
+    # pi by 4 and 2 first keeps the width nonzero where 4 diameter or 2 |shift|
+    # would overflow
     width = 1.0
     if diameter > 0:
-        width = min(width, math.pi / (4.0 * diameter))
+        width = min(width, math.pi / 4.0 / diameter)
     if shift != 0:
-        width = min(width, math.pi / (2.0 * abs(shift)))
+        width = min(width, math.pi / 2.0 / abs(shift))
     return width
 
 

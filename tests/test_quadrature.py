@@ -294,13 +294,16 @@ def test_identity_certifies_500_points_at_the_fixed_cutoff(seed):
     assert not run(cfg).failed_reliable_checks
 
 
-def test_fourier_form_shift_beyond_any_panel_count_raises():
-    # the node count of b = 1e306 overflows to inf: refused before any
-    # work, naming the shift
+@pytest.mark.parametrize("shift", ["1e305", "1e308"])
+def test_fourier_form_shift_beyond_any_panel_count_raises(shift):
+    # at 1e305 the node count is finite but far past any budget, at 1e308
+    # 2 |b| overflows and the panel count is inf: both are refused before
+    # any work, naming the shift
     X = equispaced(6, 0, 1)
     density = spectral_density_1d(BASIC)
-    with pytest.raises(QuadratureError, match=r"shift b = 1e\+306 .* nodes.*\(--shift-factor\)"):
-        fourier_quadratic_form(density, X, np.ones(6), 1e306)
+    exponent = shift.split("e")[1]
+    with pytest.raises(QuadratureError, match=rf"shift b = 1e\+{exponent} .* nodes.*\(--shift-factor\)"):
+        fourier_quadratic_form(density, X, np.ones(6), float(shift))
 
 
 def _uniform_width(diameter, shift):
